@@ -5,6 +5,13 @@ stored without zero coefficients, so algebraic identities hold on the nose.
 Center membership is decided against the generators, which suffices because
 the generators generate; conjugacy classes are grown by orbit closure under a
 hard cap so that infinite classes terminate with a definite answer.
+
+Validation happens once, where values enter: the public constructors
+(``RingElement(group, coeffs)``, ``one``, ``from_element``, parsing, class sums)
+check that every support element belongs to the group and coerce every
+coefficient to ``Fraction``.  Arithmetic between validated elements checks only
+that both operands share a ring and builds its result without checking each
+term again.
 """
 
 from __future__ import annotations
@@ -33,8 +40,17 @@ class RingElement:
         self._coeffs = {g: c for g, c in acc.items() if c != 0}
 
     @classmethod
+    def _trusted(cls, group: Group, coeffs: dict) -> "RingElement":
+        """Wrap coefficients that are already valid: keys are members of group
+        and values are Fractions.  Only zero coefficients are dropped."""
+        u = object.__new__(cls)
+        u.group = group
+        u._coeffs = {g: c for g, c in coeffs.items() if c}
+        return u
+
+    @classmethod
     def zero(cls, group: Group) -> "RingElement":
-        return cls(group)
+        return cls._trusted(group, {})
 
     @classmethod
     def one(cls, group: Group) -> "RingElement":
@@ -60,28 +76,25 @@ class RingElement:
     def is_zero(self) -> bool:
         return not self._coeffs
 
-    def _require_same_ring(self, other: "RingElement"):
-        if self.group.signature != other.group.signature:
-            raise ValueError(
-                f"cross-group ring operands: {self.group.name} vs {other.group.name}"
-            )
-
     def __add__(self, other: "RingElement") -> "RingElement":
-        self._require_same_ring(other)
-        out = dict(self._coeffs)
-        for g, c in other._coeffs.items():
-            out[g] = out.get(g, Fraction(0)) + c
-        return RingElement(self.group, out)
+        return signed_sum(self.group, ((1, self), (1, other)))
 
     def __neg__(self) -> "RingElement":
-        return RingElement(self.group, {g: -c for g, c in self._coeffs.items()})
+        return RingElement._trusted(self.group, {g: -c for g, c in self._coeffs.items()})
 
     def __sub__(self, other: "RingElement") -> "RingElement":
-        return self + (-other)
+        return signed_sum(self.group, ((1, self), (-1, other)))
 
     def scale(self, factor) -> "RingElement":
         factor = Fraction(factor)
-        return RingElement(self.group, {g: c * factor for g, c in self._coeffs.items()})
+        return RingElement._trusted(
+            self.group, {g: c * factor for g, c in self._coeffs.items()})
+
+    def left_translate(self, g: GroupElement) -> "RingElement":
+        """g times this element: the support moves by g, coefficients stay."""
+        self.group._require_member(g)
+        return RingElement._trusted(
+            self.group, {g * a: c for a, c in self._coeffs.items()})
 
     def __mul__(self, other):
         if isinstance(other, RingElement):
@@ -97,13 +110,14 @@ class RingElement:
 
     def convolve(self, other: "RingElement") -> "RingElement":
         """Product extending group multiplication: (u*v)(g) = sum u(a) v(b) over ab = g."""
-        self._require_same_ring(other)
+        _require_same_group(self.group, other.group)
         out: dict[GroupElement, Fraction] = {}
         for a, ca in self._coeffs.items():
             for b, cb in other._coeffs.items():
                 g = a * b
-                out[g] = out.get(g, Fraction(0)) + ca * cb
-        return RingElement(self.group, out)
+                prev = out.get(g)
+                out[g] = ca * cb if prev is None else prev + ca * cb
+        return RingElement._trusted(self.group, out)
 
     def augment(self) -> Fraction:
         """Sum of coefficients; a ring homomorphism onto the rationals."""
@@ -134,6 +148,28 @@ class RingElement:
 
     def __repr__(self) -> str:
         return format_ring_element(self)
+
+
+def _require_same_group(left: Group, right: Group):
+    if left is not right and left.signature != right.signature:
+        raise ValueError(f"cross-group ring operands: {left.name} vs {right.name}")
+
+
+def signed_sum(group: Group, terms) -> RingElement:
+    """Sum of sign * u over (sign, u) pairs, signs +1 or -1, in one pass.
+
+    Each u must be an element of the group ring of group; its terms are added
+    into one dictionary without validating them again.
+    """
+    out: dict[GroupElement, Fraction] = {}
+    for sign, u in terms:
+        _require_same_group(group, u.group)
+        for g, c in u._coeffs.items():
+            if sign < 0:
+                c = -c
+            prev = out.get(g)
+            out[g] = c if prev is None else prev + c
+    return RingElement._trusted(group, out)
 
 
 def format_ring_element(u: RingElement) -> str:

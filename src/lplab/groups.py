@@ -71,14 +71,17 @@ class GroupElement:
     def __eq__(self, other) -> bool:
         if not isinstance(other, GroupElement):
             return NotImplemented
-        return self.group.signature == other.group.signature and self.key == other.key
+        return self.key == other.key and (
+            self.group is other.group or self.group.signature == other.group.signature)
 
     def __ne__(self, other) -> bool:
         eq = self.__eq__(other)
         return eq if eq is NotImplemented else not eq
 
     def __hash__(self) -> int:
-        return hash((self.group.signature, self.key))
+        # Equal elements have equal keys, so the key alone is a valid hash;
+        # elements of different groups sharing a key are told apart by __eq__.
+        return hash(self.key)
 
     def __lt__(self, other: "GroupElement") -> bool:
         # Sort order for elements of one group: lexicographic on normal forms.
@@ -103,6 +106,7 @@ class Group:
         self.name = name
         self.generator_labels = tuple(generator_labels)
         self.ball_cap = int(ball_cap)
+        self.identity = GroupElement(self, self._identity_key())
         self._layers: list[list[GroupElement]] | None = None
         self._dist: dict = {}
         self._exhausted = False
@@ -137,10 +141,6 @@ class Group:
     # -- shared operations ----------------------------------------------------
 
     @property
-    def identity(self) -> GroupElement:
-        return GroupElement(self, self._identity_key())
-
-    @property
     def generators(self) -> tuple[GroupElement, ...]:
         return tuple(GroupElement(self, k) for k in self._generator_keys())
 
@@ -161,7 +161,8 @@ class Group:
         return GroupElement(self, key)
 
     def _require_member(self, a: GroupElement):
-        if not isinstance(a, GroupElement) or a.group.signature != self.signature:
+        if not isinstance(a, GroupElement) or (
+                a.group is not self and a.group.signature != self.signature):
             raise ValueError(
                 f"cross-group operand: expected an element of {self.name}, got {a!r}"
             )

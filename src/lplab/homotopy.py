@@ -20,9 +20,8 @@ from itertools import product
 from random import Random
 
 from .groups import Group, GroupElement
-from .group_ring import RingElement
-
-BAR_DEGREE_CAP = 3
+from .group_ring import RingElement, signed_sum
+from .resolutions import BAR_DEGREE_CAP
 
 
 class WindowUnderflowError(ValueError):
@@ -95,10 +94,7 @@ class EquivariantCochain:
         if head.is_identity():
             return self.value_at_tail(args[1:])
         shift = head.inverse()
-        value = self.value_at_tail(tuple(shift * x for x in args[1:]))
-        if value.is_zero():
-            return value
-        return RingElement.from_element(head) * value
+        return self.value_at_tail(tuple(shift * x for x in args[1:])).left_translate(head)
 
     def scale(self, factor) -> "EquivariantCochain":
         return EquivariantCochain(
@@ -197,10 +193,7 @@ def _shifted_layer(group: Group, slice_eval):
             return slice_eval(args)
         shift = head.inverse()
         shifted = (identity,) + tuple(shift * x for x in args[1:])
-        value = slice_eval(shifted)
-        if value.is_zero():
-            return value
-        return RingElement.from_element(head) * value
+        return slice_eval(shifted).left_translate(head)
 
     return layer
 
@@ -209,28 +202,27 @@ def _coboundary_layer(group: Group, inner):
     """Alternating sum over argument omissions."""
 
     def slice_eval(args: tuple[GroupElement, ...]) -> RingElement:
-        total = RingElement.zero(group)
-        for i in range(len(args)):
-            term = inner(args[:i] + args[i + 1:])
-            total = total + term if i % 2 == 0 else total - term
-        return total
+        return signed_sum(group, ((-1 if i % 2 else 1, inner(args[:i] + args[i + 1:]))
+                                  for i in range(len(args))))
 
     return _shifted_layer(group, slice_eval)
 
 
+def _homotopy_sum(group: Group, inner, multipliers: tuple[GroupElement, ...],
+                  args: tuple[GroupElement, ...]) -> RingElement:
+    """Duplicate the k-th argument, translating the tail by each multiplier,
+    with alternating signs (minus for even k)."""
+    n = len(args) - 1
+    return signed_sum(group, ((1 if k % 2 else -1,
+                               inner(args[:k + 1] + tuple(g * x for x in args[k:])))
+                              for g in multipliers for k in range(n + 1)))
+
+
 def _homotopy_layer(group: Group, inner, multipliers: tuple[GroupElement, ...]):
-    """Degree-lowering homotopy: duplicate the k-th argument, translating the
-    tail by each multiplier, with alternating signs."""
+    """Degree-lowering homotopy, evaluated on the slice and shifted."""
 
     def slice_eval(args: tuple[GroupElement, ...]) -> RingElement:
-        total = RingElement.zero(group)
-        n = len(args) - 1
-        for g in multipliers:
-            for k in range(n + 1):
-                expanded = args[:k + 1] + tuple(g * x for x in args[k:])
-                term = inner(expanded)
-                total = total - term if k % 2 == 0 else total + term
-        return total
+        return _homotopy_sum(group, inner, multipliers, args)
 
     return _shifted_layer(group, slice_eval)
 
@@ -301,11 +293,16 @@ def multiplier_homotopy(phi: EquivariantCochain, central_element: GroupElement,
 
 @dataclass(frozen=True)
 class ResidualReport:
-    """Largest absolute residual coefficient over the evaluated tuples."""
+    """Largest absolute residual coefficient over the evaluated tuples.
+
+    worst_tail is the first argument tail (in ball order) whose residual
+    reaches max_abs, or None when every residual is zero.
+    """
 
     max_abs: Fraction
     tuples_checked: int
     tuples_skipped: int
+    worst_tail: tuple[GroupElement, ...] | None = None
 
 
 def _residual_scan(phi: EquivariantCochain, multipliers: tuple[GroupElement, ...],
@@ -321,14 +318,15 @@ def _residual_scan(phi: EquivariantCochain, multipliers: tuple[GroupElement, ...
     d_j_phi = _coboundary_layer(group, j_phi)
     ball = group.ball(radius)
     max_abs = Fraction(0)
+    worst_tail = None
     checked = skipped = 0
     for tail in product(ball, repeat=phi.degree):
         args = (identity,) + tail
         try:
-            lhs = d_j_phi(args) + j_d_phi(args)
             value = base(args)
-            rhs = value.scale(target_scale) - target_translate * value
-            diff = lhs - rhs
+            diff = signed_sum(group, ((1, d_j_phi(args)), (1, j_d_phi(args)),
+                                      (-1, value.scale(target_scale)),
+                                      (1, target_translate * value)))
         except WindowUnderflowError:
             skipped += 1
             continue
@@ -336,13 +334,14 @@ def _residual_scan(phi: EquivariantCochain, multipliers: tuple[GroupElement, ...
         for _, coeff in diff.items_sorted():
             if abs(coeff) > max_abs:
                 max_abs = abs(coeff)
+                worst_tail = tail
     if checked == 0:
         raise WindowUnderflowError(
             "no argument tuple keeps every intermediate inside the stored "
             f"window of radius {phi.radius}",
             required_radius=2 * radius + max(
                 (g.word_length() for g in multipliers), default=0))
-    return ResidualReport(max_abs, checked, skipped)
+    return ResidualReport(max_abs, checked, skipped, worst_tail)
 
 
 def homotopy_residual(phi: EquivariantCochain, central_element: GroupElement,
@@ -403,23 +402,14 @@ def equivariance_defect(phi: EquivariantCochain,
     identity = group.identity
     radius = phi.radius if eval_radius is None else eval_radius
 
-    def literal(args):
-        total = RingElement.zero(group)
-        n = len(args) - 1
-        for g in multipliers:
-            for k in range(n + 1):
-                expanded = args[:k + 1] + tuple(g * x for x in args[k:])
-                term = phi.eval(expanded)
-                total = total - term if k % 2 == 0 else total + term
-        return total
-
     worst = Fraction(0)
     for tail in product(group.ball(radius), repeat=phi.degree - 1):
         slice_args = (identity,) + tail
-        base = literal(slice_args)
+        base = _homotopy_sum(group, phi.eval, multipliers, slice_args)
         for a in shifts:
             moved = tuple(a * x for x in slice_args)
-            diff = literal(moved) - RingElement.from_element(a) * base
+            diff = (_homotopy_sum(group, phi.eval, multipliers, moved)
+                    - base.left_translate(a))
             for _, coeff in diff.items_sorted():
                 worst = max(worst, abs(coeff))
     return worst

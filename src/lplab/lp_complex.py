@@ -114,10 +114,6 @@ class CochainVector(_Vector):
         return self.space.q
 
 
-def zero_chain(space: TruncatedSpace) -> ChainVector:
-    return ChainVector(space, np.zeros(space.dim))
-
-
 def delta_chain(space: TruncatedSpace, copy: int, g: GroupElement) -> ChainVector:
     arr = np.zeros(space.dim)
     idx = space.index_of(copy, g)

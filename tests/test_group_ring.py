@@ -180,6 +180,43 @@ def test_cross_group_ring_rejection():
         u + v
     with pytest.raises(ValueError, match="cross-group"):
         u * v
+    # A foreign element with the same normal form as a member.
+    lattice = group_from_name("Z^3")
+    foreign = group_from_name("heisenberg").element((1, 0, 0))
+    with pytest.raises(ValueError, match="cross-group"):
+        RingElement(lattice, [(foreign, 1)])
+    w = RingElement.from_element(lattice.element((1, 0, 0)))
+    x = RingElement.from_element(foreign)
+    for op in (lambda: w + x, lambda: w - x, lambda: w * x,
+               lambda: w.left_translate(foreign)):
+        with pytest.raises(ValueError, match="cross-group"):
+            op()
+
+
+def test_ring_arithmetic_across_instances_of_one_group():
+    first = group_from_name("heisenberg")
+    second = group_from_name("heisenberg")
+    x1, y1 = first.generators
+    x2, y2 = second.generators
+    assert x1 == x2 and hash(x1) == hash(x2)
+    assert hash(x1 * y1) == hash(x2 * y2)
+    u = RingElement.from_element(x1) + RingElement.one(first)
+    v = RingElement.from_element(y2, 2)
+    assert u + v == RingElement(first, [(x1, 1), (first.identity, 1), (y1, 2)])
+    assert u * v == RingElement(first, [(x1 * y1, 2), (y1, 2)])
+
+
+def test_arithmetic_results_keep_invariants():
+    c2 = group_from_name("cyclic:2")
+    t = c2.generators[0]
+    one = RingElement.one(c2)
+    u = one - RingElement.from_element(t)
+    for zero in (u + (-u), u.scale(0), u * (one + RingElement.from_element(t))):
+        assert zero.is_zero()
+        assert zero.support() == ()
+        assert zero == RingElement.zero(c2)
+    half = RingElement(c2, [(t, 0.5)]).coefficient(t)
+    assert type(half) is Fraction and half == Fraction(1, 2)
 
 
 def test_format_examples():

@@ -59,6 +59,15 @@ def test_cross_group_rejection():
         a * b
 
 
+def test_equal_keys_in_different_groups_stay_distinct():
+    a = group_from_name("Z^3").element((1, 0, 0))
+    b = group_from_name("heisenberg").element((1, 0, 0))
+    assert a != b
+    assert len({a, b}) == 2
+    table = {a: "lattice", b: "heisenberg"}
+    assert table[a] == "lattice" and table[b] == "heisenberg"
+
+
 def test_inverses():
     lattice = group_from_name("Z^1")
     t = lattice.generators[0]

@@ -9,6 +9,7 @@ from lplab.groups import group_from_name
 from lplab.group_ring import RingElement, conjugacy_class
 from lplab.homotopy import (
     EquivariantCochain,
+    ResidualReport,
     WindowUnderflowError,
     class_sum_homotopy_residual,
     coboundary,
@@ -59,6 +60,13 @@ def test_coboundary_linearity():
     lhs = coboundary(a * phi + b * psi, radius=2)
     rhs = a * coboundary(phi, radius=2) + b * coboundary(psi, radius=2)
     assert lhs == rhs
+
+
+def test_cochain_rejects_foreign_tail_elements():
+    lattice = group_from_name("Z^3")
+    foreign = group_from_name("heisenberg").element((1, 0, 0))
+    with pytest.raises(ValueError, match="cross-group"):
+        EquivariantCochain(lattice, 1, 1, {(foreign,): RingElement.one(lattice)})
 
 
 def test_window_underflow_reports_required_radius():
@@ -180,6 +188,21 @@ def test_class_sum_dihedral_rotation_class():
     again = class_sum_homotopy_residual(phi, orbit)
     assert report == again
     assert report.max_abs == 0
+
+
+def test_class_sum_residual_reports_worst_tail():
+    group = group_from_name("dihedral-inf")
+    r, s = group.generators
+    phi = random_cochain(group, 1, 2, Random(0))
+    report = class_sum_homotopy_residual(phi, [r])
+    assert report.max_abs == 4
+    assert report.worst_tail == (s,)
+    # The scan runs in ball order: the radius-0 prefix stays below the
+    # maximum and the radius-1 prefix, which contains s, reaches it.
+    assert class_sum_homotopy_residual(phi, [r], eval_radius=0).max_abs < 4
+    assert class_sum_homotopy_residual(phi, [r], eval_radius=1) == ResidualReport(
+        Fraction(4), 4, 0, (s,))
+    assert class_sum_homotopy_residual(phi, [r, r.inverse()]).worst_tail is None
 
 
 def test_class_sum_is_equivariant_but_single_element_is_not():
