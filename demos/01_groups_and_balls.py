@@ -4,13 +4,13 @@ Run as: python3 demos/01_groups_and_balls.py
 """
 
 from lplab import group_from_name
+from lplab.checks import CHECK_GROUPS
 
 print("=" * 64)
 print("Catalog groups, their generators, and small balls")
 print("=" * 64)
 
-for name in ("trivial", "cyclic:4", "Z^1", "Z^2", "free:2", "dihedral-inf",
-             "heisenberg", "S3"):
+for name in CHECK_GROUPS:
     group = group_from_name(name)
     gens = ", ".join(f"{label}={g}" for label, g in
                      zip(group.generator_labels, group.generators))

@@ -25,19 +25,12 @@ from .group_ring import (
     format_ring_element,
     parse_ring_element,
 )
-from .resolutions import (
-    catalog_presentation,
-    evaluate_word,
-    fox_derivative,
-    resolution_from_name,
-    validate,
-)
+from .resolutions import catalog_presentation, resolution_from_name, validate
 from .lp_complex import (
     ChainVector,
     CochainVector,
     TruncatedSpace,
     assemble_boundary,
-    pairing,
     vector_from_ring_parts,
 )
 from .homotopy import class_sum_homotopy_residual, homotopy_residual, random_cochain
@@ -67,12 +60,6 @@ FINITE_HOMOLOGY_HEADER = ["group", "n", "N", "p", "degree", "dimension"]
 FINITE_INDEX_HEADER = ["n", "m", "p", "degree", "dim_full", "dim_subgroup",
                        "equal"]
 
-EXPERIMENTS = ("verify-resolutions", "verify-homotopy", "class-sum-homotopy",
-               "pairing-adjointness", "distance-curve", "translation-decay",
-               "finite-homology", "finite-index")
-
-VERIFY_RESOLUTION_NAMES = tuple(checks.CATALOG_RESOLUTIONS)
-
 _SVG_PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e",
                 "#8c564b")
 
@@ -91,11 +78,11 @@ def fmt_bool(value: bool) -> str:
 
 # -- config parsing ---------------------------------------------------------------
 
-_KNOWN_KEYS = {
+_KNOWN_KEYS = (
     "experiment", "group", "resolution", "degree", "p", "R", "indices", "x",
     "y", "h", "class", "n", "m", "N", "count", "seed", "output", "max_ball",
     "max_iter", "radius", "cap",
-}
+)
 
 
 def parse_config(path: str | Path) -> dict[str, str]:
@@ -315,7 +302,7 @@ def _run_verify_resolutions(cfg: dict, out_path: Path):
     cap = _ball_cap(cfg)
     rows = []
     failures = 0
-    for name in VERIFY_RESOLUTION_NAMES:
+    for name in checks.CATALOG_RESOLUTIONS:
         res = resolution_from_name(name, cap)
         report = validate(res)
         for check in report.checks:
@@ -323,20 +310,13 @@ def _run_verify_resolutions(cfg: dict, out_path: Path):
                          "" if check.index is None else str(check.index),
                          fmt_bool(check.ok), check.detail])
             failures += 0 if check.ok else 1
-    for gname in ("Z^2", "Z^3", "free:2", "dihedral-inf", "heisenberg",
-                  "cyclic:4", "S3"):
+    for gname in checks.FOX_GROUPS:
         presentation, group = catalog_presentation(gname, cap)
-        gens = group.generators
-        one = RingElement.one(group)
         for idx, word in enumerate(presentation.relators):
-            lhs = RingElement.zero(group)
-            for j, g in enumerate(gens):
-                lhs = lhs + fox_derivative(group, word, j, gens) * \
-                    (RingElement.from_element(g) - one)
-            rhs = RingElement.from_element(evaluate_word(group, word, gens)) - one
-            ok = lhs == rhs
+            defect = checks.fox_defect(group, word)
+            ok = defect.is_zero()
             rows.append([f"fox:{gname}", group.name, "fox_identity", str(idx),
-                         fmt_bool(ok), "" if ok else str(lhs - rhs)])
+                         fmt_bool(ok), "" if ok else str(defect)])
             failures += 0 if ok else 1
     write_csv(out_path, RESOLUTION_HEADER, rows)
     if failures:
@@ -426,17 +406,15 @@ def _run_pairing_adjointness(cfg: dict, out_path: Path):
         for _ in range(draws):
             x = rng.standard_normal(op.domain.dim)
             y = rng.standard_normal(op.codomain.dim)
-            gap = abs(float(y @ (op.matrix @ x)) - float((op.matrix.T @ y) @ x))
-            bound = 1e-10 * (1 + float(np.linalg.norm(x))) * \
-                (1 + float(np.linalg.norm(y)))
+            gap, bound = checks.adjoint_gap(op.matrix, x, y)
             if gap > bound:
                 raise InvariantViolation(
                     f"adjointness gap {gap:.3e} exceeds {bound:.3e} at p={p}")
             max_gap = max(max_gap, gap)
             xv = ChainVector(op.domain, rng.standard_normal(op.domain.dim))
             yv = CochainVector(op.domain, rng.standard_normal(op.domain.dim))
-            excess = abs(pairing(yv, xv)) - yv.norm() * xv.norm()
-            if excess > 1e-12 * (1 + yv.norm() * xv.norm()):
+            excess, tolerance = checks.hoelder_excess(yv, xv)
+            if excess > tolerance:
                 raise InvariantViolation(
                     f"pairing bound violated by {excess:.3e} at p={p}")
             max_excess = max(max_excess, excess)
@@ -574,7 +552,7 @@ def run_config(path: str | Path) -> Path:
     if experiment not in _RUNNERS:
         raise ConfigError(
             f"field experiment: unknown experiment {experiment!r}; choose one "
-            f"of {', '.join(EXPERIMENTS)}")
+            f"of {', '.join(_RUNNERS)}")
     out_path = Path(cfg.get("output", f"{experiment}.csv"))
     _RUNNERS[experiment](cfg, out_path)
     return out_path
@@ -598,10 +576,8 @@ def list_catalog() -> str:
         "  bar:<group>:<n>:<R>   bar-complex slice basis (degree n, ball R)",
         "experiments:",
     ]
-    lines.extend(f"  {name}" for name in EXPERIMENTS)
-    lines.append("config keys: experiment group resolution degree p R indices "
-                 "x y h class n m N count seed output max_ball max_iter "
-                 "radius cap")
+    lines.extend(f"  {name}" for name in _RUNNERS)
+    lines.append("config keys: " + " ".join(_KNOWN_KEYS))
     return "\n".join(lines)
 
 
@@ -620,7 +596,7 @@ def main(argv=None) -> int:
         print(list_catalog())
         return EXIT_OK
     if args.command == "verify-all":
-        outcomes = checks.run_all(verbose=True)
+        outcomes = checks.run_all()
         return EXIT_OK if all(o.ok for o in outcomes) else EXIT_INVARIANT
     status = EXIT_OK
     for config_path in args.configs:

@@ -107,6 +107,17 @@ class Group:
         self.generator_labels = tuple(generator_labels)
         self.ball_cap = int(ball_cap)
         self.identity = GroupElement(self, self._identity_key())
+        self.generators: tuple[GroupElement, ...] = tuple(
+            GroupElement(self, k) for k in self._generator_keys())
+        # the generators followed by those of their inverses not yet listed
+        symmetric = list(self.generators)
+        keys = {g.key for g in symmetric}
+        for g in self.generators:
+            inv = self.inverse(g)
+            if inv.key not in keys:
+                symmetric.append(inv)
+                keys.add(inv.key)
+        self.symmetric_generators: tuple[GroupElement, ...] = tuple(symmetric)
         self._layers: list[list[GroupElement]] | None = None
         self._dist: dict = {}
         self._exhausted = False
@@ -139,21 +150,6 @@ class Group:
         raise NotImplementedError
 
     # -- shared operations ----------------------------------------------------
-
-    @property
-    def generators(self) -> tuple[GroupElement, ...]:
-        return tuple(GroupElement(self, k) for k in self._generator_keys())
-
-    @property
-    def symmetric_generators(self) -> tuple[GroupElement, ...]:
-        gens = list(self.generators)
-        keys = {g.key for g in gens}
-        for g in list(gens):
-            inv = self.inverse(g)
-            if inv.key not in keys:
-                gens.append(inv)
-                keys.add(inv.key)
-        return tuple(gens)
 
     def element(self, key) -> GroupElement:
         """Construct an element from a raw normal form, after validation."""

@@ -153,20 +153,6 @@ class BoundaryOperator:
         self.matrix = matrix
         self.label = label
 
-    def apply(self, x: ChainVector) -> ChainVector:
-        if x.space is not self.domain and not (
-                x.space.compatible_with(self.domain)
-                and x.space.radius == self.domain.radius):
-            raise ValueError("vector does not live on the operator domain")
-        return ChainVector(self.codomain, self.matrix @ x.coefficients)
-
-    def apply_dual(self, y: CochainVector) -> CochainVector:
-        if y.space is not self.codomain and not (
-                y.space.compatible_with(self.codomain)
-                and y.space.radius == self.codomain.radius):
-            raise ValueError("cochain does not live on the dual domain")
-        return CochainVector(self.domain, self.matrix.T @ y.coefficients)
-
 
 def assemble_boundary(res: Resolution, i: int, radius: int,
                       p: float = 2.0) -> BoundaryOperator:

@@ -58,8 +58,13 @@ def _lp_norm(r: np.ndarray, p: float) -> float:
 
 def _solve_lstsq(T: np.ndarray, x: np.ndarray) -> np.ndarray:
     # gelss is the SVD driver; the default gelsd can misjudge the rank of
-    # the rank-deficient integer matrices assembled here
-    solution, *_ = _sla.lstsq(T, x, lapack_driver="gelss")
+    # the rank-deficient integer matrices assembled here.  The cutoff is
+    # numpy's lstsq default rcond: without it gelss keeps singular values of
+    # rounding size (about 1e-15 against a largest one near 4), inverts them
+    # into coefficients of order 1e13, and the residual is no longer
+    # orthogonal to the column space.
+    solution, *_ = _sla.lstsq(T, x, cond=max(T.shape) * np.finfo(float).eps,
+                              lapack_driver="gelss")
     return solution
 
 

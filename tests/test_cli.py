@@ -2,6 +2,7 @@
 
 import pytest
 
+from lplab import checks
 from lplab.cli import (
     ADJOINTNESS_HEADER,
     DECAY_HEADER,
@@ -267,3 +268,24 @@ def test_run_config_returns_output_path(tmp_path):
                        N=2, p=2, output=out)
     assert run_config(cfg) == out
     assert out.exists()
+
+
+def test_verify_all_passes_every_check(capsys):
+    assert main(["verify-all"]) == EXIT_OK
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split() for line in lines] == \
+        [[name, "PASS"] for name, _ in checks.ALL_CHECKS]
+
+
+def test_verify_all_reports_a_failing_check(monkeypatch, capsys):
+    def broken():
+        raise AssertionError("injected failure")
+
+    registered = checks.ALL_CHECKS
+    monkeypatch.setattr(checks, "ALL_CHECKS", (("broken", broken),) + registered)
+    assert main(["verify-all"]) == EXIT_INVARIANT
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0].split() == ["broken", "FAIL", "injected", "failure"]
+    # a failing check does not stop the ones after it
+    assert [line.split() for line in lines[1:]] == \
+        [[name, "PASS"] for name, _ in registered]

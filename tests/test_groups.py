@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from lplab.checks import CHECK_GROUPS
 from lplab.groups import (
     BallCapError,
     GroupSpec,
@@ -14,9 +15,6 @@ from lplab.groups import (
 )
 
 from oracles import product_set_ball, product_set_word_length
-
-ALL_NAMES = ["trivial", "cyclic:4", "Z^1", "Z^2", "free:2", "dihedral-inf",
-             "heisenberg", "S3"]
 
 
 def test_make_group_trivial_and_cyclic():
@@ -112,7 +110,7 @@ def test_word_lengths():
 
 def test_word_length_symmetric_under_inverse():
     rng = Random(0)
-    for name in ALL_NAMES:
+    for name in CHECK_GROUPS:
         group = group_from_name(name)
         ball = group.ball(3)
         for _ in range(50):
@@ -122,7 +120,7 @@ def test_word_length_symmetric_under_inverse():
 
 def test_group_axioms_random_triples():
     rng = Random(1)
-    for name in ALL_NAMES:
+    for name in CHECK_GROUPS:
         group = group_from_name(name)
         ball = group.ball(4)
         e = group.identity
@@ -136,7 +134,7 @@ def test_group_axioms_random_triples():
 
 
 def test_ball_nesting_and_inverse_closure():
-    for name in ALL_NAMES:
+    for name in CHECK_GROUPS:
         group = group_from_name(name)
         previous_size = 0
         for radius in range(5):

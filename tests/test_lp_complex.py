@@ -59,24 +59,6 @@ def test_assemble_norm_element_columns():
         assert np.sum(np.abs(column)) == 4
 
 
-CATALOG_NAMES = (
-    ["cyclic-inf"]
-    + [f"cyclic:{n}:3" for n in (2, 3, 4, 6)]
-    + [f"lattice:{d}" for d in (1, 2, 3)]
-    + ["fox:Z^2", "fox:free:2", "fox:dihedral-inf", "fox:heisenberg"]
-)
-
-
-@pytest.mark.parametrize("name", CATALOG_NAMES)
-def test_assembled_composition_is_exactly_zero(name):
-    res = resolution_from_name(name)
-    for i in range(1, res.length):
-        inner = assemble_boundary(res, i + 1, 2)
-        outer = assemble_boundary(res, i, inner.codomain.radius)
-        product = outer.matrix @ inner.matrix
-        assert np.all(product == 0.0)
-
-
 def test_rank_zero_boundary_assembles():
     res = resolution_from_name("fox:free:2")
     op = assemble_boundary(res, 2, 2)
