@@ -13,7 +13,10 @@ Three consumers share the registry:
   ``lplab.cli`` iterate the catalogs and call the per-case measurements
   ``fox_defect``, ``adjoint_gap`` and ``hoelder_excess``;
 - ``tests/test_checks.py`` runs every entry of ``ALL_CHECKS``, and the other
-  tests take their group and resolution lists from the catalogs.
+  tests take their group and resolution lists from the catalogs; the
+  per-resolution and per-group tests call the per-case checks
+  (``check_resolution_validates``, ``check_fox_identity``,
+  ``check_composition_zero``) that the catalog-wide checks loop over.
 """
 
 from __future__ import annotations
@@ -200,21 +203,29 @@ def check_class_sums_central():
         assert u.is_central(), "abelian group rings are their own center"
 
 
+def check_resolution_validates(name: str):
+    report = validate(resolution_from_name(name))
+    assert report.ok, f"{name}: {report.first_failure}"
+
+
 def check_resolutions_validate():
     for name in CATALOG_RESOLUTIONS:
-        report = validate(resolution_from_name(name))
-        assert report.ok, f"{name}: {report.first_failure}"
+        check_resolution_validates(name)
+
+
+def check_fox_identity(name: str):
+    presentation, group = catalog_presentation(name)
+    for word in presentation.relators:
+        assert fox_defect(group, word).is_zero(), \
+            f"free-derivative identity fails for {name}"
+        # a relator evaluates to the identity, so both sides vanish
+        assert evaluate_word(group, word, group.generators).is_identity(), \
+            f"a relator of {name} is not the identity"
 
 
 def check_fox_identities():
     for name in FOX_GROUPS:
-        presentation, group = catalog_presentation(name)
-        for word in presentation.relators:
-            assert fox_defect(group, word).is_zero(), \
-                f"free-derivative identity fails for {name}"
-            # a relator evaluates to the identity, so both sides vanish
-            assert evaluate_word(group, word, group.generators).is_identity(), \
-                f"a relator of {name} is not the identity"
+        check_fox_identity(name)
 
 
 def check_lattice_ranks():
@@ -222,15 +233,19 @@ def check_lattice_ranks():
         assert sum(lattice_resolution(d).ranks) == 2 ** d
 
 
+def check_composition_zero(name: str):
+    res = resolution_from_name(name)
+    for i in range(1, res.length):
+        inner = assemble_boundary(res, i + 1, 2)
+        outer = assemble_boundary(res, i, inner.codomain.radius)
+        product = outer.matrix @ inner.matrix
+        assert np.all(product == 0.0), \
+            f"assembled composite is nonzero for {name} at {i}"
+
+
 def check_assembled_composition_zero():
     for name in CATALOG_RESOLUTIONS:
-        res = resolution_from_name(name)
-        for i in range(1, res.length):
-            inner = assemble_boundary(res, i + 1, 2)
-            outer = assemble_boundary(res, i, inner.codomain.radius)
-            product = outer.matrix @ inner.matrix
-            assert np.all(product == 0.0), \
-                f"assembled composite is nonzero for {name} at {i}"
+        check_composition_zero(name)
 
 
 def check_adjointness():

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy import linalg as sla
 
+from lplab import checks
 from lplab.groups import group_from_name
 from lplab.group_ring import RingElement
 from lplab.resolutions import resolution_from_name
@@ -57,6 +58,11 @@ def test_assemble_norm_element_columns():
         column = op.matrix[:, col]
         assert np.sum(column == 1.0) == 4
         assert np.sum(np.abs(column)) == 4
+
+
+@pytest.mark.parametrize("name", checks.CATALOG_RESOLUTIONS)
+def test_assembled_composition_is_exactly_zero(name):
+    checks.check_composition_zero(name)
 
 
 def test_rank_zero_boundary_assembles():

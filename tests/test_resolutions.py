@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from lplab import checks
 from lplab.groups import group_from_name
 from lplab.group_ring import RingElement
 from lplab.resolutions import (
@@ -80,6 +81,11 @@ def test_fox_free2_shape():
     assert res.boundary(1)[0][1] == RingElement.from_element(y) - one
 
 
+@pytest.mark.parametrize("name", checks.FOX_GROUPS)
+def test_fox_fundamental_identity(name):
+    checks.check_fox_identity(name)
+
+
 @settings(max_examples=80, deadline=None)
 @given(st.lists(st.tuples(st.integers(0, 1), st.sampled_from((1, -1))),
                 min_size=1, max_size=8))
@@ -137,6 +143,11 @@ def test_lattice_three_all_compositions_zero():
 def test_lattice_ranks_sum():
     with pytest.raises(ValueError):
         lattice_resolution(4)
+
+
+@pytest.mark.parametrize("name", checks.CATALOG_RESOLUTIONS)
+def test_catalog_validates(name):
+    checks.check_resolution_validates(name)
 
 
 def test_validate_detects_injected_sign_flip():
