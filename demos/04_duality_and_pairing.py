@@ -17,6 +17,7 @@ from lplab import (
     resolution_from_name,
     translate,
 )
+from lplab.checks import adjoint_gap
 
 print("=" * 64)
 print("Assembled boundaries grow the codomain ball; nothing is clipped")
@@ -45,8 +46,7 @@ gaps = []
 for _ in range(200):
     x = rng.standard_normal(op3.domain.dim)
     y = rng.standard_normal(op3.codomain.dim)
-    gaps.append(abs(float(y @ (op3.matrix @ x))
-                    - float((op3.matrix.T @ y) @ x)))
+    gaps.append(adjoint_gap(op3.matrix, x, y)[0])
 print(f"  max over 200 draws: {max(gaps):.3e}")
 
 print()

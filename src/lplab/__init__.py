@@ -6,9 +6,7 @@ from .groups import (
     DEFAULT_BALL_CAP,
     Group,
     GroupElement,
-    GroupSpec,
     group_from_name,
-    make_group,
 )
 from .group_ring import (
     RingElement,

@@ -11,7 +11,9 @@ Three consumers share the registry:
 - ``lab verify-all`` runs ``ALL_CHECKS`` through ``run_all``;
 - the ``verify-resolutions`` and ``pairing-adjointness`` runners in
   ``lplab.cli`` iterate the catalogs and call the per-case measurements
-  ``fox_defect``, ``adjoint_gap`` and ``hoelder_excess``;
+  ``fox_defect``, ``adjoint_gap`` and ``hoelder_excess``, as do the tests
+  and demos that measure a free-derivative defect, an adjointness gap or a
+  Hoelder excess;
 - ``tests/test_checks.py`` runs every entry of ``ALL_CHECKS``, and the other
   tests take their group and resolution lists from the catalogs; the
   per-resolution and per-group tests call the per-case checks

@@ -35,6 +35,7 @@ from .lp_complex import (
 )
 from .homotopy import class_sum_homotopy_residual, homotopy_residual, random_cochain
 from .vanishing import (
+    DEFAULT_CLASS_CAP,
     DecayCurve,
     InvariantViolation,
     boundary_distance_curve,
@@ -178,6 +179,14 @@ def _group(cfg: dict):
         return group_from_name(_require(cfg, "group"), _ball_cap(cfg))
     except ValueError as exc:
         raise ConfigError(f"field group: {exc}") from None
+
+
+def _resolution(cfg: dict):
+    cap = _ball_cap(cfg)
+    try:
+        return resolution_from_name(_require(cfg, "resolution"), cap)
+    except ValueError as exc:
+        raise ConfigError(f"field resolution: {exc}") from None
 
 
 # -- output writers ----------------------------------------------------------------
@@ -359,7 +368,7 @@ def _run_class_sum_homotopy(cfg: dict, out_path: Path):
     radius = _int_field(cfg, "R", 3)
     count = _int_field(cfg, "count", 3)
     seed = _int_field(cfg, "seed", 0)
-    cap = _int_field(cfg, "cap", 10_000)
+    cap = _int_field(cfg, "cap", DEFAULT_CLASS_CAP)
     try:
         representative = group.parse_element(_require(cfg, "class"))
     except ValueError as exc:
@@ -388,11 +397,7 @@ def _run_class_sum_homotopy(cfg: dict, out_path: Path):
 
 
 def _run_pairing_adjointness(cfg: dict, out_path: Path):
-    cap = _ball_cap(cfg)
-    try:
-        res = resolution_from_name(_require(cfg, "resolution"), cap)
-    except ValueError as exc:
-        raise ConfigError(f"field resolution: {exc}") from None
+    res = _resolution(cfg)
     degree = _int_field(cfg, "degree", 1)
     radius = _int_field(cfg, "R", 3)
     draws = _int_field(cfg, "count", 1000)
@@ -441,11 +446,7 @@ def _parse_ring_parts(cfg: dict, key: str, group, rank: int):
 
 
 def _run_distance_curve(cfg: dict, out_path: Path):
-    cap = _ball_cap(cfg)
-    try:
-        res = resolution_from_name(_require(cfg, "resolution"), cap)
-    except ValueError as exc:
-        raise ConfigError(f"field resolution: {exc}") from None
+    res = _resolution(cfg)
     degree = _int_field(cfg, "degree", 0)
     if not 0 <= degree < res.length:
         raise ConfigError(

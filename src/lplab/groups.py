@@ -12,7 +12,6 @@ order, which keeps emitted files reproducible across runs.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 
 DEFAULT_BALL_CAP = 200_000
 
@@ -96,8 +95,6 @@ class GroupElement:
 
 class Group:
     """Shared machinery: exact operations plus a cached breadth-first ball."""
-
-    kind = "abstract"
 
     def __init__(self, name: str, generator_labels: tuple[str, ...],
                  ball_cap: int = DEFAULT_BALL_CAP):
@@ -265,8 +262,6 @@ def _parse_int_tuple(token: str, arity: int, name: str) -> tuple[int, ...]:
 
 
 class TrivialGroup(Group):
-    kind = "trivial"
-
     def __init__(self, ball_cap: int = DEFAULT_BALL_CAP):
         super().__init__("trivial", ("e",), ball_cap)
 
@@ -301,8 +296,6 @@ class TrivialGroup(Group):
 
 class CyclicGroup(Group):
     """Cyclic group of order n; normal form is the exponent in [0, n)."""
-
-    kind = "cyclic"
 
     def __init__(self, n: int, ball_cap: int = DEFAULT_BALL_CAP):
         if n < 1:
@@ -345,8 +338,6 @@ class CyclicGroup(Group):
 
 class LatticeGroup(Group):
     """Free abelian group of rank d; normal form is the integer vector."""
-
-    kind = "lattice"
 
     def __init__(self, d: int, ball_cap: int = DEFAULT_BALL_CAP):
         if d < 1:
@@ -414,8 +405,6 @@ class FreeGroup(Group):
     Words are tuples of nonzero signed letters: +i encodes the i-th generator,
     -i its inverse (1-based), with no adjacent cancelling pair.
     """
-
-    kind = "free"
 
     def __init__(self, k: int, ball_cap: int = DEFAULT_BALL_CAP):
         if k < 1:
@@ -496,8 +485,6 @@ class FreeGroup(Group):
 class InfiniteDihedralGroup(Group):
     """Infinite dihedral group; normal form (a, e) encodes r^a s^e, e in {0, 1}."""
 
-    kind = "dihedral-inf"
-
     def __init__(self, ball_cap: int = DEFAULT_BALL_CAP):
         super().__init__("dihedral-inf", ("r", "s"), ball_cap)
 
@@ -559,8 +546,6 @@ class HeisenbergGroup(Group):
     (a, b, c) * (a', b', c') = (a + a', b + b', c + c' + a * b').
     """
 
-    kind = "heisenberg"
-
     def __init__(self, ball_cap: int = DEFAULT_BALL_CAP):
         super().__init__("heisenberg", ("x", "y"), ball_cap)
 
@@ -599,8 +584,6 @@ class HeisenbergGroup(Group):
 
 class SymmetricGroupS3(Group):
     """Symmetric group on three points, generated by the adjacent transpositions."""
-
-    kind = "S3"
 
     def __init__(self, ball_cap: int = DEFAULT_BALL_CAP):
         super().__init__("S3", ("s1", "s2"), ball_cap)
@@ -663,66 +646,28 @@ class SymmetricGroupS3(Group):
         return GroupElement(self, tuple(perm))
 
 
-@dataclass(frozen=True)
-class GroupSpec:
-    """Declarative description of a catalog group.
-
-    kind is one of "trivial", "cyclic", "lattice", "free", "dihedral-inf",
-    "heisenberg", "S3"; param carries n, d, or k where applicable.
-    """
-
-    kind: str
-    param: int | None = None
-
-
-def make_group(spec: GroupSpec, ball_cap: int = DEFAULT_BALL_CAP) -> Group:
-    """Build a group handle from a spec, rejecting invalid parameters."""
-    kind = spec.kind
-    if kind == "trivial":
-        return TrivialGroup(ball_cap)
-    if kind == "cyclic":
-        if spec.param is None or spec.param < 1:
-            raise ValueError(f"cyclic order must be at least 1, got {spec.param}")
-        return CyclicGroup(spec.param, ball_cap)
-    if kind == "lattice":
-        if spec.param is None or spec.param < 1:
-            raise ValueError(f"lattice rank must be at least 1, got {spec.param}")
-        return LatticeGroup(spec.param, ball_cap)
-    if kind == "free":
-        if spec.param is None or spec.param < 1:
-            raise ValueError(f"free rank must be at least 1, got {spec.param}")
-        return FreeGroup(spec.param, ball_cap)
-    if kind == "dihedral-inf":
-        return InfiniteDihedralGroup(ball_cap)
-    if kind == "heisenberg":
-        return HeisenbergGroup(ball_cap)
-    if kind == "S3":
-        return SymmetricGroupS3(ball_cap)
-    raise ValueError(f"unknown group kind {kind!r}")
-
-
 def group_from_name(name: str, ball_cap: int = DEFAULT_BALL_CAP) -> Group:
     """Resolve a catalog name like "cyclic:4", "Z^2", or "heisenberg"."""
     name = name.strip()
     if name == "trivial":
-        return make_group(GroupSpec("trivial"), ball_cap)
+        return TrivialGroup(ball_cap)
     if name in ("Z", "Z^1"):
-        return make_group(GroupSpec("lattice", 1), ball_cap)
+        return LatticeGroup(1, ball_cap)
     m = re.match(r"^Z\^(\d+)$", name)
     if m:
-        return make_group(GroupSpec("lattice", int(m.group(1))), ball_cap)
+        return LatticeGroup(int(m.group(1)), ball_cap)
     m = re.match(r"^cyclic:(\d+)$", name)
     if m:
-        return make_group(GroupSpec("cyclic", int(m.group(1))), ball_cap)
+        return CyclicGroup(int(m.group(1)), ball_cap)
     m = re.match(r"^free:(\d+)$", name)
     if m:
-        return make_group(GroupSpec("free", int(m.group(1))), ball_cap)
+        return FreeGroup(int(m.group(1)), ball_cap)
     if name == "dihedral-inf":
-        return make_group(GroupSpec("dihedral-inf"), ball_cap)
+        return InfiniteDihedralGroup(ball_cap)
     if name == "heisenberg":
-        return make_group(GroupSpec("heisenberg"), ball_cap)
+        return HeisenbergGroup(ball_cap)
     if name == "S3":
-        return make_group(GroupSpec("S3"), ball_cap)
+        return SymmetricGroupS3(ball_cap)
     raise ValueError(
         f"unknown group name {name!r}; known forms: {', '.join(GROUP_NAME_SYNTAX)}"
     )

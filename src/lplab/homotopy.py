@@ -160,15 +160,16 @@ def zero_cochain(group: Group, degree: int, radius: int) -> EquivariantCochain:
     return EquivariantCochain(group, degree, radius, {})
 
 
-def random_cochain(group: Group, degree: int, radius: int, rng: Random,
-                   value_radius: int = 2, max_terms: int = 2) -> EquivariantCochain:
-    """Dense random cochain on the window, with small random rational values."""
+def random_cochain(group: Group, degree: int, radius: int,
+                   rng: Random) -> EquivariantCochain:
+    """Dense random cochain on the window: each value has one or two terms on
+    the radius-2 ball with small random rational coefficients."""
     ball = group.ball(radius)
-    value_ball = group.ball(value_radius)
+    value_ball = group.ball(2)
     values = {}
     for tail in product(ball, repeat=degree):
         terms = []
-        for _ in range(rng.randint(1, max_terms)):
+        for _ in range(rng.randint(1, 2)):
             g = value_ball[rng.randrange(len(value_ball))]
             coeff = Fraction(rng.randint(-9, 9), rng.randint(1, 9))
             terms.append((g, coeff))
@@ -351,18 +352,18 @@ def homotopy_residual(phi: EquivariantCochain, central_element: GroupElement,
     Measures the largest coefficient of (coboundary of homotopy plus homotopy
     of coboundary) minus (identity minus multiplier translate), over all
     argument tuples in the evaluation window.  For central multipliers the
-    contract is literal zero.
+    contract is literal zero.  After its checks this is the singleton-class
+    case of class_sum_homotopy_residual.
     """
     group = phi.group
     group._require_member(central_element)
     if phi.degree < 1:
         raise ValueError("the identity involves a degree-lowering step; "
                          "need degree >= 1")
-    single = RingElement.from_element(central_element)
-    if not single.is_central():
+    if not RingElement.from_element(central_element).is_central():
         raise ValueError(
             f"element {central_element} is not central in {group.name}")
-    return _residual_scan(phi, (central_element,), 1, single, eval_radius)
+    return class_sum_homotopy_residual(phi, (central_element,), eval_radius)
 
 
 def class_sum_homotopy_residual(phi: EquivariantCochain, class_elements,

@@ -7,6 +7,12 @@ enlarged by the largest word length in those entries, so supports grow and are
 never clipped.  Chains measure with exponent p, cochains with the conjugate
 exponent, and the evaluation pairing aligns coefficients by basis label so
 vectors living at different radii can be paired.
+
+Point masses, embedded ring elements, re-embeddings on larger balls and
+translates are all built by one scatter, ``_scatter``: it adds each
+(copy, element, value) entry at its basis slot and raises ValueError for an
+element outside the target ball.  Boundary assembly fills its matrix columns
+with its own loop.
 """
 
 from __future__ import annotations
@@ -114,13 +120,27 @@ class CochainVector(_Vector):
         return self.space.q
 
 
-def delta_chain(space: TruncatedSpace, copy: int, g: GroupElement) -> ChainVector:
+def _scatter(space: TruncatedSpace, cls, entries):
+    """Vector of class cls on space, adding each (copy, element, value) entry
+    at its basis slot; an element outside the ball raises ValueError."""
     arr = np.zeros(space.dim)
-    idx = space.index_of(copy, g)
-    if idx is None:
-        raise ValueError(f"basis slot ({copy}, {g}) not present in the space")
-    arr[idx] = 1.0
-    return ChainVector(space, arr)
+    for copy, g, value in entries:
+        idx = space.index_of(copy, g)
+        if idx is None:
+            raise ValueError(f"support element {g} escapes radius {space.radius}")
+        arr[idx] += value
+    return cls(space, arr)
+
+
+def _nonzero_entries(vec):
+    """(copy, element, value) for each nonzero coefficient, in basis order."""
+    for (copy, g), c in zip(vec.space.basis_labels(), vec.coefficients):
+        if c != 0.0:
+            yield copy, g, c
+
+
+def delta_chain(space: TruncatedSpace, copy: int, g: GroupElement) -> ChainVector:
+    return _scatter(space, ChainVector, [(copy, g, 1.0)])
 
 
 def vector_from_ring_parts(space: TruncatedSpace, parts, cls=ChainVector):
@@ -128,30 +148,22 @@ def vector_from_ring_parts(space: TruncatedSpace, parts, cls=ChainVector):
     parts = list(parts)
     if len(parts) != space.rank:
         raise ValueError(f"expected {space.rank} parts, got {len(parts)}")
-    arr = np.zeros(space.dim)
-    for copy, part in enumerate(parts):
-        if part is None:
-            continue
-        for g, coeff in part.items_sorted():
-            idx = space.index_of(copy, g)
-            if idx is None:
-                raise ValueError(
-                    f"support element {g} escapes radius {space.radius}")
-            arr[idx] = float(coeff)
-    return cls(space, arr)
+    return _scatter(space, cls, [(copy, g, float(coeff))
+                                 for copy, part in enumerate(parts)
+                                 if part is not None
+                                 for g, coeff in part.items_sorted()])
 
 
 class BoundaryOperator:
     """Dense matrix of a truncated boundary together with its two spaces."""
 
-    __slots__ = ("domain", "codomain", "matrix", "label")
+    __slots__ = ("domain", "codomain", "matrix")
 
     def __init__(self, domain: TruncatedSpace, codomain: TruncatedSpace,
-                 matrix: np.ndarray, label: str):
+                 matrix: np.ndarray):
         self.domain = domain
         self.codomain = codomain
         self.matrix = matrix
-        self.label = label
 
 
 def assemble_boundary(res: Resolution, i: int, radius: int,
@@ -184,35 +196,21 @@ def assemble_boundary(res: Resolution, i: int, radius: int,
                         raise RuntimeError(
                             "convolution support escaped the enlarged ball")
                     out[row_idx, col] += float(coeff)
-    return BoundaryOperator(domain, codomain, out,
-                            f"{res.name}:boundary_{i}:R={radius}")
+    return BoundaryOperator(domain, codomain, out)
 
 
 def dual_boundary(res: Resolution, i: int, radius: int,
                   p: float = 2.0) -> BoundaryOperator:
     """Transpose of the assembled boundary, acting on cochain coefficients."""
     op = assemble_boundary(res, i, radius, p)
-    return BoundaryOperator(op.codomain, op.domain, op.matrix.T.copy(),
-                            f"{res.name}:dual_boundary_{i}:R={radius}")
+    return BoundaryOperator(op.codomain, op.domain, op.matrix.T.copy())
 
 
 def embed(vec, target: TruncatedSpace):
     """Re-express a vector on a larger (or equal) ball, padding with zeros."""
-    src = vec.space
-    if not src.compatible_with(target):
+    if not vec.space.compatible_with(target):
         raise ValueError("spaces differ in group, rank, or exponent")
-    arr = np.zeros(target.dim)
-    n_src = len(src.elements)
-    for copy in range(src.rank):
-        for pos, g in enumerate(src.elements):
-            c = vec.coefficients[copy * n_src + pos]
-            if c != 0.0:
-                idx = target.index_of(copy, g)
-                if idx is None:
-                    raise ValueError(
-                        f"support element {g} escapes radius {target.radius}")
-                arr[idx] = c
-    return type(vec)(target, arr)
+    return _scatter(target, type(vec), _nonzero_entries(vec))
 
 
 def pairing(y: CochainVector, x: ChainVector) -> float:
@@ -236,21 +234,7 @@ def pairing(y: CochainVector, x: ChainVector) -> float:
 
 def translate(x, g: GroupElement):
     """Left translation: the new coefficient at h is the old one at g^-1 h."""
-    space = x.space
-    space.group._require_member(g)
-    new_space = TruncatedSpace(space.group, space.rank,
-                               space.radius + g.word_length(), space.p)
-    arr = np.zeros(new_space.dim)
-    n_src = len(space.elements)
-    for copy in range(space.rank):
-        for pos, h in enumerate(space.elements):
-            c = x.coefficients[copy * n_src + pos]
-            if c != 0.0:
-                idx = new_space.index_of(copy, g * h)
-                if idx is None:
-                    raise RuntimeError("translated support escaped the ball")
-                arr[idx] = c
-    return type(x)(new_space, arr)
+    return translate_ring(x, RingElement.from_element(g))
 
 
 def translate_ring(x, u: RingElement):
@@ -260,22 +244,12 @@ def translate_ring(x, u: RingElement):
         raise ValueError("ring element belongs to a different group")
     if u.is_zero():
         return type(x)(space, np.zeros(space.dim))
-    shift = u.max_word_length()
-    new_space = TruncatedSpace(space.group, space.rank, space.radius + shift,
-                               space.p)
-    arr = np.zeros(new_space.dim)
-    n_src = len(space.elements)
-    for g, coeff in u.items_sorted():
-        weight = float(coeff)
-        for copy in range(space.rank):
-            for pos, h in enumerate(space.elements):
-                c = x.coefficients[copy * n_src + pos]
-                if c != 0.0:
-                    idx = new_space.index_of(copy, g * h)
-                    if idx is None:
-                        raise RuntimeError("translated support escaped the ball")
-                    arr[idx] += weight * c
-    return type(x)(new_space, arr)
+    new_space = TruncatedSpace(space.group, space.rank,
+                               space.radius + u.max_word_length(), space.p)
+    entries = list(_nonzero_entries(x))
+    return _scatter(new_space, type(x), ((copy, g * h, float(coeff) * c)
+                                         for g, coeff in u.items_sorted()
+                                         for copy, h, c in entries))
 
 
 def annihilator_residual(res: Resolution, i: int, radius: int) -> float:

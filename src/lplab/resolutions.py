@@ -19,13 +19,14 @@ from fractions import Fraction
 from itertools import combinations, product
 
 from .groups import (
+    _POW_RE,
     DEFAULT_BALL_CAP,
     BallCapError,
+    CyclicGroup,
     Group,
     GroupElement,
-    GroupSpec,
+    LatticeGroup,
     group_from_name,
-    make_group,
 )
 from .group_ring import RingElement
 
@@ -157,7 +158,7 @@ def validate(res: Resolution) -> ValidationReport:
 
 def cyclic_infinite_resolution(ball_cap: int = DEFAULT_BALL_CAP) -> Resolution:
     """The two-term resolution over the infinite cyclic group: boundary t - 1."""
-    group = make_group(GroupSpec("lattice", 1), ball_cap)
+    group = LatticeGroup(1, ball_cap)
     t = group.generators[0]
     entry = RingElement.from_element(t) - RingElement.one(group)
     return Resolution(group, "cyclic-inf", (1, 1), (((entry,),),))
@@ -174,7 +175,7 @@ def periodic_cyclic_resolution(n: int, length: int,
         raise ValueError(f"cyclic order must be at least 2, got {n}")
     if length < 1:
         raise ValueError(f"resolution length must be at least 1, got {length}")
-    group = make_group(GroupSpec("cyclic", n), ball_cap)
+    group = CyclicGroup(n, ball_cap)
     t = group.generators[0]
     minus = RingElement.from_element(t) - RingElement.one(group)
     norm = RingElement(group, [(t ** k, Fraction(1)) for k in range(n)])
@@ -192,7 +193,7 @@ def lattice_resolution(d: int, ball_cap: int = DEFAULT_BALL_CAP) -> Resolution:
     """
     if not 1 <= d <= 3:
         raise ValueError(f"lattice resolution supports 1 <= d <= 3, got {d}")
-    group = make_group(GroupSpec("lattice", d), ball_cap)
+    group = LatticeGroup(d, ball_cap)
     gens = group.generators
     bases = [list(combinations(range(1, d + 1), i)) for i in range(d + 1)]
     boundaries = []
@@ -253,7 +254,7 @@ def parse_word(text: str, labels: tuple[str, ...]) -> Word:
     index = {label: i for i, label in enumerate(labels)}
     letters: list[tuple[int, int]] = []
     for piece in text.split("*"):
-        m = re.match(r"^([A-Za-z][A-Za-z0-9]*)(?:\^(-?\d+))?$", piece.strip())
+        m = _POW_RE.match(piece.strip())
         if not m or m.group(1) not in index:
             raise ValueError(f"cannot parse word piece {piece!r}")
         idx = index[m.group(1)]

@@ -25,7 +25,6 @@ from .resolutions import Resolution, periodic_cyclic_resolution
 from .lp_complex import (
     ChainVector,
     CochainVector,
-    TruncatedSpace,
     assemble_boundary,
     pairing,
     translate_ring,
@@ -34,6 +33,10 @@ from .lp_complex import (
 
 DEFAULT_CLASS_CAP = 10_000
 INFINITE_ORDER_POWER_CAP = 64
+
+_EPS_START = 1e-3
+_EPS_FLOOR = 1e-12
+_IMPROVEMENT_TOL = 1e-10
 
 
 class InvariantViolation(RuntimeError):
@@ -47,7 +50,6 @@ class MinimizationResult:
     value: float
     coefficients: np.ndarray
     iterations: int
-    final_step: float
     method: str
     converged: bool
 
@@ -74,14 +76,13 @@ def _weighted_lstsq(T: np.ndarray, x: np.ndarray, weights: np.ndarray) -> np.nda
 
 
 def lp_distance(x: np.ndarray, T: np.ndarray, p: float, *,
-                max_iterations: int = 500, improvement_tol: float = 1e-10,
-                eps_start: float = 1e-3, eps_floor: float = 1e-12,
-                ) -> MinimizationResult:
+                max_iterations: int = 500) -> MinimizationResult:
     """Minimize the p-norm of x - T c over coefficient vectors c.
 
     p = 2 solves directly by a rank-revealing factorization and certifies
     optimality by residual orthogonality.  Other p > 1 run damped IRLS with
-    the smoothing parameter annealed from eps_start down to eps_floor; the
+    the smoothing parameter quartered each step from _EPS_START down to
+    _EPS_FLOOR, then stop once a step gains less than _IMPROVEMENT_TOL; the
     objective is asserted nonincreasing at every step.  Hitting the iteration
     cap flags the result as not converged but still reports the value.
     """
@@ -94,7 +95,7 @@ def lp_distance(x: np.ndarray, T: np.ndarray, p: float, *,
         raise ValueError(f"exponent p must lie in (1, inf), got {p}")
 
     if T.shape[1] == 0:
-        return MinimizationResult(_lp_norm(x, p), np.zeros(0), 0, 0.0,
+        return MinimizationResult(_lp_norm(x, p), np.zeros(0), 0,
                                   "exact-least-squares" if p == 2.0 else "IRLS",
                                   True)
 
@@ -107,12 +108,11 @@ def lp_distance(x: np.ndarray, T: np.ndarray, p: float, *,
             raise InvariantViolation(
                 f"least-squares residual is not orthogonal to the column "
                 f"space: gradient {gradient:.3e}")
-        return MinimizationResult(_lp_norm(residual, p), c, 1, 0.0,
+        return MinimizationResult(_lp_norm(residual, p), c, 1,
                                   "exact-least-squares", True)
 
     objective = _lp_norm(residual, p)
-    eps = eps_start
-    step = float("inf")
+    eps = _EPS_START
     converged = False
     iterations = 0
     for iterations in range(1, max_iterations + 1):
@@ -137,13 +137,13 @@ def lp_distance(x: np.ndarray, T: np.ndarray, p: float, *,
         c = best_c
         residual = x - T @ c
         objective = best
-        if eps > eps_floor:
-            eps = max(eps_floor, eps * 0.25)
+        if eps > _EPS_FLOOR:
+            eps = max(_EPS_FLOOR, eps * 0.25)
             continue
-        if step < improvement_tol:
+        if step < _IMPROVEMENT_TOL:
             converged = True
             break
-    return MinimizationResult(objective, c, iterations, step, "IRLS", converged)
+    return MinimizationResult(objective, c, iterations, "IRLS", converged)
 
 
 @dataclass(frozen=True)
@@ -168,8 +168,8 @@ class DecayCurve:
 
 
 def boundary_distance_curve(res: Resolution, degree: int, x_parts,
-                            p_values, radii, *, max_iterations: int = 500,
-                            experiment: str = "distance-curve") -> DecayCurve:
+                            p_values, radii, *,
+                            max_iterations: int = 500) -> DecayCurve:
     """Distance from a fixed chain to the truncated image of the next boundary.
 
     The same underlying chain is embedded at every radius, so the feasible
@@ -196,7 +196,8 @@ def boundary_distance_curve(res: Resolution, degree: int, x_parts,
             previous = result.value
             rows.append(CurveRow(float(p), "R", int(radius), result.value,
                                  result.iterations, result.converged))
-    return DecayCurve(experiment, res.group.name, res.name, degree, tuple(rows))
+    return DecayCurve("distance-curve", res.group.name, res.name, degree,
+                      tuple(rows))
 
 
 @dataclass(frozen=True)
@@ -270,9 +271,7 @@ def central_catalog(group: Group, count: int) -> CentralSequence:
 
 
 def translation_pairing_decay(y: CochainVector, x: ChainVector,
-                              sequence: CentralSequence, indices, *,
-                              degree: int = 0,
-                              experiment: str = "translation-decay") -> DecayCurve:
+                              sequence: CentralSequence, indices) -> DecayCurve:
     """Pairing of a fixed cochain against translates of a chain.
 
     For finitely supported vectors the value is exactly zero once the
@@ -285,7 +284,8 @@ def translation_pairing_decay(y: CochainVector, x: ChainVector,
         shifted = translate_ring(x, u)
         value = pairing(y, shifted)
         rows.append(CurveRow(float(x.space.p), kind, int(index), value, 0, True))
-    return DecayCurve(experiment, sequence.group.name, "-", degree, tuple(rows))
+    return DecayCurve("translation-decay", sequence.group.name, "-", 0,
+                      tuple(rows))
 
 
 def _numerical_rank(matrix: np.ndarray, threshold: float) -> int:

@@ -7,33 +7,29 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lplab.checks import CHECK_GROUPS
-from lplab.groups import (
-    BallCapError,
-    GroupSpec,
-    group_from_name,
-    make_group,
-)
+from lplab.groups import BallCapError, group_from_name
 
 from oracles import product_set_ball, product_set_word_length
 
 
 def test_make_group_trivial_and_cyclic():
-    trivial = make_group(GroupSpec("trivial"))
+    trivial = group_from_name("trivial")
     assert len(trivial.ball(5)) == 1
-    c4 = make_group(GroupSpec("cyclic", 4))
+    c4 = group_from_name("cyclic:4")
     assert len(c4.ball(4)) == 4
 
 
 def test_make_group_heisenberg_generators():
-    heis = make_group(GroupSpec("heisenberg"))
+    heis = group_from_name("heisenberg")
     assert [g.key for g in heis.generators] == [(1, 0, 0), (0, 1, 0)]
     assert len(heis.generators) == 2
 
 
-@pytest.mark.parametrize("kind,param", [("cyclic", 0), ("lattice", 0), ("free", 0)])
-def test_make_group_rejects_bad_parameters(kind, param):
+@pytest.mark.parametrize("name", ["cyclic:0", "Z^0", "free:0"],
+                         ids=["cyclic-0", "lattice-0", "free-0"])
+def test_make_group_rejects_bad_parameters(name):
     with pytest.raises(ValueError):
-        make_group(GroupSpec(kind, param))
+        group_from_name(name)
 
 
 def test_heisenberg_products():

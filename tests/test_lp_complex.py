@@ -108,11 +108,8 @@ def test_adjointness_random_vectors():
                 for _ in range(25):
                     x = rng.standard_normal(op.domain.dim)
                     y = rng.standard_normal(op.codomain.dim)
-                    lhs = float(y @ (op.matrix @ x))
-                    rhs = float((op.matrix.T @ y) @ x)
-                    bound = 1e-10 * (1 + np.linalg.norm(x)) * \
-                        (1 + np.linalg.norm(y))
-                    assert abs(lhs - rhs) <= bound, (name, i, radius)
+                    gap, bound = checks.adjoint_gap(op.matrix, x, y)
+                    assert gap <= bound, (name, i, radius)
 
 
 def test_norms():
@@ -184,7 +181,8 @@ def test_hoelder_bound_random():
         for _ in range(400):
             x = ChainVector(space, rng.standard_normal(space.dim))
             y = CochainVector(space, rng.standard_normal(space.dim))
-            assert abs(pairing(y, x)) <= y.norm() * x.norm() * (1 + 1e-12)
+            excess, tolerance = checks.hoelder_excess(y, x)
+            assert excess <= tolerance
 
 
 def test_translate_examples():
@@ -255,6 +253,20 @@ def test_embed_rejects_support_escape():
     x = vector_from_ring_parts(big, [RingElement.from_element(t ** 3)])
     with pytest.raises(ValueError, match="escapes"):
         embed(x, small)
+    with pytest.raises(ValueError, match="escapes"):
+        delta_chain(small, 0, t ** 2)
+    with pytest.raises(ValueError, match="escapes"):
+        vector_from_ring_parts(small, [RingElement.from_element(t ** -2)])
+
+
+def test_translate_rejects_element_of_another_group():
+    space = TruncatedSpace(group_from_name("Z^1"), 1, 2, 2.0)
+    x = delta_chain(space, 0, space.elements[0])
+    s = group_from_name("dihedral-inf").generators[1]
+    with pytest.raises(ValueError):
+        translate(x, s)
+    with pytest.raises(ValueError):
+        translate_ring(x, RingElement.from_element(s))
 
 
 def test_export_formats(tmp_path):

@@ -14,7 +14,6 @@ from lplab.resolutions import (
     bar_resolution_basis,
     compose_boundary_matrices,
     cyclic_infinite_resolution,
-    evaluate_word,
     fox_derivative,
     fox_partial_resolution,
     lattice_resolution,
@@ -92,15 +91,7 @@ def test_fox_fundamental_identity(name):
 def test_fox_identity_arbitrary_words_dihedral(letters):
     # the identity holds for every word, not only relators
     group = group_from_name("dihedral-inf")
-    word = reduce_word(letters)
-    gens = group.generators
-    one = RingElement.one(group)
-    lhs = RingElement.zero(group)
-    for j, g in enumerate(gens):
-        lhs = lhs + fox_derivative(group, word, j, gens) * \
-            (RingElement.from_element(g) - one)
-    rhs = RingElement.from_element(evaluate_word(group, word, gens)) - one
-    assert lhs == rhs
+    assert checks.fox_defect(group, reduce_word(letters)).is_zero()
 
 
 def test_fox_rejects_presentation_mismatch():

@@ -15,7 +15,6 @@ from lplab.lp_complex import (
     vector_from_ring_parts,
 )
 from lplab.vanishing import (
-    InvariantViolation,
     boundary_distance_curve,
     central_catalog,
     finite_group_homology_ranks,
