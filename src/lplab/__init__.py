@@ -19,7 +19,6 @@ from .resolutions import (
     Presentation,
     Resolution,
     ValidationReport,
-    bar_basis_from_name,
     bar_resolution_basis,
     catalog_presentation,
     cyclic_infinite_resolution,

@@ -25,7 +25,12 @@ from .group_ring import (
     format_ring_element,
     parse_ring_element,
 )
-from .resolutions import catalog_presentation, resolution_from_name, validate
+from .resolutions import (
+    BAR_DEGREE_CAP,
+    catalog_presentation,
+    resolution_from_name,
+    validate,
+)
 from .lp_complex import (
     ChainVector,
     CochainVector,
@@ -143,15 +148,24 @@ def _require(cfg: dict, key: str) -> str:
     return cfg[key]
 
 
-def _int_field(cfg: dict, key: str, default=None) -> int:
+def _int_field(cfg: dict, key: str, default=None, *, low=None,
+               high=None) -> int:
+    """Integer field, checked against the inclusive bounds low and high."""
     if key not in cfg:
         if default is None:
             raise ConfigError(f"field {key}: required")
-        return default
-    try:
-        return int(cfg[key])
-    except ValueError:
-        raise ConfigError(f"field {key}: not an integer: {cfg[key]!r}") from None
+        value = default
+    else:
+        try:
+            value = int(cfg[key])
+        except ValueError:
+            raise ConfigError(
+                f"field {key}: not an integer: {cfg[key]!r}") from None
+    if high is not None and not low <= value <= high:
+        raise ConfigError(f"field {key}: must lie in {low}..{high}, got {value}")
+    if low is not None and value < low:
+        raise ConfigError(f"field {key}: must be at least {low}, got {value}")
+    return value
 
 
 def _p_list(cfg: dict, default="2") -> list[float]:
@@ -175,16 +189,17 @@ def _ball_cap(cfg: dict) -> int:
 
 
 def _group(cfg: dict):
+    name, cap = _require(cfg, "group"), _ball_cap(cfg)
     try:
-        return group_from_name(_require(cfg, "group"), _ball_cap(cfg))
+        return group_from_name(name, cap)
     except ValueError as exc:
         raise ConfigError(f"field group: {exc}") from None
 
 
 def _resolution(cfg: dict):
-    cap = _ball_cap(cfg)
+    name, cap = _require(cfg, "resolution"), _ball_cap(cfg)
     try:
-        return resolution_from_name(_require(cfg, "resolution"), cap)
+        return resolution_from_name(name, cap)
     except ValueError as exc:
         raise ConfigError(f"field resolution: {exc}") from None
 
@@ -334,9 +349,9 @@ def _run_verify_resolutions(cfg: dict, out_path: Path):
 
 def _run_verify_homotopy(cfg: dict, out_path: Path):
     group = _group(cfg)
-    degree = _int_field(cfg, "degree", 1)
-    radius = _int_field(cfg, "R", 3)
-    count = _int_field(cfg, "count", 5)
+    degree = _int_field(cfg, "degree", 1, low=1, high=BAR_DEGREE_CAP)
+    radius = _int_field(cfg, "R", 3, low=0)
+    count = _int_field(cfg, "count", 5, low=1)
     seed = _int_field(cfg, "seed", 0)
     if "h" in cfg:
         try:
@@ -364,11 +379,11 @@ def _run_verify_homotopy(cfg: dict, out_path: Path):
 
 def _run_class_sum_homotopy(cfg: dict, out_path: Path):
     group = _group(cfg)
-    degree = _int_field(cfg, "degree", 1)
-    radius = _int_field(cfg, "R", 3)
-    count = _int_field(cfg, "count", 3)
+    degree = _int_field(cfg, "degree", 1, low=1, high=BAR_DEGREE_CAP)
+    radius = _int_field(cfg, "R", 3, low=0)
+    count = _int_field(cfg, "count", 3, low=1)
     seed = _int_field(cfg, "seed", 0)
-    cap = _int_field(cfg, "cap", DEFAULT_CLASS_CAP)
+    cap = _int_field(cfg, "cap", DEFAULT_CLASS_CAP, low=1)
     try:
         representative = group.parse_element(_require(cfg, "class"))
     except ValueError as exc:
@@ -398,9 +413,9 @@ def _run_class_sum_homotopy(cfg: dict, out_path: Path):
 
 def _run_pairing_adjointness(cfg: dict, out_path: Path):
     res = _resolution(cfg)
-    degree = _int_field(cfg, "degree", 1)
-    radius = _int_field(cfg, "R", 3)
-    draws = _int_field(cfg, "count", 1000)
+    degree = _int_field(cfg, "degree", 1, low=1, high=res.length)
+    radius = _int_field(cfg, "R", 3, low=0)
+    draws = _int_field(cfg, "count", 1000, low=1)
     seed = _int_field(cfg, "seed", 0)
     rows = []
     for p in _p_list(cfg, default="1.5,2,3"):
@@ -453,6 +468,8 @@ def _run_distance_curve(cfg: dict, out_path: Path):
             f"field degree: resolution {res.name} supports degrees "
             f"0..{res.length - 1}")
     radii = _int_list(_require(cfg, "R"), "R")
+    if min(radii) < 0:
+        raise ConfigError(f"field R: radii must be nonnegative, got {min(radii)}")
     p_values = _p_list(cfg)
     max_iter = _int_field(cfg, "max_iter", 500)
     x_parts = _parse_ring_parts(cfg, "x", res.group, res.ranks[degree])
@@ -463,7 +480,7 @@ def _run_distance_curve(cfg: dict, out_path: Path):
 
 def _run_translation_decay(cfg: dict, out_path: Path):
     group = _group(cfg)
-    radius = _int_field(cfg, "radius", 4)
+    radius = _int_field(cfg, "radius", 4, low=0)
     seed = _int_field(cfg, "seed", 0)
     indices = _int_list(_require(cfg, "indices"), "indices")
     try:
@@ -496,7 +513,7 @@ def _run_translation_decay(cfg: dict, out_path: Path):
 
 def _run_finite_homology(cfg: dict, out_path: Path):
     n = _int_field(cfg, "n")
-    length = _int_field(cfg, "N", 3)
+    length = _int_field(cfg, "N", 3, low=1)
     if n < 2:
         raise ConfigError(f"field n: cyclic order must be at least 2, got {n}")
     rows = []
@@ -514,9 +531,9 @@ def _run_finite_homology(cfg: dict, out_path: Path):
 
 
 def _run_finite_index(cfg: dict, out_path: Path):
-    n = _int_field(cfg, "n")
-    m = _int_field(cfg, "m")
-    length = _int_field(cfg, "N", 3)
+    n = _int_field(cfg, "n", low=2)
+    m = _int_field(cfg, "m", low=2)
+    length = _int_field(cfg, "N", 3, low=1)
     rows = []
     for p in _p_list(cfg):
         try:
@@ -574,7 +591,6 @@ def list_catalog() -> str:
         "  cyclic:<n>:<N>     period-two over cyclic:n, length N",
         "  lattice:<d>        tensor resolution over Z^d, d <= 3",
         "  fox:<group>        length 2 from the catalog presentation",
-        "  bar:<group>:<n>:<R>   bar-complex slice basis (degree n, ball R)",
         "experiments:",
     ]
     lines.extend(f"  {name}" for name in _RUNNERS)

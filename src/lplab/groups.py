@@ -73,10 +73,6 @@ class GroupElement:
         return self.key == other.key and (
             self.group is other.group or self.group.signature == other.group.signature)
 
-    def __ne__(self, other) -> bool:
-        eq = self.__eq__(other)
-        return eq if eq is NotImplemented else not eq
-
     def __hash__(self) -> int:
         # Equal elements have equal keys, so the key alone is a valid hash;
         # elements of different groups sharing a key are told apart by __eq__.

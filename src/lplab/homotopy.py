@@ -4,8 +4,10 @@ multiplier, and exact residual measurements for class-sum variants.
 Everything here runs in exact rational arithmetic: the homotopy identity is an
 algebraic statement and floating error would blur it into a tolerance.
 
-A cochain is stored on its equivariant slice (argument tuples with leading
-identity); evaluation elsewhere shifts to the slice and translates the value.
+A cochain is stored on its equivariant slice, the argument tuples with leading
+identity that resolutions.bar_resolution_basis enumerates (and caps at the
+group's ball_cap); evaluation elsewhere shifts to the slice and translates the
+value.
 Directly constructed cochains are finitely supported, so they evaluate to zero
 outside their window.  Operator results are exact only inside their window and
 refuse evaluation beyond it, because the coboundary of a finitely supported
@@ -16,12 +18,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
 from random import Random
 
 from .groups import Group, GroupElement
 from .group_ring import RingElement, signed_sum
-from .resolutions import BAR_DEGREE_CAP
+from .resolutions import BAR_DEGREE_CAP, bar_resolution_basis
 
 
 class WindowUnderflowError(ValueError):
@@ -30,6 +31,25 @@ class WindowUnderflowError(ValueError):
     def __init__(self, message: str, required_radius: int | None = None):
         super().__init__(message)
         self.required_radius = required_radius
+
+
+def _slice_reader(group: Group, radius: int, values: dict, truncated: bool):
+    """Stored value at a slice tuple (1, *tail).  Closing over the values
+    rather than the cochain keeps a cochain free of reference cycles."""
+
+    def slice_value(args: tuple[GroupElement, ...]) -> RingElement:
+        tail = args[1:]
+        value = values.get(tail)
+        if value is not None:
+            return value
+        if truncated and any(x.word_length() > radius for x in tail):
+            raise WindowUnderflowError(
+                f"tail {tuple(str(x) for x in tail)} lies outside the stored "
+                f"radius-{radius} window",
+                required_radius=max(x.word_length() for x in tail))
+        return RingElement.zero(group)
+
+    return slice_value
 
 
 class EquivariantCochain:
@@ -41,7 +61,7 @@ class EquivariantCochain:
     with truncated=True tails outside the window raise WindowUnderflowError.
     """
 
-    __slots__ = ("group", "degree", "radius", "values", "truncated")
+    __slots__ = ("group", "degree", "radius", "values", "truncated", "_layer")
 
     def __init__(self, group: Group, degree: int, radius: int, values,
                  truncated: bool = False):
@@ -69,32 +89,19 @@ class EquivariantCochain:
         self.radius = int(radius)
         self.values = clean
         self.truncated = bool(truncated)
-
-    def _tail_in_window(self, tail: tuple[GroupElement, ...]) -> bool:
-        return all(x.word_length() <= self.radius for x in tail)
+        self._layer = _shifted_layer(
+            group, _slice_reader(group, self.radius, clean, self.truncated))
 
     def value_at_tail(self, tail: tuple[GroupElement, ...]) -> RingElement:
         """Stored value at a slice tuple (1, *tail)."""
-        value = self.values.get(tuple(tail))
-        if value is not None:
-            return value
-        if self.truncated and not self._tail_in_window(tail):
-            raise WindowUnderflowError(
-                f"tail {tuple(str(x) for x in tail)} lies outside the stored "
-                f"radius-{self.radius} window",
-                required_radius=max(x.word_length() for x in tail))
-        return RingElement.zero(self.group)
+        return self._layer((self.group.identity,) + tuple(tail))
 
     def eval(self, args: tuple[GroupElement, ...]) -> RingElement:
         """Value at a general argument tuple, via the equivariant shift."""
         if len(args) != self.degree + 1:
             raise ValueError(
                 f"expected {self.degree + 1} arguments, got {len(args)}")
-        head = args[0]
-        if head.is_identity():
-            return self.value_at_tail(args[1:])
-        shift = head.inverse()
-        return self.value_at_tail(tuple(shift * x for x in args[1:])).left_translate(head)
+        return self._layer(tuple(args))
 
     def scale(self, factor) -> "EquivariantCochain":
         return EquivariantCochain(
@@ -164,16 +171,16 @@ def random_cochain(group: Group, degree: int, radius: int,
                    rng: Random) -> EquivariantCochain:
     """Dense random cochain on the window: each value has one or two terms on
     the radius-2 ball with small random rational coefficients."""
-    ball = group.ball(radius)
+    basis = bar_resolution_basis(group, degree, radius)
     value_ball = group.ball(2)
     values = {}
-    for tail in product(ball, repeat=degree):
+    for args in basis:
         terms = []
         for _ in range(rng.randint(1, 2)):
             g = value_ball[rng.randrange(len(value_ball))]
             coeff = Fraction(rng.randint(-9, 9), rng.randint(1, 9))
             terms.append((g, coeff))
-        values[tail] = RingElement(group, terms)
+        values[args[1:]] = RingElement(group, terms)
     return EquivariantCochain(group, degree, radius, values, truncated=False)
 
 
@@ -183,6 +190,8 @@ def random_cochain(group: Group, degree: int, radius: int,
 # argument tuple.  Each layer first shifts its tuple to the slice (this is the
 # definition of evaluation for an equivariant cochain) and then expands its
 # defining formula there, delegating inner evaluations to the layer below.
+# The bottom layer of every stack is a cochain's own _layer, which reads the
+# stored slice values.
 
 
 def _shifted_layer(group: Group, slice_eval):
@@ -230,11 +239,8 @@ def _homotopy_layer(group: Group, inner, multipliers: tuple[GroupElement, ...]):
 
 def _materialize(group: Group, layer, degree: int,
                  radius: int) -> EquivariantCochain:
-    identity = group.identity
-    ball = group.ball(radius)
-    values = {}
-    for tail in product(ball, repeat=degree):
-        values[tail] = layer((identity,) + tail)
+    values = {args[1:]: layer(args)
+              for args in bar_resolution_basis(group, degree, radius)}
     return EquivariantCochain(group, degree, radius, values, truncated=True)
 
 
@@ -257,8 +263,21 @@ def coboundary(phi: EquivariantCochain,
                 f"have {phi.radius}", required_radius=2 * radius)
     elif radius is None:
         radius = phi.radius
-    layer = _coboundary_layer(phi.group, phi.eval)
+    layer = _coboundary_layer(phi.group, phi._layer)
     return _materialize(phi.group, layer, phi.degree + 1, radius)
+
+
+def _require_central_multiplier(phi: EquivariantCochain,
+                                element: GroupElement):
+    """Preconditions of the central-multiplier homotopy: the multiplier lies
+    in the group, the cochain has a degree to lower, and the multiplier is
+    central."""
+    group = phi.group
+    group._require_member(element)
+    if phi.degree < 1:
+        raise ValueError("the homotopy lowers degree; need degree >= 1")
+    if not RingElement.from_element(element).is_central():
+        raise ValueError(f"element {element} is not central in {group.name}")
 
 
 def multiplier_homotopy(phi: EquivariantCochain, central_element: GroupElement,
@@ -269,12 +288,8 @@ def multiplier_homotopy(phi: EquivariantCochain, central_element: GroupElement,
     when the multiplier commutes with everything (class sums are handled by
     class_sum_homotopy_residual, which measures instead of assuming).
     """
+    _require_central_multiplier(phi, central_element)
     group = phi.group
-    group._require_member(central_element)
-    if phi.degree < 1:
-        raise ValueError("the homotopy lowers degree; need degree >= 1")
-    if not RingElement.from_element(central_element).is_central():
-        raise ValueError(f"element {central_element} is not central in {group.name}")
     length = central_element.word_length()
     if phi.truncated:
         safe = phi.radius - length
@@ -288,7 +303,7 @@ def multiplier_homotopy(phi: EquivariantCochain, central_element: GroupElement,
                 required_radius=max(radius, 0) + length)
     elif radius is None:
         radius = phi.radius
-    layer = _homotopy_layer(group, phi.eval, (central_element,))
+    layer = _homotopy_layer(group, phi._layer, (central_element,))
     return _materialize(group, layer, phi.degree - 1, radius)
 
 
@@ -310,19 +325,16 @@ def _residual_scan(phi: EquivariantCochain, multipliers: tuple[GroupElement, ...
                    target_scale: int, target_translate: RingElement,
                    eval_radius: int | None) -> ResidualReport:
     group = phi.group
-    identity = group.identity
     radius = phi.radius if eval_radius is None else eval_radius
-    base = phi.eval
+    base = phi._layer
     d_phi = _coboundary_layer(group, base)
     j_d_phi = _homotopy_layer(group, d_phi, multipliers)
     j_phi = _homotopy_layer(group, base, multipliers)
     d_j_phi = _coboundary_layer(group, j_phi)
-    ball = group.ball(radius)
     max_abs = Fraction(0)
     worst_tail = None
     checked = skipped = 0
-    for tail in product(ball, repeat=phi.degree):
-        args = (identity,) + tail
+    for args in bar_resolution_basis(group, phi.degree, radius):
         try:
             value = base(args)
             diff = signed_sum(group, ((1, d_j_phi(args)), (1, j_d_phi(args)),
@@ -335,7 +347,7 @@ def _residual_scan(phi: EquivariantCochain, multipliers: tuple[GroupElement, ...
         for _, coeff in diff.items_sorted():
             if abs(coeff) > max_abs:
                 max_abs = abs(coeff)
-                worst_tail = tail
+                worst_tail = args[1:]
     if checked == 0:
         raise WindowUnderflowError(
             "no argument tuple keeps every intermediate inside the stored "
@@ -355,14 +367,7 @@ def homotopy_residual(phi: EquivariantCochain, central_element: GroupElement,
     contract is literal zero.  After its checks this is the singleton-class
     case of class_sum_homotopy_residual.
     """
-    group = phi.group
-    group._require_member(central_element)
-    if phi.degree < 1:
-        raise ValueError("the identity involves a degree-lowering step; "
-                         "need degree >= 1")
-    if not RingElement.from_element(central_element).is_central():
-        raise ValueError(
-            f"element {central_element} is not central in {group.name}")
+    _require_central_multiplier(phi, central_element)
     return class_sum_homotopy_residual(phi, (central_element,), eval_radius)
 
 
@@ -400,16 +405,14 @@ def equivariance_defect(phi: EquivariantCochain,
     value at the slice; zero certifies that storing the slice loses nothing.
     """
     group = phi.group
-    identity = group.identity
     radius = phi.radius if eval_radius is None else eval_radius
 
     worst = Fraction(0)
-    for tail in product(group.ball(radius), repeat=phi.degree - 1):
-        slice_args = (identity,) + tail
-        base = _homotopy_sum(group, phi.eval, multipliers, slice_args)
+    for slice_args in bar_resolution_basis(group, phi.degree - 1, radius):
+        base = _homotopy_sum(group, phi._layer, multipliers, slice_args)
         for a in shifts:
             moved = tuple(a * x for x in slice_args)
-            diff = (_homotopy_sum(group, phi.eval, multipliers, moved)
+            diff = (_homotopy_sum(group, phi._layer, multipliers, moved)
                     - base.left_translate(a))
             for _, coeff in diff.items_sorted():
                 worst = max(worst, abs(coeff))

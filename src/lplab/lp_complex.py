@@ -93,18 +93,6 @@ class _Vector:
         idx = self.space.index_of(copy, g)
         return 0.0 if idx is None else float(self.coefficients[idx])
 
-    def __add__(self, other):
-        if type(other) is not type(self) or other.space is not self.space:
-            return NotImplemented
-        return type(self)(self.space, self.coefficients + other.coefficients)
-
-    def __mul__(self, scalar):
-        if not isinstance(scalar, (int, float)):
-            return NotImplemented
-        return type(self)(self.space, self.coefficients * float(scalar))
-
-    __rmul__ = __mul__
-
 
 class ChainVector(_Vector):
     """Coefficient family measured with the space exponent p."""

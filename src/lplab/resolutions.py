@@ -37,7 +37,6 @@ RESOLUTION_NAME_SYNTAX = (
     "cyclic:<n>:<N>",
     "fox:<group>",
     "lattice:<d>",
-    "bar:<group>:<degree>:<radius>",
 )
 
 Matrix = tuple[tuple[RingElement, ...], ...]
@@ -387,17 +386,6 @@ def bar_resolution_basis(group: Group, degree: int,
     return [(e,) + tail for tail in product(ball, repeat=degree)]
 
 
-def bar_basis_from_name(name: str,
-                        ball_cap: int = DEFAULT_BALL_CAP
-                        ) -> list[tuple[GroupElement, ...]]:
-    """Resolve "bar:<group>:<degree>:<radius>" to the slice basis."""
-    m = re.match(r"^bar:(.+):(\d+):(\d+)$", name.strip())
-    if not m:
-        raise ValueError(f"cannot parse bar basis name {name!r}")
-    group = group_from_name(m.group(1), ball_cap)
-    return bar_resolution_basis(group, int(m.group(2)), int(m.group(3)))
-
-
 def resolution_from_name(name: str, ball_cap: int = DEFAULT_BALL_CAP) -> Resolution:
     """Resolve a catalog resolution name.
 
@@ -417,5 +405,5 @@ def resolution_from_name(name: str, ball_cap: int = DEFAULT_BALL_CAP) -> Resolut
         return fox_partial_resolution(presentation, group)
     raise ValueError(
         f"unknown resolution name {name!r}; known forms: "
-        f"{', '.join(RESOLUTION_NAME_SYNTAX[:4])}"
+        f"{', '.join(RESOLUTION_NAME_SYNTAX)}"
     )

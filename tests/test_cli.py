@@ -3,6 +3,8 @@
 import pytest
 
 from lplab import checks
+from lplab.groups import GROUP_NAME_SYNTAX
+from lplab.resolutions import RESOLUTION_NAME_SYNTAX
 from lplab.cli import (
     ADJOINTNESS_HEADER,
     DECAY_HEADER,
@@ -27,9 +29,25 @@ def write_config(tmp_path, name, **kwargs):
 
 def test_list_catalog_names():
     text = list_catalog()
-    for token in ("heisenberg", "cyclic:<n>:<N>", "dihedral-inf", "bar:",
+    for token in ("heisenberg", "cyclic:<n>:<N>", "dihedral-inf",
                   "verify-homotopy", "distance-curve"):
         assert token in text
+
+
+def test_list_catalog_forms_match_name_syntax():
+    lines = list_catalog().splitlines()
+
+    def forms(section):
+        start = lines.index(section + ":") + 1
+        block = []
+        for line in lines[start:]:
+            if not line.startswith("  "):
+                break
+            block.append(line.split()[0])
+        return sorted(block)
+
+    assert forms("groups") == sorted(GROUP_NAME_SYNTAX)
+    assert forms("resolutions") == sorted(RESOLUTION_NAME_SYNTAX)
 
 
 def test_verify_homotopy_run(tmp_path, capsys):
@@ -76,6 +94,53 @@ def test_unknown_experiment_and_group(tmp_path, capsys):
                        group="nope")
     assert main(["run", str(cfg)]) == EXIT_CONFIG
     assert "group" in capsys.readouterr().err
+
+
+def test_config_errors_name_their_field_once(tmp_path, capsys):
+    cfg = write_config(tmp_path, "only.cfg", experiment="verify-homotopy")
+    assert main(["run", str(cfg)]) == EXIT_CONFIG
+    assert capsys.readouterr().err == (
+        f"{cfg}: config error: field group: required for experiment "
+        "'verify-homotopy'\n")
+
+    cfg = write_config(tmp_path, "cap.cfg", experiment="verify-homotopy",
+                       group="Z^1", max_ball="abc")
+    assert main(["run", str(cfg)]) == EXIT_CONFIG
+    assert capsys.readouterr().err == (
+        f"{cfg}: config error: field max_ball: not an integer: 'abc'\n")
+
+
+@pytest.mark.parametrize("field, settings", [
+    ("R", dict(experiment="verify-homotopy", group="Z^1", R=-1)),
+    ("degree", dict(experiment="verify-homotopy", group="Z^1", degree=0)),
+    ("degree", dict(experiment="verify-homotopy", group="Z^1", degree=5)),
+    ("count", dict(experiment="verify-homotopy", group="Z^1", count=-2)),
+    ("R", dict(experiment="distance-curve", resolution="cyclic-inf",
+               R="-1..2")),
+    ("degree", dict(experiment="class-sum-homotopy", group="dihedral-inf",
+                    **{"class": "r"}, degree=0)),
+    ("cap", dict(experiment="class-sum-homotopy", group="dihedral-inf",
+                 **{"class": "r"}, cap=0)),
+    ("degree", dict(experiment="pairing-adjointness",
+                    resolution="cyclic-inf", degree=9)),
+    ("count", dict(experiment="pairing-adjointness",
+                   resolution="cyclic-inf", count=0)),
+    ("radius", dict(experiment="translation-decay", group="Z^1",
+                    indices="0..3", radius=-1)),
+    ("N", dict(experiment="finite-homology", n=3, N=0)),
+    ("n", dict(experiment="finite-index", n=1, m=2)),
+    ("N", dict(experiment="finite-index", n=4, m=2, N=0)),
+], ids=lambda v: v if isinstance(v, str) else "-".join(
+    [v["experiment"]] + [f"{k}={v[k]}" for k in v
+                         if k not in ("experiment", "group", "resolution",
+                                      "class")]))
+def test_out_of_range_fields_are_config_errors(tmp_path, capsys, field,
+                                               settings):
+    cfg = write_config(tmp_path, "range.cfg", **settings,
+                       output=tmp_path / "range.csv")
+    assert main(["run", str(cfg)]) == EXIT_CONFIG
+    assert f"config error: field {field}: " in capsys.readouterr().err
+    assert not (tmp_path / "range.csv").exists()
 
 
 def test_unknown_key_rejected(tmp_path):

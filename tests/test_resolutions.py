@@ -182,18 +182,20 @@ def test_presentation_validation():
 
 
 def test_bar_basis_respects_ball_cap():
+    from random import Random
+
     from lplab.groups import BallCapError
+    from lplab.homotopy import homotopy_residual, random_cochain
     group = group_from_name("free:2")
     group.ball_cap = 30
     with pytest.raises(BallCapError):
         bar_resolution_basis(group, 3, 2)
-
-
-def test_bar_basis_from_name():
-    from lplab.resolutions import bar_basis_from_name
-    basis = bar_basis_from_name("bar:Z^1:1:2")
-    assert len(basis) == 5
-    basis = bar_basis_from_name("bar:cyclic:2:2:1")
-    assert len(basis) == 4
-    with pytest.raises(ValueError):
-        bar_basis_from_name("bar:not-a-thing")
+    # the radius-2 ball fits the cap, its 17**2 = 289 degree-2 slice does not
+    assert len(group.ball(2)) == 17
+    with pytest.raises(BallCapError):
+        random_cochain(group, 2, 2, Random(0))
+    group.ball_cap = 300
+    phi = random_cochain(group, 2, 2, Random(0))
+    group.ball_cap = 30
+    with pytest.raises(BallCapError):
+        homotopy_residual(phi, group.identity)
