@@ -82,13 +82,12 @@ class CheckOutcome:
 
 def fox_defect(group, word) -> RingElement:
     """lhs - rhs of the fundamental formula sum_j (dw/dx_j)(x_j - 1) = w - 1."""
-    gens = group.generators
     one = RingElement.one(group)
     lhs = RingElement.zero(group)
-    for j, g in enumerate(gens):
-        lhs = lhs + fox_derivative(group, word, j, gens) * \
+    for j, g in enumerate(group.generators):
+        lhs = lhs + fox_derivative(group, word, j) * \
             (RingElement.from_element(g) - one)
-    rhs = RingElement.from_element(evaluate_word(group, word, gens)) - one
+    rhs = RingElement.from_element(evaluate_word(group, word)) - one
     return lhs - rhs
 
 
@@ -221,7 +220,7 @@ def check_fox_identity(name: str):
         assert fox_defect(group, word).is_zero(), \
             f"free-derivative identity fails for {name}"
         # a relator evaluates to the identity, so both sides vanish
-        assert evaluate_word(group, word, group.generators).is_identity(), \
+        assert evaluate_word(group, word).is_identity(), \
             f"a relator of {name} is not the identity"
 
 

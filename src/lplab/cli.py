@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import csv
 import io
+import math
 import os
 import sys
 from pathlib import Path
@@ -17,7 +18,7 @@ from random import Random
 
 import numpy as np
 
-from .groups import DEFAULT_BALL_CAP, BallCapError, group_from_name
+from .groups import DEFAULT_BALL_CAP, GROUP_CATALOG, BallCapError, group_from_name
 from .group_ring import (
     RingElement,
     class_sum,
@@ -27,6 +28,7 @@ from .group_ring import (
 )
 from .resolutions import (
     BAR_DEGREE_CAP,
+    RESOLUTION_CATALOG,
     catalog_presentation,
     resolution_from_name,
     validate,
@@ -171,20 +173,23 @@ def _int_field(cfg: dict, key: str, default=None, *, low=None,
 def _p_list(cfg: dict, default="2") -> list[float]:
     values = _float_list(cfg.get("p", default), "p")
     for p in values:
-        if not p > 1.0:
-            raise ConfigError("field p: p must exceed 1")
+        if not 1.0 < p < math.inf:
+            raise ConfigError(f"field p: p must exceed 1 and be finite, got {p}")
     return values
 
 
 def _ball_cap(cfg: dict) -> int:
     if "max_ball" in cfg:
-        return _int_field(cfg, "max_ball")
+        return _int_field(cfg, "max_ball", low=1)
     env = os.environ.get("LAB_MAX_BALL")
     if env:
         try:
-            return int(env)
+            cap = int(env)
         except ValueError:
             raise ConfigError(f"LAB_MAX_BALL: not an integer: {env!r}") from None
+        if cap < 1:
+            raise ConfigError(f"LAB_MAX_BALL: must be at least 1, got {cap}")
+        return cap
     return DEFAULT_BALL_CAP
 
 
@@ -358,6 +363,8 @@ def _run_verify_homotopy(cfg: dict, out_path: Path):
             h = group.parse_element(cfg["h"])
         except ValueError as exc:
             raise ConfigError(f"field h: {exc}") from None
+        if not RingElement.from_element(h).is_central():
+            raise ConfigError(f"field h: element {h} is not central in {group.name}")
     else:
         h = _default_central_element(group)
     rng = Random(seed)
@@ -460,6 +467,15 @@ def _parse_ring_parts(cfg: dict, key: str, group, rank: int):
         raise ConfigError(f"field {key}: {exc}") from None
 
 
+def _embed_field(key: str, space: TruncatedSpace, parts, cls=ChainVector):
+    """The ring-element parts of field key as a vector on space; a support
+    element outside its ball is a config error."""
+    try:
+        return vector_from_ring_parts(space, parts, cls=cls)
+    except ValueError as exc:
+        raise ConfigError(f"field {key}: {exc}") from None
+
+
 def _run_distance_curve(cfg: dict, out_path: Path):
     res = _resolution(cfg)
     degree = _int_field(cfg, "degree", 0)
@@ -471,8 +487,11 @@ def _run_distance_curve(cfg: dict, out_path: Path):
     if min(radii) < 0:
         raise ConfigError(f"field R: radii must be nonnegative, got {min(radii)}")
     p_values = _p_list(cfg)
-    max_iter = _int_field(cfg, "max_iter", 500)
+    max_iter = _int_field(cfg, "max_iter", 500, low=1)
     x_parts = _parse_ring_parts(cfg, "x", res.group, res.ranks[degree])
+    # the same chain is embedded at every radius, so it must fit the smallest
+    _embed_field("x", TruncatedSpace(res.group, res.ranks[degree], min(radii),
+                                     p_values[0]), x_parts)
     curve = boundary_distance_curve(res, degree, x_parts, p_values, radii,
                                     max_iterations=max_iter)
     _write_curve(curve, out_path, "R")
@@ -495,13 +514,12 @@ def _run_translation_decay(cfg: dict, out_path: Path):
         space = TruncatedSpace(group, 1, radius, p)
         rng = np.random.default_rng(seed)
         if "x" in cfg:
-            x = vector_from_ring_parts(space, _parse_ring_parts(
-                cfg, "x", group, 1))
+            x = _embed_field("x", space, _parse_ring_parts(cfg, "x", group, 1))
         else:
             x = ChainVector(space, rng.standard_normal(space.dim))
         if "y" in cfg:
-            y = vector_from_ring_parts(space, _parse_ring_parts(
-                cfg, "y", group, 1), cls=CochainVector)
+            y = _embed_field("y", space, _parse_ring_parts(cfg, "y", group, 1),
+                             CochainVector)
         else:
             y = CochainVector(space, rng.standard_normal(space.dim))
         curve = translation_pairing_decay(y, x, sequence, indices)
@@ -577,22 +595,13 @@ def run_config(path: str | Path) -> Path:
 
 
 def list_catalog() -> str:
-    lines = [
-        "groups:",
-        "  trivial            one element",
-        "  cyclic:<n>         finite cyclic of order n        (e.g. cyclic:4)",
-        "  Z^<d>              free abelian of rank d          (e.g. Z^2)",
-        "  free:<k>           free group of rank k            (e.g. free:2)",
-        "  dihedral-inf       infinite dihedral",
-        "  heisenberg         discrete Heisenberg",
-        "  S3                 symmetric group on three points",
-        "resolutions:",
-        "  cyclic-inf         length 1 over Z^1, boundary t - 1",
-        "  cyclic:<n>:<N>     period-two over cyclic:n, length N",
-        "  lattice:<d>        tensor resolution over Z^d, d <= 3",
-        "  fox:<group>        length 2 from the catalog presentation",
-        "experiments:",
-    ]
+    lines = []
+    for heading, catalog in (("groups", GROUP_CATALOG),
+                             ("resolutions", RESOLUTION_CATALOG)):
+        lines.append(f"{heading}:")
+        lines.extend(f"  {entry.form:<18} {entry.description}"
+                     for entry in catalog)
+    lines.append("experiments:")
     lines.extend(f"  {name}" for name in _RUNNERS)
     lines.append("config keys: " + " ".join(_KNOWN_KEYS))
     return "\n".join(lines)

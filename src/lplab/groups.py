@@ -7,23 +7,20 @@ generators, so that balls are closed under inversion) are enumerated breadth
 first with a deterministic order: layer by layer, lexicographically by normal
 form inside each layer.  Matrix assembly downstream indexes its bases by this
 order, which keeps emitted files reproducible across runs.
+
+Catalog text has one reader each.  `word_pieces` tokenizes "a^2*b^-1" words,
+`evaluate_word` multiplies them out, and `Group.parse_element` reads "1" or
+such a word in the generator labels.  `GROUP_CATALOG` holds one row per
+group name form; `from_catalog` resolves names in it and in the resolution
+catalog.
 """
 
 from __future__ import annotations
 
 import re
+from typing import Callable, NamedTuple
 
 DEFAULT_BALL_CAP = 200_000
-
-GROUP_NAME_SYNTAX = (
-    "trivial",
-    "cyclic:<n>",
-    "Z^<d>",
-    "free:<k>",
-    "dihedral-inf",
-    "heisenberg",
-    "S3",
-)
 
 
 class BallCapError(RuntimeError):
@@ -49,6 +46,9 @@ class GroupElement:
     def __pow__(self, n: int) -> "GroupElement":
         if n < 0:
             return self.inverse() ** (-n)
+        if n == 1:
+            # a letter of a word costs no multiplication
+            return self
         result = self.group.identity
         base = self
         while n:
@@ -139,15 +139,22 @@ class Group:
     def format_key(self, key) -> str:
         raise NotImplementedError
 
-    def parse_element(self, token: str) -> GroupElement:
-        raise NotImplementedError
-
     # -- shared operations ----------------------------------------------------
 
     def element(self, key) -> GroupElement:
         """Construct an element from a raw normal form, after validation."""
         self._check_key(key)
         return GroupElement(self, key)
+
+    def parse_element(self, token: str) -> GroupElement:
+        """Read "1" or a word such as "x^2*y^-1" in the generator labels."""
+        if token == "1":
+            return self.identity
+        try:
+            return evaluate_word(self, word_pieces(token, self.generator_labels))
+        except ValueError:
+            raise ValueError(
+                f"cannot parse {token!r} as an element of {self.name}") from None
 
     def _require_member(self, a: GroupElement):
         if not isinstance(a, GroupElement) or (
@@ -245,6 +252,28 @@ _INT_TUPLE_RE = re.compile(r"^\((-?\d+(?:,-?\d+)*)\)$")
 _POW_RE = re.compile(r"^([A-Za-z][A-Za-z0-9]*)(?:\^(-?\d+))?$")
 
 
+def word_pieces(text: str, labels: tuple[str, ...]) -> list[tuple[int, int]]:
+    """(label index, exponent) for each "label^k" piece of "a^2*b^-1*a"."""
+    pieces = []
+    for piece in text.split("*"):
+        m = _POW_RE.match(piece.strip())
+        if not m or m.group(1) not in labels:
+            raise ValueError(f"cannot parse word piece {piece!r}")
+        exp = int(m.group(2)) if m.group(2) is not None else 1
+        pieces.append((labels.index(m.group(1)), exp))
+    return pieces
+
+
+def evaluate_word(group: Group, word) -> GroupElement:
+    """Product of generator ** exponent over the (index, exponent) pieces of
+    a word, left to right; a letter of a relator is a piece with exponent
+    +1 or -1."""
+    out = group.identity
+    for idx, exp in word:
+        out = out * group.generators[idx] ** exp
+    return out
+
+
 def _parse_int_tuple(token: str, arity: int, name: str) -> tuple[int, ...]:
     m = _INT_TUPLE_RE.match(token)
     if not m:
@@ -284,11 +313,6 @@ class TrivialGroup(Group):
     def format_key(self, key) -> str:
         return "1"
 
-    def parse_element(self, token: str) -> GroupElement:
-        if token in ("1", "e"):
-            return self.identity
-        raise ValueError(f"cannot parse {token!r} as an element of {self.name}")
-
 
 class CyclicGroup(Group):
     """Cyclic group of order n; normal form is the exponent in [0, n)."""
@@ -321,15 +345,6 @@ class CyclicGroup(Group):
 
     def format_key(self, key) -> str:
         return "1" if key == 0 else _pow_token("t", key)
-
-    def parse_element(self, token: str) -> GroupElement:
-        if token == "1":
-            return self.identity
-        m = _POW_RE.match(token)
-        if m and m.group(1) == "t":
-            exp = int(m.group(2)) if m.group(2) is not None else 1
-            return GroupElement(self, exp % self.order)
-        raise ValueError(f"cannot parse {token!r} as an element of {self.name}")
 
 
 class LatticeGroup(Group):
@@ -374,25 +389,10 @@ class LatticeGroup(Group):
         return "(" + ",".join(str(x) for x in key) + ")"
 
     def parse_element(self, token: str) -> GroupElement:
-        if token == "1":
-            return self.identity
-        if self.rank == 1:
-            m = _POW_RE.match(token)
-            if m and m.group(1) == "t":
-                exp = int(m.group(2)) if m.group(2) is not None else 1
-                return GroupElement(self, (exp,))
-        elif not token.startswith("("):
-            # powers of labelled generators, e.g. "t1^2*t2^-1"
-            vector = [0] * self.rank
-            for piece in token.split("*"):
-                m = _POW_RE.match(piece)
-                if not m or m.group(1) not in self.generator_labels:
-                    raise ValueError(
-                        f"cannot parse {token!r} as an element of {self.name}")
-                idx = self.generator_labels.index(m.group(1))
-                vector[idx] += int(m.group(2)) if m.group(2) is not None else 1
-            return GroupElement(self, tuple(vector))
-        return GroupElement(self, _parse_int_tuple(token, self.rank, self.name))
+        """Also reads the integer vector "(a,b,...)"."""
+        if token.startswith("("):
+            return GroupElement(self, _parse_int_tuple(token, self.rank, self.name))
+        return super().parse_element(token)
 
 
 class FreeGroup(Group):
@@ -411,7 +411,6 @@ class FreeGroup(Group):
         else:
             labels = tuple(f"x{i + 1}" for i in range(k))
         super().__init__(f"free:{k}", labels, ball_cap)
-        self._label_index = {lab: i for i, lab in enumerate(labels)}
 
     def _identity_key(self):
         return ()
@@ -463,20 +462,6 @@ class FreeGroup(Group):
             tokens.append(_pow_token(label, exp))
         return "*".join(tokens)
 
-    def parse_element(self, token: str) -> GroupElement:
-        if token == "1":
-            return self.identity
-        key: tuple = ()
-        for piece in token.split("*"):
-            m = _POW_RE.match(piece)
-            if not m or m.group(1) not in self._label_index:
-                raise ValueError(f"cannot parse {token!r} as an element of {self.name}")
-            idx = self._label_index[m.group(1)] + 1
-            exp = int(m.group(2)) if m.group(2) is not None else 1
-            letter = idx if exp > 0 else -idx
-            key = self._mul_keys(key, (letter,) * abs(exp))
-        return GroupElement(self, key)
-
 
 class InfiniteDihedralGroup(Group):
     """Infinite dihedral group; normal form (a, e) encodes r^a s^e, e in {0, 1}."""
@@ -517,23 +502,6 @@ class InfiniteDihedralGroup(Group):
             parts.append("s")
         return "*".join(parts) if parts else "1"
 
-    def parse_element(self, token: str) -> GroupElement:
-        if token == "1":
-            return self.identity
-        a, e = 0, 0
-        pieces = token.split("*")
-        for i, piece in enumerate(pieces):
-            if piece == "s":
-                if e or i != len(pieces) - 1:
-                    raise ValueError(f"cannot parse {token!r}: flip must come last")
-                e = 1
-                continue
-            m = _POW_RE.match(piece)
-            if not m or m.group(1) != "r" or e:
-                raise ValueError(f"cannot parse {token!r} as an element of {self.name}")
-            a += int(m.group(2)) if m.group(2) is not None else 1
-        return GroupElement(self, (a, e))
-
 
 class HeisenbergGroup(Group):
     """Discrete Heisenberg group on integer triples (a, b, c).
@@ -573,9 +541,10 @@ class HeisenbergGroup(Group):
         return "(" + ",".join(str(x) for x in key) + ")"
 
     def parse_element(self, token: str) -> GroupElement:
-        if token == "1":
-            return self.identity
-        return GroupElement(self, _parse_int_tuple(token, 3, self.name))
+        """Also reads the triple "(a,b,c)"."""
+        if token.startswith("("):
+            return GroupElement(self, _parse_int_tuple(token, 3, self.name))
+        return super().parse_element(token)
 
 
 class SymmetricGroupS3(Group):
@@ -627,8 +596,9 @@ class SymmetricGroupS3(Group):
         return "".join("(" + "".join(str(p + 1) for p in c) + ")" for c in cycles)
 
     def parse_element(self, token: str) -> GroupElement:
-        if token == "1":
-            return self.identity
+        """Also reads one cycle such as "(12)" or "(132)"."""
+        if not token.startswith("("):
+            return super().parse_element(token)
         m = re.match(r"^\((\d+)\)$", token)
         if not m:
             raise ValueError(f"cannot parse {token!r} as an element of {self.name}")
@@ -642,28 +612,51 @@ class SymmetricGroupS3(Group):
         return GroupElement(self, tuple(perm))
 
 
+class CatalogEntry(NamedTuple):
+    """One name form of a catalog: its `lab list` line, the pattern a name
+    must match in full, and the constructor called with the pattern's groups
+    followed by the ball cap."""
+
+    form: str
+    description: str
+    pattern: str
+    build: Callable
+
+
+def from_catalog(catalog: tuple[CatalogEntry, ...], kind: str, name: str,
+                 ball_cap: int):
+    """Build the object a catalog name denotes."""
+    name = name.strip()
+    for entry in catalog:
+        m = re.fullmatch(entry.pattern, name)
+        if m:
+            return entry.build(*m.groups(), ball_cap)
+    raise ValueError(
+        f"unknown {kind} name {name!r}; known forms: "
+        f"{', '.join(entry.form for entry in catalog)}"
+    )
+
+
+GROUP_CATALOG = (
+    CatalogEntry("trivial", "one element", "trivial", TrivialGroup),
+    CatalogEntry("cyclic:<n>",
+                 "finite cyclic of order n        (e.g. cyclic:4)",
+                 r"cyclic:(\d+)", lambda n, cap: CyclicGroup(int(n), cap)),
+    CatalogEntry("Z^<d>", "free abelian of rank d          (e.g. Z^2)",
+                 r"Z(?:\^(\d+))?",
+                 lambda d, cap: LatticeGroup(1 if d is None else int(d), cap)),
+    CatalogEntry("free:<k>", "free group of rank k            (e.g. free:2)",
+                 r"free:(\d+)", lambda k, cap: FreeGroup(int(k), cap)),
+    CatalogEntry("dihedral-inf", "infinite dihedral", "dihedral-inf",
+                 InfiniteDihedralGroup),
+    CatalogEntry("heisenberg", "discrete Heisenberg", "heisenberg",
+                 HeisenbergGroup),
+    CatalogEntry("S3", "symmetric group on three points", "S3",
+                 SymmetricGroupS3),
+)
+GROUP_NAME_SYNTAX = tuple(entry.form for entry in GROUP_CATALOG)
+
+
 def group_from_name(name: str, ball_cap: int = DEFAULT_BALL_CAP) -> Group:
     """Resolve a catalog name like "cyclic:4", "Z^2", or "heisenberg"."""
-    name = name.strip()
-    if name == "trivial":
-        return TrivialGroup(ball_cap)
-    if name in ("Z", "Z^1"):
-        return LatticeGroup(1, ball_cap)
-    m = re.match(r"^Z\^(\d+)$", name)
-    if m:
-        return LatticeGroup(int(m.group(1)), ball_cap)
-    m = re.match(r"^cyclic:(\d+)$", name)
-    if m:
-        return CyclicGroup(int(m.group(1)), ball_cap)
-    m = re.match(r"^free:(\d+)$", name)
-    if m:
-        return FreeGroup(int(m.group(1)), ball_cap)
-    if name == "dihedral-inf":
-        return InfiniteDihedralGroup(ball_cap)
-    if name == "heisenberg":
-        return HeisenbergGroup(ball_cap)
-    if name == "S3":
-        return SymmetricGroupS3(ball_cap)
-    raise ValueError(
-        f"unknown group name {name!r}; known forms: {', '.join(GROUP_NAME_SYNTAX)}"
-    )
+    return from_catalog(GROUP_CATALOG, "group", name, ball_cap)

@@ -9,35 +9,34 @@ close the complexes built from presentations.
 validate() checks the complex property (vanishing composites) and that every
 degree-one entry has augmentation zero; exactness of the catalog resolutions
 holds by construction and is not machine-checked.
+
+`RESOLUTION_CATALOG` holds one row per resolution name form (its `lab list`
+description, pattern and constructor).  Relator words are read by
+`parse_word`, which expands the pieces of `groups.word_pieces` into letters.
 """
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, product
 
 from .groups import (
-    _POW_RE,
     DEFAULT_BALL_CAP,
     BallCapError,
+    CatalogEntry,
     CyclicGroup,
     Group,
     GroupElement,
     LatticeGroup,
+    evaluate_word,
+    from_catalog,
     group_from_name,
+    word_pieces,
 )
 from .group_ring import RingElement
 
 BAR_DEGREE_CAP = 3
-
-RESOLUTION_NAME_SYNTAX = (
-    "cyclic-inf",
-    "cyclic:<n>:<N>",
-    "fox:<group>",
-    "lattice:<d>",
-)
 
 Matrix = tuple[tuple[RingElement, ...], ...]
 Word = tuple[tuple[int, int], ...]
@@ -250,16 +249,9 @@ def reduce_word(letters) -> Word:
 
 def parse_word(text: str, labels: tuple[str, ...]) -> Word:
     """Parse "x*y*x^-1*y^-1" into letters over the given labels."""
-    index = {label: i for i, label in enumerate(labels)}
     letters: list[tuple[int, int]] = []
-    for piece in text.split("*"):
-        m = _POW_RE.match(piece.strip())
-        if not m or m.group(1) not in index:
-            raise ValueError(f"cannot parse word piece {piece!r}")
-        idx = index[m.group(1)]
-        exp = int(m.group(2)) if m.group(2) is not None else 1
-        sign = 1 if exp > 0 else -1
-        letters.extend([(idx, sign)] * abs(exp))
+    for idx, exp in word_pieces(text, labels):
+        letters.extend([(idx, 1 if exp > 0 else -1)] * abs(exp))
     return reduce_word(letters)
 
 
@@ -267,24 +259,13 @@ def word_inverse(word: Word) -> Word:
     return tuple((idx, -exp) for idx, exp in reversed(word))
 
 
-def evaluate_word(group: Group, word: Word,
-                  gens: tuple[GroupElement, ...] | None = None) -> GroupElement:
-    gens = group.generators if gens is None else gens
-    out = group.identity
-    for idx, exp in word:
-        g = gens[idx] if exp == 1 else gens[idx].inverse()
-        out = out * g
-    return out
-
-
-def fox_derivative(group: Group, word: Word, gen_index: int,
-                   gens: tuple[GroupElement, ...] | None = None) -> RingElement:
+def fox_derivative(group: Group, word: Word, gen_index: int) -> RingElement:
     """Free derivative of a word with respect to one generator.
 
     Rules: d(x)/dx = 1, d(x^-1)/dx = -x^-1, d(uv)/dx = du/dx + u dv/dx, with
     prefixes evaluated in the target group.
     """
-    gens = group.generators if gens is None else gens
+    gens = group.generators
     result = RingElement.zero(group)
     prefix = group.identity
     for idx, exp in word:
@@ -314,7 +295,7 @@ def fox_partial_resolution(presentation: Presentation, group: Group) -> Resoluti
             f"{group.name} has {len(group.generators)}")
     gens = group.generators
     for word in presentation.relators:
-        value = evaluate_word(group, word, gens)
+        value = evaluate_word(group, word)
         if not value.is_identity():
             raise ValueError(
                 f"presentation mismatch: relator evaluates to {value} in {group.name}")
@@ -322,7 +303,7 @@ def fox_partial_resolution(presentation: Presentation, group: Group) -> Resoluti
     m = len(presentation.relators)
     d1 = (tuple(RingElement.from_element(g) - RingElement.one(group) for g in gens),)
     d2 = tuple(
-        tuple(fox_derivative(group, word, j, gens) for word in presentation.relators)
+        tuple(fox_derivative(group, word, j) for word in presentation.relators)
         for j in range(k))
     return Resolution(group, f"fox:{group.name}", (1, k, m), (d1, d2))
 
@@ -386,24 +367,24 @@ def bar_resolution_basis(group: Group, degree: int,
     return [(e,) + tail for tail in product(ball, repeat=degree)]
 
 
-def resolution_from_name(name: str, ball_cap: int = DEFAULT_BALL_CAP) -> Resolution:
-    """Resolve a catalog resolution name.
+RESOLUTION_CATALOG = (
+    CatalogEntry("cyclic-inf", "length 1 over Z^1, boundary t - 1",
+                 "cyclic-inf", cyclic_infinite_resolution),
+    CatalogEntry("cyclic:<n>:<N>", "period-two over cyclic:n, length N",
+                 r"cyclic:(\d+):(\d+)",
+                 lambda n, length, cap: periodic_cyclic_resolution(
+                     int(n), int(length), cap)),
+    CatalogEntry("lattice:<d>", "tensor resolution over Z^d, d <= 3",
+                 r"lattice:(\d+)",
+                 lambda d, cap: lattice_resolution(int(d), cap)),
+    CatalogEntry("fox:<group>", "length 2 from the catalog presentation",
+                 r"fox:(.*)",
+                 lambda group, cap: fox_partial_resolution(
+                     *catalog_presentation(group, cap))),
+)
+RESOLUTION_NAME_SYNTAX = tuple(entry.form for entry in RESOLUTION_CATALOG)
 
-    Known forms: "cyclic-inf", "cyclic:<n>:<N>", "lattice:<d>", "fox:<group>".
-    """
-    name = name.strip()
-    if name == "cyclic-inf":
-        return cyclic_infinite_resolution(ball_cap)
-    m = re.match(r"^cyclic:(\d+):(\d+)$", name)
-    if m:
-        return periodic_cyclic_resolution(int(m.group(1)), int(m.group(2)), ball_cap)
-    m = re.match(r"^lattice:(\d+)$", name)
-    if m:
-        return lattice_resolution(int(m.group(1)), ball_cap)
-    if name.startswith("fox:"):
-        presentation, group = catalog_presentation(name[4:], ball_cap)
-        return fox_partial_resolution(presentation, group)
-    raise ValueError(
-        f"unknown resolution name {name!r}; known forms: "
-        f"{', '.join(RESOLUTION_NAME_SYNTAX)}"
-    )
+
+def resolution_from_name(name: str, ball_cap: int = DEFAULT_BALL_CAP) -> Resolution:
+    """Resolve a catalog resolution name of a `RESOLUTION_CATALOG` form."""
+    return from_catalog(RESOLUTION_CATALOG, "resolution", name, ball_cap)

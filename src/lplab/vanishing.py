@@ -93,6 +93,8 @@ def lp_distance(x: np.ndarray, T: np.ndarray, p: float, *,
             f"dimension mismatch: T is {T.shape}, x has length {x.shape[0]}")
     if not 1.0 < p < float("inf"):
         raise ValueError(f"exponent p must lie in (1, inf), got {p}")
+    if max_iterations < 1:
+        raise ValueError(f"max_iterations must be at least 1, got {max_iterations}")
 
     if T.shape[1] == 0:
         return MinimizationResult(_lp_norm(x, p), np.zeros(0), 0,

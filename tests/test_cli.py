@@ -1,5 +1,7 @@
 """Driver behavior: configs, exit codes, CSV schemas, SVG output, determinism."""
 
+from pathlib import Path
+
 import pytest
 
 from lplab import checks
@@ -32,6 +34,12 @@ def test_list_catalog_names():
     for token in ("heisenberg", "cyclic:<n>:<N>", "dihedral-inf",
                   "verify-homotopy", "distance-curve"):
         assert token in text
+
+
+def test_list_matches_golden(capsys):
+    assert main(["list"]) == EXIT_OK
+    golden = Path(__file__).parent / "golden" / "lab_list.txt"
+    assert capsys.readouterr().out == golden.read_text(encoding="utf-8")
 
 
 def test_list_catalog_forms_match_name_syntax():
@@ -130,6 +138,25 @@ def test_config_errors_name_their_field_once(tmp_path, capsys):
     ("N", dict(experiment="finite-homology", n=3, N=0)),
     ("n", dict(experiment="finite-index", n=1, m=2)),
     ("N", dict(experiment="finite-index", n=4, m=2, N=0)),
+    ("max_ball", dict(experiment="verify-homotopy", group="Z^1", max_ball=0)),
+    ("max_ball", dict(experiment="verify-homotopy", group="Z^1",
+                      max_ball=-3)),
+    ("max_iter", dict(experiment="distance-curve", resolution="cyclic-inf",
+                      R="1..3", p=1.5, max_iter=0)),
+    ("p", dict(experiment="distance-curve", resolution="cyclic-inf",
+               R="1..3", p="inf")),
+    ("p", dict(experiment="translation-decay", group="Z^1", indices="0..3",
+               p="inf")),
+    ("p", dict(experiment="pairing-adjointness", resolution="cyclic-inf",
+               p="inf")),
+    ("p", dict(experiment="finite-homology", n=3, p="inf")),
+    ("h", dict(experiment="verify-homotopy", group="dihedral-inf", h="r")),
+    ("x", dict(experiment="translation-decay", group="Z^1", radius=1,
+               indices="0..3", x="1*t^9")),
+    ("y", dict(experiment="translation-decay", group="Z^1", radius=1,
+               indices="0..3", y="1*t^9")),
+    ("x", dict(experiment="distance-curve", resolution="cyclic-inf",
+               R="1..3", x="1*t^2")),
 ], ids=lambda v: v if isinstance(v, str) else "-".join(
     [v["experiment"]] + [f"{k}={v[k]}" for k in v
                          if k not in ("experiment", "group", "resolution",
@@ -255,12 +282,16 @@ def test_determinism_byte_identical(tmp_path):
             assert svg_a.read_bytes() == svg_b.read_bytes()
 
 
-def test_ball_cap_env_override(tmp_path, monkeypatch):
+def test_ball_cap_env_override(tmp_path, monkeypatch, capsys):
     monkeypatch.setenv("LAB_MAX_BALL", "10")
     cfg = write_config(tmp_path, "cap.cfg", experiment="verify-homotopy",
                        group="heisenberg", degree=1, R=3, count=1, seed=0,
                        output=tmp_path / "cap.csv")
     assert main(["run", str(cfg)]) == EXIT_INVARIANT  # ball cap trips
+    monkeypatch.setenv("LAB_MAX_BALL", "0")
+    assert main(["run", str(cfg)]) == EXIT_CONFIG
+    assert "config error: LAB_MAX_BALL: must be at least 1, got 0" in \
+        capsys.readouterr().err
     monkeypatch.delenv("LAB_MAX_BALL")
     cfg2 = write_config(tmp_path, "cap2.cfg", experiment="verify-homotopy",
                         group="heisenberg", degree=1, R=2, count=1, seed=0,

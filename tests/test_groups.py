@@ -200,6 +200,44 @@ def test_element_constructor_validates_normal_forms():
         s3.element((0, 0, 1))
 
 
+@pytest.mark.parametrize("name", CHECK_GROUPS)
+def test_format_parse_round_trip_on_ball(name):
+    group = group_from_name(name)
+    for g in group.ball(3):
+        assert group.parse_element(str(g)) == g
+
+
+@pytest.mark.parametrize("name, word, expected", [
+    ("dihedral-inf", "s*r", "r^-1*s"),
+    ("dihedral-inf", "s*s", "1"),
+    ("cyclic:4", "t*t", "t^2"),
+    ("heisenberg", "x*y*x^-1*y^-1", "(0,0,1)"),
+    ("Z^2", "t2*t1^-1", "(-1,1)"),
+    ("S3", "s1*s2", "(123)"),
+    ("trivial", "e^3", "1"),
+])
+def test_words_in_the_generator_labels_parse(name, word, expected):
+    group = group_from_name(name)
+    assert group.parse_element(word) == group.parse_element(expected)
+
+
+def test_word_exponents_are_not_expanded():
+    lattice = group_from_name("Z^1")
+    assert lattice.parse_element("t^1000000").key == (1000000,)
+    heis = group_from_name("heisenberg")
+    assert heis.parse_element("x^1000000*y").key == (1000000, 1, 1000000)
+
+
+@pytest.mark.parametrize("name, token", [
+    ("Z^2", "u"), ("heisenberg", "x*z"), ("dihedral-inf", "r^"),
+    ("S3", "s3"), ("cyclic:4", ""), ("free:2", "x**y"),
+])
+def test_unknown_labels_do_not_parse(name, token):
+    group = group_from_name(name)
+    with pytest.raises(ValueError, match="cannot parse"):
+        group.parse_element(token)
+
+
 def test_parse_element_catalog_tokens():
     assert group_from_name("cyclic:4").parse_element("t^-1").key == 3
     assert group_from_name("Z^2").parse_element("(2,-1)").key == (2, -1)

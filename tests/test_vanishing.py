@@ -257,6 +257,8 @@ def test_monotonicity_violation_is_reported():
         lp_distance(x, T, 2.0)
     with pytest.raises(ValueError, match="exponent"):
         lp_distance(x[:10], T, 1.0)
+    with pytest.raises(ValueError, match="max_iterations"):
+        lp_distance(x[:10], T, 1.5, max_iterations=0)
 
 
 def test_free_group_control_curve_runs_without_decay_claim():
