@@ -38,9 +38,11 @@ from .lp_complex import (
     CochainVector,
     TruncatedSpace,
     assemble_boundary,
+    boundary_growth,
     vector_from_ring_parts,
 )
-from .homotopy import class_sum_homotopy_residual, homotopy_residual, random_cochain
+from .homotopy import (class_sum_homotopy_residual, homotopy_residual,
+                       random_cochain, require_central)
 from .vanishing import (
     DEFAULT_CLASS_CAP,
     DecayCurve,
@@ -150,24 +152,26 @@ def _require(cfg: dict, key: str) -> str:
     return cfg[key]
 
 
+def _checked_int(text, label: str, *, low=None, high=None) -> int:
+    """text as an integer within the inclusive bounds low and high; label
+    opens every error message."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise ConfigError(f"{label}: not an integer: {text!r}") from None
+    if high is not None and not low <= value <= high:
+        raise ConfigError(f"{label}: must lie in {low}..{high}, got {value}")
+    if low is not None and value < low:
+        raise ConfigError(f"{label}: must be at least {low}, got {value}")
+    return value
+
+
 def _int_field(cfg: dict, key: str, default=None, *, low=None,
                high=None) -> int:
-    """Integer field, checked against the inclusive bounds low and high."""
-    if key not in cfg:
-        if default is None:
-            raise ConfigError(f"field {key}: required")
-        value = default
-    else:
-        try:
-            value = int(cfg[key])
-        except ValueError:
-            raise ConfigError(
-                f"field {key}: not an integer: {cfg[key]!r}") from None
-    if high is not None and not low <= value <= high:
-        raise ConfigError(f"field {key}: must lie in {low}..{high}, got {value}")
-    if low is not None and value < low:
-        raise ConfigError(f"field {key}: must be at least {low}, got {value}")
-    return value
+    if key not in cfg and default is None:
+        raise ConfigError(f"field {key}: required")
+    return _checked_int(cfg.get(key, default), f"field {key}", low=low,
+                        high=high)
 
 
 def _p_list(cfg: dict, default="2") -> list[float]:
@@ -183,13 +187,7 @@ def _ball_cap(cfg: dict) -> int:
         return _int_field(cfg, "max_ball", low=1)
     env = os.environ.get("LAB_MAX_BALL")
     if env:
-        try:
-            cap = int(env)
-        except ValueError:
-            raise ConfigError(f"LAB_MAX_BALL: not an integer: {env!r}") from None
-        if cap < 1:
-            raise ConfigError(f"LAB_MAX_BALL: must be at least 1, got {cap}")
-        return cap
+        return _checked_int(env, "LAB_MAX_BALL", low=1)
     return DEFAULT_BALL_CAP
 
 
@@ -361,10 +359,9 @@ def _run_verify_homotopy(cfg: dict, out_path: Path):
     if "h" in cfg:
         try:
             h = group.parse_element(cfg["h"])
+            require_central(h)
         except ValueError as exc:
             raise ConfigError(f"field h: {exc}") from None
-        if not RingElement.from_element(h).is_central():
-            raise ConfigError(f"field h: element {h} is not central in {group.name}")
     else:
         h = _default_central_element(group)
     rng = Random(seed)
@@ -489,8 +486,10 @@ def _run_distance_curve(cfg: dict, out_path: Path):
     p_values = _p_list(cfg)
     max_iter = _int_field(cfg, "max_iter", 500, low=1)
     x_parts = _parse_ring_parts(cfg, "x", res.group, res.ranks[degree])
-    # the same chain is embedded at every radius, so it must fit the smallest
-    _embed_field("x", TruncatedSpace(res.group, res.ranks[degree], min(radii),
+    # the same chain is embedded in the codomain ball at every radius, so it
+    # must fit the one of the smallest radius
+    reach = min(radii) + boundary_growth(res, degree + 1)
+    _embed_field("x", TruncatedSpace(res.group, res.ranks[degree], reach,
                                      p_values[0]), x_parts)
     curve = boundary_distance_curve(res, degree, x_parts, p_values, radii,
                                     max_iterations=max_iter)

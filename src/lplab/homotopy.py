@@ -267,17 +267,22 @@ def coboundary(phi: EquivariantCochain,
     return _materialize(phi.group, layer, phi.degree + 1, radius)
 
 
+def require_central(element: GroupElement):
+    """Raise ValueError unless element commutes with every generator."""
+    if not RingElement.from_element(element).is_central():
+        raise ValueError(
+            f"element {element} is not central in {element.group.name}")
+
+
 def _require_central_multiplier(phi: EquivariantCochain,
                                 element: GroupElement):
     """Preconditions of the central-multiplier homotopy: the multiplier lies
     in the group, the cochain has a degree to lower, and the multiplier is
     central."""
-    group = phi.group
-    group._require_member(element)
+    phi.group._require_member(element)
     if phi.degree < 1:
         raise ValueError("the homotopy lowers degree; need degree >= 1")
-    if not RingElement.from_element(element).is_central():
-        raise ValueError(f"element {element} is not central in {group.name}")
+    require_central(element)
 
 
 def multiplier_homotopy(phi: EquivariantCochain, central_element: GroupElement,

@@ -154,6 +154,13 @@ class BoundaryOperator:
         self.matrix = matrix
 
 
+def boundary_growth(res: Resolution, i: int) -> int:
+    """Largest word length among the entries of the i-th boundary: how far
+    beyond its domain ball the boundary carries a chain."""
+    return max((entry.max_word_length() for row in res.boundary(i)
+                for entry in row), default=0)
+
+
 def assemble_boundary(res: Resolution, i: int, radius: int,
                       p: float = 2.0) -> BoundaryOperator:
     """Finite matrix of the i-th boundary tensored with coefficient functions.
@@ -165,12 +172,9 @@ def assemble_boundary(res: Resolution, i: int, radius: int,
     """
     mat = res.boundary(i)
     group = res.group
-    growth = 0
-    for row in mat:
-        for entry in row:
-            growth = max(growth, entry.max_word_length())
     domain = TruncatedSpace(group, res.ranks[i], radius, p)
-    codomain = TruncatedSpace(group, res.ranks[i - 1], radius + growth, p)
+    codomain = TruncatedSpace(group, res.ranks[i - 1],
+                              radius + boundary_growth(res, i), p)
     out = np.zeros((codomain.dim, domain.dim))
     n_dom = len(domain.elements)
     for b in range(domain.rank):

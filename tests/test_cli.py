@@ -156,7 +156,7 @@ def test_config_errors_name_their_field_once(tmp_path, capsys):
     ("y", dict(experiment="translation-decay", group="Z^1", radius=1,
                indices="0..3", y="1*t^9")),
     ("x", dict(experiment="distance-curve", resolution="cyclic-inf",
-               R="1..3", x="1*t^2")),
+               R="1..3", x="1*t^9")),
 ], ids=lambda v: v if isinstance(v, str) else "-".join(
     [v["experiment"]] + [f"{k}={v[k]}" for k in v
                          if k not in ("experiment", "group", "resolution",
@@ -333,6 +333,17 @@ def test_distance_curve_rank_two_x_parts(tmp_path):
     cfg = write_config(tmp_path, "r2.cfg", experiment="distance-curve",
                        resolution="lattice:2", degree=1, p=2, R="1..3",
                        x="1*1; 1*t2", output=out)
+    assert main(["run", str(cfg)]) == EXIT_OK
+    assert len(out.read_text().splitlines()) == 4
+
+
+def test_distance_curve_x_fits_the_codomain_ball(tmp_path):
+    # the boundary t - 1 of cyclic-inf reaches one step past R, so at R=1 the
+    # chain lives on ball(2) and t^2 lies in it
+    out = tmp_path / "reach.csv"
+    cfg = write_config(tmp_path, "reach.cfg", experiment="distance-curve",
+                       resolution="cyclic-inf", R="1..3", p=2, x="1*t^2",
+                       output=out)
     assert main(["run", str(cfg)]) == EXIT_OK
     assert len(out.read_text().splitlines()) == 4
 
