@@ -326,6 +326,12 @@ def check_minimization():
         result = lp_distance(feasible, T, p)
         assert result.value <= 1e-9, f"feasible point must have distance 0 at p={p}"
     x = rng.standard_normal(30)
+    for p in (1.5, 3.0):
+        result = lp_distance(x, T, p)
+        assert 0.0 < result.lower <= result.value, \
+            f"dual bound {result.lower} must not exceed {result.value} at p={p}"
+        assert result.value - result.lower <= 1e-9 * result.value, \
+            f"duality gap above 1e-9 at p={p}"
     zero_cols = np.zeros((30, 0))
     res = lp_distance(x, zero_cols, 3.0)
     assert abs(res.value - float(np.sum(np.abs(x) ** 3) ** (1 / 3))) < 1e-12

@@ -61,6 +61,7 @@ EXIT_CONFIG = 3
 
 DECAY_HEADER = ["experiment", "group", "resolution", "degree", "p", "index_kind",
                 "index", "value", "iterations", "converged"]
+DISTANCE_HEADER = DECAY_HEADER + ["lower"]
 HOMOTOPY_HEADER = ["group", "h_or_class", "degree", "R", "residual_num",
                    "residual_den"]
 RESOLUTION_HEADER = ["resolution", "group", "check", "index", "ok", "detail"]
@@ -295,15 +296,19 @@ def svg_line_plot(series: list[tuple[str, list[tuple[float, float]]]],
 def _curve_rows(curve: DecayCurve) -> list[list[str]]:
     rows = []
     for row in curve.rows:
-        rows.append([curve.experiment, curve.group, curve.resolution,
-                     str(curve.degree), fmt_float(row.p), row.index_kind,
-                     str(row.index), fmt_float(row.value), str(row.iterations),
-                     fmt_bool(row.converged)])
+        cells = [curve.experiment, curve.group, curve.resolution,
+                 str(curve.degree), fmt_float(row.p), row.index_kind,
+                 str(row.index), fmt_float(row.value), str(row.iterations),
+                 fmt_bool(row.converged)]
+        if row.lower is not None:
+            cells.append(fmt_float(row.lower))
+        rows.append(cells)
     return rows
 
 
-def _write_curve(curve: DecayCurve, out_path: Path, xlabel: str):
-    write_csv(out_path, DECAY_HEADER, _curve_rows(curve))
+def _write_curve(curve: DecayCurve, out_path: Path, header: list[str],
+                 xlabel: str):
+    write_csv(out_path, header, _curve_rows(curve))
     series = {}
     for row in curve.rows:
         series.setdefault(f"p={row.p:g}", []).append((float(row.index), row.value))
@@ -493,7 +498,7 @@ def _run_distance_curve(cfg: dict, out_path: Path):
                                      p_values[0]), x_parts)
     curve = boundary_distance_curve(res, degree, x_parts, p_values, radii,
                                     max_iterations=max_iter)
-    _write_curve(curve, out_path, "R")
+    _write_curve(curve, out_path, DISTANCE_HEADER, "R")
 
 
 def _run_translation_decay(cfg: dict, out_path: Path):
@@ -525,7 +530,7 @@ def _run_translation_decay(cfg: dict, out_path: Path):
         all_rows.extend(curve.rows)
     merged = DecayCurve("translation-decay", group.name, "-", 0,
                         tuple(all_rows))
-    _write_curve(merged, out_path, "translation index")
+    _write_curve(merged, out_path, DECAY_HEADER, "translation index")
 
 
 def _run_finite_homology(cfg: dict, out_path: Path):

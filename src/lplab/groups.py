@@ -46,16 +46,15 @@ class GroupElement:
     def __pow__(self, n: int) -> "GroupElement":
         if n < 0:
             return self.inverse() ** (-n)
-        if n == 1:
-            # a letter of a word costs no multiplication
-            return self
-        result = self.group.identity
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
+        if n == 0:
+            return self.group.identity
+        # binary powering from the top bit, which costs nothing: a letter of
+        # a word is free, and g ** 2 is one multiplication
+        result = self
+        for bit in bin(n)[3:]:
+            result = result * result
+            if bit == "1":
+                result = result * self
         return result
 
     def inverse(self) -> "GroupElement":

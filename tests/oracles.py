@@ -49,6 +49,20 @@ def product_set_word_length(group, element, cap=32):
     raise RuntimeError(f"element {element} not reached within {cap} factors")
 
 
+def degree_zero_distance(group, radius, p):
+    """p-distance from the identity delta to the truncated first boundary.
+
+    The first boundary sends the generator cell of s to s - 1, so the column
+    of h in the ball reaches h and h*s.  Those columns span every zero-sum
+    vector on the N elements they reach (the ball is connected), and the
+    nearest point leaves the residual 1/N on each: N^(1/p - 1).
+    """
+    ball = product_set_ball(group, radius)
+    reached = ball | {group._mul_keys(h, s.key)
+                      for h in ball for s in group.generators}
+    return len(reached), len(reached) ** (1.0 / p - 1.0)
+
+
 def naive_convolve(u, v):
     """Coefficient dictionary of the ring product, computed by double loop."""
     out = {}

@@ -10,6 +10,7 @@ from lplab.resolutions import RESOLUTION_NAME_SYNTAX
 from lplab.cli import (
     ADJOINTNESS_HEADER,
     DECAY_HEADER,
+    DISTANCE_HEADER,
     HOMOTOPY_HEADER,
     EXIT_CONFIG,
     EXIT_INVARIANT,
@@ -78,8 +79,11 @@ def test_distance_curve_rows_and_svg(tmp_path):
                        R="1..8", seed=0, output=out)
     assert main(["run", str(cfg)]) == EXIT_OK
     lines = out.read_text().splitlines()
-    assert lines[0] == ",".join(DECAY_HEADER)
+    assert lines[0] == ",".join(DISTANCE_HEADER)
     assert len(lines) == 1 + 24
+    for line in lines[1:]:
+        cells = line.split(",")
+        assert float(cells[-1]) <= float(cells[7])  # lower <= value
     svg = out.with_suffix(".svg").read_text()
     assert svg.count("<polyline") == 3
     assert "xmlns" in svg and "</svg>" in svg
@@ -188,6 +192,7 @@ def test_translation_decay_run(tmp_path):
                        seed=5, output=out)
     assert main(["run", str(cfg)]) == EXIT_OK
     lines = out.read_text().splitlines()
+    assert lines[0] == ",".join(DECAY_HEADER)
     assert len(lines) == 13
     # class-sum rows are tagged with index kind n
     assert all(line.split(",")[5] == "n" for line in lines[1:])

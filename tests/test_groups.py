@@ -75,6 +75,21 @@ def test_inverses():
     assert three_cycle.inverse() == s3.parse_element("(132)")
 
 
+def test_powers_multiply_once_per_bit(monkeypatch):
+    heis = group_from_name("heisenberg")
+    g = heis.element((2, 3, 1))
+    calls = []
+    mul = type(heis).mul
+    monkeypatch.setattr(type(heis), "mul",
+                        lambda self, a, b: calls.append(1) or mul(self, a, b))
+    for n, expected, cost in ((2, g * g, 1), (5, g * g * g * g * g, 3)):
+        calls.clear()
+        assert g ** n == expected
+        assert len(calls) == cost
+    calls.clear()
+    assert g ** 1 is g and (g ** 0).is_identity() and not calls
+
+
 def test_ball_counts_lattice():
     assert len(group_from_name("Z^1").ball(3)) == 7
     # rank-2 count: 2R^2 + 2R + 1

@@ -24,6 +24,7 @@ from lplab.vanishing import (
 )
 
 from oracles import (
+    degree_zero_distance,
     dense_normal_equations_distance,
     exact_rank,
     translated_pairing_by_summation,
@@ -38,6 +39,13 @@ def test_feasible_point_has_zero_distance():
     for p in (1.5, 2.0, 3.0):
         result = lp_distance(x, T, p)
         assert result.value <= 1e-9
+    # a zero residual gives the zero dual vector, and no division by its norm
+    T = np.eye(6)[:, :3]
+    with np.errstate(all="raise"):
+        for p in (1.5, 2.0, 3.0):
+            result = lp_distance(T @ [1.0, -2.0, 3.0], T, p)
+            assert result.value <= 1e-9
+            assert result.lower == 0.0 and result.converged
 
 
 def test_zero_operator_distance_is_the_norm():
@@ -47,6 +55,7 @@ def test_zero_operator_distance_is_the_norm():
         result = lp_distance(x, np.zeros((25, 0)), p)
         assert abs(result.value
                    - float(np.sum(np.abs(x) ** p) ** (1 / p))) < 1e-12
+        assert result.lower == result.value
         result = lp_distance(x, np.zeros((25, 4)), p)
         assert abs(result.value
                    - float(np.sum(np.abs(x) ** p) ** (1 / p))) < 1e-9
@@ -97,6 +106,60 @@ def test_irls_objective_never_increases_and_is_stable():
         long = lp_distance(x, T, p, max_iterations=5000)
         assert short.converged
         assert abs(short.value - long.value) <= 1e-6
+
+
+def test_dual_bound_brackets_the_value():
+    rng = np.random.default_rng(4)
+    for trial in range(20):
+        rows = int(rng.integers(5, 40))
+        T = rng.standard_normal((rows, int(rng.integers(1, rows))))
+        x = rng.standard_normal(rows)
+        for p in (1.5, 3.0):
+            result = lp_distance(x, T, p)
+            assert 0.0 < result.lower <= result.value * (1 + 1e-12)
+            assert result.converged
+            assert result.value - result.lower <= 1e-9 * result.value
+
+
+@pytest.mark.parametrize("name, radius, reached", [
+    ("cyclic-inf", 16, 34),
+    ("lattice:2", 8, 171),
+    ("fox:heisenberg", 3, 100),
+    ("fox:free:2", 2, 35),
+])
+def test_degree_zero_distance_has_closed_form(name, radius, reached):
+    res = resolution_from_name(name)
+    op = assemble_boundary(res, 1, radius)
+    x = vector_from_ring_parts(op.codomain, [RingElement.one(res.group)])
+    for p in (1.5, 3.0):
+        count, expected = degree_zero_distance(res.group, radius, p)
+        assert count == reached
+        result = lp_distance(x.coefficients, op.matrix, p)
+        assert abs(result.value - expected) <= 1e-12
+        assert abs(result.lower - expected) <= 1e-12
+        assert result.iterations == 0  # the least-squares start is certified
+
+
+def test_dual_bound_needs_the_kernel_projection():
+    # y = sgn(r)|r|^(p-1) off ker T^t is no dual point: on lattice:2 degree 1
+    # it "bounds" the distance from above
+    res = resolution_from_name("lattice:2")
+    op = assemble_boundary(res, 2, 3)
+    T = op.matrix
+    parts = [RingElement.one(res.group), RingElement.zero(res.group)]
+    x = vector_from_ring_parts(op.codomain, parts).coefficients
+    p, q = 3.0, 1.5
+    r = x - T @ lp_distance(x, T, 2.0).coefficients
+    y = np.sign(r) * np.abs(r) ** (p - 1)
+    u, s, _ = np.linalg.svd(T, full_matrices=False)
+    basis = u[:, s > 1e-10 * s[0]]
+    projected = y - basis @ (basis.T @ y)
+    result = lp_distance(x, T, p)
+
+    def bound(v):
+        return float(v @ x) / float(np.sum(np.abs(v) ** q) ** (1 / q))
+    assert bound(projected) <= result.value * (1 + 1e-12)
+    assert bound(y) > 1.5 * result.value
 
 
 def test_distance_threshold_radius():
@@ -259,6 +322,8 @@ def test_monotonicity_violation_is_reported():
         lp_distance(x[:10], T, 1.0)
     with pytest.raises(ValueError, match="max_iterations"):
         lp_distance(x[:10], T, 1.5, max_iterations=0)
+    with pytest.raises(ValueError):
+        lp_distance(np.full(10, np.nan), T, 1.5)
 
 
 def test_free_group_control_curve_runs_without_decay_claim():
