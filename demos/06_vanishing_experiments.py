@@ -21,7 +21,7 @@ from lplab import (
     resolution_from_name,
     translation_pairing_decay,
 )
-from lplab.cli import DISTANCE_HEADER, _curve_rows, svg_line_plot, write_csv
+from lplab.cli import curve_table, svg_line_plot, write_csv
 
 OUT = Path(__file__).parent
 
@@ -44,7 +44,7 @@ print("  free:2 control, p=2: " +
       ", ".join(f"{row.value:.4f}" for row in control.rows) +
       "  (no claim attached; reported as observed)")
 
-write_csv(OUT / "distance_curve.csv", DISTANCE_HEADER, _curve_rows(curve))
+write_csv(OUT / "distance_curve.csv", *curve_table(curve))
 series = {}
 for row in curve.rows:
     series.setdefault(f"p={row.p:g}", []).append((row.index, row.value))

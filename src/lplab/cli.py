@@ -293,22 +293,24 @@ def svg_line_plot(series: list[tuple[str, list[tuple[float, float]]]],
     return "\n".join(parts) + "\n"
 
 
-def _curve_rows(curve: DecayCurve) -> list[list[str]]:
+def curve_table(curve: DecayCurve) -> tuple[list[str], list[list[str]]]:
+    """Header and rows of a curve's CSV.  Distance rows carry a dual bound,
+    written as a final `lower` column; pairing rows carry none."""
+    with_lower = any(row.lower is not None for row in curve.rows)
     rows = []
     for row in curve.rows:
         cells = [curve.experiment, curve.group, curve.resolution,
                  str(curve.degree), fmt_float(row.p), row.index_kind,
                  str(row.index), fmt_float(row.value), str(row.iterations),
                  fmt_bool(row.converged)]
-        if row.lower is not None:
+        if with_lower:
             cells.append(fmt_float(row.lower))
         rows.append(cells)
-    return rows
+    return (DISTANCE_HEADER if with_lower else DECAY_HEADER), rows
 
 
-def _write_curve(curve: DecayCurve, out_path: Path, header: list[str],
-                 xlabel: str):
-    write_csv(out_path, header, _curve_rows(curve))
+def _write_curve(curve: DecayCurve, out_path: Path, xlabel: str):
+    write_csv(out_path, *curve_table(curve))
     series = {}
     for row in curve.rows:
         series.setdefault(f"p={row.p:g}", []).append((float(row.index), row.value))
@@ -498,7 +500,7 @@ def _run_distance_curve(cfg: dict, out_path: Path):
                                      p_values[0]), x_parts)
     curve = boundary_distance_curve(res, degree, x_parts, p_values, radii,
                                     max_iterations=max_iter)
-    _write_curve(curve, out_path, DISTANCE_HEADER, "R")
+    _write_curve(curve, out_path, "R")
 
 
 def _run_translation_decay(cfg: dict, out_path: Path):
@@ -530,7 +532,7 @@ def _run_translation_decay(cfg: dict, out_path: Path):
         all_rows.extend(curve.rows)
     merged = DecayCurve("translation-decay", group.name, "-", 0,
                         tuple(all_rows))
-    _write_curve(merged, out_path, DECAY_HEADER, "translation index")
+    _write_curve(merged, out_path, "translation index")
 
 
 def _run_finite_homology(cfg: dict, out_path: Path):

@@ -21,7 +21,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy import linalg as _sla
-from scipy.linalg import lapack as _lapack
 
 from .groups import Group, GroupElement
 from .group_ring import RingElement, class_sum
@@ -68,38 +67,21 @@ def _lp_norm(r: np.ndarray, p: float) -> float:
     return float(np.sum(np.abs(r) ** p) ** (1.0 / p))
 
 
-def _gelss(T: np.ndarray, x: np.ndarray, *, overwrite_T: bool = False):
-    """Minimum-norm least-squares solution of T c = x by LAPACK gelss.
-
-    gelss works from the SVD; the default gelsd can misjudge the rank of the
-    rank-deficient integer matrices assembled here.  Singular values below
-    max(T.shape) * eps of the largest count as zero (numpy's lstsq default
-    rcond).  Were they kept, values of rounding size (about 1e-15 against a
-    largest one near 4) would be inverted into coefficients of order 1e13,
-    and the residual would no longer be orthogonal to the column space.
-
-    Returns the solution, the singular values, the numerical rank, and the
-    matrix gelss leaves in place of its copy of T, whose first rows are the
-    right singular vectors.  With overwrite_T a Fortran-ordered T is that
-    copy.
-    """
-    m, n = T.shape
-    cutoff = max(m, n) * np.finfo(float).eps
-    b = np.zeros(max(m, n))
-    b[:m] = x
-    work, _ = _lapack.dgelss_lwork(m, n, 1, cutoff)
-    vt, solution, singular, rank, _, info = _lapack.dgelss(
-        T, b, cutoff, int(work), overwrite_a=overwrite_T, overwrite_b=True)
-    if info != 0:
-        raise np.linalg.LinAlgError(f"gelss failed with info {info}")
-    return solution[:n], singular, rank, vt
+def _solve_lstsq(T: np.ndarray, x: np.ndarray) -> np.ndarray:
+    # gelss is the SVD driver; the default gelsd can misjudge the rank of
+    # the rank-deficient integer matrices assembled here.  The cutoff is
+    # numpy's lstsq default rcond: without it gelss keeps singular values of
+    # rounding size (about 1e-15 against a largest one near 4), inverts them
+    # into coefficients of order 1e13, and the residual is no longer
+    # orthogonal to the column space.
+    solution, *_ = _sla.lstsq(T, x, cond=max(T.shape) * np.finfo(float).eps,
+                              lapack_driver="gelss")
+    return solution
 
 
 def _weighted_lstsq(T: np.ndarray, x: np.ndarray, weights: np.ndarray) -> np.ndarray:
     sw = np.sqrt(weights)
-    # built in Fortran order, the weighted matrix is gelss's working copy
-    return _gelss(np.multiply(sw[:, None], T, order="F"), sw * x,
-                  overwrite_T=True)[0]
+    return _solve_lstsq(sw[:, None] * T, sw * x)
 
 
 def _dual_bound(x: np.ndarray, y: np.ndarray, q: float) -> float:
@@ -109,36 +91,23 @@ def _dual_bound(x: np.ndarray, y: np.ndarray, q: float) -> float:
     return float(y @ x) / norm if norm > 0.0 else 0.0
 
 
-def _residual_dual_bound(x: np.ndarray, residual: np.ndarray, T: np.ndarray,
-                         vt: np.ndarray, singular: np.ndarray, p: float) -> float:
-    """Dual bound from y = sgn(r)|r|^(p-1), projected onto ker T^t.
-
-    The rows of vt are the right singular vectors of T above the rank
-    cutoff, so U = T V S^-1 is an orthonormal basis of im T, and y loses
-    U U^t y = T V S^-2 V^t T^t y.  U is never formed, so IRLS works in two
-    copies of T: gelss's factorization and the weighted matrix.
-    """
-    y = np.sign(residual) * np.abs(residual) ** (p - 1.0)
-    y -= T @ (vt.T @ ((vt @ (T.T @ y)) / (singular * singular)))
-    return _dual_bound(x, y, p / (p - 1.0))
-
-
 def lp_distance(x: np.ndarray, T: np.ndarray, p: float, *,
                 max_iterations: int = 500) -> MinimizationResult:
     """Minimize the p-norm of x - T c over coefficient vectors c.
 
     p = 2 solves directly by a rank-revealing factorization and certifies
     optimality by residual orthogonality; its lower bound is <r, x>/||r||_2.
-    Other p > 1 start from the least-squares solution, whose factorization
-    of T also gives the projection onto ker T^t, and run damped IRLS.  After the start and after every step the residual r
-    gives the dual bound <y, x>/||y||_q, with y = sgn(r)|r|^(p-1) projected
-    onto ker T^t; the largest bound so far is `lower`, and the result is
-    converged, and the iteration stops, once value - lower <= _GAP_TOL *
-    value.  Meanwhile the smoothing parameter is quartered each step from
-    _EPS_START down to _EPS_FLOOR, and a step at the floor that gains less
-    than _IMPROVEMENT_TOL stops the iteration unconverged, as does the
-    iteration cap; the value and its bound are still reported.  The
-    objective is asserted nonincreasing at every step.
+    Other p > 1 start from that least-squares solution and run damped IRLS.
+    Each weighted solve leaves T^t (w * (x - T candidate)) = 0, so
+    y = w * (x - T candidate) is a point of ker T^t, as the least-squares
+    residual is at the start, and gives the dual bound <y, x>/||y||_q.  The
+    largest bound so far is `lower`; the result is converged, and the
+    iteration stops, once value - lower <= _GAP_TOL * value.  Meanwhile the
+    smoothing parameter is quartered each step from _EPS_START down to
+    _EPS_FLOOR, and a step at the floor that gains less than
+    _IMPROVEMENT_TOL stops the iteration unconverged, as does the iteration
+    cap; the value and its bound are still reported.  The objective is
+    asserted nonincreasing at every step.
     """
     x = np.asarray(x, dtype=float).reshape(-1)
     T = np.asarray(T, dtype=float)
@@ -149,8 +118,6 @@ def lp_distance(x: np.ndarray, T: np.ndarray, p: float, *,
         raise ValueError(f"exponent p must lie in (1, inf), got {p}")
     if max_iterations < 1:
         raise ValueError(f"max_iterations must be at least 1, got {max_iterations}")
-    if not (np.isfinite(x).all() and np.isfinite(T).all()):
-        raise ValueError("x and T must be finite")
 
     if T.shape[1] == 0:
         value = _lp_norm(x, p)
@@ -158,9 +125,9 @@ def lp_distance(x: np.ndarray, T: np.ndarray, p: float, *,
                                   "exact-least-squares" if p == 2.0 else "IRLS",
                                   True)
 
+    c = _solve_lstsq(T, x)
+    residual = x - T @ c
     if p == 2.0:
-        c = _gelss(T, x)[0]
-        residual = x - T @ c
         gradient = np.max(np.abs(T.T @ residual)) if residual.size else 0.0
         scale = (1.0 + float(np.linalg.norm(x))) * (1.0 + float(np.abs(T).max()))
         if gradient > 1e-10 * scale:
@@ -171,11 +138,9 @@ def lp_distance(x: np.ndarray, T: np.ndarray, p: float, *,
         return MinimizationResult(value, min(_dual_bound(x, residual, 2.0), value),
                                   c, 1, "exact-least-squares", True)
 
-    c, singular, rank, vt = _gelss(T, x)
-    vt, singular = vt[:rank], singular[:rank]
-    residual = x - T @ c
+    q = p / (p - 1.0)
     objective = _lp_norm(residual, p)
-    lower = _residual_dual_bound(x, residual, T, vt, singular, p)
+    lower = _dual_bound(x, residual, q)
     converged = objective - lower <= _GAP_TOL * objective
     eps = _EPS_START
     iterations = 0
@@ -183,6 +148,7 @@ def lp_distance(x: np.ndarray, T: np.ndarray, p: float, *,
         iterations += 1
         weights = (residual * residual + eps) ** ((p - 2.0) / 2.0)
         candidate = _weighted_lstsq(T, x, weights)
+        lower = max(lower, _dual_bound(x, weights * (x - T @ candidate), q))
         direction = candidate - c
         best = objective
         best_c = c
@@ -202,15 +168,14 @@ def lp_distance(x: np.ndarray, T: np.ndarray, p: float, *,
         c = best_c
         residual = x - T @ c
         objective = best
-        lower = max(lower, _residual_dual_bound(x, residual, T, vt, singular, p))
         converged = objective - lower <= _GAP_TOL * objective
         if eps > _EPS_FLOOR:
             eps = max(_EPS_FLOOR, eps * 0.25)
         elif step < _IMPROVEMENT_TOL:
             break
-    # <y, x> carries rounding of order eps * |x|, which can lift the bound a
-    # little above a value it agrees with to that order, or above a value of
-    # rounding size when x lies in im T.
+    # T^t y vanishes only to the solver's rounding, which can lift the bound
+    # a little above a value it agrees with to that order, or above a value
+    # of rounding size when x lies in im T.
     return MinimizationResult(objective, min(lower, objective), c, iterations,
                               "IRLS", converged)
 

@@ -140,26 +140,43 @@ def test_degree_zero_distance_has_closed_form(name, radius, reached):
         assert result.iterations == 0  # the least-squares start is certified
 
 
-def test_dual_bound_needs_the_kernel_projection():
+def test_dual_point_must_lie_in_the_kernel():
     # y = sgn(r)|r|^(p-1) off ker T^t is no dual point: on lattice:2 degree 1
-    # it "bounds" the distance from above
+    # at p = 3 it "bounds" the distance from above, while every bound
+    # lp_distance reports, already after one IRLS step, stays below it
     res = resolution_from_name("lattice:2")
     op = assemble_boundary(res, 2, 3)
     T = op.matrix
     parts = [RingElement.one(res.group), RingElement.zero(res.group)]
     x = vector_from_ring_parts(op.codomain, parts).coefficients
+    for p in (1.5, 3.0):
+        reference = lp_distance(x, T, p, max_iterations=5000)
+        assert reference.converged
+        for steps in (1, 2, 3):
+            result = lp_distance(x, T, p, max_iterations=steps)
+            assert not result.converged
+            assert 0.0 < result.lower <= reference.value * (1 + 1e-12)
     p, q = 3.0, 1.5
     r = x - T @ lp_distance(x, T, 2.0).coefficients
     y = np.sign(r) * np.abs(r) ** (p - 1)
-    u, s, _ = np.linalg.svd(T, full_matrices=False)
-    basis = u[:, s > 1e-10 * s[0]]
-    projected = y - basis @ (basis.T @ y)
-    result = lp_distance(x, T, p)
+    bound = float(y @ x) / float(np.sum(np.abs(y) ** q) ** (1 / q))
+    assert bound > 1.5 * reference.value
 
-    def bound(v):
-        return float(v @ x) / float(np.sum(np.abs(v) ** q) ** (1 / q))
-    assert bound(projected) <= result.value * (1 + 1e-12)
-    assert bound(y) > 1.5 * result.value
+
+def test_dual_bound_on_a_wide_rank_deficient_operator():
+    # 10 x 30 of rank 5: the least-squares solve cuts the rank and T has more
+    # columns than rows
+    rng = np.random.default_rng(11)
+    T = rng.standard_normal((10, 5)) @ rng.standard_normal((5, 30))
+    x = rng.standard_normal(10)
+    for p in (1.5, 3.0):
+        reference = lp_distance(x, T, p, max_iterations=5000)
+        result = lp_distance(x, T, p)
+        assert result.converged
+        assert abs(result.value - reference.value) <= 1e-9 * reference.value
+        for steps in (1, 2, 3, 500):
+            lower = lp_distance(x, T, p, max_iterations=steps).lower
+            assert 0.0 < lower <= reference.value * (1 + 1e-12)
 
 
 def test_distance_threshold_radius():
