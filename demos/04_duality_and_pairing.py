@@ -6,11 +6,11 @@ Run as: python3 demos/04_duality_and_pairing.py
 import numpy as np
 
 from lplab import (
-    ChainVector,
-    CochainVector,
     TruncatedSpace,
+    Vector,
     annihilator_residual,
     assemble_boundary,
+    conjugate_exponent,
     dual_boundary,
     group_from_name,
     pairing,
@@ -52,21 +52,22 @@ print(f"  max over 200 draws: {max(gaps):.3e}")
 print()
 print("Pairing bound |b(y, x)| <= |y|_q |x|_p on random draws:")
 plane = group_from_name("Z^2")
+space = TruncatedSpace(plane, 1, 3)
 for p in (1.5, 2.0, 3.0):
-    space = TruncatedSpace(plane, 1, 3, p)
     worst = 0.0
     for _ in range(500):
-        x = ChainVector(space, rng.standard_normal(space.dim))
-        y = CochainVector(space, rng.standard_normal(space.dim))
-        worst = max(worst, abs(pairing(y, x)) / (y.norm() * x.norm()))
+        x = Vector(space, rng.standard_normal(space.dim))
+        y = Vector(space, rng.standard_normal(space.dim))
+        worst = max(worst, abs(pairing(y, x))
+                    / (y.norm(conjugate_exponent(p)) * x.norm(p)))
     print(f"  p={p}: max ratio {worst:.4f} (never above 1)")
 
 print()
 print("Translation permutes coefficients, so every p-norm is preserved:")
-space = TruncatedSpace(plane, 1, 2, 1.5)
-x = ChainVector(space, rng.standard_normal(space.dim))
+space = TruncatedSpace(plane, 1, 2)
+x = Vector(space, rng.standard_normal(space.dim))
 moved = translate(x, plane.element((1, 1)))
-print(f"  before {x.norm():.12f}, after {moved.norm():.12f}")
+print(f"  before {x.norm(1.5):.12f}, after {moved.norm(1.5):.12f}")
 
 print()
 print("Kernel of the transpose annihilates the image (rank-revealing bases):")

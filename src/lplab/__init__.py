@@ -31,16 +31,17 @@ from .resolutions import (
 )
 from .lp_complex import (
     BoundaryOperator,
-    ChainVector,
-    CochainVector,
     TruncatedSpace,
+    Vector,
     annihilator_residual,
     assemble_boundary,
+    conjugate_exponent,
     delta_chain,
     dual_boundary,
     embed,
     export_matrix_coordinate,
     export_vector_csv,
+    lp_norm,
     pairing,
     translate,
     translate_ring,

@@ -34,9 +34,8 @@ from .resolutions import (
     validate,
 )
 from .lp_complex import (
-    ChainVector,
-    CochainVector,
     TruncatedSpace,
+    Vector,
     assemble_boundary,
     boundary_growth,
     vector_from_ring_parts,
@@ -427,31 +426,32 @@ def _run_pairing_adjointness(cfg: dict, out_path: Path):
     degree = _int_field(cfg, "degree", 1, low=1, high=res.length)
     radius = _int_field(cfg, "R", 3, low=0)
     draws = _int_field(cfg, "count", 1000, low=1)
-    seed = _int_field(cfg, "seed", 0)
-    rows = []
-    for p in _p_list(cfg, default="1.5,2,3"):
-        rng = np.random.default_rng(seed)
-        op = assemble_boundary(res, degree, radius, p)
-        max_gap = 0.0
-        max_excess = float("-inf")
-        for _ in range(draws):
-            x = rng.standard_normal(op.domain.dim)
-            y = rng.standard_normal(op.codomain.dim)
-            gap, bound = checks.adjoint_gap(op.matrix, x, y)
-            if gap > bound:
-                raise InvariantViolation(
-                    f"adjointness gap {gap:.3e} exceeds {bound:.3e} at p={p}")
-            max_gap = max(max_gap, gap)
-            xv = ChainVector(op.domain, rng.standard_normal(op.domain.dim))
-            yv = CochainVector(op.domain, rng.standard_normal(op.domain.dim))
-            excess, tolerance = checks.hoelder_excess(yv, xv)
+    seed = _int_field(cfg, "seed", 0, low=0)
+    p_values = _p_list(cfg, default="1.5,2,3")
+    # the operator and every draw serve all p; only the Hoelder norms use p
+    rng = np.random.default_rng(seed)
+    op = assemble_boundary(res, degree, radius)
+    max_gap = 0.0
+    max_excess = [float("-inf")] * len(p_values)
+    for _ in range(draws):
+        x = rng.standard_normal(op.domain.dim)
+        y = rng.standard_normal(op.codomain.dim)
+        gap, bound = checks.adjoint_gap(op.matrix, x, y)
+        if gap > bound:
+            raise InvariantViolation(
+                f"adjointness gap {gap:.3e} exceeds {bound:.3e}")
+        max_gap = max(max_gap, gap)
+        xv = Vector(op.domain, rng.standard_normal(op.domain.dim))
+        yv = Vector(op.domain, rng.standard_normal(op.domain.dim))
+        for k, p in enumerate(p_values):
+            excess, tolerance = checks.hoelder_excess(yv, xv, p)
             if excess > tolerance:
                 raise InvariantViolation(
                     f"pairing bound violated by {excess:.3e} at p={p}")
-            max_excess = max(max_excess, excess)
-        rows.append([res.group.name, res.name, str(degree), str(radius),
-                     fmt_float(p), str(draws), fmt_float(max_gap),
-                     fmt_float(max_excess)])
+            max_excess[k] = max(max_excess[k], excess)
+    rows = [[res.group.name, res.name, str(degree), str(radius), fmt_float(p),
+             str(draws), fmt_float(max_gap), fmt_float(worst)]
+            for p, worst in zip(p_values, max_excess)]
     write_csv(out_path, ADJOINTNESS_HEADER, rows)
 
 
@@ -471,11 +471,11 @@ def _parse_ring_parts(cfg: dict, key: str, group, rank: int):
         raise ConfigError(f"field {key}: {exc}") from None
 
 
-def _embed_field(key: str, space: TruncatedSpace, parts, cls=ChainVector):
+def _embed_field(key: str, space: TruncatedSpace, parts) -> Vector:
     """The ring-element parts of field key as a vector on space; a support
     element outside its ball is a config error."""
     try:
-        return vector_from_ring_parts(space, parts, cls=cls)
+        return vector_from_ring_parts(space, parts)
     except ValueError as exc:
         raise ConfigError(f"field {key}: {exc}") from None
 
@@ -490,14 +490,16 @@ def _run_distance_curve(cfg: dict, out_path: Path):
     radii = _int_list(_require(cfg, "R"), "R")
     if min(radii) < 0:
         raise ConfigError(f"field R: radii must be nonnegative, got {min(radii)}")
+    if any(later < earlier for earlier, later in zip(radii, radii[1:])):
+        raise ConfigError("field R: radii must be nondecreasing")
     p_values = _p_list(cfg)
     max_iter = _int_field(cfg, "max_iter", 500, low=1)
     x_parts = _parse_ring_parts(cfg, "x", res.group, res.ranks[degree])
     # the same chain is embedded in the codomain ball at every radius, so it
-    # must fit the one of the smallest radius
-    reach = min(radii) + boundary_growth(res, degree + 1)
-    _embed_field("x", TruncatedSpace(res.group, res.ranks[degree], reach,
-                                     p_values[0]), x_parts)
+    # must fit the one of the smallest, first radius
+    reach = radii[0] + boundary_growth(res, degree + 1)
+    _embed_field("x", TruncatedSpace(res.group, res.ranks[degree], reach),
+                 x_parts)
     curve = boundary_distance_curve(res, degree, x_parts, p_values, radii,
                                     max_iterations=max_iter)
     _write_curve(curve, out_path, "R")
@@ -506,7 +508,7 @@ def _run_distance_curve(cfg: dict, out_path: Path):
 def _run_translation_decay(cfg: dict, out_path: Path):
     group = _group(cfg)
     radius = _int_field(cfg, "radius", 4, low=0)
-    seed = _int_field(cfg, "seed", 0)
+    seed = _int_field(cfg, "seed", 0, low=0)
     indices = _int_list(_require(cfg, "indices"), "indices")
     try:
         sequence = central_catalog(group, max((abs(i) for i in indices),
@@ -515,23 +517,20 @@ def _run_translation_decay(cfg: dict, out_path: Path):
         raise ConfigError(f"field group: {exc}") from None
     if sequence.kind == "class-sums" and min(indices) < 0:
         raise ConfigError("field indices: class-sum indices must be >= 0")
-    all_rows = []
-    for p in _p_list(cfg):
-        space = TruncatedSpace(group, 1, radius, p)
-        rng = np.random.default_rng(seed)
-        if "x" in cfg:
-            x = _embed_field("x", space, _parse_ring_parts(cfg, "x", group, 1))
-        else:
-            x = ChainVector(space, rng.standard_normal(space.dim))
-        if "y" in cfg:
-            y = _embed_field("y", space, _parse_ring_parts(cfg, "y", group, 1),
-                             CochainVector)
-        else:
-            y = CochainVector(space, rng.standard_normal(space.dim))
-        curve = translation_pairing_decay(y, x, sequence, indices)
-        all_rows.extend(curve.rows)
-    merged = DecayCurve("translation-decay", group.name, "-", 0,
-                        tuple(all_rows))
+    p_values = _p_list(cfg)
+    space = TruncatedSpace(group, 1, radius)
+    rng = np.random.default_rng(seed)
+    if "x" in cfg:
+        x = _embed_field("x", space, _parse_ring_parts(cfg, "x", group, 1))
+    else:
+        x = Vector(space, rng.standard_normal(space.dim))
+    if "y" in cfg:
+        y = _embed_field("y", space, _parse_ring_parts(cfg, "y", group, 1))
+    else:
+        y = Vector(space, rng.standard_normal(space.dim))
+    merged = DecayCurve("translation-decay", group.name, "-", 0, tuple(
+        row for p in p_values
+        for row in translation_pairing_decay(y, x, sequence, indices, p).rows))
     _write_curve(merged, out_path, "translation index")
 
 
@@ -540,38 +539,30 @@ def _run_finite_homology(cfg: dict, out_path: Path):
     length = _int_field(cfg, "N", 3, low=1)
     if n < 2:
         raise ConfigError(f"field n: cyclic order must be at least 2, got {n}")
-    rows = []
-    seen = set()
-    for p in _p_list(cfg):
-        dims = finite_group_homology_ranks(n, length, p)
-        seen.add(dims)
-        for degree, dim in enumerate(dims):
-            rows.append([f"cyclic:{n}", str(n), str(length), fmt_float(p),
-                         str(degree), str(dim)])
+    p_values = _p_list(cfg)
+    dims = finite_group_homology_ranks(n, length)
+    rows = [[f"cyclic:{n}", str(n), str(length), fmt_float(p), str(degree),
+             str(dim)]
+            for p in p_values for degree, dim in enumerate(dims)]
     write_csv(out_path, FINITE_HOMOLOGY_HEADER, rows)
-    if len(seen) != 1:
-        raise InvariantViolation(
-            "homology dimensions changed with p at finite dimension")
 
 
 def _run_finite_index(cfg: dict, out_path: Path):
     n = _int_field(cfg, "n", low=2)
     m = _int_field(cfg, "m", low=2)
     length = _int_field(cfg, "N", 3, low=1)
-    rows = []
-    for p in _p_list(cfg):
-        try:
-            report = finite_index_compare(n, m, p, length=length)
-        except ValueError as exc:
-            raise ConfigError(f"field m: {exc}") from None
-        for degree in range(length + 1):
-            rows.append([str(n), str(m), fmt_float(p), str(degree),
-                         str(report.dims_group[degree]),
-                         str(report.dims_subgroup[degree]),
-                         fmt_bool(report.equal)])
-        if not report.equal:
-            raise InvariantViolation(
-                f"dimensions differ between cyclic:{n} and cyclic:{m}")
+    p_values = _p_list(cfg)
+    try:
+        report = finite_index_compare(n, m, length=length)
+    except ValueError as exc:
+        raise ConfigError(f"field m: {exc}") from None
+    if not report.equal:
+        raise InvariantViolation(
+            f"dimensions differ between cyclic:{n} and cyclic:{m}")
+    rows = [[str(n), str(m), fmt_float(p), str(degree),
+             str(report.dims_group[degree]), str(report.dims_subgroup[degree]),
+             fmt_bool(report.equal)]
+            for p in p_values for degree in range(length + 1)]
     write_csv(out_path, FINITE_INDEX_HEADER, rows)
 
 

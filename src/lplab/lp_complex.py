@@ -1,12 +1,15 @@
-"""Truncated p-summable chain and cochain spaces over catalog groups.
+"""Truncated chain and cochain spaces over catalog groups.
 
 A truncated space carries coefficient families indexed by (copy, ball element)
 with the deterministic ball order.  Boundary operators act by right
 convolution with the group-ring entries of a resolution; the codomain ball is
 enlarged by the largest word length in those entries, so supports grow and are
-never clipped.  Chains measure with exponent p, cochains with the conjugate
-exponent, and the evaluation pairing aligns coefficients by basis label so
-vectors living at different radii can be paired.
+never clipped.  Spaces, operators and vectors carry no exponent: one complex
+of finitely supported chains serves every p.  The exponent enters only where
+a norm is taken, ``Vector.norm(exponent)`` and ``lp_norm``; a chain is
+measured with p and a cochain with the conjugate exponent q.  The evaluation
+pairing aligns coefficients by basis label so vectors living at different
+radii can be paired.
 
 Point masses, embedded ring elements, re-embeddings on larger balls and
 translates are all built by one scatter, ``_scatter``: it adds each
@@ -17,6 +20,8 @@ with its own loop.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 from scipy import linalg as _sla
 
@@ -25,27 +30,29 @@ from .group_ring import RingElement
 from .resolutions import Resolution
 
 
+def conjugate_exponent(p: float) -> float:
+    """The q with 1/p + 1/q = 1."""
+    return p / (p - 1.0)
+
+
+def lp_norm(values: np.ndarray, exponent: float) -> float:
+    """(sum of |value|^exponent)^(1/exponent)."""
+    return float(np.sum(np.abs(values) ** exponent) ** (1.0 / exponent))
+
+
 class TruncatedSpace:
-    """Coefficient space on (copy, ball element) pairs with a fixed exponent."""
+    """Coefficient space on (copy, ball element) pairs."""
 
-    __slots__ = ("group", "rank", "radius", "p", "elements", "_positions")
+    __slots__ = ("group", "rank", "radius", "elements", "_positions")
 
-    def __init__(self, group: Group, rank: int, radius: int, p: float):
+    def __init__(self, group: Group, rank: int, radius: int):
         if rank < 0:
             raise ValueError(f"rank must be nonnegative, got {rank}")
-        if not 1.0 < p < float("inf"):
-            raise ValueError(f"exponent p must lie in (1, inf), got {p}")
         self.group = group
         self.rank = int(rank)
         self.radius = int(radius)
-        self.p = float(p)
         self.elements = tuple(group.ball(radius))
         self._positions = {g.key: i for i, g in enumerate(self.elements)}
-
-    @property
-    def q(self) -> float:
-        """Conjugate exponent: 1/p + 1/q = 1."""
-        return self.p / (self.p - 1.0)
 
     @property
     def dim(self) -> int:
@@ -65,10 +72,13 @@ class TruncatedSpace:
 
     def compatible_with(self, other: "TruncatedSpace") -> bool:
         return (self.group.signature == other.group.signature
-                and self.rank == other.rank and self.p == other.p)
+                and self.rank == other.rank)
 
 
-class _Vector:
+class Vector:
+    """Coefficient family on a truncated space: a chain or a cochain, told
+    apart only by the exponent its norm is taken with."""
+
     __slots__ = ("space", "coefficients")
 
     def __init__(self, space: TruncatedSpace, coefficients):
@@ -81,43 +91,27 @@ class _Vector:
         self.space = space
         self.coefficients = arr
 
-    def _exponent(self) -> float:
-        raise NotImplementedError
-
-    def norm(self) -> float:
+    def norm(self, exponent: float) -> float:
         """(sum of |coefficient|^exponent)^(1/exponent), copies summed flat."""
-        e = self._exponent()
-        return float(np.sum(np.abs(self.coefficients) ** e) ** (1.0 / e))
+        if not 1.0 <= exponent < math.inf:
+            raise ValueError(f"exponent must lie in [1, inf), got {exponent}")
+        return lp_norm(self.coefficients, exponent)
 
     def coefficient(self, copy: int, g: GroupElement) -> float:
         idx = self.space.index_of(copy, g)
         return 0.0 if idx is None else float(self.coefficients[idx])
 
 
-class ChainVector(_Vector):
-    """Coefficient family measured with the space exponent p."""
-
-    def _exponent(self) -> float:
-        return self.space.p
-
-
-class CochainVector(_Vector):
-    """Coefficient family measured with the conjugate exponent q."""
-
-    def _exponent(self) -> float:
-        return self.space.q
-
-
-def _scatter(space: TruncatedSpace, cls, entries):
-    """Vector of class cls on space, adding each (copy, element, value) entry
-    at its basis slot; an element outside the ball raises ValueError."""
+def _scatter(space: TruncatedSpace, entries) -> Vector:
+    """Vector on space, adding each (copy, element, value) entry at its basis
+    slot; an element outside the ball raises ValueError."""
     arr = np.zeros(space.dim)
     for copy, g, value in entries:
         idx = space.index_of(copy, g)
         if idx is None:
             raise ValueError(f"support element {g} escapes radius {space.radius}")
         arr[idx] += value
-    return cls(space, arr)
+    return Vector(space, arr)
 
 
 def _nonzero_entries(vec):
@@ -127,16 +121,16 @@ def _nonzero_entries(vec):
             yield copy, g, c
 
 
-def delta_chain(space: TruncatedSpace, copy: int, g: GroupElement) -> ChainVector:
-    return _scatter(space, ChainVector, [(copy, g, 1.0)])
+def delta_chain(space: TruncatedSpace, copy: int, g: GroupElement) -> Vector:
+    return _scatter(space, [(copy, g, 1.0)])
 
 
-def vector_from_ring_parts(space: TruncatedSpace, parts, cls=ChainVector):
+def vector_from_ring_parts(space: TruncatedSpace, parts) -> Vector:
     """Embed one exact group-ring element per copy into float coefficients."""
     parts = list(parts)
     if len(parts) != space.rank:
         raise ValueError(f"expected {space.rank} parts, got {len(parts)}")
-    return _scatter(space, cls, [(copy, g, float(coeff))
+    return _scatter(space, [(copy, g, float(coeff))
                                  for copy, part in enumerate(parts)
                                  if part is not None
                                  for g, coeff in part.items_sorted()])
@@ -161,20 +155,20 @@ def boundary_growth(res: Resolution, i: int) -> int:
                 for entry in row), default=0)
 
 
-def assemble_boundary(res: Resolution, i: int, radius: int,
-                      p: float = 2.0) -> BoundaryOperator:
+def assemble_boundary(res: Resolution, i: int, radius: int) -> BoundaryOperator:
     """Finite matrix of the i-th boundary tensored with coefficient functions.
 
     Columns are indexed by (copy, ball element) at the given radius; each
     column carries the right convolution of its basis delta with the matching
     group-ring entries, landing in the ball enlarged by the largest entry word
-    length.  Entries are exact integers embedded in doubles.
+    length.  Entries are exact integers embedded in doubles, and the matrix
+    is the same for every exponent.
     """
     mat = res.boundary(i)
     group = res.group
-    domain = TruncatedSpace(group, res.ranks[i], radius, p)
+    domain = TruncatedSpace(group, res.ranks[i], radius)
     codomain = TruncatedSpace(group, res.ranks[i - 1],
-                              radius + boundary_growth(res, i), p)
+                              radius + boundary_growth(res, i))
     out = np.zeros((codomain.dim, domain.dim))
     n_dom = len(domain.elements)
     for b in range(domain.rank):
@@ -191,21 +185,20 @@ def assemble_boundary(res: Resolution, i: int, radius: int,
     return BoundaryOperator(domain, codomain, out)
 
 
-def dual_boundary(res: Resolution, i: int, radius: int,
-                  p: float = 2.0) -> BoundaryOperator:
+def dual_boundary(res: Resolution, i: int, radius: int) -> BoundaryOperator:
     """Transpose of the assembled boundary, acting on cochain coefficients."""
-    op = assemble_boundary(res, i, radius, p)
+    op = assemble_boundary(res, i, radius)
     return BoundaryOperator(op.codomain, op.domain, op.matrix.T.copy())
 
 
 def embed(vec, target: TruncatedSpace):
     """Re-express a vector on a larger (or equal) ball, padding with zeros."""
     if not vec.space.compatible_with(target):
-        raise ValueError("spaces differ in group, rank, or exponent")
-    return _scatter(target, type(vec), _nonzero_entries(vec))
+        raise ValueError("spaces differ in group or rank")
+    return _scatter(target, _nonzero_entries(vec))
 
 
-def pairing(y: CochainVector, x: ChainVector) -> float:
+def pairing(y: Vector, x: Vector) -> float:
     """Evaluation pairing: sum over copies and elements of products of
     coefficients, aligned by basis label; missing slots count as zero."""
     ys, xs = y.space, x.space
@@ -213,8 +206,6 @@ def pairing(y: CochainVector, x: ChainVector) -> float:
         raise ValueError("pairing needs vectors over the same group")
     if ys.rank != xs.rank:
         raise ValueError(f"rank mismatch: {ys.rank} vs {xs.rank}")
-    if ys.p != xs.p:
-        raise ValueError("pairing needs conjugate exponents on a common p")
     if ys.radius == xs.radius:
         return float(np.dot(y.coefficients, x.coefficients))
     if xs.radius < ys.radius:
@@ -235,13 +226,13 @@ def translate_ring(x, u: RingElement):
     if u.group.signature != space.group.signature:
         raise ValueError("ring element belongs to a different group")
     if u.is_zero():
-        return type(x)(space, np.zeros(space.dim))
+        return Vector(space, np.zeros(space.dim))
     new_space = TruncatedSpace(space.group, space.rank,
-                               space.radius + u.max_word_length(), space.p)
+                               space.radius + u.max_word_length())
     entries = list(_nonzero_entries(x))
-    return _scatter(new_space, type(x), ((copy, g * h, float(coeff) * c)
-                                         for g, coeff in u.items_sorted()
-                                         for copy, h, c in entries))
+    return _scatter(new_space, ((copy, g * h, float(coeff) * c)
+                                for g, coeff in u.items_sorted()
+                                for copy, h, c in entries))
 
 
 def annihilator_residual(res: Resolution, i: int, radius: int) -> float:

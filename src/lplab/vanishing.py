@@ -7,12 +7,14 @@ decay of the duality pairing under translation along a central family.  Both
 are computed here, alongside exact-dimension homology ranks for finite cyclic
 groups where reduced and unreduced agree.
 
-Distances use a rank-revealing least-squares solve at p = 2 and iteratively
-reweighted least squares elsewhere; the IRLS iteration is damped so that the
-true p-objective never increases.  Every distance comes with a lower bound
-from the dual side, dist_p(x, im T) = max <y, x> over y in ker T^t with
-||y||_q <= 1, and IRLS stops once that bound certifies the value to a
-relative gap of _GAP_TOL.
+The truncated spaces and boundary matrices carry no exponent: p enters only
+as the norm a distance minimizes, so a curve over several p assembles each
+radius once and solves every p on that one matrix.  Distances use a
+rank-revealing least-squares solve at p = 2 and iteratively reweighted least
+squares elsewhere; the IRLS iteration is damped so that the true p-objective
+never increases.  Every distance comes with a lower bound from the dual side,
+dist_p(x, im T) = max <y, x> over y in ker T^t with ||y||_q <= 1, and IRLS
+stops once that bound certifies the value to a relative gap of _GAP_TOL.
 """
 
 from __future__ import annotations
@@ -26,9 +28,10 @@ from .groups import Group, GroupElement
 from .group_ring import RingElement, class_sum
 from .resolutions import Resolution, periodic_cyclic_resolution
 from .lp_complex import (
-    ChainVector,
-    CochainVector,
+    Vector,
     assemble_boundary,
+    conjugate_exponent,
+    lp_norm,
     pairing,
     translate_ring,
     vector_from_ring_parts,
@@ -63,10 +66,6 @@ class MinimizationResult:
     converged: bool
 
 
-def _lp_norm(r: np.ndarray, p: float) -> float:
-    return float(np.sum(np.abs(r) ** p) ** (1.0 / p))
-
-
 def _solve_lstsq(T: np.ndarray, x: np.ndarray) -> np.ndarray:
     # gelss is the SVD driver; the default gelsd can misjudge the rank of
     # the rank-deficient integer matrices assembled here.  The cutoff is
@@ -87,7 +86,7 @@ def _weighted_lstsq(T: np.ndarray, x: np.ndarray, weights: np.ndarray) -> np.nda
 def _dual_bound(x: np.ndarray, y: np.ndarray, q: float) -> float:
     """<y, x> / ||y||_q: for y in ker T^t a lower bound on dist_p(x, im T),
     p and q conjugate.  A zero y gives the trivial bound 0."""
-    norm = _lp_norm(y, q)
+    norm = lp_norm(y, q)
     return float(y @ x) / norm if norm > 0.0 else 0.0
 
 
@@ -120,7 +119,7 @@ def lp_distance(x: np.ndarray, T: np.ndarray, p: float, *,
         raise ValueError(f"max_iterations must be at least 1, got {max_iterations}")
 
     if T.shape[1] == 0:
-        value = _lp_norm(x, p)
+        value = lp_norm(x, p)
         return MinimizationResult(value, value, np.zeros(0), 0,
                                   "exact-least-squares" if p == 2.0 else "IRLS",
                                   True)
@@ -134,12 +133,12 @@ def lp_distance(x: np.ndarray, T: np.ndarray, p: float, *,
             raise InvariantViolation(
                 f"least-squares residual is not orthogonal to the column "
                 f"space: gradient {gradient:.3e}")
-        value = _lp_norm(residual, p)
+        value = lp_norm(residual, p)
         return MinimizationResult(value, min(_dual_bound(x, residual, 2.0), value),
                                   c, 1, "exact-least-squares", True)
 
-    q = p / (p - 1.0)
-    objective = _lp_norm(residual, p)
+    q = conjugate_exponent(p)
+    objective = lp_norm(residual, p)
     lower = _dual_bound(x, residual, q)
     converged = objective - lower <= _GAP_TOL * objective
     eps = _EPS_START
@@ -155,7 +154,7 @@ def lp_distance(x: np.ndarray, T: np.ndarray, p: float, *,
         scale_factor = 1.0
         for _ in range(60):
             trial = c + scale_factor * direction
-            trial_obj = _lp_norm(x - T @ trial, p)
+            trial_obj = lp_norm(x - T @ trial, p)
             if trial_obj <= best:
                 best = trial_obj
                 best_c = trial
@@ -208,7 +207,9 @@ def boundary_distance_curve(res: Resolution, degree: int, x_parts,
     """Distance from a fixed chain to the truncated image of the next boundary.
 
     The same underlying chain is embedded at every radius, so the feasible
-    sets nest and the curve must be nonincreasing; that is asserted.
+    sets nest and the curve of each p must be nonincreasing; that is asserted.
+    Each radius is assembled once and solved for every p; the rows come out
+    grouped by p, in the order of p_values, each group in the order of radii.
     """
     i = degree + 1
     if not 1 <= i <= res.length:
@@ -216,24 +217,24 @@ def boundary_distance_curve(res: Resolution, degree: int, x_parts,
             f"degree {degree} needs boundary {i}, but {res.name} has length "
             f"{res.length}")
     x_parts = list(x_parts)
-    rows: list[CurveRow] = []
-    for p in p_values:
-        previous = float("inf")
-        for radius in radii:
-            op = assemble_boundary(res, i, radius, p)
-            x_vec = vector_from_ring_parts(op.codomain, x_parts)
-            result = lp_distance(x_vec.coefficients, op.matrix, p,
+    p_values = list(p_values)
+    rows: list[list[CurveRow]] = [[] for _ in p_values]
+    for radius in radii:
+        op = assemble_boundary(res, i, radius)
+        x = vector_from_ring_parts(op.codomain, x_parts).coefficients
+        for p, p_rows in zip(p_values, rows):
+            result = lp_distance(x, op.matrix, p,
                                  max_iterations=max_iterations)
+            previous = p_rows[-1].value if p_rows else float("inf")
             if result.value > previous + 1e-9 * (1.0 + previous):
                 raise InvariantViolation(
                     f"distance increased from {previous} to {result.value} "
                     f"at radius {radius} (p={p})")
-            previous = result.value
-            rows.append(CurveRow(float(p), "R", int(radius), result.value,
-                                 result.iterations, result.converged,
-                                 result.lower))
+            p_rows.append(CurveRow(float(p), "R", int(radius), result.value,
+                                   result.iterations, result.converged,
+                                   result.lower))
     return DecayCurve("distance-curve", res.group.name, res.name, degree,
-                      tuple(rows))
+                      tuple(row for p_rows in rows for row in p_rows))
 
 
 @dataclass(frozen=True)
@@ -306,12 +307,14 @@ def central_catalog(group: Group, count: int) -> CentralSequence:
     return CentralSequence(group, "powers", base=base)
 
 
-def translation_pairing_decay(y: CochainVector, x: ChainVector,
-                              sequence: CentralSequence, indices) -> DecayCurve:
+def translation_pairing_decay(y: Vector, x: Vector, sequence: CentralSequence,
+                              indices, p: float) -> DecayCurve:
     """Pairing of a fixed cochain against translates of a chain.
 
     For finitely supported vectors the value is exactly zero once the
-    translated support no longer meets the cochain support.
+    translated support no longer meets the cochain support.  The pairing
+    does not depend on p; p only labels the rows, as the exponent the chain
+    is measured with.
     """
     rows = []
     kind = sequence.index_kind()
@@ -319,7 +322,7 @@ def translation_pairing_decay(y: CochainVector, x: ChainVector,
         u = sequence.ring_element(int(index))
         shifted = translate_ring(x, u)
         value = pairing(y, shifted)
-        rows.append(CurveRow(float(x.space.p), kind, int(index), value, 0, True))
+        rows.append(CurveRow(float(p), kind, int(index), value, 0, True))
     return DecayCurve("translation-decay", sequence.group.name, "-", 0,
                       tuple(rows))
 
@@ -333,20 +336,21 @@ def _numerical_rank(matrix: np.ndarray, threshold: float) -> int:
     return int(np.sum(singular > threshold * singular[0]))
 
 
-def finite_group_homology_ranks(n: int, length: int, p: float, *,
+def finite_group_homology_ranks(n: int, length: int, *,
                                 rank_threshold: float = 1e-8) -> tuple[int, ...]:
     """Homology dimensions of a finite cyclic group through the given degree.
 
     The coefficient space is n-dimensional, so no truncation is involved and
-    reduced equals unreduced.  Dimensions are kernel minus image ranks with a
-    singular-value threshold; they do not depend on p at finite dimension, and
-    the expected answer is 1, 0, ..., 0.
+    reduced equals unreduced; every p-norm gives the same spaces at finite
+    dimension, so the dimensions hold for every p.  They are kernel minus
+    image ranks with a singular-value threshold, and the expected answer is
+    1, 0, ..., 0.
     """
     if length < 1:
         raise ValueError(f"length must be at least 1, got {length}")
     res = periodic_cyclic_resolution(n, length + 1)
     radius = n  # saturates the ball: the whole group
-    matrices = [assemble_boundary(res, i, radius, p).matrix
+    matrices = [assemble_boundary(res, i, radius).matrix
                 for i in range(1, length + 2)]
     dims = []
     size = matrices[0].shape[1]
@@ -362,14 +366,12 @@ def finite_group_homology_ranks(n: int, length: int, p: float, *,
 class FiniteIndexReport:
     n: int
     m: int
-    p: float
     dims_group: tuple[int, ...]
     dims_subgroup: tuple[int, ...]
     equal: bool
 
 
-def finite_index_compare(n: int, m: int, p: float, *,
-                         length: int = 3) -> FiniteIndexReport:
+def finite_index_compare(n: int, m: int, *, length: int = 3) -> FiniteIndexReport:
     """Compare homology dimensions of a cyclic group and a finite-index
     cyclic subgroup; the lists must agree degreewise."""
     if n < 2 or m < 2:
@@ -377,7 +379,6 @@ def finite_index_compare(n: int, m: int, p: float, *,
     if n % m != 0:
         raise ValueError(
             f"{m} does not divide {n}: no subgroup of finite index there")
-    dims_group = finite_group_homology_ranks(n, length, p)
-    dims_sub = finite_group_homology_ranks(m, length, p)
-    return FiniteIndexReport(n, m, float(p), dims_group, dims_sub,
-                             dims_group == dims_sub)
+    dims_group = finite_group_homology_ranks(n, length)
+    dims_sub = finite_group_homology_ranks(m, length)
+    return FiniteIndexReport(n, m, dims_group, dims_sub, dims_group == dims_sub)

@@ -4,7 +4,8 @@ from pathlib import Path
 
 import pytest
 
-from lplab import checks
+from lplab import checks, cli
+from lplab.lp_complex import assemble_boundary
 from lplab.groups import GROUP_NAME_SYNTAX
 from lplab.resolutions import RESOLUTION_NAME_SYNTAX
 from lplab.cli import (
@@ -137,6 +138,10 @@ def test_config_errors_name_their_field_once(tmp_path, capsys):
                     resolution="cyclic-inf", degree=9)),
     ("count", dict(experiment="pairing-adjointness",
                    resolution="cyclic-inf", count=0)),
+    ("seed", dict(experiment="pairing-adjointness", resolution="cyclic-inf",
+                  seed=-1)),
+    ("seed", dict(experiment="translation-decay", group="Z^1", indices="0..3",
+                  seed=-1)),
     ("radius", dict(experiment="translation-decay", group="Z^1",
                     indices="0..3", radius=-1)),
     ("N", dict(experiment="finite-homology", n=3, N=0)),
@@ -224,6 +229,36 @@ def test_finite_homology_and_index_runs(tmp_path):
     cfg = write_config(tmp_path, "fi_bad.cfg", experiment="finite-index", n=4,
                        m=3, p=2, output=tmp_path / "fb.csv")
     assert main(["run", str(cfg)]) == EXIT_CONFIG
+
+
+def test_distance_curve_radii_must_be_nondecreasing(tmp_path, capsys):
+    out = tmp_path / "dec.csv"
+    cfg = write_config(tmp_path, "dec.cfg", experiment="distance-curve",
+                       resolution="cyclic-inf", p=2, R="4,2", output=out)
+    assert main(["run", str(cfg)]) == EXIT_CONFIG
+    assert capsys.readouterr().err == (
+        f"{cfg}: config error: field R: radii must be nondecreasing\n")
+    assert not out.exists()
+    # a repeated radius is no decrease
+    cfg = write_config(tmp_path, "rep.cfg", experiment="distance-curve",
+                       resolution="cyclic-inf", p=2, R="2,2,3", output=out)
+    assert main(["run", str(cfg)]) == EXIT_OK
+    assert len(out.read_text().splitlines()) == 4
+
+
+def test_pairing_adjointness_assembles_once(tmp_path, monkeypatch):
+    calls = []
+
+    def counting(res, i, radius):
+        calls.append(radius)
+        return assemble_boundary(res, i, radius)
+
+    monkeypatch.setattr(cli, "assemble_boundary", counting)
+    cfg = write_config(tmp_path, "adj.cfg", experiment="pairing-adjointness",
+                       resolution="cyclic-inf", R=2, p="1.5,3", count=10,
+                       output=tmp_path / "adj.csv")
+    assert main(["run", str(cfg)]) == EXIT_OK
+    assert calls == [2]
 
 
 def test_pairing_adjointness_run(tmp_path):

@@ -1,0 +1,31 @@
+"""Every demo script runs standalone; demo 06 writes the golden distance curve."""
+
+import os
+import shutil
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+GOLDEN_DIR = Path(__file__).parent / "golden"
+DEMOS = sorted(path.name for path in (ROOT / "demos").glob("*.py"))
+
+
+@pytest.mark.parametrize("script", DEMOS)
+def test_demo_runs(tmp_path, script):
+    # a copy, so the demos that write next to themselves leave the tree alone
+    demos = tmp_path / "demos"
+    shutil.copytree(ROOT / "demos", demos,
+                    ignore=shutil.ignore_patterns("*.csv", "*.svg"))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    done = subprocess.run([sys.executable, str(demos / script)], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    if script.startswith("06_"):
+        for name in ("distance_curve.csv", "distance_curve.svg"):
+            assert (demos / name).read_bytes() == \
+                (GOLDEN_DIR / name).read_bytes(), name

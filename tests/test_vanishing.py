@@ -3,13 +3,13 @@
 import numpy as np
 import pytest
 
+from lplab import vanishing
 from lplab.groups import group_from_name
 from lplab.group_ring import RingElement
 from lplab.resolutions import resolution_from_name
 from lplab.lp_complex import (
-    ChainVector,
-    CochainVector,
     TruncatedSpace,
+    Vector,
     assemble_boundary,
     pairing,
     vector_from_ring_parts,
@@ -179,6 +179,25 @@ def test_dual_bound_on_a_wide_rank_deficient_operator():
             assert 0.0 < lower <= reference.value * (1 + 1e-12)
 
 
+def test_distance_curve_assembles_each_radius_once(monkeypatch):
+    calls = []
+
+    def counting(res, i, radius):
+        calls.append(radius)
+        return assemble_boundary(res, i, radius)
+
+    res = resolution_from_name("lattice:2")
+    parts = [RingElement.one(res.group)]
+    monkeypatch.setattr(vanishing, "assemble_boundary", counting)
+    curve = boundary_distance_curve(res, 0, parts, [1.5, 3.0], range(2, 5))
+    assert calls == [2, 3, 4]
+    # rows stay grouped by p, as two one-p curves would give them
+    assert curve.rows == tuple(
+        row for p in (1.5, 3.0)
+        for row in boundary_distance_curve(res, 0, parts, [p],
+                                           range(2, 5)).rows)
+
+
 def test_distance_threshold_radius():
     res = resolution_from_name("cyclic-inf")
     one = RingElement.one(res.group)
@@ -210,12 +229,12 @@ def test_lattice_two_curve_nonincreasing():
 
 def test_translation_decay_exact_zero_tail():
     group = group_from_name("Z^1")
-    space = TruncatedSpace(group, 1, 5, 2.0)
+    space = TruncatedSpace(group, 1, 5)
     rng = np.random.default_rng(4)
-    x = ChainVector(space, rng.standard_normal(space.dim))
-    y = CochainVector(space, rng.standard_normal(space.dim))
+    x = Vector(space, rng.standard_normal(space.dim))
+    y = Vector(space, rng.standard_normal(space.dim))
     sequence = central_catalog(group, 1)
-    curve = translation_pairing_decay(y, x, sequence, range(-12, 13))
+    curve = translation_pairing_decay(y, x, sequence, range(-12, 13), 2.0)
     values = {row.index: row.value for row in curve.rows}
     assert values[0] == pairing(y, x)
     for index, value in values.items():
@@ -225,12 +244,12 @@ def test_translation_decay_exact_zero_tail():
 
 def test_dihedral_class_sum_decay_matches_direct_summation():
     group = group_from_name("dihedral-inf")
-    space = TruncatedSpace(group, 1, 4, 2.0)
+    space = TruncatedSpace(group, 1, 4)
     rng = np.random.default_rng(5)
-    x = ChainVector(space, rng.standard_normal(space.dim))
-    y = CochainVector(space, rng.standard_normal(space.dim))
+    x = Vector(space, rng.standard_normal(space.dim))
+    y = Vector(space, rng.standard_normal(space.dim))
     sequence = central_catalog(group, 12)
-    curve = translation_pairing_decay(y, x, sequence, range(1, 13))
+    curve = translation_pairing_decay(y, x, sequence, range(1, 13), 2.0)
 
     x_map = {(0, g): float(x.coefficients[i])
              for i, g in enumerate(space.elements)}
@@ -246,14 +265,14 @@ def test_dihedral_class_sum_decay_matches_direct_summation():
     # cut-off bound: translating by a two-element class sum scales the
     # pairing bound by at most the class size, and the tail realizes the
     # epsilon = 0 case exactly once the supports separate
-    bound = 2.0 * y.norm() * x.norm()
+    bound = 2.0 * y.norm(2.0) * x.norm(2.0)
     assert all(abs(row.value) <= bound * (1 + 1e-12) for row in curve.rows)
 
 
 def test_finite_group_homology_ranks():
-    assert finite_group_homology_ranks(4, 3, 2.0) == (1, 0, 0, 0)
-    assert finite_group_homology_ranks(2, 2, 3.0) == (1, 0, 0)
-    assert finite_group_homology_ranks(3, 1, 1.5) == (1, 0)
+    assert finite_group_homology_ranks(4, 3) == (1, 0, 0, 0)
+    assert finite_group_homology_ranks(2, 2) == (1, 0, 0)
+    assert finite_group_homology_ranks(3, 1) == (1, 0)
 
 
 def test_homology_ranks_match_exact_rank_oracle():
@@ -263,26 +282,25 @@ def test_homology_ranks_match_exact_rank_oracle():
     dims = [size - exact_rank(mats[0])]
     for i in range(1, 4):
         dims.append((size - exact_rank(mats[i - 1])) - exact_rank(mats[i]))
-    assert tuple(dims) == finite_group_homology_ranks(6, 3, 2.0)
+    assert tuple(dims) == finite_group_homology_ranks(6, 3)
 
 
 def test_homology_ranks_independent_of_p_and_threshold():
-    per_p = {p: finite_group_homology_ranks(4, 3, p) for p in (1.5, 2.0, 3.0)}
-    assert len(set(per_p.values())) == 1
+    # no exponent enters the ranks: the boundaries are p-free matrices
     for threshold in (1e-9, 1e-8, 1e-7):
         assert finite_group_homology_ranks(
-            4, 3, 2.0, rank_threshold=threshold) == (1, 0, 0, 0)
+            4, 3, rank_threshold=threshold) == (1, 0, 0, 0)
 
 
 def test_finite_index_compare():
-    report = finite_index_compare(4, 2, 2.0)
+    report = finite_index_compare(4, 2)
     assert report.equal and report.dims_group == (1, 0, 0, 0)
-    report = finite_index_compare(6, 3, 1.5)
+    report = finite_index_compare(6, 3)
     assert report.equal
-    report = finite_index_compare(4, 4, 2.0)
+    report = finite_index_compare(4, 4)
     assert report.equal
     with pytest.raises(ValueError, match="does not divide"):
-        finite_index_compare(4, 3, 2.0)
+        finite_index_compare(4, 3)
 
 
 def test_central_catalog_families():
@@ -320,7 +338,7 @@ def test_argmin_exports_in_vector_csv_format(tmp_path):
     res = resolution_from_name("cyclic-inf")
     op = assemble_boundary(res, 1, 2)
     result = lp_distance(np.ones(op.codomain.dim), op.matrix, 2.0)
-    vec = ChainVector(op.domain, result.coefficients)
+    vec = Vector(op.domain, result.coefficients)
     from lplab.lp_complex import export_vector_csv
     out = tmp_path / "argmin.csv"
     export_vector_csv(vec, out)
