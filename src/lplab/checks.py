@@ -50,6 +50,7 @@ from .lp_complex import (
 )
 from .homotopy import class_sum_homotopy_residual, homotopy_residual, random_cochain
 from .vanishing import (
+    DEFAULT_CLASS_CAP,
     boundary_distance_curve,
     central_catalog,
     finite_group_homology_ranks,
@@ -58,6 +59,9 @@ from .vanishing import (
 
 CHECK_GROUPS = ("trivial", "cyclic:4", "Z^1", "Z^2", "free:2", "dihedral-inf",
                 "heisenberg", "S3")
+# Groups whose declared per-kind facts are checked: those of every catalog
+# kind, and the lattice and free ranks where the declarations change.
+FACT_GROUPS = CHECK_GROUPS + ("Z^3", "Z^4", "free:1")
 CATALOG_RESOLUTIONS = (
     ["cyclic-inf"]
     + [f"cyclic:{n}:{N}" for n in (2, 3, 4, 6) for N in (1, 2, 3, 4)]
@@ -361,6 +365,17 @@ def check_finite_homology():
 
 
 def check_central_catalog():
+    for name in FACT_GROUPS:
+        group = group_from_name(name)
+        z = group.central_element
+        if z is not None:
+            assert all(z * g == g * z for g in group.generators), \
+                f"declared central element {z} of {name} is not central"
+        g = group.finite_class_element
+        if g is not None:
+            assert conjugacy_class(g, DEFAULT_CLASS_CAP) is not None, \
+                f"declared finite-class element {g} of {name} has an " \
+                f"infinite class"
     heis = group_from_name("heisenberg")
     seq = central_catalog(heis, 5)
     assert seq.kind == "powers" and seq.base == heis.element((0, 0, 1))

@@ -108,6 +108,8 @@ def parse_config(path: str | Path) -> dict[str, str]:
         key = key.strip()
         if key not in _KNOWN_KEYS:
             raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
+        if key in cfg:
+            raise ConfigError(f"{path}:{lineno}: repeated key {key!r}")
         cfg[key] = value.strip()
     if "experiment" not in cfg:
         raise ConfigError(f"{path}: missing required key 'experiment'")
@@ -321,16 +323,6 @@ def _write_curve(curve: DecayCurve, out_path: Path, xlabel: str):
 # -- experiment runners ---------------------------------------------------------
 
 
-def _default_central_element(group):
-    if group.signature[0] == "heisenberg":
-        return group.element((0, 0, 1))
-    for g in group.generators:
-        if RingElement.from_element(g).is_central():
-            return g
-    raise ConfigError(
-        f"field h: required for {group.name} (no central generator)")
-
-
 def _run_verify_resolutions(cfg: dict, out_path: Path):
     cap = _ball_cap(cfg)
     rows = []
@@ -368,8 +360,11 @@ def _run_verify_homotopy(cfg: dict, out_path: Path):
             require_central(h)
         except ValueError as exc:
             raise ConfigError(f"field h: {exc}") from None
+    elif group.central_element is None:
+        raise ConfigError(
+            f"field h: required for {group.name} (no declared central element)")
     else:
-        h = _default_central_element(group)
+        h = group.central_element
     rng = Random(seed)
     rows = []
     worst = None
@@ -482,11 +477,7 @@ def _embed_field(key: str, space: TruncatedSpace, parts) -> Vector:
 
 def _run_distance_curve(cfg: dict, out_path: Path):
     res = _resolution(cfg)
-    degree = _int_field(cfg, "degree", 0)
-    if not 0 <= degree < res.length:
-        raise ConfigError(
-            f"field degree: resolution {res.name} supports degrees "
-            f"0..{res.length - 1}")
+    degree = _int_field(cfg, "degree", 0, low=0, high=res.length - 1)
     radii = _int_list(_require(cfg, "R"), "R")
     if min(radii) < 0:
         raise ConfigError(f"field R: radii must be nonnegative, got {min(radii)}")
@@ -511,8 +502,7 @@ def _run_translation_decay(cfg: dict, out_path: Path):
     seed = _int_field(cfg, "seed", 0, low=0)
     indices = _int_list(_require(cfg, "indices"), "indices")
     try:
-        sequence = central_catalog(group, max((abs(i) for i in indices),
-                                              default=1))
+        sequence = central_catalog(group, max(1, *(abs(i) for i in indices)))
     except ValueError as exc:
         raise ConfigError(f"field group: {exc}") from None
     if sequence.kind == "class-sums" and min(indices) < 0:
@@ -535,10 +525,8 @@ def _run_translation_decay(cfg: dict, out_path: Path):
 
 
 def _run_finite_homology(cfg: dict, out_path: Path):
-    n = _int_field(cfg, "n")
+    n = _int_field(cfg, "n", low=2)
     length = _int_field(cfg, "N", 3, low=1)
-    if n < 2:
-        raise ConfigError(f"field n: cyclic order must be at least 2, got {n}")
     p_values = _p_list(cfg)
     dims = finite_group_homology_ranks(n, length)
     rows = [[f"cyclic:{n}", str(n), str(length), fmt_float(p), str(degree),

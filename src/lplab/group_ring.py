@@ -138,7 +138,7 @@ class RingElement:
     def __eq__(self, other) -> bool:
         if not isinstance(other, RingElement):
             return NotImplemented
-        return (self.group.signature == other.group.signature
+        return (self.group.name == other.group.name
                 and self._coeffs == other._coeffs)
 
     __hash__ = None
@@ -151,7 +151,7 @@ class RingElement:
 
 
 def _require_same_group(left: Group, right: Group):
-    if left is not right and left.signature != right.signature:
+    if left is not right and left.name != right.name:
         raise ValueError(f"cross-group ring operands: {left.name} vs {right.name}")
 
 

@@ -13,11 +13,16 @@ Catalog text has one reader each.  `word_pieces` tokenizes "a^2*b^-1" words,
 such a word in the generator labels.  `GROUP_CATALOG` holds one row per
 group name form; `from_catalog` resolves names in it and in the resolution
 catalog.
+
+A group kind is one class plus one catalog row: the class declares every
+fact about its kind (see `Group`), no other module branches on the kind, and
+two groups are the same iff their names are.
 """
 
 from __future__ import annotations
 
 import re
+from itertools import combinations
 from typing import Callable, NamedTuple
 
 DEFAULT_BALL_CAP = 200_000
@@ -70,7 +75,7 @@ class GroupElement:
         if not isinstance(other, GroupElement):
             return NotImplemented
         return self.key == other.key and (
-            self.group is other.group or self.group.signature == other.group.signature)
+            self.group is other.group or self.group.name == other.group.name)
 
     def __hash__(self) -> int:
         # Equal elements have equal keys, so the key alone is a valid hash;
@@ -89,7 +94,21 @@ class GroupElement:
 
 
 class Group:
-    """Shared machinery: exact operations plus a cached breadth-first ball."""
+    """Shared machinery: exact operations plus a cached breadth-first ball.
+
+    Each kind also declares the facts that the rest of the lab reads off it,
+    each None where the kind declares none:
+
+    - `relators`, the relator words of its catalog presentation, written in
+      the generator labels;
+    - `central_element`, an element that commutes with every generator;
+    - `finite_class_element`, an element whose conjugacy class is finite;
+      so are the classes of its powers, and their class sums are central.
+    """
+
+    relators: tuple[str, ...] | None = None
+    central_element: GroupElement | None = None
+    finite_class_element: GroupElement | None = None
 
     def __init__(self, name: str, generator_labels: tuple[str, ...],
                  ball_cap: int = DEFAULT_BALL_CAP):
@@ -131,10 +150,6 @@ class Group:
     def _check_key(self, key):
         raise NotImplementedError
 
-    @property
-    def signature(self) -> tuple:
-        raise NotImplementedError
-
     def format_key(self, key) -> str:
         raise NotImplementedError
 
@@ -157,7 +172,7 @@ class Group:
 
     def _require_member(self, a: GroupElement):
         if not isinstance(a, GroupElement) or (
-                a.group is not self and a.group.signature != self.signature):
+                a.group is not self and a.group.name != self.name):
             raise ValueError(
                 f"cross-group operand: expected an element of {self.name}, got {a!r}"
             )
@@ -234,10 +249,10 @@ class Group:
     def __eq__(self, other) -> bool:
         if not isinstance(other, Group):
             return NotImplemented
-        return self.signature == other.signature
+        return self.name == other.name
 
     def __hash__(self) -> int:
-        return hash(self.signature)
+        return hash(self.name)
 
     def __repr__(self) -> str:
         return f"<group {self.name}>"
@@ -288,6 +303,7 @@ def _parse_int_tuple(token: str, arity: int, name: str) -> tuple[int, ...]:
 class TrivialGroup(Group):
     def __init__(self, ball_cap: int = DEFAULT_BALL_CAP):
         super().__init__("trivial", ("e",), ball_cap)
+        self.central_element = self.identity
 
     def _identity_key(self):
         return ()
@@ -305,9 +321,6 @@ class TrivialGroup(Group):
         if key != ():
             raise ValueError(f"invalid trivial-group normal form {key!r}")
 
-    @property
-    def signature(self):
-        return ("trivial",)
 
     def format_key(self, key) -> str:
         return "1"
@@ -320,7 +333,9 @@ class CyclicGroup(Group):
         if n < 1:
             raise ValueError(f"cyclic order must be at least 1, got {n}")
         self.order = int(n)
+        self.relators = (f"t^{n}",)
         super().__init__(f"cyclic:{n}", ("t",), ball_cap)
+        self.central_element = self.generators[0]
 
     def _identity_key(self):
         return 0
@@ -338,9 +353,6 @@ class CyclicGroup(Group):
         if not isinstance(key, int) or not 0 <= key < self.order:
             raise ValueError(f"invalid exponent {key!r} for {self.name}")
 
-    @property
-    def signature(self):
-        return ("cyclic", self.order)
 
     def format_key(self, key) -> str:
         return "1" if key == 0 else _pow_token("t", key)
@@ -354,7 +366,11 @@ class LatticeGroup(Group):
             raise ValueError(f"lattice rank must be at least 1, got {d}")
         self.rank = int(d)
         labels = ("t",) if d == 1 else tuple(f"t{i + 1}" for i in range(d))
+        if d <= 3:
+            self.relators = tuple(f"{a}*{b}*{a}^-1*{b}^-1"
+                                  for a, b in combinations(labels, 2))
         super().__init__(f"Z^{d}", labels, ball_cap)
+        self.central_element = self.generators[0]
 
     def _identity_key(self):
         return (0,) * self.rank
@@ -378,9 +394,6 @@ class LatticeGroup(Group):
                 or not all(isinstance(x, int) for x in key)):
             raise ValueError(f"invalid vector {key!r} for {self.name}")
 
-    @property
-    def signature(self):
-        return ("lattice", self.rank)
 
     def format_key(self, key) -> str:
         if self.rank == 1:
@@ -401,6 +414,8 @@ class FreeGroup(Group):
     -i its inverse (1-based), with no adjacent cancelling pair.
     """
 
+    relators = ()
+
     def __init__(self, k: int, ball_cap: int = DEFAULT_BALL_CAP):
         if k < 1:
             raise ValueError(f"free rank must be at least 1, got {k}")
@@ -410,6 +425,8 @@ class FreeGroup(Group):
         else:
             labels = tuple(f"x{i + 1}" for i in range(k))
         super().__init__(f"free:{k}", labels, ball_cap)
+        if k == 1:
+            self.central_element = self.generators[0]
 
     def _identity_key(self):
         return ()
@@ -438,9 +455,6 @@ class FreeGroup(Group):
             if i > 0 and key[i - 1] == -letter:
                 raise ValueError(f"word {key!r} is not freely reduced")
 
-    @property
-    def signature(self):
-        return ("free", self.rank)
 
     def format_key(self, key) -> str:
         if not key:
@@ -463,10 +477,16 @@ class FreeGroup(Group):
 
 
 class InfiniteDihedralGroup(Group):
-    """Infinite dihedral group; normal form (a, e) encodes r^a s^e, e in {0, 1}."""
+    """Infinite dihedral group; normal form (a, e) encodes r^a s^e, e in {0, 1}.
+
+    The rotation r is conjugate only to itself and r^-1.
+    """
+
+    relators = ("s*s", "s*r*s*r")
 
     def __init__(self, ball_cap: int = DEFAULT_BALL_CAP):
         super().__init__("dihedral-inf", ("r", "s"), ball_cap)
+        self.finite_class_element = self.generators[0]
 
     def _identity_key(self):
         return (0, 0)
@@ -488,9 +508,6 @@ class InfiniteDihedralGroup(Group):
                 or not isinstance(key[0], int) or key[1] not in (0, 1)):
             raise ValueError(f"invalid normal form {key!r} for {self.name}")
 
-    @property
-    def signature(self):
-        return ("dihedral-inf",)
 
     def format_key(self, key) -> str:
         a, e = key
@@ -507,10 +524,16 @@ class HeisenbergGroup(Group):
 
     The product is the upper-triangular matrix product:
     (a, b, c) * (a', b', c') = (a + a', b + b', c + c' + a * b').
+    The commutator x*y*x^-1*y^-1 = (0, 0, 1) is central, and the relators
+    say so: they are its commutators with x and with y.
     """
+
+    relators = ("x*y*x^-1*y^-1*x*y*x*y^-1*x^-1*x^-1",
+                "x*y*x^-1*y^-1*y*y*x*y^-1*x^-1*y^-1")
 
     def __init__(self, ball_cap: int = DEFAULT_BALL_CAP):
         super().__init__("heisenberg", ("x", "y"), ball_cap)
+        self.central_element = GroupElement(self, (0, 0, 1))
 
     def _identity_key(self):
         return (0, 0, 0)
@@ -532,9 +555,6 @@ class HeisenbergGroup(Group):
                 or not all(isinstance(x, int) for x in key)):
             raise ValueError(f"invalid triple {key!r} for {self.name}")
 
-    @property
-    def signature(self):
-        return ("heisenberg",)
 
     def format_key(self, key) -> str:
         return "(" + ",".join(str(x) for x in key) + ")"
@@ -548,6 +568,8 @@ class HeisenbergGroup(Group):
 
 class SymmetricGroupS3(Group):
     """Symmetric group on three points, generated by the adjacent transpositions."""
+
+    relators = ("s1*s1", "s2*s2", "s1*s2*s1*s2*s1*s2")
 
     def __init__(self, ball_cap: int = DEFAULT_BALL_CAP):
         super().__init__("S3", ("s1", "s2"), ball_cap)
@@ -572,9 +594,6 @@ class SymmetricGroupS3(Group):
         if not isinstance(key, tuple) or sorted(key) != [0, 1, 2]:
             raise ValueError(f"invalid permutation {key!r} for {self.name}")
 
-    @property
-    def signature(self):
-        return ("S3",)
 
     def format_key(self, key) -> str:
         if key == (0, 1, 2):

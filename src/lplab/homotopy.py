@@ -80,7 +80,7 @@ class EquivariantCochain:
                 if x.word_length() > radius:
                     raise ValueError(
                         f"tail element {x} lies outside the radius-{radius} window")
-            if value.group.signature != group.signature:
+            if value.group.name != group.name:
                 raise ValueError("value belongs to a different group ring")
             if not value.is_zero():
                 clean[tail] = value
@@ -120,7 +120,7 @@ class EquivariantCochain:
     def __add__(self, other: "EquivariantCochain") -> "EquivariantCochain":
         if not isinstance(other, EquivariantCochain):
             return NotImplemented
-        if self.group.signature != other.group.signature:
+        if self.group.name != other.group.name:
             raise ValueError("cochains belong to different groups")
         if self.degree != other.degree:
             raise ValueError("cochains have different degrees")
@@ -147,7 +147,7 @@ class EquivariantCochain:
     def __eq__(self, other) -> bool:
         if not isinstance(other, EquivariantCochain):
             return NotImplemented
-        if (self.group.signature != other.group.signature
+        if (self.group.name != other.group.name
                 or self.degree != other.degree):
             return False
         keys = set(self.values) | set(other.values)

@@ -11,8 +11,10 @@ degree-one entry has augmentation zero; exactness of the catalog resolutions
 holds by construction and is not machine-checked.
 
 `RESOLUTION_CATALOG` holds one row per resolution name form (its `lab list`
-description, pattern and constructor).  Relator words are read by
-`parse_word`, which expands the pieces of `groups.word_pieces` into letters.
+description, pattern and constructor).  A `fox:` resolution is built from the
+relators its group class declares, read by `parse_word`, which expands the
+pieces of `groups.word_pieces` into letters; nothing here depends on the
+group's kind.
 """
 
 from __future__ import annotations
@@ -255,10 +257,6 @@ def parse_word(text: str, labels: tuple[str, ...]) -> Word:
     return reduce_word(letters)
 
 
-def word_inverse(word: Word) -> Word:
-    return tuple((idx, -exp) for idx, exp in reversed(word))
-
-
 def fox_derivative(group: Group, word: Word, gen_index: int) -> RingElement:
     """Free derivative of a word with respect to one generator.
 
@@ -310,40 +308,14 @@ def fox_partial_resolution(presentation: Presentation, group: Group) -> Resoluti
 
 def catalog_presentation(group_name: str,
                          ball_cap: int = DEFAULT_BALL_CAP) -> tuple[Presentation, Group]:
-    """Built-in presentation for a catalog group name."""
+    """Built-in presentation for a catalog group name: the relators its group
+    class declares."""
     group = group_from_name(group_name, ball_cap)
-    kind = group.signature[0]
+    if group.relators is None:
+        raise ValueError(f"no catalog presentation for group {group.name!r}")
     labels = group.generator_labels
-    if kind == "free":
-        return Presentation(labels, ()), group
-    if kind == "lattice":
-        d = group.signature[1]
-        if d > 3:
-            raise ValueError(f"no catalog presentation for lattice rank {d}")
-        relators = []
-        for i, j in combinations(range(d), 2):
-            a, b = labels[i], labels[j]
-            relators.append(parse_word(f"{a}*{b}*{a}^-1*{b}^-1", labels))
-        if not relators:
-            return Presentation(labels, ()), group
-        return Presentation(labels, tuple(relators)), group
-    if kind == "cyclic":
-        n = group.signature[1]
-        return Presentation(labels, (tuple([(0, 1)] * n),)), group
-    if kind == "dihedral-inf":
-        return Presentation(labels, (parse_word("s*s", labels),
-                                     parse_word("s*r*s*r", labels))), group
-    if kind == "heisenberg":
-        zw = parse_word("x*y*x^-1*y^-1", labels)
-        zw_inv = word_inverse(zw)
-        r1 = reduce_word(zw + ((0, 1),) + zw_inv + ((0, -1),))
-        r2 = reduce_word(zw + ((1, 1),) + zw_inv + ((1, -1),))
-        return Presentation(labels, (r1, r2)), group
-    if kind == "S3":
-        return Presentation(labels, (parse_word("s1*s1", labels),
-                                     parse_word("s2*s2", labels),
-                                     parse_word("s1*s2*s1*s2*s1*s2", labels))), group
-    raise ValueError(f"no catalog presentation for group {group_name!r}")
+    return Presentation(labels, tuple(parse_word(text, labels)
+                                      for text in group.relators)), group
 
 
 # -- bar resolution slice -------------------------------------------------------

@@ -5,7 +5,9 @@ finite radius; what can be certified is the trend of the p-norm distance from
 a representative to the truncated image as the ball grows, together with the
 decay of the duality pairing under translation along a central family.  Both
 are computed here, alongside exact-dimension homology ranks for finite cyclic
-groups where reduced and unreduced agree.
+groups where reduced and unreduced agree.  The central family is read off the
+group's declared `central_element` or `finite_class_element`, never off its
+kind.
 
 The truncated spaces and boundary matrices carry no exponent: p enters only
 as the norm a distance minimizes, so a curve over several p assembles each
@@ -262,49 +264,39 @@ class CentralSequence:
 
 
 def central_catalog(group: Group, count: int) -> CentralSequence:
-    """Central family for a catalog group, or a rejection naming the failure.
+    """Central family of a group, read off its declared elements.
 
-    Heisenberg gets powers of the commutator generator, lattices powers of the
-    first generator, the infinite dihedral group its rotation class sums.
-    Finite groups have no infinite central family; free groups of rank above
-    one have a trivial center and no nontrivial finite class.
+    The powers of its central element when that has infinite order;
+    otherwise the class sums of the first count powers of its finite-class
+    element; otherwise a rejection naming why.
     """
     if count < 1:
         raise ValueError(f"count must be at least 1, got {count}")
-    kind = group.signature[0]
-    if kind == "heisenberg":
-        base = group.element((0, 0, 1))
-    elif kind == "lattice":
-        base = group.generators[0]
-    elif kind == "dihedral-inf":
-        r = group.generators[0]
-        sums = tuple(class_sum(r ** n, DEFAULT_CLASS_CAP)
-                     for n in range(1, count + 1))
-        for u in sums:
-            if not u.is_central():
-                raise InvariantViolation(f"class sum {u} is not central")
-        if len({str(u) for u in sums}) != len(sums):
-            raise InvariantViolation("class sums are not pairwise distinct")
-        return CentralSequence(group, "class-sums", sums=sums)
-    elif kind in ("trivial", "cyclic", "S3"):
-        raise ValueError(
-            f"{group.name}: the group is finite, so its center has no "
-            f"infinite subset")
-    elif kind == "free" and group.signature[1] >= 2:
-        raise ValueError(
-            f"{group.name}: no infinite central family in catalog; the center "
-            f"is trivial and nontrivial conjugacy classes are infinite")
-    elif kind == "free":
-        base = group.generators[0]
+    base = group.central_element
+    if base is None:
+        reason = "no central element"
     else:
-        raise ValueError(f"{group.name}: no central family known")
-    if not RingElement.from_element(base).is_central():
-        raise InvariantViolation(f"catalog element {base} is not central")
-    for k in range(1, INFINITE_ORDER_POWER_CAP + 1):
-        if (base ** k).is_identity():
-            raise ValueError(
-                f"{group.name}: catalog element {base} has finite order {k}")
-    return CentralSequence(group, "powers", base=base)
+        order = next((k for k in range(1, INFINITE_ORDER_POWER_CAP + 1)
+                      if (base ** k).is_identity()), None)
+        if order is None:
+            if not RingElement.from_element(base).is_central():
+                raise InvariantViolation(
+                    f"declared element {base} is not central")
+            return CentralSequence(group, "powers", base=base)
+        reason = f"central element {base} of finite order {order}"
+    g = group.finite_class_element
+    if g is None:
+        raise ValueError(
+            f"{group.name}: no infinite central family: {reason} and no "
+            f"finite conjugacy class declared")
+    sums = tuple(class_sum(g ** n, DEFAULT_CLASS_CAP)
+                 for n in range(1, count + 1))
+    for u in sums:
+        if not u.is_central():
+            raise InvariantViolation(f"class sum {u} is not central")
+    if len({str(u) for u in sums}) != len(sums):
+        raise InvariantViolation("class sums are not pairwise distinct")
+    return CentralSequence(group, "class-sums", sums=sums)
 
 
 def translation_pairing_decay(y: Vector, x: Vector, sequence: CentralSequence,

@@ -5,8 +5,10 @@ from pathlib import Path
 import pytest
 
 from lplab import checks, cli
-from lplab.lp_complex import assemble_boundary
-from lplab.groups import GROUP_NAME_SYNTAX
+from lplab.group_ring import parse_ring_element
+from lplab.lp_complex import (TruncatedSpace, assemble_boundary, pairing,
+                              vector_from_ring_parts)
+from lplab.groups import GROUP_NAME_SYNTAX, group_from_name
 from lplab.resolutions import RESOLUTION_NAME_SYNTAX
 from lplab.cli import (
     ADJOINTNESS_HEADER,
@@ -145,6 +147,9 @@ def test_config_errors_name_their_field_once(tmp_path, capsys):
     ("radius", dict(experiment="translation-decay", group="Z^1",
                     indices="0..3", radius=-1)),
     ("N", dict(experiment="finite-homology", n=3, N=0)),
+    ("n", dict(experiment="finite-homology", n=1)),
+    ("degree", dict(experiment="distance-curve", resolution="cyclic-inf",
+                    R="1..3", degree=1)),
     ("n", dict(experiment="finite-index", n=1, m=2)),
     ("N", dict(experiment="finite-index", n=4, m=2, N=0)),
     ("max_ball", dict(experiment="verify-homotopy", group="Z^1", max_ball=0)),
@@ -184,6 +189,14 @@ def test_unknown_key_rejected(tmp_path):
     path.write_text("experiment=finite-homology\nbogus=1\n", encoding="utf-8")
     with pytest.raises(ValueError, match="unknown key"):
         parse_config(path)
+
+
+def test_repeated_key_rejected(tmp_path, capsys):
+    path = tmp_path / "twice.cfg"
+    path.write_text("experiment=distance-curve\nresolution=cyclic-inf\n"
+                    "R=1..3\nR=5\n", encoding="utf-8")
+    assert main(["run", str(path)]) == EXIT_CONFIG
+    assert f"{path}:4: repeated key 'R'" in capsys.readouterr().err
 
 
 def test_missing_config_file(tmp_path, capsys):
@@ -358,6 +371,26 @@ def test_translation_decay_with_exact_vectors(tmp_path):
     # pairing of delta at t^2 against the translate of delta at identity
     assert values[2] == 1.0
     assert all(value == 0.0 for idx, value in values.items() if idx != 2)
+
+
+@pytest.mark.parametrize("group, x, y", [
+    ("Z^2", "2*1 + 1*t1", "3*1 + 5*t1 + -1*t2"),
+    ("dihedral-inf", "2*1 + 1*r", "3*1 + 5*r + -1*s"),
+], ids=["Z^2", "dihedral-inf"])
+def test_translation_decay_index_zero_pairs_untranslated(tmp_path, group, x,
+                                                         y):
+    out = tmp_path / "zero.csv"
+    cfg = write_config(tmp_path, "zero.cfg", experiment="translation-decay",
+                       group=group, radius=2, indices=0, p=2, x=x, y=y,
+                       output=out)
+    assert main(["run", str(cfg)]) == EXIT_OK
+    rows = out.read_text().splitlines()[1:]
+    assert len(rows) == 1
+    g = group_from_name(group)
+    space = TruncatedSpace(g, 1, 2)
+    xv, yv = (vector_from_ring_parts(space, [parse_ring_element(g, text)])
+              for text in (x, y))
+    assert float(rows[0].split(",")[7]) == pairing(yv, xv) == 11.0
 
 
 def test_translation_decay_rejects_negative_class_indices(tmp_path, capsys):
