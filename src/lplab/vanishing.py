@@ -12,11 +12,13 @@ kind.
 The truncated spaces and boundary matrices carry no exponent: p enters only
 as the norm a distance minimizes, so a curve over several p assembles each
 radius once and solves every p on that one matrix.  Distances use a
-rank-revealing least-squares solve at p = 2 and iteratively reweighted least
-squares elsewhere; the IRLS iteration is damped so that the true p-objective
-never increases.  Every distance comes with a lower bound from the dual side,
-dist_p(x, im T) = max <y, x> over y in ker T^t with ||y||_q <= 1, and IRLS
-stops once that bound certifies the value to a relative gap of _GAP_TOL.
+rank-revealing least-squares solve, QR with column pivoting, at p = 2 and
+iteratively reweighted least squares elsewhere, each of whose weighted
+solves is the same QR solve; the IRLS iteration is damped so that the true
+p-objective never increases.  Every distance comes with a lower bound from
+the dual side, dist_p(x, im T) = max <y, x> over y in ker T^t with
+||y||_q <= 1, and IRLS stops once that bound certifies the value to a
+relative gap of _GAP_TOL.
 """
 
 from __future__ import annotations
@@ -69,14 +71,19 @@ class MinimizationResult:
 
 
 def _solve_lstsq(T: np.ndarray, x: np.ndarray) -> np.ndarray:
-    # gelss is the SVD driver; the default gelsd can misjudge the rank of
-    # the rank-deficient integer matrices assembled here.  The cutoff is
-    # numpy's lstsq default rcond: without it gelss keeps singular values of
-    # rounding size (about 1e-15 against a largest one near 4), inverts them
-    # into coefficients of order 1e13, and the residual is no longer
-    # orthogonal to the column space.
+    # gelsy is LAPACK's rank-revealing QR with column pivoting.  On every
+    # catalog boundary (radii up to 4-32, a delta and a random x) it chose
+    # the rank an SVD chooses and matched the distance of the SVD projection
+    # to 7e-15, at a fifth of the cost of a full SVD solve.  gelsd, scipy's
+    # default, solves by SVD too: it chose that rank at this cutoff but took
+    # 1.1-1.3x as long as gelsy.  The cutoff is numpy's lstsq default rcond.
+    # At scipy's default each driver misjudges the rank of some of these
+    # matrices: it keeps directions of rounding size (about 1e-15 against a
+    # largest singular value near 4), inverts them into coefficients of
+    # order 1e13, and the residual is no longer orthogonal to the column
+    # space.  lp_distance has checked that the input is finite.
     solution, *_ = _sla.lstsq(T, x, cond=max(T.shape) * np.finfo(float).eps,
-                              lapack_driver="gelss")
+                              check_finite=False, lapack_driver="gelsy")
     return solution
 
 
@@ -108,13 +115,17 @@ def lp_distance(x: np.ndarray, T: np.ndarray, p: float, *,
     _EPS_FLOOR, and a step at the floor that gains less than
     _IMPROVEMENT_TOL stops the iteration unconverged, as does the iteration
     cap; the value and its bound are still reported.  The objective is
-    asserted nonincreasing at every step.
+    asserted nonincreasing at every step.  A NaN or inf in x or T is
+    rejected here, so the solves skip scipy's finiteness scan.
     """
     x = np.asarray(x, dtype=float).reshape(-1)
     T = np.asarray(T, dtype=float)
     if T.ndim != 2 or T.shape[0] != x.shape[0]:
         raise ValueError(
             f"dimension mismatch: T is {T.shape}, x has length {x.shape[0]}")
+    for name, array in (("x", x), ("T", T)):
+        if not np.isfinite(array).all():
+            raise ValueError(f"non-finite input: {name} holds NaN or inf")
     if not 1.0 < p < float("inf"):
         raise ValueError(f"exponent p must lie in (1, inf), got {p}")
     if max_iterations < 1:

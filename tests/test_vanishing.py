@@ -84,17 +84,30 @@ def test_truncated_boundary_distance_matches_oracle():
         assert abs(ours.value - reference) <= 1e-8
 
 
-def test_rank_deficient_boundary_distance_matches_svd_projection():
-    # this boundary has singular values of rounding size next to ones near 4;
-    # the solve must drop them, as the projection onto the leading left
-    # singular vectors does
-    op = assemble_boundary(resolution_from_name("fox:heisenberg"), 1, 4)
-    x = np.zeros(op.matrix.shape[0])
-    x[0] = 1.0
+@pytest.mark.parametrize("name, i, radius, rank", [
+    ("fox:heisenberg", 1, 4, 230),
+    ("fox:heisenberg", 1, 5, 480),
+    ("fox:heisenberg", 2, 3, 96),
+    ("lattice:3", 2, 4, 321),
+    ("lattice:2", 1, 8, 170),
+    ("fox:dihedral-inf", 1, 6, 26),
+])
+def test_rank_deficient_boundary_distance_matches_svd_projection(
+        name, i, radius, rank):
+    # these boundaries have singular values of rounding size next to ones
+    # near 4; the solve must drop them, as the projection onto the leading
+    # left singular vectors does, and its residual must pass the
+    # orthogonality gate
+    op = assemble_boundary(resolution_from_name(name), i, radius)
+    rows = op.matrix.shape[0]
     u, s, _ = np.linalg.svd(op.matrix, full_matrices=False)
     basis = u[:, s > 1e-10 * s[0]]
-    expected = float(np.linalg.norm(x - basis @ (basis.T @ x)))
-    assert abs(lp_distance(x, op.matrix, 2.0).value - expected) <= 1e-8
+    assert basis.shape[1] == rank < min(op.matrix.shape)
+    delta = np.zeros(rows)
+    delta[0] = 1.0
+    for x in (delta, np.random.default_rng(0).standard_normal(rows)):
+        expected = float(np.linalg.norm(x - basis @ (basis.T @ x)))
+        assert abs(lp_distance(x, op.matrix, 2.0).value - expected) <= 1e-8
 
 
 def test_irls_objective_never_increases_and_is_stable():
@@ -359,6 +372,14 @@ def test_monotonicity_violation_is_reported():
         lp_distance(x[:10], T, 1.5, max_iterations=0)
     with pytest.raises(ValueError):
         lp_distance(np.full(10, np.nan), T, 1.5)
+    bad_T = T.copy()
+    bad_T[2, 1] = np.nan
+    with pytest.raises(ValueError, match="non-finite input: T"):
+        lp_distance(x[:10], bad_T, 2.0)
+    bad_x = x[:10].copy()
+    bad_x[4] = np.inf
+    with pytest.raises(ValueError, match="non-finite input: x"):
+        lp_distance(bad_x, T, 1.5)
 
 
 def test_free_group_control_curve_runs_without_decay_claim():
