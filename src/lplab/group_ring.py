@@ -90,12 +90,6 @@ class RingElement:
         return RingElement._trusted(
             self.group, {g: c * factor for g, c in self._coeffs.items()})
 
-    def left_translate(self, g: GroupElement) -> "RingElement":
-        """g times this element: the support moves by g, coefficients stay."""
-        self.group._require_member(g)
-        return RingElement._trusted(
-            self.group, {g * a: c for a, c in self._coeffs.items()})
-
     def __mul__(self, other):
         if isinstance(other, RingElement):
             return self.convolve(other)

@@ -14,6 +14,10 @@ such a word in the generator labels.  `GROUP_CATALOG` holds one row per
 group name form; `from_catalog` resolves names in it and in the resolution
 catalog.
 
+Each group keeps an `ElementTable`: integer ids for the elements it has
+met, with products, inverses and word lengths cached by id.  The exact
+homotopy kernel runs on these ids; `Group.intern` is its checked entry.
+
 A group kind is one class plus one catalog row: the class declares every
 fact about its kind (see `Group`), no other module branches on the kind, and
 two groups are the same iff their names are.
@@ -93,6 +97,54 @@ class GroupElement:
         return f"{self.group.name}!{self.group.format_key(self.key)}"
 
 
+class _Filled(dict):
+    """A dict that computes a missing entry on first lookup and keeps it."""
+
+    __slots__ = ("_fill",)
+
+    def __init__(self, fill):
+        super().__init__()
+        self._fill = fill
+
+    def __missing__(self, key):
+        value = self[key] = self._fill(key)
+        return value
+
+
+class ElementTable:
+    """Integer ids for the elements of one group, with the group operations
+    cached by id.  Every entry is filled on first lookup.
+
+    - `ids[key]` is the id of the element with that normal form: 0 for the
+      identity, the next free id for a key not seen before;
+    - `elements[i]` is the element with id i;
+    - `products[i, j]` is the id of the product, computed once by
+      `Group.mul`;
+    - `inverses[i]` and `lengths[i]` are the id of the inverse and the word
+      length.
+
+    Keys are not checked here; `Group.intern` is the checked entry.
+    """
+
+    __slots__ = ("elements", "ids", "products", "inverses", "lengths")
+
+    def __init__(self, group: "Group"):
+        elements = [group.identity]
+
+        def new_id(key) -> int:
+            elements.append(GroupElement(group, key))
+            return len(elements) - 1
+
+        ids = _Filled(new_id)
+        ids[group.identity.key] = 0
+        self.elements = elements
+        self.ids = ids
+        self.products = _Filled(
+            lambda ij: ids[group.mul(elements[ij[0]], elements[ij[1]]).key])
+        self.inverses = _Filled(lambda i: ids[group.inverse(elements[i]).key])
+        self.lengths = _Filled(lambda i: group.word_length(elements[i]))
+
+
 class Group:
     """Shared machinery: exact operations plus a cached breadth-first ball.
 
@@ -132,6 +184,7 @@ class Group:
         self._layers: list[list[GroupElement]] | None = None
         self._dist: dict = {}
         self._exhausted = False
+        self.table = ElementTable(self)
 
     # -- per-kind interface -------------------------------------------------
 
@@ -176,6 +229,11 @@ class Group:
             raise ValueError(
                 f"cross-group operand: expected an element of {self.name}, got {a!r}"
             )
+
+    def intern(self, a: GroupElement) -> int:
+        """Id of a in this group's `ElementTable`, after checking membership."""
+        self._require_member(a)
+        return self.table.ids[a.key]
 
     def mul(self, a: GroupElement, b: GroupElement) -> GroupElement:
         self._require_member(a)

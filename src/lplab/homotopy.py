@@ -1,8 +1,15 @@
 """Bar-complex coboundary, the degree-lowering homotopy attached to a central
 multiplier, and exact residual measurements for class-sum variants.
 
-Everything here runs in exact rational arithmetic: the homotopy identity is an
-algebraic statement and floating error would blur it into a tolerance.
+Everything here is exact: the homotopy identity is an algebraic statement
+and floating error would blur it into a tolerance.  The kernel runs on
+interned data.  Group elements are the integer ids of the group's
+`ElementTable`, and a cochain holds its values as integer coefficients over
+one common denominator, the lcm of its coefficient denominators.  Every
+operator is Z-linear with integer multipliers, so each intermediate value
+shares that denominator and a residual comes out as a literal integer over
+it; exact zero stays literal 0.  Elements and `RingElement` values are
+converted, and checked, only where they enter or leave.
 
 A cochain is stored on its equivariant slice, the argument tuples with leading
 identity that resolutions.bar_resolution_basis enumerates (and caps at the
@@ -18,11 +25,19 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache, partial
+from itertools import product
+from math import gcd, lcm
 from random import Random
 
-from .groups import Group, GroupElement
-from .group_ring import RingElement, signed_sum
-from .resolutions import BAR_DEGREE_CAP, bar_resolution_basis
+from .groups import ElementTable, Group, GroupElement
+from .group_ring import RingElement
+from .resolutions import BAR_DEGREE_CAP, bar_slice_ball
+
+# An interned value: element id -> integer coefficient over the cochain's
+# common denominator.  Zero coefficients may appear in intermediate values.
+IdValue = dict[int, int]
+IdTuple = tuple[int, ...]
 
 
 class WindowUnderflowError(ValueError):
@@ -33,21 +48,32 @@ class WindowUnderflowError(ValueError):
         self.required_radius = required_radius
 
 
-def _slice_reader(group: Group, radius: int, values: dict, truncated: bool):
-    """Stored value at a slice tuple (1, *tail).  Closing over the values
-    rather than the cochain keeps a cochain free of reference cycles."""
+def _slice_tuples(group: Group, degree: int, radius: int):
+    """The tuples of bar_resolution_basis as ids, in the same order."""
+    ids = group.table.ids
+    ball = [ids[x.key] for x in bar_slice_ball(group, degree, radius)]
+    return ((0,) + tail for tail in product(ball, repeat=degree))
 
-    def slice_value(args: tuple[GroupElement, ...]) -> RingElement:
+
+def _slice_reader(table: ElementTable, radius: int, numerators: dict,
+                  truncated: bool):
+    """Stored value at a slice tuple (0, *tail).  Closing over the values
+    rather than the cochain keeps a cochain free of reference cycles."""
+    lengths = table.lengths
+
+    def slice_value(args: IdTuple) -> IdValue:
         tail = args[1:]
-        value = values.get(tail)
+        value = numerators.get(tail)
         if value is not None:
             return value
-        if truncated and any(x.word_length() > radius for x in tail):
-            raise WindowUnderflowError(
-                f"tail {tuple(str(x) for x in tail)} lies outside the stored "
-                f"radius-{radius} window",
-                required_radius=max(x.word_length() for x in tail))
-        return RingElement.zero(group)
+        if truncated:
+            longest = max(map(lengths.__getitem__, tail), default=0)
+            if longest > radius:
+                raise WindowUnderflowError(
+                    f"tail {tuple(str(table.elements[x]) for x in tail)} lies "
+                    f"outside the stored radius-{radius} window",
+                    required_radius=longest)
+        return {}
 
     return slice_value
 
@@ -59,9 +85,14 @@ class EquivariantCochain:
     ring elements; the value at a general tuple (g, g x_1, ..., g x_n) is g
     times the stored value.  With truncated=False missing tails are zero;
     with truncated=True tails outside the window raise WindowUnderflowError.
+
+    The values are checked and interned once, here: `numerators` maps id
+    tails to {element id: integer}, and a coefficient is that integer over
+    `denominator`, the lcm of the coefficient denominators.
     """
 
-    __slots__ = ("group", "degree", "radius", "values", "truncated", "_layer")
+    __slots__ = ("group", "degree", "radius", "truncated", "numerators",
+                 "denominator", "_layer")
 
     def __init__(self, group: Group, degree: int, radius: int, values,
                  truncated: bool = False):
@@ -69,45 +100,114 @@ class EquivariantCochain:
             raise ValueError(f"degree must lie in 0..{BAR_DEGREE_CAP}, got {degree}")
         if radius < 0:
             raise ValueError(f"radius must be nonnegative, got {radius}")
-        clean: dict[tuple[GroupElement, ...], RingElement] = {}
+        table = group.table
+        fractions: dict[IdTuple, dict[int, Fraction]] = {}
         for tail, value in (values.items() if hasattr(values, "items") else values):
             tail = tuple(tail)
             if len(tail) != degree:
                 raise ValueError(
                     f"tail {tail} has length {len(tail)}, expected {degree}")
-            for x in tail:
-                group._require_member(x)
-                if x.word_length() > radius:
+            ids = tuple(group.intern(x) for x in tail)
+            for x in ids:
+                if table.lengths[x] > radius:
                     raise ValueError(
-                        f"tail element {x} lies outside the radius-{radius} window")
+                        f"tail element {table.elements[x]} lies outside the "
+                        f"radius-{radius} window")
             if value.group.name != group.name:
                 raise ValueError("value belongs to a different group ring")
             if not value.is_zero():
-                clean[tail] = value
+                fractions[ids] = {table.ids[g.key]: c
+                                  for g, c in value.items_sorted()}
+        denominator = lcm(*(c.denominator for value in fractions.values()
+                            for c in value.values()))
+        numerators = {tail: {g: c.numerator * (denominator // c.denominator)
+                             for g, c in value.items()}
+                      for tail, value in fractions.items()}
+        self._store(group, int(degree), int(radius), numerators, denominator,
+                    bool(truncated))
+
+    def _store(self, group: Group, degree: int, radius: int, numerators: dict,
+               denominator: int, truncated: bool):
+        """Keep interned values: drop zeros and reduce the numerators and the
+        denominator by their common factor, so equal cochains store equal
+        data."""
+        common = gcd(denominator, *(c for value in numerators.values()
+                                    for c in value.values()))
+        numerators = {tail: nonzero for tail, value in numerators.items()
+                      if (nonzero := {g: c // common for g, c in value.items() if c})}
+        denominator //= common
         self.group = group
-        self.degree = int(degree)
-        self.radius = int(radius)
-        self.values = clean
-        self.truncated = bool(truncated)
+        self.degree = degree
+        self.radius = radius
+        self.truncated = truncated
+        self.numerators = numerators
+        self.denominator = denominator
         self._layer = _shifted_layer(
-            group, _slice_reader(group, self.radius, clean, self.truncated))
+            group.table, _slice_reader(group.table, radius, numerators, truncated))
+
+    @classmethod
+    def _interned(cls, group: Group, degree: int, radius: int, numerators: dict,
+                  denominator: int, truncated: bool) -> "EquivariantCochain":
+        """A cochain from interned values whose tails are already checked."""
+        phi = object.__new__(cls)
+        phi._store(group, degree, radius, numerators, denominator, truncated)
+        return phi
+
+    def _on(self, group: Group) -> "EquivariantCochain":
+        """This cochain over group, which must have the same name.  Ids are
+        per instance (each `Group` numbers elements in the order it meets
+        them), so a cochain built on another instance of the same group is
+        re-interned before its values meet this group's ids."""
+        if group is self.group:
+            return self
+        if group.name != self.group.name:
+            raise ValueError("cochains belong to different groups")
+        elements, ids = self.group.table.elements, group.table.ids
+
+        def move(x: int) -> int:
+            return ids[elements[x].key]
+
+        return EquivariantCochain._interned(
+            group, self.degree, self.radius,
+            {tuple(map(move, tail)): {move(g): c for g, c in value.items()}
+             for tail, value in self.numerators.items()},
+            self.denominator, self.truncated)
+
+    def _intern_args(self, args, arity: int) -> IdTuple:
+        args = tuple(args)
+        if len(args) != arity:
+            raise ValueError(f"expected {arity} arguments, got {len(args)}")
+        return tuple(self.group.intern(x) for x in args)
+
+    def _ring_element(self, value: IdValue) -> RingElement:
+        elements = self.group.table.elements
+        return RingElement(self.group, [(elements[g], Fraction(c, self.denominator))
+                                        for g, c in value.items() if c])
+
+    @property
+    def values(self) -> dict[tuple[GroupElement, ...], RingElement]:
+        """The stored slice values as ring elements, keyed by element tails."""
+        elements = self.group.table.elements
+        return {tuple(elements[x] for x in tail): self._ring_element(value)
+                for tail, value in self.numerators.items()}
 
     def value_at_tail(self, tail: tuple[GroupElement, ...]) -> RingElement:
         """Stored value at a slice tuple (1, *tail)."""
-        return self._layer((self.group.identity,) + tuple(tail))
+        return self._ring_element(
+            self._layer((0,) + self._intern_args(tail, self.degree)))
 
     def eval(self, args: tuple[GroupElement, ...]) -> RingElement:
         """Value at a general argument tuple, via the equivariant shift."""
-        if len(args) != self.degree + 1:
-            raise ValueError(
-                f"expected {self.degree + 1} arguments, got {len(args)}")
-        return self._layer(tuple(args))
+        return self._ring_element(
+            self._layer(self._intern_args(args, self.degree + 1)))
 
     def scale(self, factor) -> "EquivariantCochain":
-        return EquivariantCochain(
+        factor = Fraction(factor)
+        return EquivariantCochain._interned(
             self.group, self.degree, self.radius,
-            {tail: value.scale(factor) for tail, value in self.values.items()},
-            self.truncated)
+            {tail: {g: c * factor.numerator for g, c in value.items()}
+             for tail, value in self.numerators.items()},
+            self.denominator * factor.denominator, self.truncated)
 
     def __rmul__(self, factor):
         if isinstance(factor, (int, Fraction)):
@@ -120,8 +220,7 @@ class EquivariantCochain:
     def __add__(self, other: "EquivariantCochain") -> "EquivariantCochain":
         if not isinstance(other, EquivariantCochain):
             return NotImplemented
-        if self.group.name != other.group.name:
-            raise ValueError("cochains belong to different groups")
+        other = other._on(self.group)
         if self.degree != other.degree:
             raise ValueError("cochains have different degrees")
         truncated = self.truncated or other.truncated
@@ -129,17 +228,19 @@ class EquivariantCochain:
             radius = min(self.radius, other.radius)
         else:
             radius = max(self.radius, other.radius)
-        merged: dict[tuple[GroupElement, ...], RingElement] = {}
+        lengths = self.group.table.lengths
+        denominator = lcm(self.denominator, other.denominator)
+        merged: dict[IdTuple, IdValue] = {}
         for source in (self, other):
-            for tail, value in source.values.items():
-                if truncated and any(x.word_length() > radius for x in tail):
+            multiplier = denominator // source.denominator
+            for tail, value in source.numerators.items():
+                if truncated and any(lengths[x] > radius for x in tail):
                     continue
-                if tail in merged:
-                    merged[tail] = merged[tail] + value
-                else:
-                    merged[tail] = value
-        return EquivariantCochain(self.group, self.degree, radius, merged,
-                                  truncated)
+                acc = merged.setdefault(tail, {})
+                for g, c in value.items():
+                    acc[g] = acc.get(g, 0) + multiplier * c
+        return EquivariantCochain._interned(self.group, self.degree, radius,
+                                            merged, denominator, truncated)
 
     def __sub__(self, other: "EquivariantCochain") -> "EquivariantCochain":
         return self + (-other)
@@ -147,20 +248,19 @@ class EquivariantCochain:
     def __eq__(self, other) -> bool:
         if not isinstance(other, EquivariantCochain):
             return NotImplemented
-        if (self.group.name != other.group.name
-                or self.degree != other.degree):
+        if self.group.name != other.group.name:
             return False
-        keys = set(self.values) | set(other.values)
-        zero = RingElement.zero(self.group)
-        return all(self.values.get(k, zero) == other.values.get(k, zero)
-                   for k in keys)
+        other = other._on(self.group)
+        return (self.degree == other.degree
+                and self.denominator == other.denominator
+                and self.numerators == other.numerators)
 
     __hash__ = None
 
     def __repr__(self) -> str:
         flavor = "truncated" if self.truncated else "supported"
         return (f"<cochain degree={self.degree} radius={self.radius} "
-                f"{flavor} on {self.group.name}, {len(self.values)} tails>")
+                f"{flavor} on {self.group.name}, {len(self.numerators)} tails>")
 
 
 def zero_cochain(group: Group, degree: int, radius: int) -> EquivariantCochain:
@@ -171,77 +271,96 @@ def random_cochain(group: Group, degree: int, radius: int,
                    rng: Random) -> EquivariantCochain:
     """Dense random cochain on the window: each value has one or two terms on
     the radius-2 ball with small random rational coefficients."""
-    basis = bar_resolution_basis(group, degree, radius)
-    value_ball = group.ball(2)
-    values = {}
-    for args in basis:
-        terms = []
+    ids = group.table.ids
+    value_ball = [ids[g.key] for g in group.ball(2)]
+    # every coefficient is a/b with 1 <= b <= 9, so lcm(1, ..., 9) is a
+    # common denominator; storing reduces it to the lcm of the actual ones
+    denominator = lcm(*range(1, 10))
+    numerators = {}
+    for args in _slice_tuples(group, degree, radius):
+        value: IdValue = {}
         for _ in range(rng.randint(1, 2)):
             g = value_ball[rng.randrange(len(value_ball))]
-            coeff = Fraction(rng.randint(-9, 9), rng.randint(1, 9))
-            terms.append((g, coeff))
-        values[args[1:]] = RingElement(group, terms)
-    return EquivariantCochain(group, degree, radius, values, truncated=False)
+            a, b = rng.randint(-9, 9), rng.randint(1, 9)
+            value[g] = value.get(g, 0) + a * (denominator // b)
+        numerators[args[1:]] = value
+    return EquivariantCochain._interned(group, degree, radius, numerators,
+                                        denominator, truncated=False)
 
 
 # -- formula evaluation ----------------------------------------------------------
 #
 # Operators are evaluated lazily through "layers": callables taking a full
-# argument tuple.  Each layer first shifts its tuple to the slice (this is the
-# definition of evaluation for an equivariant cochain) and then expands its
-# defining formula there, delegating inner evaluations to the layer below.
+# argument tuple of ids.  Each layer first shifts its tuple to the slice (this
+# is the definition of evaluation for an equivariant cochain) and then expands
+# its defining formula there, delegating inner evaluations to the layer below.
 # The bottom layer of every stack is a cochain's own _layer, which reads the
-# stored slice values.
+# stored slice values.  Layers return their values without copying, so no
+# caller may modify a value it receives.
 
 
-def _shifted_layer(group: Group, slice_eval):
-    identity = group.identity
+def _linear_sum(terms) -> IdValue:
+    """Sum of m * value over (m, value) pairs with integer multipliers m."""
+    out: IdValue = {}
+    get = out.get
+    for m, value in terms:
+        for g, c in value.items():
+            out[g] = get(g, 0) + m * c
+    return out
 
-    def layer(args: tuple[GroupElement, ...]) -> RingElement:
+
+def _translate(products, head: int, value: IdValue) -> IdValue:
+    """head times value: the support moves by head, coefficients stay."""
+    return {products[head, g]: c for g, c in value.items()}
+
+
+def _shifted_layer(table: ElementTable, slice_eval):
+    products, inverses = table.products, table.inverses
+
+    def layer(args: IdTuple) -> IdValue:
         head = args[0]
-        if head.is_identity():
+        if not head:
             return slice_eval(args)
-        shift = head.inverse()
-        shifted = (identity,) + tuple(shift * x for x in args[1:])
-        return slice_eval(shifted).left_translate(head)
+        shift = inverses[head]
+        shifted = (0,) + tuple([products[shift, x] for x in args[1:]])
+        return _translate(products, head, slice_eval(shifted))
 
     return layer
 
 
-def _coboundary_layer(group: Group, inner):
+def _coboundary_layer(table: ElementTable, inner):
     """Alternating sum over argument omissions."""
 
-    def slice_eval(args: tuple[GroupElement, ...]) -> RingElement:
-        return signed_sum(group, ((-1 if i % 2 else 1, inner(args[:i] + args[i + 1:]))
-                                  for i in range(len(args))))
+    def slice_eval(args: IdTuple) -> IdValue:
+        return _linear_sum((-1 if i % 2 else 1, inner(args[:i] + args[i + 1:]))
+                           for i in range(len(args)))
 
-    return _shifted_layer(group, slice_eval)
+    return _shifted_layer(table, slice_eval)
 
 
-def _homotopy_sum(group: Group, inner, multipliers: tuple[GroupElement, ...],
-                  args: tuple[GroupElement, ...]) -> RingElement:
+def _homotopy_sum(table: ElementTable, inner, multipliers: IdTuple,
+                  args: IdTuple) -> IdValue:
     """Duplicate the k-th argument, translating the tail by each multiplier,
     with alternating signs (minus for even k)."""
+    products = table.products
     n = len(args) - 1
-    return signed_sum(group, ((1 if k % 2 else -1,
-                               inner(args[:k + 1] + tuple(g * x for x in args[k:])))
-                              for g in multipliers for k in range(n + 1)))
+    return _linear_sum(
+        (1 if k % 2 else -1,
+         inner(args[:k + 1] + tuple([products[g, x] for x in args[k:]])))
+        for g in multipliers for k in range(n + 1))
 
 
-def _homotopy_layer(group: Group, inner, multipliers: tuple[GroupElement, ...]):
+def _homotopy_layer(table: ElementTable, inner, multipliers: IdTuple):
     """Degree-lowering homotopy, evaluated on the slice and shifted."""
-
-    def slice_eval(args: tuple[GroupElement, ...]) -> RingElement:
-        return _homotopy_sum(group, inner, multipliers, args)
-
-    return _shifted_layer(group, slice_eval)
+    return _shifted_layer(table, partial(_homotopy_sum, table, inner, multipliers))
 
 
-def _materialize(group: Group, layer, degree: int,
+def _materialize(phi: EquivariantCochain, layer, degree: int,
                  radius: int) -> EquivariantCochain:
     values = {args[1:]: layer(args)
-              for args in bar_resolution_basis(group, degree, radius)}
-    return EquivariantCochain(group, degree, radius, values, truncated=True)
+              for args in _slice_tuples(phi.group, degree, radius)}
+    return EquivariantCochain._interned(phi.group, degree, radius, values,
+                                        phi.denominator, truncated=True)
 
 
 def coboundary(phi: EquivariantCochain,
@@ -263,8 +382,8 @@ def coboundary(phi: EquivariantCochain,
                 f"have {phi.radius}", required_radius=2 * radius)
     elif radius is None:
         radius = phi.radius
-    layer = _coboundary_layer(phi.group, phi._layer)
-    return _materialize(phi.group, layer, phi.degree + 1, radius)
+    layer = _coboundary_layer(phi.group.table, phi._layer)
+    return _materialize(phi, layer, phi.degree + 1, radius)
 
 
 def require_central(element: GroupElement):
@@ -308,8 +427,8 @@ def multiplier_homotopy(phi: EquivariantCochain, central_element: GroupElement,
                 required_radius=max(radius, 0) + length)
     elif radius is None:
         radius = phi.radius
-    layer = _homotopy_layer(group, phi._layer, (central_element,))
-    return _materialize(group, layer, phi.degree - 1, radius)
+    layer = _homotopy_layer(group.table, phi._layer, (group.intern(central_element),))
+    return _materialize(phi, layer, phi.degree - 1, radius)
 
 
 @dataclass(frozen=True)
@@ -326,40 +445,49 @@ class ResidualReport:
     worst_tail: tuple[GroupElement, ...] | None = None
 
 
-def _residual_scan(phi: EquivariantCochain, multipliers: tuple[GroupElement, ...],
-                   target_scale: int, target_translate: RingElement,
+def _residual_scan(phi: EquivariantCochain, multipliers: IdTuple,
                    eval_radius: int | None) -> ResidualReport:
+    """Residual of dJ + Jd against len(multipliers) minus the translates by
+    the multipliers, at every slice tuple of the evaluation window."""
     group = phi.group
+    table = group.table
+    products = table.products
     radius = phi.radius if eval_radius is None else eval_radius
     base = phi._layer
-    d_phi = _coboundary_layer(group, base)
-    j_d_phi = _homotopy_layer(group, d_phi, multipliers)
-    j_phi = _homotopy_layer(group, base, multipliers)
-    d_j_phi = _coboundary_layer(group, j_phi)
-    max_abs = Fraction(0)
+    d_phi = _coboundary_layer(table, base)
+    j_d_phi = _homotopy_layer(table, d_phi, multipliers)
+    # The coboundary reads j_phi at the omissions of each tuple, and those
+    # slices recur from tuple to tuple; this cache lives for one scan.
+    j_phi = _shifted_layer(table, cache(partial(_homotopy_sum, table, base,
+                                                multipliers)))
+    d_j_phi = _coboundary_layer(table, j_phi)
+    target_scale = -len(multipliers)
+    worst = 0
     worst_tail = None
     checked = skipped = 0
-    for args in bar_resolution_basis(group, phi.degree, radius):
+    for args in _slice_tuples(group, phi.degree, radius):
         try:
             value = base(args)
-            diff = signed_sum(group, ((1, d_j_phi(args)), (1, j_d_phi(args)),
-                                      (-1, value.scale(target_scale)),
-                                      (1, target_translate * value)))
+            terms = [(1, d_j_phi(args)), (1, j_d_phi(args)), (target_scale, value)]
+            terms.extend((1, _translate(products, g, value)) for g in multipliers)
         except WindowUnderflowError:
             skipped += 1
             continue
         checked += 1
-        for _, coeff in diff.items_sorted():
-            if abs(coeff) > max_abs:
-                max_abs = abs(coeff)
-                worst_tail = args[1:]
+        top = max(map(abs, _linear_sum(terms).values()), default=0)
+        if top > worst:
+            worst = top
+            worst_tail = args[1:]
     if checked == 0:
         raise WindowUnderflowError(
             "no argument tuple keeps every intermediate inside the stored "
             f"window of radius {phi.radius}",
             required_radius=2 * radius + max(
-                (g.word_length() for g in multipliers), default=0))
-    return ResidualReport(max_abs, checked, skipped, worst_tail)
+                (table.lengths[g] for g in multipliers), default=0))
+    if worst_tail is not None:
+        worst_tail = tuple(table.elements[x] for x in worst_tail)
+    return ResidualReport(Fraction(worst, phi.denominator), checked, skipped,
+                          worst_tail)
 
 
 def homotopy_residual(phi: EquivariantCochain, central_element: GroupElement,
@@ -387,17 +515,12 @@ def class_sum_homotopy_residual(phi: EquivariantCochain, class_elements,
     assertion: singleton central classes must give zero, anything else is
     reported as computed.
     """
-    elements = sorted(set(class_elements))
-    if not elements:
+    multipliers = tuple(sorted({phi.group.intern(g) for g in class_elements}))
+    if not multipliers:
         raise ValueError("class must be nonempty")
-    group = phi.group
-    for g in elements:
-        group._require_member(g)
     if phi.degree < 1:
         raise ValueError("need degree >= 1")
-    class_sum_element = RingElement(group, [(g, Fraction(1)) for g in elements])
-    return _residual_scan(phi, tuple(elements), len(elements),
-                          class_sum_element, eval_radius)
+    return _residual_scan(phi, multipliers, eval_radius)
 
 
 def equivariance_defect(phi: EquivariantCochain,
@@ -410,15 +533,19 @@ def equivariance_defect(phi: EquivariantCochain,
     value at the slice; zero certifies that storing the slice loses nothing.
     """
     group = phi.group
+    table = group.table
+    products = table.products
+    multipliers = tuple(group.intern(g) for g in multipliers)
+    shifts = tuple(group.intern(a) for a in shifts)
     radius = phi.radius if eval_radius is None else eval_radius
 
-    worst = Fraction(0)
-    for slice_args in bar_resolution_basis(group, phi.degree - 1, radius):
-        base = _homotopy_sum(group, phi._layer, multipliers, slice_args)
+    worst = 0
+    for slice_args in _slice_tuples(group, phi.degree - 1, radius):
+        base = _homotopy_sum(table, phi._layer, multipliers, slice_args)
         for a in shifts:
-            moved = tuple(a * x for x in slice_args)
-            diff = (_homotopy_sum(group, phi._layer, multipliers, moved)
-                    - base.left_translate(a))
-            for _, coeff in diff.items_sorted():
-                worst = max(worst, abs(coeff))
-    return worst
+            moved = tuple([products[a, x] for x in slice_args])
+            diff = _linear_sum(
+                ((1, _homotopy_sum(table, phi._layer, multipliers, moved)),
+                 (-1, _translate(products, a, base))))
+            worst = max(worst, max(map(abs, diff.values()), default=0))
+    return Fraction(worst, phi.denominator)

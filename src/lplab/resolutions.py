@@ -321,13 +321,10 @@ def catalog_presentation(group_name: str,
 # -- bar resolution slice -------------------------------------------------------
 
 
-def bar_resolution_basis(group: Group, degree: int,
-                         radius: int) -> list[tuple[GroupElement, ...]]:
-    """Tuples (1, x_1, ..., x_n) with every x_i in the radius ball.
-
-    These index the equivariant slice of the degree-n piece of the standard
-    resolution; a cochain is determined by its values here.
-    """
+def bar_slice_ball(group: Group, degree: int, radius: int) -> list[GroupElement]:
+    """The radius ball whose degree-fold product indexes the degree-n slice
+    (see bar_resolution_basis), after checking the degree and that the
+    number of tuples stays within the group's ball_cap."""
     if not 0 <= degree <= BAR_DEGREE_CAP:
         raise ValueError(f"degree must lie in 0..{BAR_DEGREE_CAP}, got {degree}")
     ball = group.ball(radius)
@@ -335,8 +332,19 @@ def bar_resolution_basis(group: Group, degree: int,
     if count > group.ball_cap:
         raise BallCapError(
             f"{count} bar tuples would exceed the cap of {group.ball_cap}")
+    return ball
+
+
+def bar_resolution_basis(group: Group, degree: int,
+                         radius: int) -> list[tuple[GroupElement, ...]]:
+    """Tuples (1, x_1, ..., x_n) with every x_i in the radius ball.
+
+    These index the equivariant slice of the degree-n piece of the standard
+    resolution; a cochain is determined by its values here.
+    """
     e = group.identity
-    return [(e,) + tail for tail in product(ball, repeat=degree)]
+    return [(e,) + tail
+            for tail in product(bar_slice_ball(group, degree, radius), repeat=degree)]
 
 
 RESOLUTION_CATALOG = (

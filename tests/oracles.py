@@ -9,23 +9,27 @@ singular values.  The oracles must not share code paths with the library.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import product
 
 import numpy as np
 
 
+def product_set_layers(group, radius):
+    """Key sets by word length: layer i holds the products of i symmetric
+    generators that no shorter product reaches."""
+    gens = [g.key for g in group.symmetric_generators]
+    layers = [{group.identity.key}]
+    seen = set(layers[0])
+    for _ in range(radius):
+        nxt = {group._mul_keys(key, gk) for key in layers[-1] for gk in gens}
+        layers.append(nxt - seen)
+        seen |= nxt
+    return layers
+
+
 def product_set_ball(group, radius):
     """All products of at most `radius` symmetric generators, as a key set."""
-    gens = [g.key for g in group.symmetric_generators]
-    current = {group.identity.key}
-    seen = set(current)
-    for _ in range(radius):
-        nxt = set()
-        for key in current:
-            for gk in gens:
-                nxt.add(group._mul_keys(key, gk))
-        current = nxt - seen
-        seen |= nxt
-    return seen
+    return set().union(*product_set_layers(group, radius))
 
 
 def product_set_word_length(group, element, cap=32):
@@ -142,3 +146,75 @@ def translated_pairing_by_summation(y, x, u):
             shifted = g.inverse() * h
             total += weight * value * x.get((copy, shifted), 0.0)
     return total
+
+
+def naive_homotopy_residual(phi, multipliers, radius):
+    """(max_abs, tuples_checked, tuples_skipped, worst_tail) of
+    dJphi + Jdphi - (k*phi - u*phi) over the slice tuples (1, x_1, ..., x_n)
+    with every x_i in the radius ball, for a finitely supported cochain phi.
+
+    J sums the homotopy formula over the k distinct multipliers and u is
+    their sum.  Everything is evaluated on raw normal forms with Fraction
+    dictionaries, straight from the definitions: a cochain's value at a
+    general tuple is g_0 times its value at the tuple moved by g_0^-1, d is
+    the alternating sum over omissions and J the signed sum over duplicated
+    arguments.  The tails run in ball order (word length, then normal form),
+    so worst_tail is the first tail whose residual reaches max_abs.
+    """
+    assert not phi.truncated, "the oracle reads a finitely supported cochain"
+    group = phi.group
+    mul, inv = group._mul_keys, group._inv_key
+    e = group.identity.key
+    keys = sorted({g.key for g in multipliers})
+    stored = {tuple(x.key for x in tail): {g.key: c for g, c in value.items_sorted()}
+              for tail, value in phi.values.items()}
+
+    def accumulate(out, sign, value):
+        for g, c in value.items():
+            out[g] = out.get(g, Fraction(0)) + sign * c
+
+    def equivariant(at_slice):
+        def at(args):
+            h = args[0]
+            moved = tuple(mul(inv(h), x) for x in args)
+            return {mul(h, g): c for g, c in at_slice(moved).items()}
+        return at
+
+    def d(f):
+        def at(args):
+            out = {}
+            for i in range(len(args)):
+                accumulate(out, (-1) ** i, f(args[:i] + args[i + 1:]))
+            return out
+        return at
+
+    def j(f):
+        def at_slice(args):
+            out = {}
+            for g in keys:
+                for k in range(len(args)):
+                    duplicated = args[:k + 1] + tuple(mul(g, x) for x in args[k:])
+                    accumulate(out, 1 if k % 2 else -1, f(duplicated))
+            return out
+        return equivariant(at_slice)
+
+    phi_at = equivariant(lambda args: stored.get(args[1:], {}))
+    d_j_phi, j_d_phi = d(j(phi_at)), j(d(phi_at))
+    ball = [key for layer in product_set_layers(group, radius) for key in sorted(layer)]
+    worst, worst_tail, checked = Fraction(0), None, 0
+    for tail in product(ball, repeat=phi.degree):
+        args = (e,) + tail
+        value = phi_at(args)
+        residual = {}
+        accumulate(residual, 1, d_j_phi(args))
+        accumulate(residual, 1, j_d_phi(args))
+        accumulate(residual, -len(keys), value)
+        for g in keys:
+            accumulate(residual, 1, {mul(g, x): c for x, c in value.items()})
+        checked += 1
+        for c in residual.values():
+            if abs(c) > worst:
+                worst, worst_tail = abs(c), tail
+    if worst_tail is not None:
+        worst_tail = tuple(group.element(key) for key in worst_tail)
+    return worst, checked, 0, worst_tail

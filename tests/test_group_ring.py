@@ -185,8 +185,7 @@ def test_cross_group_ring_rejection():
         RingElement(lattice, [(foreign, 1)])
     w = RingElement.from_element(lattice.element((1, 0, 0)))
     x = RingElement.from_element(foreign)
-    for op in (lambda: w + x, lambda: w - x, lambda: w * x,
-               lambda: w.left_translate(foreign)):
+    for op in (lambda: w + x, lambda: w - x, lambda: w * x):
         with pytest.raises(ValueError, match="cross-group"):
             op()
 

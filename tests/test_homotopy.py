@@ -20,6 +20,8 @@ from lplab.homotopy import (
     zero_cochain,
 )
 
+from oracles import naive_homotopy_residual
+
 
 def test_degree_zero_coboundary_formula():
     group = group_from_name("Z^1")
@@ -41,6 +43,24 @@ def test_equivariant_evaluation_shift():
     assert shifted == RingElement.from_element(x)
 
 
+@pytest.mark.parametrize("name", ["heisenberg", "dihedral-inf"])
+def test_equivariant_evaluation_translates_on_the_left(name):
+    # phi(h, h x_1, h x_2) = h . phi(1, x_1, x_2); on a non-abelian group the
+    # right translate phi(1, x_1, x_2) . h differs somewhere
+    group = group_from_name(name)
+    phi = random_cochain(group, 2, 1, Random(14))
+    ball = group.ball(1)
+    sides_differ = False
+    for h in ball:
+        for x1 in ball:
+            for x2 in ball:
+                value = phi.value_at_tail((x1, x2))
+                left = RingElement.from_element(h) * value
+                assert phi.eval((h, h * x1, h * x2)) == left
+                sides_differ |= left != value * RingElement.from_element(h)
+    assert sides_differ
+
+
 def test_coboundary_squares_to_zero():
     rng = Random(0)
     for name in ("Z^1", "cyclic:4", "dihedral-inf"):
@@ -60,6 +80,26 @@ def test_coboundary_linearity():
     lhs = coboundary(a * phi + b * psi, radius=2)
     rhs = a * coboundary(phi, radius=2) + b * coboundary(psi, radius=2)
     assert lhs == rhs
+
+
+def test_cochain_arithmetic_across_group_instances():
+    # each Group instance numbers its elements in the order it meets them, so
+    # t on one instance and t^-1 on another may share an id
+    first, second = group_from_name("Z^1"), group_from_name("Z^1")
+    t = first.generators[0]
+    u = second.generators[0].inverse()
+    phi = EquivariantCochain(first, 1, 1, {(t,): RingElement.from_element(t)})
+    psi = EquivariantCochain(second, 1, 1, {(u,): RingElement.from_element(u)})
+    assert phi != psi
+    assert phi == EquivariantCochain(
+        second, 1, 1, {(second.generators[0],):
+                       RingElement.from_element(second.generators[0])})
+    expected = {(t,): RingElement.from_element(t),
+                (t.inverse(),): RingElement.from_element(t.inverse())}
+    assert (phi + psi).values == expected
+    assert (psi + phi).values == expected
+    assert (phi - psi).values == {**expected, (t.inverse(),):
+                                  -RingElement.from_element(t.inverse())}
 
 
 def test_cochain_rejects_foreign_tail_elements():
@@ -152,8 +192,11 @@ def test_residual_on_truncated_cochain_skips_out_of_window():
     t = group.generators[0]
     phi = random_cochain(group, 1, 6, rng)
     narrowed = coboundary(multiplier_homotopy(phi, t))  # degree 1, truncated
-    report = homotopy_residual(narrowed, t, eval_radius=1)
-    assert report.tuples_checked >= 1
+    assert narrowed.radius == 3
+    assert homotopy_residual(narrowed, t, eval_radius=1) == ResidualReport(
+        Fraction(0), 3, 0, None)
+    # at t^3 the homotopy of the coboundary needs t^4, beyond the window
+    assert homotopy_residual(narrowed, t) == ResidualReport(Fraction(0), 6, 1, None)
 
 
 def test_class_sum_abelian_singletons():
@@ -202,7 +245,61 @@ def test_class_sum_is_equivariant_but_single_element_is_not():
     shifts = (r, s, r * s)
     full_class = (r, r.inverse())
     assert equivariance_defect(phi, full_class, shifts, eval_radius=1) == 0
-    assert equivariance_defect(phi, (r,), shifts, eval_radius=1) != 0
+    assert equivariance_defect(phi, (r,), shifts, eval_radius=1) == 10
+
+
+@pytest.mark.parametrize("name, token, degree, radius, seed, max_abs, worst_tail", [
+    ("dihedral-inf", "r", 2, 2, 2, Fraction(51, 4), ("s", "1")),
+    ("heisenberg", "x", 1, 2, 3, Fraction(4), ("y^-1",)),
+    ("heisenberg", "(0,0,1)", 2, 1, 4, Fraction(0), None),
+])
+def test_residual_matches_naive_oracle(name, token, degree, radius, seed,
+                                       max_abs, worst_tail):
+    group = group_from_name(name)
+    multiplier = group.parse_element(token)
+    phi = random_cochain(group, degree, radius, Random(seed))
+    report = class_sum_homotopy_residual(phi, [multiplier])
+    assert report == ResidualReport(
+        *naive_homotopy_residual(phi, [multiplier], radius))
+    assert report.max_abs == max_abs
+    assert report.worst_tail == (
+        None if worst_tail is None
+        else tuple(group.parse_element(x) for x in worst_tail))
+
+
+def _heisenberg_cochain_and_foreign_element():
+    group = group_from_name("heisenberg")
+    phi = random_cochain(group, 1, 1, Random(13))
+    lattice = group_from_name("Z^3")
+    return group, phi, lattice, lattice.element((1, 0, 0))
+
+
+def test_eval_rejects_elements_of_another_group():
+    _, phi, lattice, foreign = _heisenberg_cochain_and_foreign_element()
+    with pytest.raises(ValueError, match="expected an element of heisenberg"):
+        phi.eval((lattice.identity, foreign))
+
+
+def test_value_at_tail_rejects_elements_of_another_group():
+    _, phi, _, foreign = _heisenberg_cochain_and_foreign_element()
+    with pytest.raises(ValueError, match="expected an element of heisenberg"):
+        phi.value_at_tail((foreign,))
+
+
+@pytest.mark.parametrize("length", [0, 2])
+def test_value_at_tail_rejects_wrong_length(length):
+    group, phi, _, _ = _heisenberg_cochain_and_foreign_element()
+    with pytest.raises(ValueError, match=f"expected 1 arguments, got {length}"):
+        phi.value_at_tail((group.generators[0],) * length)
+
+
+def test_equivariance_defect_rejects_foreign_multiplier_and_shift():
+    group, phi, _, foreign = _heisenberg_cochain_and_foreign_element()
+    x = group.generators[0]
+    with pytest.raises(ValueError, match="expected an element of heisenberg"):
+        equivariance_defect(phi, (foreign,), (x,))
+    with pytest.raises(ValueError, match="expected an element of heisenberg"):
+        equivariance_defect(phi, (x,), (foreign,))
 
 
 def test_zero_cochain_residual():
