@@ -4,9 +4,10 @@ Run as: python3 demos/03_resolutions_and_fox_calculus.py
 """
 
 from lplab import (
-    catalog_presentation,
     fox_derivative,
+    group_from_name,
     lattice_resolution,
+    relator_words,
     resolution_from_name,
     validate,
 )
@@ -40,8 +41,8 @@ for j, label in enumerate(("x", "y")):
 print()
 print("The derivative identity closes every presentation complex:")
 for group_name in ("dihedral-inf", "heisenberg", "S3"):
-    presentation, group = catalog_presentation(group_name)
-    for k, word in enumerate(presentation.relators):
+    group = group_from_name(group_name)
+    for k, word in enumerate(relator_words(group)):
         holds = fox_defect(group, word).is_zero()
         # r - 1 is zero exactly when the relator evaluates to the identity
         rhs_zero = evaluate_word(group, word).is_identity()

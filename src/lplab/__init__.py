@@ -16,16 +16,15 @@ from .group_ring import (
     parse_ring_element,
 )
 from .resolutions import (
-    Presentation,
     Resolution,
     ValidationReport,
     bar_resolution_basis,
-    catalog_presentation,
     cyclic_infinite_resolution,
     fox_derivative,
     fox_partial_resolution,
     lattice_resolution,
     periodic_cyclic_resolution,
+    relator_words,
     resolution_from_name,
     validate,
 )

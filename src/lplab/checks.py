@@ -32,10 +32,10 @@ import numpy as np
 from .groups import group_from_name
 from .group_ring import RingElement, class_sum, conjugacy_class
 from .resolutions import (
-    catalog_presentation,
     evaluate_word,
     fox_derivative,
     lattice_resolution,
+    relator_words,
     resolution_from_name,
     validate,
 )
@@ -220,8 +220,8 @@ def check_resolutions_validate():
 
 
 def check_fox_identity(name: str):
-    presentation, group = catalog_presentation(name)
-    for word in presentation.relators:
+    group = group_from_name(name)
+    for word in relator_words(group):
         assert fox_defect(group, word).is_zero(), \
             f"free-derivative identity fails for {name}"
         # a relator evaluates to the identity, so both sides vanish

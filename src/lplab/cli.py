@@ -29,7 +29,7 @@ from .group_ring import (
 from .resolutions import (
     BAR_DEGREE_CAP,
     RESOLUTION_CATALOG,
-    catalog_presentation,
+    relator_words,
     resolution_from_name,
     validate,
 )
@@ -336,8 +336,8 @@ def _run_verify_resolutions(cfg: dict, out_path: Path):
                          fmt_bool(check.ok), check.detail])
             failures += 0 if check.ok else 1
     for gname in checks.FOX_GROUPS:
-        presentation, group = catalog_presentation(gname, cap)
-        for idx, word in enumerate(presentation.relators):
+        group = group_from_name(gname, cap)
+        for idx, word in enumerate(relator_words(group)):
             defect = checks.fox_defect(group, word)
             ok = defect.is_zero()
             rows.append([f"fox:{gname}", group.name, "fox_identity", str(idx),

@@ -189,26 +189,15 @@ def parse_ring_element(group: Group, text: str) -> RingElement:
         term = term.strip()
         if not term:
             raise ValueError(f"empty term in ring-element text {text!r}")
-        coeff = Fraction(1)
-        elem_token = term
-        if "*" in term:
-            head, _, tail = term.partition("*")
-            try:
-                coeff = Fraction(head.strip())
-                elem_token = tail.strip()
-            except ValueError:
-                coeff = Fraction(1)
-                elem_token = term
-        else:
-            try:
-                coeff = Fraction(term)
-                elem_token = None
-            except ValueError:
-                elem_token = term
-        if elem_token is None:
-            g = group.identity
-        else:
-            g = group.parse_element(elem_token)
+        head, star, tail = term.partition("*")
+        try:
+            coeff = Fraction(head.strip())
+        except ValueError:
+            pairs.append((group.parse_element(term), Fraction(1)))
+            continue
+        except ZeroDivisionError:
+            raise ValueError(f"zero denominator in term {term!r}") from None
+        g = group.parse_element(tail.strip()) if star else group.identity
         pairs.append((g, coeff))
     return RingElement(group, pairs)
 

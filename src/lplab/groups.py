@@ -148,8 +148,11 @@ class ElementTable:
 class Group:
     """Shared machinery: exact operations plus a cached breadth-first ball.
 
-    Each kind also declares the facts that the rest of the lab reads off it,
-    each None where the kind declares none:
+    A kind passes its name, generator labels, identity key and generator keys
+    (normal forms, one per label) to `__init__`, and implements `_mul_keys`,
+    `_inv_key`, `_check_key` and `format_key` on normal forms.  It also
+    declares the facts that the rest of the lab reads off it, each None where
+    the kind declares none:
 
     - `relators`, the relator words of its catalog presentation, written in
       the generator labels;
@@ -163,15 +166,18 @@ class Group:
     finite_class_element: GroupElement | None = None
 
     def __init__(self, name: str, generator_labels: tuple[str, ...],
-                 ball_cap: int = DEFAULT_BALL_CAP):
+                 identity_key, generator_keys, ball_cap: int = DEFAULT_BALL_CAP):
         if not generator_labels:
             raise ValueError("generator list must be nonempty")
+        if len(generator_keys) != len(generator_labels):
+            raise ValueError(f"{name} has {len(generator_labels)} generator labels "
+                             f"but {len(generator_keys)} generator keys")
         self.name = name
         self.generator_labels = tuple(generator_labels)
         self.ball_cap = int(ball_cap)
-        self.identity = GroupElement(self, self._identity_key())
+        self.identity = GroupElement(self, identity_key)
         self.generators: tuple[GroupElement, ...] = tuple(
-            GroupElement(self, k) for k in self._generator_keys())
+            GroupElement(self, k) for k in generator_keys)
         # the generators followed by those of their inverses not yet listed
         symmetric = list(self.generators)
         keys = {g.key for g in symmetric}
@@ -187,12 +193,6 @@ class Group:
         self.table = ElementTable(self)
 
     # -- per-kind interface -------------------------------------------------
-
-    def _identity_key(self):
-        raise NotImplementedError
-
-    def _generator_keys(self) -> list:
-        raise NotImplementedError
 
     def _mul_keys(self, a, b):
         raise NotImplementedError
@@ -360,14 +360,8 @@ def _parse_int_tuple(token: str, arity: int, name: str) -> tuple[int, ...]:
 
 class TrivialGroup(Group):
     def __init__(self, ball_cap: int = DEFAULT_BALL_CAP):
-        super().__init__("trivial", ("e",), ball_cap)
+        super().__init__("trivial", ("e",), (), [()], ball_cap)
         self.central_element = self.identity
-
-    def _identity_key(self):
-        return ()
-
-    def _generator_keys(self):
-        return [()]
 
     def _mul_keys(self, a, b):
         return ()
@@ -378,7 +372,6 @@ class TrivialGroup(Group):
     def _check_key(self, key):
         if key != ():
             raise ValueError(f"invalid trivial-group normal form {key!r}")
-
 
     def format_key(self, key) -> str:
         return "1"
@@ -392,14 +385,8 @@ class CyclicGroup(Group):
             raise ValueError(f"cyclic order must be at least 1, got {n}")
         self.order = int(n)
         self.relators = (f"t^{n}",)
-        super().__init__(f"cyclic:{n}", ("t",), ball_cap)
+        super().__init__(f"cyclic:{n}", ("t",), 0, [1 % self.order], ball_cap)
         self.central_element = self.generators[0]
-
-    def _identity_key(self):
-        return 0
-
-    def _generator_keys(self):
-        return [1 % self.order]
 
     def _mul_keys(self, a, b):
         return (a + b) % self.order
@@ -410,7 +397,6 @@ class CyclicGroup(Group):
     def _check_key(self, key):
         if not isinstance(key, int) or not 0 <= key < self.order:
             raise ValueError(f"invalid exponent {key!r} for {self.name}")
-
 
     def format_key(self, key) -> str:
         return "1" if key == 0 else _pow_token("t", key)
@@ -427,19 +413,10 @@ class LatticeGroup(Group):
         if d <= 3:
             self.relators = tuple(f"{a}*{b}*{a}^-1*{b}^-1"
                                   for a, b in combinations(labels, 2))
-        super().__init__(f"Z^{d}", labels, ball_cap)
+        super().__init__(f"Z^{d}", labels, (0,) * d,
+                         [tuple(int(i == j) for j in range(d)) for i in range(d)],
+                         ball_cap)
         self.central_element = self.generators[0]
-
-    def _identity_key(self):
-        return (0,) * self.rank
-
-    def _generator_keys(self):
-        keys = []
-        for i in range(self.rank):
-            v = [0] * self.rank
-            v[i] = 1
-            keys.append(tuple(v))
-        return keys
 
     def _mul_keys(self, a, b):
         return tuple(x + y for x, y in zip(a, b))
@@ -451,7 +428,6 @@ class LatticeGroup(Group):
         if (not isinstance(key, tuple) or len(key) != self.rank
                 or not all(isinstance(x, int) for x in key)):
             raise ValueError(f"invalid vector {key!r} for {self.name}")
-
 
     def format_key(self, key) -> str:
         if self.rank == 1:
@@ -482,15 +458,10 @@ class FreeGroup(Group):
             labels = ("x", "y", "z")[:k]
         else:
             labels = tuple(f"x{i + 1}" for i in range(k))
-        super().__init__(f"free:{k}", labels, ball_cap)
+        super().__init__(f"free:{k}", labels, (),
+                         [(i + 1,) for i in range(k)], ball_cap)
         if k == 1:
             self.central_element = self.generators[0]
-
-    def _identity_key(self):
-        return ()
-
-    def _generator_keys(self):
-        return [(i + 1,) for i in range(self.rank)]
 
     def _mul_keys(self, a, b):
         out = list(a)
@@ -512,7 +483,6 @@ class FreeGroup(Group):
                 raise ValueError(f"invalid letter {letter!r} in word for {self.name}")
             if i > 0 and key[i - 1] == -letter:
                 raise ValueError(f"word {key!r} is not freely reduced")
-
 
     def format_key(self, key) -> str:
         if not key:
@@ -543,14 +513,9 @@ class InfiniteDihedralGroup(Group):
     relators = ("s*s", "s*r*s*r")
 
     def __init__(self, ball_cap: int = DEFAULT_BALL_CAP):
-        super().__init__("dihedral-inf", ("r", "s"), ball_cap)
+        super().__init__("dihedral-inf", ("r", "s"), (0, 0), [(1, 0), (0, 1)],
+                         ball_cap)
         self.finite_class_element = self.generators[0]
-
-    def _identity_key(self):
-        return (0, 0)
-
-    def _generator_keys(self):
-        return [(1, 0), (0, 1)]
 
     def _mul_keys(self, a, b):
         a1, e1 = a
@@ -565,7 +530,6 @@ class InfiniteDihedralGroup(Group):
         if (not isinstance(key, tuple) or len(key) != 2
                 or not isinstance(key[0], int) or key[1] not in (0, 1)):
             raise ValueError(f"invalid normal form {key!r} for {self.name}")
-
 
     def format_key(self, key) -> str:
         a, e = key
@@ -590,14 +554,9 @@ class HeisenbergGroup(Group):
                 "x*y*x^-1*y^-1*y*y*x*y^-1*x^-1*y^-1")
 
     def __init__(self, ball_cap: int = DEFAULT_BALL_CAP):
-        super().__init__("heisenberg", ("x", "y"), ball_cap)
+        super().__init__("heisenberg", ("x", "y"), (0, 0, 0),
+                         [(1, 0, 0), (0, 1, 0)], ball_cap)
         self.central_element = GroupElement(self, (0, 0, 1))
-
-    def _identity_key(self):
-        return (0, 0, 0)
-
-    def _generator_keys(self):
-        return [(1, 0, 0), (0, 1, 0)]
 
     def _mul_keys(self, a, b):
         a1, b1, c1 = a
@@ -612,7 +571,6 @@ class HeisenbergGroup(Group):
         if (not isinstance(key, tuple) or len(key) != 3
                 or not all(isinstance(x, int) for x in key)):
             raise ValueError(f"invalid triple {key!r} for {self.name}")
-
 
     def format_key(self, key) -> str:
         return "(" + ",".join(str(x) for x in key) + ")"
@@ -630,13 +588,8 @@ class SymmetricGroupS3(Group):
     relators = ("s1*s1", "s2*s2", "s1*s2*s1*s2*s1*s2")
 
     def __init__(self, ball_cap: int = DEFAULT_BALL_CAP):
-        super().__init__("S3", ("s1", "s2"), ball_cap)
-
-    def _identity_key(self):
-        return (0, 1, 2)
-
-    def _generator_keys(self):
-        return [(1, 0, 2), (0, 2, 1)]
+        super().__init__("S3", ("s1", "s2"), (0, 1, 2), [(1, 0, 2), (0, 2, 1)],
+                         ball_cap)
 
     def _mul_keys(self, a, b):
         # Composition as functions: (a * b)(i) = a(b(i)).
@@ -651,7 +604,6 @@ class SymmetricGroupS3(Group):
     def _check_key(self, key):
         if not isinstance(key, tuple) or sorted(key) != [0, 1, 2]:
             raise ValueError(f"invalid permutation {key!r} for {self.name}")
-
 
     def format_key(self, key) -> str:
         if key == (0, 1, 2):

@@ -14,8 +14,10 @@ radii can be paired.
 Point masses, embedded ring elements, re-embeddings on larger balls and
 translates are all built by one scatter, ``_scatter``: it adds each
 (copy, element, value) entry at its basis slot and raises ValueError for an
-element outside the target ball.  Boundary assembly fills its matrix columns
-with its own loop.
+element outside the target ball.  Elements from callers are checked to belong
+to the space's group where they enter (``delta_chain``,
+``vector_from_ring_parts``, ``Vector.coefficient``); the scatter trusts its
+entries.  Boundary assembly fills its matrix columns with its own loop.
 """
 
 from __future__ import annotations
@@ -98,6 +100,7 @@ class Vector:
         return lp_norm(self.coefficients, exponent)
 
     def coefficient(self, copy: int, g: GroupElement) -> float:
+        self.space.group._require_member(g)
         idx = self.space.index_of(copy, g)
         return 0.0 if idx is None else float(self.coefficients[idx])
 
@@ -122,6 +125,7 @@ def _nonzero_entries(vec):
 
 
 def delta_chain(space: TruncatedSpace, copy: int, g: GroupElement) -> Vector:
+    space.group._require_member(g)
     return _scatter(space, [(copy, g, 1.0)])
 
 
@@ -130,10 +134,14 @@ def vector_from_ring_parts(space: TruncatedSpace, parts) -> Vector:
     parts = list(parts)
     if len(parts) != space.rank:
         raise ValueError(f"expected {space.rank} parts, got {len(parts)}")
-    return _scatter(space, [(copy, g, float(coeff))
-                                 for copy, part in enumerate(parts)
-                                 if part is not None
-                                 for g, coeff in part.items_sorted()])
+    entries = []
+    for copy, part in enumerate(parts):
+        if part is None:
+            continue
+        for g, coeff in part.items_sorted():
+            space.group._require_member(g)
+            entries.append((copy, g, float(coeff)))
+    return _scatter(space, entries)
 
 
 class BoundaryOperator:

@@ -12,9 +12,9 @@ holds by construction and is not machine-checked.
 
 `RESOLUTION_CATALOG` holds one row per resolution name form (its `lab list`
 description, pattern and constructor).  A `fox:` resolution is built from the
-relators its group class declares, read by `parse_word`, which expands the
-pieces of `groups.word_pieces` into letters; nothing here depends on the
-group's kind.
+relators its group class declares, read once by `relator_words` through
+`parse_word`, which expands the pieces of `groups.word_pieces` into letters;
+nothing here depends on the group's kind.
 """
 
 from __future__ import annotations
@@ -211,31 +211,7 @@ def lattice_resolution(d: int, ball_cap: int = DEFAULT_BALL_CAP) -> Resolution:
     return Resolution(group, f"lattice:{d}", ranks, tuple(boundaries))
 
 
-# -- presentations and the free differential calculus --------------------------
-
-
-@dataclass(frozen=True)
-class Presentation:
-    """Generator labels plus relator words.
-
-    Words are tuples of letters (generator index, +1 or -1), freely reduced
-    and nonempty.
-    """
-
-    generators: tuple[str, ...]
-    relators: tuple[Word, ...]
-
-    def __post_init__(self):
-        if not self.generators:
-            raise ValueError("presentation needs at least one generator")
-        for word in self.relators:
-            if not word:
-                raise ValueError("relators must be nonempty words")
-            for pos, (idx, exp) in enumerate(word):
-                if not 0 <= idx < len(self.generators) or exp not in (1, -1):
-                    raise ValueError(f"invalid letter {(idx, exp)} in relator")
-                if pos > 0 and word[pos - 1] == (idx, -exp):
-                    raise ValueError(f"relator {word} is not freely reduced")
+# -- relators and the free differential calculus -------------------------------
 
 
 def reduce_word(letters) -> Word:
@@ -255,6 +231,18 @@ def parse_word(text: str, labels: tuple[str, ...]) -> Word:
     for idx, exp in word_pieces(text, labels):
         letters.extend([(idx, 1 if exp > 0 else -1)] * abs(exp))
     return reduce_word(letters)
+
+
+def relator_words(group: Group) -> tuple[Word, ...]:
+    """The relators the group's class declares, as freely reduced nonempty
+    words of letters (generator index, +1 or -1)."""
+    if group.relators is None:
+        raise ValueError(f"no catalog presentation for group {group.name!r}")
+    words = tuple(parse_word(text, group.generator_labels)
+                  for text in group.relators)
+    if not all(words):
+        raise ValueError("relators must be nonempty words")
+    return words
 
 
 def fox_derivative(group: Group, word: Word, gen_index: int) -> RingElement:
@@ -279,43 +267,26 @@ def fox_derivative(group: Group, word: Word, gen_index: int) -> RingElement:
     return result
 
 
-def fox_partial_resolution(presentation: Presentation, group: Group) -> Resolution:
-    """Length-2 partial resolution from a presentation.
+def fox_partial_resolution(group: Group) -> Resolution:
+    """Length-2 partial resolution from the group's relators.
 
     Ranks are (1, k, m); the degree-1 entries are x_j - 1 and the degree-2
     entries are the free derivatives of the relators.  The identity
     sum_j (dr/dx_j)(x_j - 1) = r - 1 makes the composite vanish whenever each
     relator evaluates to the identity, which is checked and enforced.
     """
-    if len(presentation.generators) != len(group.generators):
-        raise ValueError(
-            f"presentation has {len(presentation.generators)} generators but "
-            f"{group.name} has {len(group.generators)}")
-    gens = group.generators
-    for word in presentation.relators:
+    words = relator_words(group)
+    for word in words:
         value = evaluate_word(group, word)
         if not value.is_identity():
             raise ValueError(
                 f"presentation mismatch: relator evaluates to {value} in {group.name}")
-    k = len(gens)
-    m = len(presentation.relators)
+    gens = group.generators
     d1 = (tuple(RingElement.from_element(g) - RingElement.one(group) for g in gens),)
-    d2 = tuple(
-        tuple(fox_derivative(group, word, j) for word in presentation.relators)
-        for j in range(k))
-    return Resolution(group, f"fox:{group.name}", (1, k, m), (d1, d2))
-
-
-def catalog_presentation(group_name: str,
-                         ball_cap: int = DEFAULT_BALL_CAP) -> tuple[Presentation, Group]:
-    """Built-in presentation for a catalog group name: the relators its group
-    class declares."""
-    group = group_from_name(group_name, ball_cap)
-    if group.relators is None:
-        raise ValueError(f"no catalog presentation for group {group.name!r}")
-    labels = group.generator_labels
-    return Presentation(labels, tuple(parse_word(text, labels)
-                                      for text in group.relators)), group
+    d2 = tuple(tuple(fox_derivative(group, word, j) for word in words)
+               for j in range(len(gens)))
+    return Resolution(group, f"fox:{group.name}", (1, len(gens), len(words)),
+                      (d1, d2))
 
 
 # -- bar resolution slice -------------------------------------------------------
@@ -360,7 +331,7 @@ RESOLUTION_CATALOG = (
     CatalogEntry("fox:<group>", "length 2 from the catalog presentation",
                  r"fox:(.*)",
                  lambda group, cap: fox_partial_resolution(
-                     *catalog_presentation(group, cap))),
+                     group_from_name(group, cap))),
 )
 RESOLUTION_NAME_SYNTAX = tuple(entry.form for entry in RESOLUTION_CATALOG)
 

@@ -16,7 +16,7 @@ from lplab import checks
 from lplab.cli import EXIT_OK, main
 from lplab.group_ring import format_ring_element
 from lplab.groups import group_from_name
-from lplab.resolutions import catalog_presentation
+from lplab.resolutions import relator_words
 from lplab.vanishing import central_catalog
 
 GOLDEN = Path(__file__).parent / "golden" / "catalog_facts.txt"
@@ -47,8 +47,9 @@ def catalog_facts() -> str:
         for name in checks.FACT_GROUPS:
             lines.append(f"group {name}")
             lines.append(f"  default h: {_default_h(name, Path(workdir))}")
+            group = group_from_name(name)
             try:
-                seq = central_catalog(group_from_name(name), 3)
+                seq = central_catalog(group, 3)
             except ValueError:
                 lines.append("  central catalog: rejected")
             else:
@@ -57,15 +58,13 @@ def catalog_facts() -> str:
                     f"    {i}: {format_ring_element(seq.ring_element(i))}"
                     for i in (1, 2, 3))
             try:
-                presentation, _ = catalog_presentation(name)
+                words = relator_words(group)
             except ValueError:
                 lines.append("  presentation: rejected")
             else:
-                lines.append(
-                    f"  presentation: {len(presentation.relators)} relator(s)")
-                lines.extend(
-                    f"    {_format_word(word, presentation.generators)}"
-                    for word in presentation.relators)
+                lines.append(f"  presentation: {len(words)} relator(s)")
+                lines.extend(f"    {_format_word(word, group.generator_labels)}"
+                             for word in words)
     return "\n".join(lines) + "\n"
 
 

@@ -171,6 +171,10 @@ def test_config_errors_name_their_field_once(tmp_path, capsys):
                indices="0..3", y="1*t^9")),
     ("x", dict(experiment="distance-curve", resolution="cyclic-inf",
                R="1..3", x="1*t^9")),
+    ("x", dict(experiment="distance-curve", resolution="cyclic-inf",
+               R="1..3", x="1/0*t")),
+    ("y", dict(experiment="translation-decay", group="Z^1", radius=1,
+               indices="0..3", y="1/0")),
 ], ids=lambda v: v if isinstance(v, str) else "-".join(
     [v["experiment"]] + [f"{k}={v[k]}" for k in v
                          if k not in ("experiment", "group", "resolution",

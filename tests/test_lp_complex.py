@@ -271,6 +271,20 @@ def test_translate_rejects_element_of_another_group():
         translate_ring(x, RingElement.from_element(s))
 
 
+def test_spaces_reject_elements_of_another_group():
+    # Z^3 shares the key (1,0,0) with the Heisenberg generator x
+    space = TruncatedSpace(group_from_name("heisenberg"), 1, 2)
+    foreign = group_from_name("Z^3").generators[0]
+    with pytest.raises(ValueError, match="cross-group operand"):
+        vector_from_ring_parts(space, [RingElement.from_element(foreign)])
+    with pytest.raises(ValueError, match="cross-group operand"):
+        delta_chain(space, 0, foreign)
+    x = delta_chain(space, 0, space.group.generators[0])
+    with pytest.raises(ValueError, match="cross-group operand"):
+        x.coefficient(0, foreign)
+    assert x.coefficient(0, space.group.generators[0]) == 1.0
+
+
 def test_export_formats(tmp_path):
     res = resolution_from_name("cyclic-inf")
     op = assemble_boundary(res, 1, 1)

@@ -7,10 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lplab import checks
-from lplab.groups import group_from_name
+from lplab.groups import Group, group_from_name
 from lplab.group_ring import RingElement
 from lplab.resolutions import (
-    Presentation,
     bar_resolution_basis,
     compose_boundary_matrices,
     cyclic_infinite_resolution,
@@ -20,6 +19,7 @@ from lplab.resolutions import (
     parse_word,
     periodic_cyclic_resolution,
     reduce_word,
+    relator_words,
     resolution_from_name,
     validate,
 )
@@ -96,9 +96,43 @@ def test_fox_identity_arbitrary_words_dihedral(letters):
 
 def test_fox_rejects_presentation_mismatch():
     heis = group_from_name("heisenberg")
-    bad = Presentation(("x", "y"), (parse_word("x*y*x^-1*y^-1", ("x", "y")),))
+    heis.relators = ("x*y*x^-1*y^-1",)  # the commutator is central, not 1
     with pytest.raises(ValueError, match="presentation mismatch"):
-        fox_partial_resolution(bad, heis)
+        fox_partial_resolution(heis)
+
+
+class KleinFourGroup(Group):
+    """Z/2 x Z/2 on keys (a, b) mod 2: a kind outside the catalog, written
+    as one class."""
+
+    relators = ("a*a", "b*b", "a*b*a^-1*b^-1")
+
+    def __init__(self):
+        super().__init__("klein-four", ("a", "b"), (0, 0), [(1, 0), (0, 1)])
+
+    def _mul_keys(self, a, b):
+        return ((a[0] + b[0]) % 2, (a[1] + b[1]) % 2)
+
+    def _inv_key(self, a):
+        return a
+
+    def _check_key(self, key):
+        if key not in ((0, 0), (0, 1), (1, 0), (1, 1)):
+            raise ValueError(f"invalid normal form {key!r} for {self.name}")
+
+    def format_key(self, key) -> str:
+        return f"({key[0]},{key[1]})"
+
+
+def test_fox_resolution_of_a_kind_outside_the_catalog():
+    group = KleinFourGroup()
+    res = fox_partial_resolution(group)
+    assert res.ranks == (1, 2, 3)
+    assert validate(res).ok
+    for word in relator_words(group):
+        assert checks.fox_defect(group, word).is_zero()
+    with pytest.raises(ValueError, match="2 generator labels but 1 generator keys"):
+        Group("klein-four", ("a", "b"), (0, 0), [(1, 0)])
 
 
 def test_lattice_rank_one_matches_cyclic_infinite():
@@ -173,12 +207,12 @@ def test_resolution_from_name_errors():
 
 
 def test_presentation_validation():
-    with pytest.raises(ValueError, match="nonempty"):
-        Presentation(("x",), ((),))
-    with pytest.raises(ValueError, match="reduced"):
-        Presentation(("x",), (((0, 1), (0, -1)),))
-    with pytest.raises(ValueError, match="at least one generator"):
-        Presentation((), ())
+    group = group_from_name("free:1")
+    group.relators = ("x*x^-1",)  # reduces to the empty word
+    with pytest.raises(ValueError, match="relators must be nonempty words"):
+        relator_words(group)
+    with pytest.raises(ValueError, match=r"no catalog presentation for group 'Z\^4'"):
+        fox_partial_resolution(group_from_name("Z^4"))
 
 
 def test_bar_basis_respects_ball_cap():
