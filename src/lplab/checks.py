@@ -371,6 +371,14 @@ def check_central_catalog():
         if z is not None:
             assert all(z * g == g * z for g in group.generators), \
                 f"declared central element {z} of {name} is not central"
+        if group.order is not None:
+            # a finite group's ball saturates by radius order - 1
+            size = len(group.ball(group.order))
+            assert size == group.order, \
+                f"{name} declares order {group.order} but holds {size} elements"
+        elif z is not None:
+            assert not any((z ** k).is_identity() for k in range(1, 65)), \
+                f"declared central element {z} of infinite {name} has finite order"
         g = group.finite_class_element
         if g is not None:
             assert conjugacy_class(g, DEFAULT_CLASS_CAP) is not None, \

@@ -13,6 +13,7 @@ import io
 import math
 import os
 import sys
+from dataclasses import replace
 from pathlib import Path
 from random import Random
 
@@ -21,7 +22,6 @@ import numpy as np
 from .groups import DEFAULT_BALL_CAP, GROUP_CATALOG, BallCapError, group_from_name
 from .group_ring import (
     RingElement,
-    class_sum,
     conjugacy_class,
     format_ring_element,
     parse_ring_element,
@@ -398,9 +398,10 @@ def _run_class_sum_homotopy(cfg: dict, out_path: Path):
         raise ConfigError(
             f"field class: conjugacy class of {representative} is not finite "
             f"within cap {cap}")
-    label = "class:" + format_ring_element(class_sum(representative, cap))
-    singleton_central = (len(orbit) == 1
-                         and RingElement.from_element(representative).is_central())
+    label = "class:" + format_ring_element(
+        RingElement(group, [(g, 1) for g in orbit]))
+    # a class of one element commutes with every conjugator: it is central
+    singleton_central = len(orbit) == 1
     rng = Random(seed)
     rows = []
     for _ in range(count):
@@ -518,10 +519,11 @@ def _run_translation_decay(cfg: dict, out_path: Path):
         y = _embed_field("y", space, _parse_ring_parts(cfg, "y", group, 1))
     else:
         y = Vector(space, rng.standard_normal(space.dim))
-    merged = DecayCurve("translation-decay", group.name, "-", 0, tuple(
-        row for p in p_values
-        for row in translation_pairing_decay(y, x, sequence, indices, p).rows))
-    _write_curve(merged, out_path, "translation index")
+    # the pairing does not depend on p: compute it once, label it per p
+    curve = translation_pairing_decay(y, x, sequence, indices, p_values[0])
+    _write_curve(replace(curve, rows=tuple(
+        replace(row, p=p) for p in p_values for row in curve.rows)),
+        out_path, "translation index")
 
 
 def _run_finite_homology(cfg: dict, out_path: Path):

@@ -76,14 +76,26 @@ class RingElement:
     def is_zero(self) -> bool:
         return not self._coeffs
 
+    def _merge(self, other: "RingElement", negate: bool) -> "RingElement":
+        """self + other, or self - other when negate, without validating the
+        terms of either operand again."""
+        _require_same_group(self.group, other.group)
+        out = dict(self._coeffs)
+        for g, c in other._coeffs.items():
+            if negate:
+                c = -c
+            prev = out.get(g)
+            out[g] = c if prev is None else prev + c
+        return RingElement._trusted(self.group, out)
+
     def __add__(self, other: "RingElement") -> "RingElement":
-        return signed_sum(self.group, ((1, self), (1, other)))
+        return self._merge(other, False)
 
     def __neg__(self) -> "RingElement":
         return RingElement._trusted(self.group, {g: -c for g, c in self._coeffs.items()})
 
     def __sub__(self, other: "RingElement") -> "RingElement":
-        return signed_sum(self.group, ((1, self), (-1, other)))
+        return self._merge(other, True)
 
     def scale(self, factor) -> "RingElement":
         factor = Fraction(factor)
@@ -147,23 +159,6 @@ class RingElement:
 def _require_same_group(left: Group, right: Group):
     if left is not right and left.name != right.name:
         raise ValueError(f"cross-group ring operands: {left.name} vs {right.name}")
-
-
-def signed_sum(group: Group, terms) -> RingElement:
-    """Sum of sign * u over (sign, u) pairs, signs +1 or -1, in one pass.
-
-    Each u must be an element of the group ring of group; its terms are added
-    into one dictionary without validating them again.
-    """
-    out: dict[GroupElement, Fraction] = {}
-    for sign, u in terms:
-        _require_same_group(group, u.group)
-        for g, c in u._coeffs.items():
-            if sign < 0:
-                c = -c
-            prev = out.get(g)
-            out[g] = c if prev is None else prev + c
-    return RingElement._trusted(group, out)
 
 
 def format_ring_element(u: RingElement) -> str:

@@ -154,6 +154,7 @@ class Group:
     declares the facts that the rest of the lab reads off it, each None where
     the kind declares none:
 
+    - `order`, the number of elements of a finite kind;
     - `relators`, the relator words of its catalog presentation, written in
       the generator labels;
     - `central_element`, an element that commutes with every generator;
@@ -161,6 +162,7 @@ class Group:
       so are the classes of its powers, and their class sums are central.
     """
 
+    order: int | None = None
     relators: tuple[str, ...] | None = None
     central_element: GroupElement | None = None
     finite_class_element: GroupElement | None = None
@@ -187,8 +189,8 @@ class Group:
                 symmetric.append(inv)
                 keys.add(inv.key)
         self.symmetric_generators: tuple[GroupElement, ...] = tuple(symmetric)
-        self._layers: list[list[GroupElement]] | None = None
-        self._dist: dict = {}
+        self._layers: list[list[GroupElement]] = [[self.identity]]
+        self._dist: dict = {identity_key: 0}
         self._exhausted = False
         self.table = ElementTable(self)
 
@@ -247,12 +249,6 @@ class Group:
     # -- Cayley balls ----------------------------------------------------------
 
     def _grow_one_layer(self):
-        if self._layers is None:
-            e = self.identity
-            self._layers = [[e]]
-            self._dist = {e.key: 0}
-            self._exhausted = False
-            return
         if self._exhausted:
             return
         frontier = self._layers[-1]
@@ -277,8 +273,6 @@ class Group:
         self._layers.append(layer)
 
     def _ensure_radius(self, radius: int):
-        if self._layers is None:
-            self._grow_one_layer()
         while len(self._layers) <= radius and not self._exhausted:
             self._grow_one_layer()
 
@@ -294,8 +288,6 @@ class Group:
 
     def word_length(self, a: GroupElement) -> int:
         self._require_member(a)
-        if self._layers is None:
-            self._grow_one_layer()
         while a.key not in self._dist:
             if self._exhausted:
                 raise RuntimeError(
@@ -359,6 +351,8 @@ def _parse_int_tuple(token: str, arity: int, name: str) -> tuple[int, ...]:
 
 
 class TrivialGroup(Group):
+    order = 1
+
     def __init__(self, ball_cap: int = DEFAULT_BALL_CAP):
         super().__init__("trivial", ("e",), (), [()], ball_cap)
         self.central_element = self.identity
@@ -585,6 +579,7 @@ class HeisenbergGroup(Group):
 class SymmetricGroupS3(Group):
     """Symmetric group on three points, generated by the adjacent transpositions."""
 
+    order = 6
     relators = ("s1*s1", "s2*s2", "s1*s2*s1*s2*s1*s2")
 
     def __init__(self, ball_cap: int = DEFAULT_BALL_CAP):

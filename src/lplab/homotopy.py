@@ -157,21 +157,13 @@ class EquivariantCochain:
         """This cochain over group, which must have the same name.  Ids are
         per instance (each `Group` numbers elements in the order it meets
         them), so a cochain built on another instance of the same group is
-        re-interned before its values meet this group's ids."""
+        rebuilt from its values before they meet this group's ids."""
         if group is self.group:
             return self
         if group.name != self.group.name:
             raise ValueError("cochains belong to different groups")
-        elements, ids = self.group.table.elements, group.table.ids
-
-        def move(x: int) -> int:
-            return ids[elements[x].key]
-
-        return EquivariantCochain._interned(
-            group, self.degree, self.radius,
-            {tuple(map(move, tail)): {move(g): c for g, c in value.items()}
-             for tail, value in self.numerators.items()},
-            self.denominator, self.truncated)
+        return EquivariantCochain(group, self.degree, self.radius, self.values,
+                                  self.truncated)
 
     def _intern_args(self, args, arity: int) -> IdTuple:
         args = tuple(args)

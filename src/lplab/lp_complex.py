@@ -14,10 +14,11 @@ radii can be paired.
 Point masses, embedded ring elements, re-embeddings on larger balls and
 translates are all built by one scatter, ``_scatter``: it adds each
 (copy, element, value) entry at its basis slot and raises ValueError for an
-element outside the target ball.  Elements from callers are checked to belong
-to the space's group where they enter (``delta_chain``,
-``vector_from_ring_parts``, ``Vector.coefficient``); the scatter trusts its
-entries.  Boundary assembly fills its matrix columns with its own loop.
+element outside the target ball.  ``index_of`` raises ValueError for a copy
+outside the space's rank.  Elements from callers are checked to belong to the
+space's group where they enter (``delta_chain``, ``vector_from_ring_parts``,
+``Vector.coefficient``); the scatter trusts its entries.  Boundary assembly
+fills its matrix columns with its own loop.
 """
 
 from __future__ import annotations
@@ -61,10 +62,13 @@ class TruncatedSpace:
         return self.rank * len(self.elements)
 
     def index_of(self, copy: int, g: GroupElement) -> int | None:
+        """Coefficient slot of (copy, g), or None for g outside the ball; a
+        copy outside 0..rank-1 raises ValueError."""
+        if not 0 <= copy < self.rank:
+            raise ValueError(
+                f"copy {copy} outside 0..{self.rank - 1} of a rank-{self.rank} space")
         pos = self._positions.get(g.key)
-        if pos is None or not 0 <= copy < self.rank:
-            return None
-        return copy * len(self.elements) + pos
+        return None if pos is None else copy * len(self.elements) + pos
 
     def basis_labels(self):
         """Iterate (copy, element) in coefficient order."""

@@ -19,7 +19,7 @@ nothing here depends on the group's kind.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from itertools import combinations, product
 
@@ -157,11 +157,9 @@ def validate(res: Resolution) -> ValidationReport:
 
 
 def cyclic_infinite_resolution(ball_cap: int = DEFAULT_BALL_CAP) -> Resolution:
-    """The two-term resolution over the infinite cyclic group: boundary t - 1."""
-    group = LatticeGroup(1, ball_cap)
-    t = group.generators[0]
-    entry = RingElement.from_element(t) - RingElement.one(group)
-    return Resolution(group, "cyclic-inf", (1, 1), (((entry,),),))
+    """The two-term resolution over the infinite cyclic group, boundary
+    t - 1: the rank-1 lattice resolution under its own name."""
+    return replace(lattice_resolution(1, ball_cap), name="cyclic-inf")
 
 
 def periodic_cyclic_resolution(n: int, length: int,

@@ -6,8 +6,8 @@ a representative to the truncated image as the ball grows, together with the
 decay of the duality pairing under translation along a central family.  Both
 are computed here, alongside exact-dimension homology ranks for finite cyclic
 groups where reduced and unreduced agree.  The central family is read off the
-group's declared `central_element` or `finite_class_element`, never off its
-kind.
+group's declared `order`, `central_element` and `finite_class_element`, never
+off its kind.
 
 The truncated spaces and boundary matrices carry no exponent: p enters only
 as the norm a distance minimizes, so a curve over several p assembles each
@@ -42,7 +42,6 @@ from .lp_complex import (
 )
 
 DEFAULT_CLASS_CAP = 10_000
-INFINITE_ORDER_POWER_CAP = 64
 
 _EPS_START = 1e-3
 _EPS_FLOOR = 1e-12
@@ -277,23 +276,25 @@ class CentralSequence:
 def central_catalog(group: Group, count: int) -> CentralSequence:
     """Central family of a group, read off its declared elements.
 
-    The powers of its central element when that has infinite order;
-    otherwise the class sums of the first count powers of its finite-class
-    element; otherwise a rejection naming why.
+    The powers of its central element when the group declares no finite
+    `order` (a declared central element of an infinite kind has infinite
+    order, which `checks.check_central_catalog` tests); otherwise the class
+    sums of the first count powers of its finite-class element; otherwise a
+    rejection naming why, with the exact order of a finite group's central
+    element.
     """
     if count < 1:
         raise ValueError(f"count must be at least 1, got {count}")
     base = group.central_element
     if base is None:
         reason = "no central element"
+    elif group.order is None:
+        if not RingElement.from_element(base).is_central():
+            raise InvariantViolation(f"declared element {base} is not central")
+        return CentralSequence(group, "powers", base=base)
     else:
-        order = next((k for k in range(1, INFINITE_ORDER_POWER_CAP + 1)
-                      if (base ** k).is_identity()), None)
-        if order is None:
-            if not RingElement.from_element(base).is_central():
-                raise InvariantViolation(
-                    f"declared element {base} is not central")
-            return CentralSequence(group, "powers", base=base)
+        order = next(k for k in range(1, group.order + 1)
+                     if (base ** k).is_identity())
         reason = f"central element {base} of finite order {order}"
     g = group.finite_class_element
     if g is None:

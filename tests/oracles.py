@@ -96,8 +96,8 @@ def naive_pairing(y_coeffs, x_coeffs):
 def dense_normal_equations_distance(T, x):
     """Euclidean distance via an LU solve of the normal equations.
 
-    Requires T to have full column rank; independent of the SVD-based
-    least-squares route in the library.
+    Requires T to have full column rank; independent of the library's
+    least-squares route, a column-pivoted QR solve (LAPACK gelsy).
     """
     T = np.asarray(T, dtype=float)
     x = np.asarray(x, dtype=float)

@@ -1,0 +1,50 @@
+"""The benchmark's trace hooks still find every name they patch.
+
+`perfbench/tracing.py` instruments the program by replacing functions and
+methods of the lplab modules by name, so renaming one of them breaks a
+traced benchmark run.  This test installs the tracer, runs one tiny
+experiment through `cli.main`, and checks that the run was traced and that
+uninstalling puts every original back.  It only reads `perfbench/`.
+"""
+
+import sys
+from pathlib import Path
+
+from lplab import cli, group_ring, groups
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
+
+def _lplab_attributes():
+    """(owner, attribute name, value) for every module-level name of the
+    loaded lplab modules and every attribute of the patched classes."""
+    owners = [module for name, module in sorted(sys.modules.items())
+              if module is not None and name.split(".")[0] == "lplab"]
+    owners += [groups.Group, group_ring.RingElement]
+    return [(owner, attr, value) for owner in owners
+            for attr, value in list(vars(owner).items())]
+
+
+def test_tracer_installs_traces_a_run_and_uninstalls(tmp_path, monkeypatch):
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import tracing
+
+    before = _lplab_attributes()
+    cfg = tmp_path / "tiny.cfg"
+    cfg.write_text("experiment=verify-homotopy\ngroup=Z^1\nR=1\ncount=1\n"
+                   f"output={tmp_path / 'tiny.csv'}\n", encoding="utf-8")
+    tracer = tracing.Tracer()
+    uninstall = tracing.install(tracer)
+    try:
+        code = cli.main(["run", str(cfg)])
+    finally:
+        uninstall()
+    assert code == cli.EXIT_OK
+    assert (tmp_path / "tiny.csv").exists()
+    assert any(span[0] == "cli.run" for span in tracer.spans)
+    assert tracer.count["homotopy.tuples_checked"] > 0
+    assert tracer.count["groups.mul_calls"] > 0
+    moved = [f"{getattr(owner, '__name__', owner)}.{attr}"
+             for owner, attr, value in before
+             if vars(owner).get(attr) is not value]
+    assert moved == []

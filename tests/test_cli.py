@@ -10,6 +10,7 @@ from lplab.lp_complex import (TruncatedSpace, assemble_boundary, pairing,
                               vector_from_ring_parts)
 from lplab.groups import GROUP_NAME_SYNTAX, group_from_name
 from lplab.resolutions import RESOLUTION_NAME_SYNTAX
+from lplab.vanishing import translation_pairing_decay
 from lplab.cli import (
     ADJOINTNESS_HEADER,
     DECAY_HEADER,
@@ -221,6 +222,37 @@ def test_translation_decay_run(tmp_path):
     tail_values = [float(line.split(",")[7]) for line in lines[1:]
                    if int(line.split(",")[6]) > 8]
     assert all(value == 0.0 for value in tail_values)
+
+
+def test_translation_decay_pairs_once_for_every_p(tmp_path, monkeypatch):
+    calls = []
+
+    def counting(*args):
+        calls.append(args[-1])
+        return translation_pairing_decay(*args)
+
+    monkeypatch.setattr(cli, "translation_pairing_decay", counting)
+    out = tmp_path / "decay.csv"
+    cfg = write_config(tmp_path, "td.cfg", experiment="translation-decay",
+                       group="heisenberg", radius=2, indices="-2..2",
+                       p="1.5,2,3", output=out)
+    assert main(["run", str(cfg)]) == EXIT_OK
+    assert len(calls) == 1
+    rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
+    # grouped by p in config order, each group over every index
+    assert [(row[4], row[6]) for row in rows] == [
+        (p, str(i)) for p in ("1.5", "2", "3") for i in range(-2, 3)]
+    # the pairing does not depend on p
+    assert len({tuple(row[6:8]) for row in rows}) == 5
+
+
+@pytest.mark.parametrize("n", [64, 65, 100])
+def test_translation_decay_rejects_finite_cyclic_groups(tmp_path, capsys, n):
+    cfg = write_config(tmp_path, "cyc.cfg", experiment="translation-decay",
+                       group=f"cyclic:{n}", indices="1..3",
+                       output=tmp_path / "cyc.csv")
+    assert main(["run", str(cfg)]) == EXIT_CONFIG
+    assert f"finite order {n}" in capsys.readouterr().err
 
 
 def test_finite_homology_and_index_runs(tmp_path):

@@ -285,6 +285,36 @@ def test_spaces_reject_elements_of_another_group():
     assert x.coefficient(0, space.group.generators[0]) == 1.0
 
 
+def test_index_of_rejects_a_copy_outside_the_rank():
+    group = group_from_name("Z^2")
+    space = TruncatedSpace(group, 2, 1)
+    e = group.identity
+    assert space.index_of(1, e) == len(space.elements)
+    assert space.index_of(1, group.parse_element("(2,0)")) is None
+    for copy in (2, -1):
+        with pytest.raises(ValueError, match=f"copy {copy} outside 0..1"):
+            space.index_of(copy, e)
+
+
+def test_delta_chain_rejects_a_copy_outside_the_rank():
+    group = group_from_name("Z^2")
+    space = TruncatedSpace(group, 2, 1)
+    with pytest.raises(ValueError, match="copy 5 outside 0..1"):
+        delta_chain(space, 5, group.identity)
+    with pytest.raises(ValueError, match="escapes radius 1"):
+        delta_chain(space, 1, group.parse_element("(2,0)"))
+
+
+def test_coefficient_rejects_a_copy_outside_the_rank():
+    group = group_from_name("Z^2")
+    x = delta_chain(TruncatedSpace(group, 2, 1), 1, group.identity)
+    for copy in (7, -1):
+        with pytest.raises(ValueError, match=f"copy {copy} outside 0..1"):
+            x.coefficient(copy, group.identity)
+    assert x.coefficient(1, group.identity) == 1.0
+    assert x.coefficient(1, group.parse_element("(2,0)")) == 0.0
+
+
 def test_export_formats(tmp_path):
     res = resolution_from_name("cyclic-inf")
     op = assemble_boundary(res, 1, 1)

@@ -1,5 +1,6 @@
 """Resolution catalog: boundary data, free-derivative identities, validation."""
 
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -140,6 +141,10 @@ def test_lattice_rank_one_matches_cyclic_infinite():
     reference = cyclic_infinite_resolution()
     assert res.ranks == reference.ranks
     assert res.boundary(1)[0][0] == reference.boundary(1)[0][0]
+    assert res.boundaries == reference.boundaries
+    # the two differ only in their names
+    assert (res.name, reference.name) == ("lattice:1", "cyclic-inf")
+    assert replace(res, name="cyclic-inf") == reference
 
 
 def test_lattice_two_signs():

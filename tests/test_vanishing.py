@@ -240,6 +240,21 @@ def test_lattice_two_curve_nonincreasing():
                for earlier, later in zip(values, values[1:]))
 
 
+def test_degree_one_lattice_curve_falls_to_the_closed_image_distance():
+    # x is the delta on copy 0 of the 1-chains, not a cycle, so the curve
+    # falls to d_B = dist_2(x, closure of im d_2) = 1/sqrt(2): the energy of
+    # the unit current through an edge of Z^2, whose effective resistance
+    # is 1/2.  A truncated image lies inside the closed one, so no value
+    # can drop below d_B.
+    res = resolution_from_name("lattice:2")
+    parts = [RingElement.one(res.group), RingElement.zero(res.group)]
+    curve = boundary_distance_curve(res, 1, parts, [2.0], range(2, 9))
+    values = [row.value for row in curve.rows]
+    floor = 1.0 / np.sqrt(2.0)
+    assert all(value >= floor - 1e-12 for value in values)
+    assert values[-1] - floor < 0.003
+
+
 def test_translation_decay_exact_zero_tail():
     group = group_from_name("Z^1")
     space = TruncatedSpace(group, 1, 5)
@@ -335,6 +350,15 @@ def test_central_catalog_families():
         central_catalog(group_from_name("free:2"), 3)
     with pytest.raises(ValueError, match="finite"):
         central_catalog(group_from_name("cyclic:4"), 3)
+
+
+@pytest.mark.parametrize("name, order", [
+    ("trivial", 1), ("cyclic:4", 4), ("cyclic:64", 64), ("cyclic:65", 65),
+    ("cyclic:100", 100)])
+def test_central_catalog_rejects_finite_groups_with_the_exact_order(name,
+                                                                    order):
+    with pytest.raises(ValueError, match=f"of finite order {order} "):
+        central_catalog(group_from_name(name), 3)
 
 
 def test_non_convergence_is_flagged_not_raised():
