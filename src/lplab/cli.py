@@ -19,7 +19,8 @@ from random import Random
 
 import numpy as np
 
-from .groups import DEFAULT_BALL_CAP, GROUP_CATALOG, BallCapError, group_from_name
+from .groups import (DEFAULT_BALL_CAP, GROUP_CATALOG, BallCapError, Group,
+                     group_from_name)
 from .group_ring import (
     RingElement,
     conjugacy_class,
@@ -40,8 +41,7 @@ from .lp_complex import (
     boundary_growth,
     vector_from_ring_parts,
 )
-from .homotopy import (class_sum_homotopy_residual, homotopy_residual,
-                       random_cochain, require_central)
+from .homotopy import class_sum_homotopy_residual, random_cochain, require_central
 from .vanishing import (
     DEFAULT_CLASS_CAP,
     DecayCurve,
@@ -348,12 +348,9 @@ def _run_verify_resolutions(cfg: dict, out_path: Path):
         raise InvariantViolation(f"{failures} resolution checks failed")
 
 
-def _run_verify_homotopy(cfg: dict, out_path: Path):
-    group = _group(cfg)
-    degree = _int_field(cfg, "degree", 1, low=1, high=BAR_DEGREE_CAP)
-    radius = _int_field(cfg, "R", 3, low=0)
-    count = _int_field(cfg, "count", 5, low=1)
-    seed = _int_field(cfg, "seed", 0)
+def _central_multiplier(cfg: dict, group: Group) -> tuple[list, str]:
+    """verify-homotopy's multiplier: field h, which must be central, or the
+    group's declared central element."""
     if "h" in cfg:
         try:
             h = group.parse_element(cfg["h"])
@@ -365,29 +362,12 @@ def _run_verify_homotopy(cfg: dict, out_path: Path):
             f"field h: required for {group.name} (no declared central element)")
     else:
         h = group.central_element
-    rng = Random(seed)
-    rows = []
-    worst = None
-    for _ in range(count):
-        phi = random_cochain(group, degree, radius, rng)
-        report = homotopy_residual(phi, h)
-        rows.append([group.name, str(h), str(degree), str(radius),
-                     str(report.max_abs.numerator),
-                     str(report.max_abs.denominator)])
-        if worst is None or report.max_abs > worst:
-            worst = report.max_abs
-    write_csv(out_path, HOMOTOPY_HEADER, rows)
-    if worst != 0:
-        raise InvariantViolation(
-            f"homotopy residual must vanish for central {h}, got {worst}")
+    return [h], str(h)
 
 
-def _run_class_sum_homotopy(cfg: dict, out_path: Path):
-    group = _group(cfg)
-    degree = _int_field(cfg, "degree", 1, low=1, high=BAR_DEGREE_CAP)
-    radius = _int_field(cfg, "R", 3, low=0)
-    count = _int_field(cfg, "count", 3, low=1)
-    seed = _int_field(cfg, "seed", 0)
+def _class_multipliers(cfg: dict, group: Group) -> tuple[frozenset, str]:
+    """class-sum-homotopy's multipliers: the finite conjugacy class of field
+    class, labelled by its class sum."""
     cap = _int_field(cfg, "cap", DEFAULT_CLASS_CAP, low=1)
     try:
         representative = group.parse_element(_require(cfg, "class"))
@@ -398,23 +378,42 @@ def _run_class_sum_homotopy(cfg: dict, out_path: Path):
         raise ConfigError(
             f"field class: conjugacy class of {representative} is not finite "
             f"within cap {cap}")
-    label = "class:" + format_ring_element(
+    return orbit, "class:" + format_ring_element(
         RingElement(group, [(g, 1) for g in orbit]))
-    # a class of one element commutes with every conjugator: it is central
-    singleton_central = len(orbit) == 1
+
+
+def _run_homotopy_scan(cfg: dict, out_path: Path, default_count: int,
+                       multipliers_of):
+    """Residual rows of the homotopy identity for count random cochains.  A
+    single multiplier is central (a class of one element commutes with every
+    conjugator), so its residual must vanish; a larger class is measured."""
+    group = _group(cfg)
+    degree = _int_field(cfg, "degree", 1, low=1, high=BAR_DEGREE_CAP)
+    radius = _int_field(cfg, "R", 3, low=0)
+    count = _int_field(cfg, "count", default_count, low=1)
+    seed = _int_field(cfg, "seed", 0)
+    multipliers, label = multipliers_of(cfg, group)
     rng = Random(seed)
     rows = []
+    worst = 0
     for _ in range(count):
         phi = random_cochain(group, degree, radius, rng)
-        report = class_sum_homotopy_residual(phi, orbit)
+        residual = class_sum_homotopy_residual(phi, multipliers).max_abs
         rows.append([group.name, label, str(degree), str(radius),
-                     str(report.max_abs.numerator),
-                     str(report.max_abs.denominator)])
-        if singleton_central and report.max_abs != 0:
-            raise InvariantViolation(
-                f"singleton central class must give residual 0, got "
-                f"{report.max_abs}")
+                     str(residual.numerator), str(residual.denominator)])
+        worst = max(worst, residual)
     write_csv(out_path, HOMOTOPY_HEADER, rows)
+    if len(multipliers) == 1 and worst != 0:
+        raise InvariantViolation(
+            f"homotopy residual must vanish for central {label}, got {worst}")
+
+
+def _run_verify_homotopy(cfg: dict, out_path: Path):
+    _run_homotopy_scan(cfg, out_path, 5, _central_multiplier)
+
+
+def _run_class_sum_homotopy(cfg: dict, out_path: Path):
+    _run_homotopy_scan(cfg, out_path, 3, _class_multipliers)
 
 
 def _run_pairing_adjointness(cfg: dict, out_path: Path):

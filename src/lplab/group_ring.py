@@ -61,6 +61,7 @@ class RingElement:
         return cls(g.group, [(g, Fraction(coeff))])
 
     def coefficient(self, g: GroupElement) -> Fraction:
+        self.group._require_member(g)
         return self._coeffs.get(g, Fraction(0))
 
     def items_sorted(self) -> list[tuple[GroupElement, Fraction]]:
@@ -144,7 +145,7 @@ class RingElement:
     def __eq__(self, other) -> bool:
         if not isinstance(other, RingElement):
             return NotImplemented
-        return (self.group.name == other.group.name
+        return (self.group == other.group
                 and self._coeffs == other._coeffs)
 
     __hash__ = None
@@ -157,7 +158,7 @@ class RingElement:
 
 
 def _require_same_group(left: Group, right: Group):
-    if left is not right and left.name != right.name:
+    if left != right:
         raise ValueError(f"cross-group ring operands: {left.name} vs {right.name}")
 
 

@@ -6,10 +6,11 @@ and floating error would blur it into a tolerance.  The kernel runs on
 interned data.  Group elements are the integer ids of the group's
 `ElementTable`, and a cochain holds its values as integer coefficients over
 one common denominator, the lcm of its coefficient denominators.  Every
-operator is Z-linear with integer multipliers, so each intermediate value
-shares that denominator and a residual comes out as a literal integer over
-it; exact zero stays literal 0.  Elements and `RingElement` values are
-converted, and checked, only where they enter or leave.
+operator is Z-linear with integer multipliers, so an operator's value is an
+integer combination of stored values, and a residual comes out as a literal
+integer over that denominator; exact zero stays literal 0.  Elements and
+`RingElement` values are converted, and checked, only where they enter or
+leave.
 
 A cochain is stored on its equivariant slice, the argument tuples with leading
 identity that resolutions.bar_resolution_basis enumerates (and caps at the
@@ -25,7 +26,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache, partial
 from itertools import product
 from math import gcd, lcm
 from random import Random
@@ -35,7 +35,7 @@ from .group_ring import RingElement
 from .resolutions import BAR_DEGREE_CAP, bar_slice_ball
 
 # An interned value: element id -> integer coefficient over the cochain's
-# common denominator.  Zero coefficients may appear in intermediate values.
+# common denominator.  Zero coefficients may appear in an accumulator.
 IdValue = dict[int, int]
 IdTuple = tuple[int, ...]
 
@@ -55,29 +55,6 @@ def _slice_tuples(group: Group, degree: int, radius: int):
     return ((0,) + tail for tail in product(ball, repeat=degree))
 
 
-def _slice_reader(table: ElementTable, radius: int, numerators: dict,
-                  truncated: bool):
-    """Stored value at a slice tuple (0, *tail).  Closing over the values
-    rather than the cochain keeps a cochain free of reference cycles."""
-    lengths = table.lengths
-
-    def slice_value(args: IdTuple) -> IdValue:
-        tail = args[1:]
-        value = numerators.get(tail)
-        if value is not None:
-            return value
-        if truncated:
-            longest = max(map(lengths.__getitem__, tail), default=0)
-            if longest > radius:
-                raise WindowUnderflowError(
-                    f"tail {tuple(str(table.elements[x]) for x in tail)} lies "
-                    f"outside the stored radius-{radius} window",
-                    required_radius=longest)
-        return {}
-
-    return slice_value
-
-
 class EquivariantCochain:
     """Bar cochain of fixed degree with exact group-ring values.
 
@@ -92,7 +69,7 @@ class EquivariantCochain:
     """
 
     __slots__ = ("group", "degree", "radius", "truncated", "numerators",
-                 "denominator", "_layer")
+                 "denominator", "_add")
 
     def __init__(self, group: Group, degree: int, radius: int, values,
                  truncated: bool = False):
@@ -113,7 +90,7 @@ class EquivariantCochain:
                     raise ValueError(
                         f"tail element {table.elements[x]} lies outside the "
                         f"radius-{radius} window")
-            if value.group.name != group.name:
+            if value.group != group:
                 raise ValueError("value belongs to a different group ring")
             if not value.is_zero():
                 fractions[ids] = {table.ids[g.key]: c
@@ -142,8 +119,7 @@ class EquivariantCochain:
         self.truncated = truncated
         self.numerators = numerators
         self.denominator = denominator
-        self._layer = _shifted_layer(
-            group.table, _slice_reader(group.table, radius, numerators, truncated))
+        self._add = _stored_adder(group.table, radius, numerators, truncated)
 
     @classmethod
     def _interned(cls, group: Group, degree: int, radius: int, numerators: dict,
@@ -160,7 +136,7 @@ class EquivariantCochain:
         rebuilt from its values before they meet this group's ids."""
         if group is self.group:
             return self
-        if group.name != self.group.name:
+        if group != self.group:
             raise ValueError("cochains belong to different groups")
         return EquivariantCochain(group, self.degree, self.radius, self.values,
                                   self.truncated)
@@ -183,15 +159,18 @@ class EquivariantCochain:
         return {tuple(elements[x] for x in tail): self._ring_element(value)
                 for tail, value in self.numerators.items()}
 
+    def _value(self, args: IdTuple) -> RingElement:
+        acc: IdValue = {}
+        self._add(acc, 1, 0, args)
+        return self._ring_element(acc)
+
     def value_at_tail(self, tail: tuple[GroupElement, ...]) -> RingElement:
         """Stored value at a slice tuple (1, *tail)."""
-        return self._ring_element(
-            self._layer((0,) + self._intern_args(tail, self.degree)))
+        return self._value((0,) + self._intern_args(tail, self.degree))
 
     def eval(self, args: tuple[GroupElement, ...]) -> RingElement:
         """Value at a general argument tuple, via the equivariant shift."""
-        return self._ring_element(
-            self._layer(self._intern_args(args, self.degree + 1)))
+        return self._value(self._intern_args(args, self.degree + 1))
 
     def scale(self, factor) -> "EquivariantCochain":
         factor = Fraction(factor)
@@ -240,7 +219,7 @@ class EquivariantCochain:
     def __eq__(self, other) -> bool:
         if not isinstance(other, EquivariantCochain):
             return NotImplemented
-        if self.group.name != other.group.name:
+        if self.group != other.group:
             return False
         other = other._on(self.group)
         return (self.degree == other.degree
@@ -282,75 +261,97 @@ def random_cochain(group: Group, degree: int, radius: int,
 
 # -- formula evaluation ----------------------------------------------------------
 #
-# Operators are evaluated lazily through "layers": callables taking a full
-# argument tuple of ids.  Each layer first shifts its tuple to the slice (this
-# is the definition of evaluation for an equivariant cochain) and then expands
-# its defining formula there, delegating inner evaluations to the layer below.
-# The bottom layer of every stack is a cochain's own _layer, which reads the
-# stored slice values.  Layers return their values without copying, so no
-# caller may modify a value it receives.
+# Operators are evaluated lazily through "adders": callables
+# add(acc, m, head, args) that add m times the head-translate of the
+# operator's value at the id tuple args into acc, a dict[int, int] over the
+# cochain's denominator.  An operator expands its defining formula by calling
+# the adder below it once per term, so no intermediate value is built.  The
+# bottom of every stack is a cochain's own _add, the only code that reads
+# stored values; it shifts its tuple to the slice first, which is the
+# definition of evaluation for an equivariant cochain.
 
 
-def _linear_sum(terms) -> IdValue:
-    """Sum of m * value over (m, value) pairs with integer multipliers m."""
-    out: IdValue = {}
-    get = out.get
-    for m, value in terms:
-        for g, c in value.items():
-            out[g] = get(g, 0) + m * c
-    return out
-
-
-def _translate(products, head: int, value: IdValue) -> IdValue:
-    """head times value: the support moves by head, coefficients stay."""
-    return {products[head, g]: c for g, c in value.items()}
-
-
-def _shifted_layer(table: ElementTable, slice_eval):
+def _shifted(table: ElementTable, slice_add):
+    """slice_add, which reads tuples with leading identity, extended
+    equivariantly: shift args to the slice and translate by the leading
+    argument."""
     products, inverses = table.products, table.inverses
 
-    def layer(args: IdTuple) -> IdValue:
-        head = args[0]
-        if not head:
-            return slice_eval(args)
-        shift = inverses[head]
-        shifted = (0,) + tuple([products[shift, x] for x in args[1:]])
-        return _translate(products, head, slice_eval(shifted))
+    def add(acc: IdValue, m: int, head: int, args: IdTuple):
+        first = args[0]
+        if first:
+            shift = inverses[first]
+            args = (0,) + tuple([products[shift, x] for x in args[1:]])
+            head = products[head, first]
+        slice_add(acc, m, head, args)
 
-    return layer
-
-
-def _coboundary_layer(table: ElementTable, inner):
-    """Alternating sum over argument omissions."""
-
-    def slice_eval(args: IdTuple) -> IdValue:
-        return _linear_sum((-1 if i % 2 else 1, inner(args[:i] + args[i + 1:]))
-                           for i in range(len(args)))
-
-    return _shifted_layer(table, slice_eval)
+    return add
 
 
-def _homotopy_sum(table: ElementTable, inner, multipliers: IdTuple,
-                  args: IdTuple) -> IdValue:
-    """Duplicate the k-th argument, translating the tail by each multiplier,
-    with alternating signs (minus for even k)."""
+def _stored_adder(table: ElementTable, radius: int, numerators: dict,
+                  truncated: bool):
+    """Adder of a stored cochain.  Closing over the values rather than the
+    cochain keeps a cochain free of reference cycles."""
+    products, lengths = table.products, table.lengths
+
+    def add_at_slice(acc: IdValue, m: int, head: int, args: IdTuple):
+        tail = args[1:]
+        value = numerators.get(tail)
+        if value is None:
+            if truncated:
+                longest = max(map(lengths.__getitem__, tail), default=0)
+                if longest > radius:
+                    raise WindowUnderflowError(
+                        f"tail {tuple(str(table.elements[x]) for x in tail)} "
+                        f"lies outside the stored radius-{radius} window",
+                        required_radius=longest)
+            return
+        get = acc.get
+        for g, c in value.items():
+            if head:
+                g = products[head, g]
+            acc[g] = get(g, 0) + m * c
+
+    return _shifted(table, add_at_slice)
+
+
+def _coboundary_adder(inner):
+    """Alternating sum over argument omissions.  The coboundary commutes with
+    left translation, so it needs no shift to the slice."""
+
+    def add(acc: IdValue, m: int, head: int, args: IdTuple):
+        for i in range(len(args)):
+            inner(acc, -m if i % 2 else m, head, args[:i] + args[i + 1:])
+
+    return add
+
+
+def _homotopy_adder(table: ElementTable, inner, multipliers: IdTuple):
+    """The homotopy formula, applied literally at args: duplicate the k-th
+    argument, translating the tail by each multiplier, with alternating signs
+    (minus for even k).  Summed over a class that is not central it is not
+    equivariant, so off the slice it is read either literally
+    (equivariance_defect) or through _shifted (the residual scan)."""
     products = table.products
-    n = len(args) - 1
-    return _linear_sum(
-        (1 if k % 2 else -1,
-         inner(args[:k + 1] + tuple([products[g, x] for x in args[k:]])))
-        for g in multipliers for k in range(n + 1))
+
+    def add(acc: IdValue, m: int, head: int, args: IdTuple):
+        n = len(args) - 1
+        for g in multipliers:
+            for k in range(n + 1):
+                inner(acc, m if k % 2 else -m, head,
+                      args[:k + 1] + tuple([products[g, x] for x in args[k:]]))
+
+    return add
 
 
-def _homotopy_layer(table: ElementTable, inner, multipliers: IdTuple):
-    """Degree-lowering homotopy, evaluated on the slice and shifted."""
-    return _shifted_layer(table, partial(_homotopy_sum, table, inner, multipliers))
-
-
-def _materialize(phi: EquivariantCochain, layer, degree: int,
+def _materialize(phi: EquivariantCochain, add, degree: int,
                  radius: int) -> EquivariantCochain:
-    values = {args[1:]: layer(args)
-              for args in _slice_tuples(phi.group, degree, radius)}
+    """The operator behind add, stored on the slice tuples of a window."""
+    values = {}
+    for args in _slice_tuples(phi.group, degree, radius):
+        acc: IdValue = {}
+        add(acc, 1, 0, args)
+        values[args[1:]] = acc
     return EquivariantCochain._interned(phi.group, degree, radius, values,
                                         phi.denominator, truncated=True)
 
@@ -374,8 +375,7 @@ def coboundary(phi: EquivariantCochain,
                 f"have {phi.radius}", required_radius=2 * radius)
     elif radius is None:
         radius = phi.radius
-    layer = _coboundary_layer(phi.group.table, phi._layer)
-    return _materialize(phi, layer, phi.degree + 1, radius)
+    return _materialize(phi, _coboundary_adder(phi._add), phi.degree + 1, radius)
 
 
 def require_central(element: GroupElement):
@@ -419,8 +419,8 @@ def multiplier_homotopy(phi: EquivariantCochain, central_element: GroupElement,
                 required_radius=max(radius, 0) + length)
     elif radius is None:
         radius = phi.radius
-    layer = _homotopy_layer(group.table, phi._layer, (group.intern(central_element),))
-    return _materialize(phi, layer, phi.degree - 1, radius)
+    add = _homotopy_adder(group.table, phi._add, (group.intern(central_element),))
+    return _materialize(phi, add, phi.degree - 1, radius)
 
 
 @dataclass(frozen=True)
@@ -443,30 +443,30 @@ def _residual_scan(phi: EquivariantCochain, multipliers: IdTuple,
     the multipliers, at every slice tuple of the evaluation window."""
     group = phi.group
     table = group.table
-    products = table.products
     radius = phi.radius if eval_radius is None else eval_radius
-    base = phi._layer
-    d_phi = _coboundary_layer(table, base)
-    j_d_phi = _homotopy_layer(table, d_phi, multipliers)
-    # The coboundary reads j_phi at the omissions of each tuple, and those
-    # slices recur from tuple to tuple; this cache lives for one scan.
-    j_phi = _shifted_layer(table, cache(partial(_homotopy_sum, table, base,
-                                                multipliers)))
-    d_j_phi = _coboundary_layer(table, j_phi)
+    base = phi._add
+    # The tuples are slice tuples, where the shift is the identity, except
+    # under the coboundary, whose leading omission leaves the slice.
+    j_d_phi = _homotopy_adder(table, _coboundary_adder(base), multipliers)
+    d_j_phi = _coboundary_adder(
+        _shifted(table, _homotopy_adder(table, base, multipliers)))
     target_scale = -len(multipliers)
     worst = 0
     worst_tail = None
     checked = skipped = 0
     for args in _slice_tuples(group, phi.degree, radius):
+        acc: IdValue = {}
         try:
-            value = base(args)
-            terms = [(1, d_j_phi(args)), (1, j_d_phi(args)), (target_scale, value)]
-            terms.extend((1, _translate(products, g, value)) for g in multipliers)
+            d_j_phi(acc, 1, 0, args)
+            j_d_phi(acc, 1, 0, args)
+            base(acc, target_scale, 0, args)
+            for g in multipliers:
+                base(acc, 1, g, args)
         except WindowUnderflowError:
             skipped += 1
             continue
         checked += 1
-        top = max(map(abs, _linear_sum(terms).values()), default=0)
+        top = max(map(abs, acc.values()), default=0)
         if top > worst:
             worst = top
             worst_tail = args[1:]
@@ -531,13 +531,12 @@ def equivariance_defect(phi: EquivariantCochain,
     shifts = tuple(group.intern(a) for a in shifts)
     radius = phi.radius if eval_radius is None else eval_radius
 
+    literal = _homotopy_adder(table, phi._add, multipliers)
     worst = 0
     for slice_args in _slice_tuples(group, phi.degree - 1, radius):
-        base = _homotopy_sum(table, phi._layer, multipliers, slice_args)
         for a in shifts:
-            moved = tuple([products[a, x] for x in slice_args])
-            diff = _linear_sum(
-                ((1, _homotopy_sum(table, phi._layer, multipliers, moved)),
-                 (-1, _translate(products, a, base))))
+            diff: IdValue = {}
+            literal(diff, 1, 0, tuple([products[a, x] for x in slice_args]))
+            literal(diff, -1, a, slice_args)
             worst = max(worst, max(map(abs, diff.values()), default=0))
     return Fraction(worst, phi.denominator)

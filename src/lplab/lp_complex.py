@@ -77,8 +77,7 @@ class TruncatedSpace:
                 yield copy, g
 
     def compatible_with(self, other: "TruncatedSpace") -> bool:
-        return (self.group.name == other.group.name
-                and self.rank == other.rank)
+        return self.group == other.group and self.rank == other.rank
 
 
 class Vector:
@@ -214,7 +213,7 @@ def pairing(y: Vector, x: Vector) -> float:
     """Evaluation pairing: sum over copies and elements of products of
     coefficients, aligned by basis label; missing slots count as zero."""
     ys, xs = y.space, x.space
-    if ys.group.name != xs.group.name:
+    if ys.group != xs.group:
         raise ValueError("pairing needs vectors over the same group")
     if ys.rank != xs.rank:
         raise ValueError(f"rank mismatch: {ys.rank} vs {xs.rank}")
@@ -235,7 +234,7 @@ def translate(x, g: GroupElement):
 def translate_ring(x, u: RingElement):
     """Weighted sum of left translations over the support of a ring element."""
     space = x.space
-    if u.group.name != space.group.name:
+    if u.group != space.group:
         raise ValueError("ring element belongs to a different group")
     if u.is_zero():
         return Vector(space, np.zeros(space.dim))

@@ -1,5 +1,6 @@
 """Driver behavior: configs, exit codes, CSV schemas, SVG output, determinism."""
 
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -9,6 +10,7 @@ from lplab.group_ring import parse_ring_element
 from lplab.lp_complex import (TruncatedSpace, assemble_boundary, pairing,
                               vector_from_ring_parts)
 from lplab.groups import GROUP_NAME_SYNTAX, group_from_name
+from lplab.homotopy import ResidualReport
 from lplab.resolutions import RESOLUTION_NAME_SYNTAX
 from lplab.vanishing import translation_pairing_decay
 from lplab.cli import (
@@ -345,6 +347,31 @@ def test_class_sum_homotopy_run(tmp_path):
                        group="dihedral-inf", **{"class": "s"}, degree=1, R=2,
                        cap=50, output=tmp_path / "csb.csv")
     assert main(["run", str(cfg)]) == EXIT_CONFIG  # infinite class rejected
+
+
+@pytest.mark.parametrize("experiment, fields, code", [
+    ("verify-homotopy", dict(group="Z^1"), EXIT_INVARIANT),
+    ("class-sum-homotopy", dict(group="heisenberg", **{"class": "(0,0,1)"}),
+     EXIT_INVARIANT),
+    ("class-sum-homotopy", dict(group="dihedral-inf", **{"class": "r"}), EXIT_OK),
+])
+def test_homotopy_residual_must_vanish_for_a_single_multiplier(
+        tmp_path, monkeypatch, capsys, experiment, fields, code):
+    # a nonzero residual is an invariant failure only for a central
+    # multiplier; a larger class is measured, and the rows are written either way
+    monkeypatch.setattr(cli, "class_sum_homotopy_residual",
+                        lambda phi, multipliers: ResidualReport(
+                            Fraction(1, 2), 1, 0, None))
+    out = tmp_path / "h.csv"
+    cfg = write_config(tmp_path, "h.cfg", experiment=experiment, **fields,
+                       degree=1, R=1, count=2, output=out)
+    assert main(["run", str(cfg)]) == code
+    lines = out.read_text().splitlines()
+    assert len(lines) == 3
+    assert all(line.endswith(",1,2") for line in lines[1:])
+    err = capsys.readouterr().err
+    assert ("invariant failure: homotopy residual must vanish" in err) == (
+        code == EXIT_INVARIANT)
 
 
 def test_determinism_byte_identical(tmp_path):

@@ -1,4 +1,5 @@
-"""Every demo script runs standalone; demo 06 writes the golden distance curve."""
+"""Every demo script runs standalone; demo 05 prints the golden homotopy
+residuals and demo 06 writes the golden distance curve."""
 
 import os
 import shutil
@@ -25,6 +26,9 @@ def test_demo_runs(tmp_path, script):
     done = subprocess.run([sys.executable, str(demos / script)], env=env,
                           capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
+    if script.startswith("05_"):
+        assert done.stdout == (GOLDEN_DIR / "demo05_homotopy.txt").read_text(
+            encoding="utf-8")
     if script.startswith("06_"):
         for name in ("distance_curve.csv", "distance_curve.svg"):
             assert (demos / name).read_bytes() == \

@@ -190,6 +190,19 @@ def test_cross_group_ring_rejection():
             op()
 
 
+def test_coefficient_rejects_foreign_elements_and_non_elements():
+    # Z^3 shares the key (1,0,0) with the Heisenberg generator x
+    heis = group_from_name("heisenberg")
+    u = RingElement.from_element(heis.generators[0])
+    foreign = group_from_name("Z^3").element((1, 0, 0))
+    with pytest.raises(ValueError, match="cross-group operand"):
+        u.coefficient(foreign)
+    with pytest.raises(ValueError, match="cross-group operand"):
+        u.coefficient((1, 0, 0))
+    assert u.coefficient(heis.element((1, 0, 0))) == 1
+    assert u.coefficient(heis.identity) == 0
+
+
 def test_ring_arithmetic_across_instances_of_one_group():
     first = group_from_name("heisenberg")
     second = group_from_name("heisenberg")

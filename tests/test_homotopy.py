@@ -252,6 +252,8 @@ def test_class_sum_is_equivariant_but_single_element_is_not():
     ("dihedral-inf", "r", 2, 2, 2, Fraction(51, 4), ("s", "1")),
     ("heisenberg", "x", 1, 2, 3, Fraction(4), ("y^-1",)),
     ("heisenberg", "(0,0,1)", 2, 1, 4, Fraction(0), None),
+    ("dihedral-inf", "r", 3, 1, 5, Fraction(9), ("s", "s", "s")),
+    ("heisenberg", "x", 3, 1, 6, Fraction(9), ("y", "1", "y")),
 ])
 def test_residual_matches_naive_oracle(name, token, degree, radius, seed,
                                        max_abs, worst_tail):
