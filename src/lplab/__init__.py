@@ -48,6 +48,7 @@ from .lp_complex import (
 )
 from .homotopy import (
     EquivariantCochain,
+    ResidualForm,
     ResidualReport,
     WindowUnderflowError,
     class_sum_homotopy_residual,

@@ -41,7 +41,7 @@ from .lp_complex import (
     boundary_growth,
     vector_from_ring_parts,
 )
-from .homotopy import class_sum_homotopy_residual, random_cochain, require_central
+from .homotopy import ResidualForm, random_cochain, require_central
 from .vanishing import (
     DEFAULT_CLASS_CAP,
     DecayCurve,
@@ -393,12 +393,13 @@ def _run_homotopy_scan(cfg: dict, out_path: Path, default_count: int,
     count = _int_field(cfg, "count", default_count, low=1)
     seed = _int_field(cfg, "seed", 0)
     multipliers, label = multipliers_of(cfg, group)
+    form = ResidualForm(group, degree, radius, multipliers)
     rng = Random(seed)
     rows = []
     worst = 0
     for _ in range(count):
         phi = random_cochain(group, degree, radius, rng)
-        residual = class_sum_homotopy_residual(phi, multipliers).max_abs
+        residual = form.evaluate(phi).max_abs
         rows.append([group.name, label, str(degree), str(radius),
                      str(residual.numerator), str(residual.denominator)])
         worst = max(worst, residual)

@@ -20,6 +20,13 @@ Directly constructed cochains are finitely supported, so they evaluate to zero
 outside their window.  Operator results are exact only inside their window and
 refuse evaluation beyond it, because the coboundary of a finitely supported
 cochain is not finitely supported.
+
+The homotopy residual is linear in the cochain, so it is measured in two
+phases.  A `ResidualForm` expands the identity once per (group, degree,
+radius, multipliers): at each slice tuple it is a sum of symbols [g, tail],
+each standing for g times a cochain's value at (1, *tail), and the symbols
+whose coefficients cancel drop out.  Each cochain is then evaluated against
+the symbols that remain; for a central multiplier none remain.
 """
 
 from __future__ import annotations
@@ -266,9 +273,15 @@ def random_cochain(group: Group, degree: int, radius: int,
 # operator's value at the id tuple args into acc, a dict[int, int] over the
 # cochain's denominator.  An operator expands its defining formula by calling
 # the adder below it once per term, so no intermediate value is built.  The
-# bottom of every stack is a cochain's own _add, the only code that reads
+# bottom of a numeric stack is a cochain's own _add, the only code that reads
 # stored values; it shifts its tuple to the slice first, which is the
 # definition of evaluation for an equivariant cochain.
+#
+# The residual scan runs the same stack in two phases.  Expanding a
+# ResidualForm puts _formal_adder at the bottom, which adds m to the symbol
+# (head, slice tuple) in place of m times the head-translate of the value
+# there; this runs once per form.  Evaluating a cochain then feeds each
+# surviving symbol to the cochain's _add.
 
 
 def _shifted(table: ElementTable, slice_add):
@@ -311,6 +324,18 @@ def _stored_adder(table: ElementTable, radius: int, numerators: dict,
             if head:
                 g = products[head, g]
             acc[g] = get(g, 0) + m * c
+
+    return _shifted(table, add_at_slice)
+
+
+def _formal_adder(table: ElementTable):
+    """Bottom adder of a formal expansion: adds m to the symbol
+    (head, slice tuple) of acc, a dict keyed by symbols, instead of reading a
+    value."""
+
+    def add_at_slice(acc: dict, m: int, head: int, args: IdTuple):
+        key = (head, args)
+        acc[key] = acc.get(key, 0) + m
 
     return _shifted(table, add_at_slice)
 
@@ -437,45 +462,106 @@ class ResidualReport:
     worst_tail: tuple[GroupElement, ...] | None = None
 
 
-def _residual_scan(phi: EquivariantCochain, multipliers: IdTuple,
-                   eval_radius: int | None) -> ResidualReport:
-    """Residual of dJ + Jd against len(multipliers) minus the translates by
-    the multipliers, at every slice tuple of the evaluation window."""
-    group = phi.group
-    table = group.table
-    radius = phi.radius if eval_radius is None else eval_radius
-    base = phi._add
-    # The tuples are slice tuples, where the shift is the identity, except
-    # under the coboundary, whose leading omission leaves the slice.
-    j_d_phi = _homotopy_adder(table, _coboundary_adder(base), multipliers)
-    d_j_phi = _coboundary_adder(
-        _shifted(table, _homotopy_adder(table, base, multipliers)))
-    target_scale = -len(multipliers)
-    worst = 0
-    worst_tail = None
-    checked = skipped = 0
-    for args in _slice_tuples(group, phi.degree, radius):
-        acc: IdValue = {}
-        try:
-            d_j_phi(acc, 1, 0, args)
-            j_d_phi(acc, 1, 0, args)
+class ResidualForm:
+    """The residual of dJ + Jd against k times the identity minus the
+    translates by the k multipliers, expanded formally over the slice tuples
+    of one (group, degree, radius).
+
+    The expansion runs on the first evaluation.  Each row is
+    (slice tuple, touched, symbols): symbols holds the (head, slice tuple, m)
+    whose coefficient m did not cancel, and touched the ids of the elements
+    of every tail the formula read, cancelled or not.  A truncated cochain
+    cannot evaluate a row that touched an element longer than its radius,
+    so the row is skipped.  Word lengths are looked up only then, because
+    finding the length of a touched element can grow the Cayley ball to
+    twice the radius plus the multiplier length.
+    """
+
+    __slots__ = ("group", "degree", "radius", "multipliers", "_rows")
+
+    def __init__(self, group: Group, degree: int, radius: int, multipliers):
+        self.multipliers = tuple(sorted({group.intern(g) for g in multipliers}))
+        if not self.multipliers:
+            raise ValueError("class must be nonempty")
+        if not 1 <= degree <= BAR_DEGREE_CAP:
+            raise ValueError(
+                f"need degree in 1..{BAR_DEGREE_CAP}, got {degree}")
+        if radius < 0:
+            raise ValueError(f"radius must be nonnegative, got {radius}")
+        self.group = group
+        self.degree = degree
+        self.radius = radius
+        self._rows = None
+
+    @property
+    def rows(self) -> list[tuple[IdTuple, IdTuple, tuple]]:
+        if self._rows is None:
+            self._rows = self._expand()
+        return self._rows
+
+    def _expand(self) -> list[tuple[IdTuple, IdTuple, tuple]]:
+        """The rows, in slice-tuple order, from one run of the operator
+        stack over the formal bottom adder."""
+        table = self.group.table
+        multipliers = self.multipliers
+        base = _formal_adder(table)
+        # The tuples are slice tuples, where the shift is the identity, except
+        # under the coboundary, whose leading omission leaves the slice.
+        j_d = _homotopy_adder(table, _coboundary_adder(base), multipliers)
+        d_j = _coboundary_adder(
+            _shifted(table, _homotopy_adder(table, base, multipliers)))
+        target_scale = -len(multipliers)
+        rows = []
+        for args in _slice_tuples(self.group, self.degree, self.radius):
+            acc: dict = {}
+            d_j(acc, 1, 0, args)
+            j_d(acc, 1, 0, args)
             base(acc, target_scale, 0, args)
             for g in multipliers:
                 base(acc, 1, g, args)
-        except WindowUnderflowError:
+            touched = {x for _, at in acc for x in at}
+            touched.discard(0)
+            rows.append((args, tuple(touched),
+                         tuple((head, at, m) for (head, at), m in acc.items() if m)))
+        return rows
+
+    def evaluate(self, phi: EquivariantCochain) -> ResidualReport:
+        """The residual report of one cochain of this form's degree."""
+        if phi.degree != self.degree:
+            raise ValueError(
+                f"cochain has degree {phi.degree}, the form {self.degree}")
+        return _residual_scan(self, phi._on(self.group))
+
+
+def _residual_scan(form: ResidualForm, phi: EquivariantCochain) -> ResidualReport:
+    """The residual report of phi, already checked against form: phi is
+    read at the surviving symbols of every row.  The form expands here on
+    its first evaluation."""
+    table = form.group.table
+    lengths = table.lengths
+    add = phi._add
+    worst = 0
+    worst_tail = None
+    checked = skipped = 0
+    for args, touched, symbols in form.rows:
+        if phi.truncated and any(lengths[x] > phi.radius for x in touched):
             skipped += 1
             continue
         checked += 1
-        top = max(map(abs, acc.values()), default=0)
-        if top > worst:
-            worst = top
-            worst_tail = args[1:]
+        if symbols:
+            acc: IdValue = {}
+            for head, at, m in symbols:
+                add(acc, m, head, at)
+            top = max(map(abs, acc.values()), default=0)
+            if top > worst:
+                worst = top
+                worst_tail = args[1:]
     if checked == 0:
         raise WindowUnderflowError(
             "no argument tuple keeps every intermediate inside the stored "
             f"window of radius {phi.radius}",
-            required_radius=2 * radius + max(
-                (table.lengths[g] for g in multipliers), default=0))
+            required_radius=2 * form.radius + max(
+                (lengths[g] for g in form.multipliers), default=0))
     if worst_tail is not None:
         worst_tail = tuple(table.elements[x] for x in worst_tail)
     return ResidualReport(Fraction(worst, phi.denominator), checked, skipped,
@@ -505,14 +591,12 @@ def class_sum_homotopy_residual(phi: EquivariantCochain, class_elements,
     central.  The target compares against class size times the identity minus
     translation by the class sum.  The residual is a measurement, not an
     assertion: singleton central classes must give zero, anything else is
-    reported as computed.
+    reported as computed.  This builds a ResidualForm for the one cochain;
+    to measure many cochains, build the form once and evaluate each.
     """
-    multipliers = tuple(sorted({phi.group.intern(g) for g in class_elements}))
-    if not multipliers:
-        raise ValueError("class must be nonempty")
-    if phi.degree < 1:
-        raise ValueError("need degree >= 1")
-    return _residual_scan(phi, multipliers, eval_radius)
+    radius = phi.radius if eval_radius is None else eval_radius
+    return ResidualForm(phi.group, phi.degree, radius,
+                        class_elements).evaluate(phi)
 
 
 def equivariance_defect(phi: EquivariantCochain,

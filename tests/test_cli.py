@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from lplab import checks, cli
+from lplab import checks, cli, homotopy
 from lplab.group_ring import parse_ring_element
 from lplab.lp_complex import (TruncatedSpace, assemble_boundary, pairing,
                               vector_from_ring_parts)
@@ -359,8 +359,8 @@ def test_homotopy_residual_must_vanish_for_a_single_multiplier(
         tmp_path, monkeypatch, capsys, experiment, fields, code):
     # a nonzero residual is an invariant failure only for a central
     # multiplier; a larger class is measured, and the rows are written either way
-    monkeypatch.setattr(cli, "class_sum_homotopy_residual",
-                        lambda phi, multipliers: ResidualReport(
+    monkeypatch.setattr(homotopy, "_residual_scan",
+                        lambda form, phi: ResidualReport(
                             Fraction(1, 2), 1, 0, None))
     out = tmp_path / "h.csv"
     cfg = write_config(tmp_path, "h.cfg", experiment=experiment, **fields,

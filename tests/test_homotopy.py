@@ -9,6 +9,7 @@ from lplab.groups import group_from_name
 from lplab.group_ring import RingElement, conjugacy_class
 from lplab.homotopy import (
     EquivariantCochain,
+    ResidualForm,
     ResidualReport,
     WindowUnderflowError,
     class_sum_homotopy_residual,
@@ -267,6 +268,89 @@ def test_residual_matches_naive_oracle(name, token, degree, radius, seed,
     assert report.worst_tail == (
         None if worst_tail is None
         else tuple(group.parse_element(x) for x in worst_tail))
+
+
+@pytest.mark.parametrize("name, token, degree, radius", [
+    ("dihedral-inf", "r", 1, 2),
+    ("dihedral-inf", "r", 2, 2),
+    ("dihedral-inf", "s", 1, 2),
+    ("dihedral-inf", "s", 2, 2),
+    ("heisenberg", "x", 1, 2),
+    ("heisenberg", "x", 2, 1),
+])
+def test_one_form_evaluates_successive_cochains(name, token, degree, radius):
+    group = group_from_name(name)
+    multiplier = group.parse_element(token)
+    form = ResidualForm(group, degree, radius, [multiplier])
+    rng = Random(14)
+    reports = []
+    for _ in range(3):
+        phi = random_cochain(group, degree, radius, rng)
+        reports.append(form.evaluate(phi))
+        assert reports[-1] == ResidualReport(
+            *naive_homotopy_residual(phi, [multiplier], radius))
+    assert len({report.max_abs for report in reports}) > 1
+
+
+def _rows_with_symbols(form):
+    return sum(1 for _, _, symbols in form.rows if symbols)
+
+
+@pytest.mark.parametrize("name", ["Z^1", "cyclic:4", "heisenberg"])
+@pytest.mark.parametrize("degree", [1, 2])
+def test_central_form_cancels_every_symbol(name, degree):
+    group = group_from_name(name)
+    form = ResidualForm(group, degree, 3, [group.central_element])
+    assert len(form.rows) == len(group.ball(3)) ** degree
+    assert _rows_with_symbols(form) == 0
+
+
+@pytest.mark.parametrize("power", [1, 2])
+@pytest.mark.parametrize("degree", [1, 2, 3])
+def test_dihedral_rotation_class_form_cancels_every_symbol(power, degree):
+    group = group_from_name("dihedral-inf")
+    rotation = group.generators[0] ** power
+    form = ResidualForm(group, degree, 3, [rotation, rotation.inverse()])
+    assert _rows_with_symbols(form) == 0
+
+
+@pytest.mark.parametrize("degree, kept, rows", [(2, 24, 64), (3, 192, 512)])
+def test_single_rotation_form_keeps_symbols(degree, kept, rows):
+    group = group_from_name("dihedral-inf")
+    form = ResidualForm(group, degree, 2, [group.generators[0]])
+    assert len(form.rows) == rows
+    assert _rows_with_symbols(form) == kept
+
+
+def test_form_grows_no_ball_for_a_finitely_supported_cochain():
+    # the 289 slice tuples fit a cap of 400; the ball out to the longest
+    # element the formula touches would not
+    wide = group_from_name("heisenberg")
+    rows = ResidualForm(wide, 2, 2, [wide.central_element]).rows
+    reach = max(wide.table.lengths[x] for _, touched, _ in rows for x in touched)
+    assert (reach, len(wide.ball(reach))) == (6, 593)
+    group = group_from_name("heisenberg", ball_cap=400)
+    phi = random_cochain(group, 2, 2, Random(16))
+    form = ResidualForm(group, 2, 2, [group.central_element])
+    assert form.evaluate(phi) == ResidualReport(Fraction(0), 289, 0, None)
+
+
+def test_form_evaluation_checks_its_cochain():
+    first, second = group_from_name("heisenberg"), group_from_name("heisenberg")
+    # each instance numbers its elements in the order it meets them
+    second.intern(second.parse_element("y^-1"))
+    form = ResidualForm(first, 1, 2, [first.parse_element("x")])
+    assert first.intern(first.parse_element("x")) == second.intern(
+        second.parse_element("y^-1"))
+    phi = random_cochain(second, 1, 2, Random(15))
+    report = form.evaluate(phi)
+    assert report == ResidualReport(
+        *naive_homotopy_residual(phi, [second.parse_element("x")], 2))
+    assert report.max_abs != 0
+    with pytest.raises(ValueError, match="cochain has degree 2, the form 1"):
+        form.evaluate(random_cochain(first, 2, 1, Random(15)))
+    with pytest.raises(ValueError, match="different groups"):
+        form.evaluate(zero_cochain(group_from_name("Z^3"), 1, 2))
 
 
 def _heisenberg_cochain_and_foreign_element():
