@@ -1,11 +1,17 @@
 """Laboratory for exact group-ring algebra, truncated p-summable chain
-complexes, and numerical vanishing experiments over a small group catalog."""
+complexes, and numerical vanishing experiments over a small group catalog.
+
+The exact modules load with the package.  The float names of ``lp_complex``
+and ``vanishing`` resolve on first use (PEP 562), so exact work never loads
+numpy or scipy; they are looked up afresh on every access, never stored here.
+"""
 
 from .groups import (
     BallCapError,
     DEFAULT_BALL_CAP,
     Group,
     GroupElement,
+    InvariantViolation,
     group_from_name,
 )
 from .group_ring import (
@@ -28,24 +34,6 @@ from .resolutions import (
     resolution_from_name,
     validate,
 )
-from .lp_complex import (
-    BoundaryOperator,
-    TruncatedSpace,
-    Vector,
-    annihilator_residual,
-    assemble_boundary,
-    conjugate_exponent,
-    delta_chain,
-    dual_boundary,
-    embed,
-    export_matrix_coordinate,
-    export_vector_csv,
-    lp_norm,
-    pairing,
-    translate,
-    translate_ring,
-    vector_from_ring_parts,
-)
 from .homotopy import (
     EquivariantCochain,
     ResidualForm,
@@ -58,19 +46,53 @@ from .homotopy import (
     random_cochain,
     zero_cochain,
 )
-from .vanishing import (
-    CentralSequence,
-    CurveRow,
-    DecayCurve,
-    FiniteIndexReport,
-    InvariantViolation,
-    MinimizationResult,
-    boundary_distance_curve,
-    central_catalog,
-    finite_group_homology_ranks,
-    finite_index_compare,
-    lp_distance,
-    translation_pairing_decay,
-)
+
+_FLOAT_EXPORTS = {
+    **dict.fromkeys((
+        "BoundaryOperator",
+        "TruncatedSpace",
+        "Vector",
+        "annihilator_residual",
+        "assemble_boundary",
+        "conjugate_exponent",
+        "delta_chain",
+        "dual_boundary",
+        "embed",
+        "export_matrix_coordinate",
+        "export_vector_csv",
+        "lp_norm",
+        "pairing",
+        "translate",
+        "translate_ring",
+        "vector_from_ring_parts",
+    ), "lp_complex"),
+    **dict.fromkeys((
+        "CentralSequence",
+        "CurveRow",
+        "DecayCurve",
+        "FiniteIndexReport",
+        "MinimizationResult",
+        "boundary_distance_curve",
+        "central_catalog",
+        "finite_group_homology_ranks",
+        "finite_index_compare",
+        "lp_distance",
+        "translation_pairing_decay",
+    ), "vanishing"),
+}
+
+
+def __getattr__(name: str):
+    from importlib import import_module
+
+    module = _FLOAT_EXPORTS.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(import_module(f"{__name__}.{module}"), name)
+
+
+def __dir__():
+    return sorted({*globals(), *_FLOAT_EXPORTS})
+
 
 __version__ = "0.1.0"

@@ -19,6 +19,10 @@ Three consumers share the registry:
   per-resolution and per-group tests call the per-case checks
   (``check_resolution_validates``, ``check_fox_identity``,
   ``check_composition_zero``) that the catalog-wide checks loop over.
+
+Float modules are imported inside the float checks and measurements, so
+exact runs, which import this module for its catalogs, never load numpy or
+scipy.
 """
 
 from __future__ import annotations
@@ -26,11 +30,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from random import Random
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .groups import group_from_name
-from .group_ring import RingElement, class_sum, conjugacy_class
+from .group_ring import (DEFAULT_CLASS_CAP, RingElement, class_sum,
+                         conjugacy_class)
 from .resolutions import (
     evaluate_word,
     fox_derivative,
@@ -39,23 +43,11 @@ from .resolutions import (
     resolution_from_name,
     validate,
 )
-from .lp_complex import (
-    TruncatedSpace,
-    Vector,
-    annihilator_residual,
-    assemble_boundary,
-    conjugate_exponent,
-    pairing,
-    translate,
-)
 from .homotopy import class_sum_homotopy_residual, homotopy_residual, random_cochain
-from .vanishing import (
-    DEFAULT_CLASS_CAP,
-    boundary_distance_curve,
-    central_catalog,
-    finite_group_homology_ranks,
-    lp_distance,
-)
+
+if TYPE_CHECKING:
+    import numpy as np
+    from .lp_complex import Vector
 
 CHECK_GROUPS = ("trivial", "cyclic:4", "Z^1", "Z^2", "free:2", "dihedral-inf",
                 "heisenberg", "S3")
@@ -98,6 +90,8 @@ def fox_defect(group, word) -> RingElement:
 def adjoint_gap(matrix: np.ndarray, x: np.ndarray,
                 y: np.ndarray) -> tuple[float, float]:
     """|<y, A x> - <A^T y, x>| for one draw, and the bound it must not exceed."""
+    import numpy as np
+
     gap = abs(float(y @ (matrix @ x)) - float((matrix.T @ y) @ x))
     bound = 1e-10 * (1 + float(np.linalg.norm(x))) * \
         (1 + float(np.linalg.norm(y)))
@@ -107,6 +101,8 @@ def adjoint_gap(matrix: np.ndarray, x: np.ndarray,
 def hoelder_excess(y: Vector, x: Vector, p: float) -> tuple[float, float]:
     """|<y, x>| - |y|_q |x|_p for one draw, q conjugate to p, and the rounding
     it may exceed 0 by."""
+    from .lp_complex import conjugate_exponent, pairing
+
     bound = y.norm(conjugate_exponent(p)) * x.norm(p)
     return abs(pairing(y, x)) - bound, 1e-12 * bound
 
@@ -240,6 +236,9 @@ def check_lattice_ranks():
 
 
 def check_composition_zero(name: str):
+    import numpy as np
+    from .lp_complex import assemble_boundary
+
     res = resolution_from_name(name)
     for i in range(1, res.length):
         inner = assemble_boundary(res, i + 1, 2)
@@ -255,6 +254,9 @@ def check_assembled_composition_zero():
 
 
 def check_adjointness():
+    import numpy as np
+    from .lp_complex import assemble_boundary
+
     rng = np.random.default_rng(3)
     for name in ("cyclic-inf", "cyclic:4:2", "lattice:2", "fox:dihedral-inf"):
         res = resolution_from_name(name)
@@ -267,6 +269,9 @@ def check_adjointness():
 
 
 def check_hoelder():
+    import numpy as np
+    from .lp_complex import TruncatedSpace, Vector
+
     rng = np.random.default_rng(4)
     group = group_from_name("Z^2")
     space = TruncatedSpace(group, 2, 3)
@@ -279,6 +284,9 @@ def check_hoelder():
 
 
 def check_translate_preserves_norm():
+    import numpy as np
+    from .lp_complex import TruncatedSpace, Vector, translate
+
     rng = np.random.default_rng(5)
     group = group_from_name("dihedral-inf")
     space = TruncatedSpace(group, 1, 3)
@@ -292,6 +300,8 @@ def check_translate_preserves_norm():
 
 
 def check_annihilator():
+    from .lp_complex import annihilator_residual
+
     assert annihilator_residual(resolution_from_name("cyclic-inf"), 1, 4) <= 1e-10
     res4 = resolution_from_name("cyclic:4:2")
     assert annihilator_residual(res4, 1, 4) <= 1e-10
@@ -323,6 +333,9 @@ def check_class_sum_singleton():
 
 
 def check_minimization():
+    import numpy as np
+    from .vanishing import lp_distance
+
     rng = np.random.default_rng(8)
     T = rng.standard_normal((30, 12))
     c0 = rng.standard_normal(12)
@@ -345,6 +358,8 @@ def check_minimization():
 
 
 def check_distance_curve():
+    from .vanishing import boundary_distance_curve
+
     res = resolution_from_name("cyclic-inf")
     one = RingElement.one(res.group)
     curve = boundary_distance_curve(res, 0, [one], [2.0], range(1, 9))
@@ -360,11 +375,15 @@ def check_distance_curve():
 
 
 def check_finite_homology():
+    from .vanishing import finite_group_homology_ranks
+
     dims = finite_group_homology_ranks(4, 3)
     assert dims == (1, 0, 0, 0), f"unexpected dimensions {dims}"
 
 
 def check_central_catalog():
+    from .vanishing import central_catalog
+
     for name in FACT_GROUPS:
         group = group_from_name(name)
         z = group.central_element

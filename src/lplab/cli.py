@@ -3,6 +3,8 @@
 One config file describes one experiment.  Runs are deterministic: a fixed
 seed reproduces every output byte for byte.  Exit codes: 0 on success, 2 when
 a structural invariant fails while running, 3 for configuration errors.
+Float modules are imported inside the float runners, so ``list`` and the
+exact experiments never load numpy or scipy.
 """
 
 from __future__ import annotations
@@ -16,12 +18,12 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 from random import Random
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .groups import (DEFAULT_BALL_CAP, GROUP_CATALOG, BallCapError, Group,
-                     group_from_name)
+                     InvariantViolation, group_from_name)
 from .group_ring import (
+    DEFAULT_CLASS_CAP,
     RingElement,
     conjugacy_class,
     format_ring_element,
@@ -34,25 +36,12 @@ from .resolutions import (
     resolution_from_name,
     validate,
 )
-from .lp_complex import (
-    TruncatedSpace,
-    Vector,
-    assemble_boundary,
-    boundary_growth,
-    vector_from_ring_parts,
-)
 from .homotopy import ResidualForm, random_cochain, require_central
-from .vanishing import (
-    DEFAULT_CLASS_CAP,
-    DecayCurve,
-    InvariantViolation,
-    boundary_distance_curve,
-    central_catalog,
-    finite_group_homology_ranks,
-    finite_index_compare,
-    translation_pairing_decay,
-)
 from . import checks
+
+if TYPE_CHECKING:
+    from .lp_complex import TruncatedSpace, Vector
+    from .vanishing import DecayCurve
 
 EXIT_OK = 0
 EXIT_INVARIANT = 2
@@ -418,6 +407,9 @@ def _run_class_sum_homotopy(cfg: dict, out_path: Path):
 
 
 def _run_pairing_adjointness(cfg: dict, out_path: Path):
+    import numpy as np
+    from .lp_complex import Vector, assemble_boundary
+
     res = _resolution(cfg)
     degree = _int_field(cfg, "degree", 1, low=1, high=res.length)
     radius = _int_field(cfg, "R", 3, low=0)
@@ -470,6 +462,8 @@ def _parse_ring_parts(cfg: dict, key: str, group, rank: int):
 def _embed_field(key: str, space: TruncatedSpace, parts) -> Vector:
     """The ring-element parts of field key as a vector on space; a support
     element outside its ball is a config error."""
+    from .lp_complex import vector_from_ring_parts
+
     try:
         return vector_from_ring_parts(space, parts)
     except ValueError as exc:
@@ -477,6 +471,9 @@ def _embed_field(key: str, space: TruncatedSpace, parts) -> Vector:
 
 
 def _run_distance_curve(cfg: dict, out_path: Path):
+    from .lp_complex import TruncatedSpace, boundary_growth
+    from .vanishing import boundary_distance_curve
+
     res = _resolution(cfg)
     degree = _int_field(cfg, "degree", 0, low=0, high=res.length - 1)
     radii = _int_list(_require(cfg, "R"), "R")
@@ -498,6 +495,10 @@ def _run_distance_curve(cfg: dict, out_path: Path):
 
 
 def _run_translation_decay(cfg: dict, out_path: Path):
+    import numpy as np
+    from .lp_complex import TruncatedSpace, Vector
+    from .vanishing import central_catalog, translation_pairing_decay
+
     group = _group(cfg)
     radius = _int_field(cfg, "radius", 4, low=0)
     seed = _int_field(cfg, "seed", 0, low=0)
@@ -527,6 +528,8 @@ def _run_translation_decay(cfg: dict, out_path: Path):
 
 
 def _run_finite_homology(cfg: dict, out_path: Path):
+    from .vanishing import finite_group_homology_ranks
+
     n = _int_field(cfg, "n", low=2)
     length = _int_field(cfg, "N", 3, low=1)
     p_values = _p_list(cfg)
@@ -538,6 +541,8 @@ def _run_finite_homology(cfg: dict, out_path: Path):
 
 
 def _run_finite_index(cfg: dict, out_path: Path):
+    from .vanishing import finite_index_compare
+
     n = _int_field(cfg, "n", low=2)
     m = _int_field(cfg, "m", low=2)
     length = _int_field(cfg, "N", 3, low=1)

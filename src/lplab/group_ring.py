@@ -198,6 +198,9 @@ def parse_ring_element(group: Group, text: str) -> RingElement:
     return RingElement(group, pairs)
 
 
+DEFAULT_CLASS_CAP = 10_000
+
+
 def conjugacy_class(g: GroupElement, cap: int):
     """Orbit of g under conjugation, or None when it exceeds the cap.
 

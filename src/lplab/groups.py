@@ -36,6 +36,10 @@ class BallCapError(RuntimeError):
     """A Cayley-ball enumeration would exceed the configured element cap."""
 
 
+class InvariantViolation(RuntimeError):
+    """A structural invariant that should hold by construction failed."""
+
+
 class GroupElement:
     """Element of a catalog group, held in canonical normal form.
 

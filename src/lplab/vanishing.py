@@ -28,8 +28,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import linalg as _sla
 
-from .groups import Group, GroupElement
-from .group_ring import RingElement, class_sum
+from .groups import Group, GroupElement, InvariantViolation
+from .group_ring import DEFAULT_CLASS_CAP, RingElement, class_sum
 from .resolutions import Resolution, periodic_cyclic_resolution
 from .lp_complex import (
     Vector,
@@ -41,18 +41,12 @@ from .lp_complex import (
     vector_from_ring_parts,
 )
 
-DEFAULT_CLASS_CAP = 10_000
-
 _EPS_START = 1e-3
 _EPS_FLOOR = 1e-12
 _IMPROVEMENT_TOL = 1e-10
 # Relative duality gap at which IRLS stops; the nesting slack of
 # boundary_distance_curve is the same size.
 _GAP_TOL = 1e-9
-
-
-class InvariantViolation(RuntimeError):
-    """A structural invariant that should hold by construction failed."""
 
 
 @dataclass

@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from lplab import checks, cli, homotopy
+from lplab import checks, cli, homotopy, lp_complex, vanishing
 from lplab.group_ring import parse_ring_element
 from lplab.lp_complex import (TruncatedSpace, assemble_boundary, pairing,
                               vector_from_ring_parts)
@@ -233,7 +233,7 @@ def test_translation_decay_pairs_once_for_every_p(tmp_path, monkeypatch):
         calls.append(args[-1])
         return translation_pairing_decay(*args)
 
-    monkeypatch.setattr(cli, "translation_pairing_decay", counting)
+    monkeypatch.setattr(vanishing, "translation_pairing_decay", counting)
     out = tmp_path / "decay.csv"
     cfg = write_config(tmp_path, "td.cfg", experiment="translation-decay",
                        group="heisenberg", radius=2, indices="-2..2",
@@ -304,7 +304,7 @@ def test_pairing_adjointness_assembles_once(tmp_path, monkeypatch):
         calls.append(radius)
         return assemble_boundary(res, i, radius)
 
-    monkeypatch.setattr(cli, "assemble_boundary", counting)
+    monkeypatch.setattr(lp_complex, "assemble_boundary", counting)
     cfg = write_config(tmp_path, "adj.cfg", experiment="pairing-adjointness",
                        resolution="cyclic-inf", R=2, p="1.5,3", count=10,
                        output=tmp_path / "adj.csv")
