@@ -35,9 +35,8 @@ for p in (1.5, 2.0, 3.0):
     print(f"  p={p}: d(R) = " + ", ".join(f"{v:.4f}" for v in values))
 print("  (p=2 obeys the closed form 1/sqrt(2R+2); all columns sink toward 0)")
 
-control = boundary_distance_curve(resolution_from_name("fox:free:2"), 0,
-                                  [RingElement.one(
-                                      group_from_name("free:2"))],
+free2 = resolution_from_name("fox:free:2")
+control = boundary_distance_curve(free2, 0, [RingElement.one(free2.group)],
                                   [2.0], range(1, 5))
 print("  free:2 control, p=2: " +
       ", ".join(f"{row.value:.4f}" for row in control.rows) +

@@ -1,56 +1,71 @@
 """Exact group-ring arithmetic: convolution, augmentation, centers, class sums.
 
-Ring elements are finitely supported maps from group elements to rationals,
-stored without zero coefficients, so algebraic identities hold on the nose.
-Center membership is decided against the generators, which suffices because
-the generators generate; conjugacy classes are grown by orbit closure under a
-hard cap so that infinite classes terminate with a definite answer.
+A ring element is a finitely supported map from group elements to rationals,
+held in the group's interned form: integer numerators keyed by the element
+ids of `group.table`, over one positive denominator.  The fraction is always
+reduced and stores no zero numerator, so equal elements store equal data and
+algebraic identities hold on the nose.  Convolution reads the table's cached
+products.  Center membership is decided against the generators, which
+suffices because the generators generate; conjugacy classes are grown by
+orbit closure under a hard cap so that infinite classes terminate with a
+definite answer.
 
 Validation happens once, where values enter: the public constructors
 (``RingElement(group, coeffs)``, ``one``, ``from_element``, parsing, class sums)
-check that every support element belongs to the group and coerce every
-coefficient to ``Fraction``.  Arithmetic between validated elements checks only
-that both operands share a ring and builds its result without checking each
-term again.
+intern every support element through ``Group.intern``, which checks that it
+belongs to the group, and coerce every coefficient to ``Fraction``.
+Arithmetic between validated elements checks only that both operands share a
+ring and builds its result without checking each term again.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
 
 from .groups import Group, GroupElement
 
 
 class RingElement:
-    """Finitely supported map from group elements to exact rationals."""
+    """Finitely supported map from group elements to exact rationals:
+    `numerators[id]` over `denominator` is the coefficient of the element
+    with that id in `group.table`."""
 
-    __slots__ = ("group", "_coeffs")
+    __slots__ = ("group", "numerators", "denominator")
 
     def __init__(self, group: Group, coeffs=()):
         items = coeffs.items() if hasattr(coeffs, "items") else coeffs
-        acc: dict[GroupElement, Fraction] = {}
+        fractions: dict[int, Fraction] = {}
         for g, c in items:
-            group._require_member(g)
-            c = Fraction(c)
-            if g in acc:
-                acc[g] += c
-            else:
-                acc[g] = c
+            i = group.intern(g)
+            fractions[i] = fractions.get(i, 0) + Fraction(c)
+        denominator = lcm(*(c.denominator for c in fractions.values()))
+        self._reduce(group, {i: c.numerator * (denominator // c.denominator)
+                             for i, c in fractions.items()}, denominator)
+
+    def _reduce(self, group: Group, numerators: dict[int, int], denominator: int):
+        """Keep numerators over a positive denominator, without zeros and
+        reduced by their common factor."""
+        common = gcd(denominator, *numerators.values())
+        if common != 1 or 0 in numerators.values():
+            numerators = {i: c // common for i, c in numerators.items() if c}
+            denominator //= common
         self.group = group
-        self._coeffs = {g: c for g, c in acc.items() if c != 0}
+        self.numerators = numerators
+        self.denominator = denominator
 
     @classmethod
-    def _trusted(cls, group: Group, coeffs: dict) -> "RingElement":
-        """Wrap coefficients that are already valid: keys are members of group
-        and values are Fractions.  Only zero coefficients are dropped."""
+    def _trusted(cls, group: Group, numerators: dict[int, int],
+                 denominator: int) -> "RingElement":
+        """Wrap numerators on ids of group over a positive denominator; the
+        fraction is reduced here."""
         u = object.__new__(cls)
-        u.group = group
-        u._coeffs = {g: c for g, c in coeffs.items() if c}
+        u._reduce(group, numerators, denominator)
         return u
 
     @classmethod
     def zero(cls, group: Group) -> "RingElement":
-        return cls._trusted(group, {})
+        return cls._trusted(group, {}, 1)
 
     @classmethod
     def one(cls, group: Group) -> "RingElement":
@@ -61,47 +76,48 @@ class RingElement:
         return cls(g.group, [(g, Fraction(coeff))])
 
     def coefficient(self, g: GroupElement) -> Fraction:
-        self.group._require_member(g)
-        return self._coeffs.get(g, Fraction(0))
+        return Fraction(self.numerators.get(self.group.intern(g), 0),
+                        self.denominator)
 
     def items_sorted(self) -> list[tuple[GroupElement, Fraction]]:
         """Support with coefficients, sorted by normal form for reproducibility."""
-        return sorted(self._coeffs.items(), key=lambda item: item[0].key)
-
-    def support(self) -> tuple[GroupElement, ...]:
-        return tuple(g for g, _ in self.items_sorted())
+        elements = self.group.table.elements
+        return sorted(((elements[i], Fraction(c, self.denominator))
+                       for i, c in self.numerators.items()),
+                      key=lambda item: item[0].key)
 
     def support_size(self) -> int:
-        return len(self._coeffs)
+        return len(self.numerators)
 
     def is_zero(self) -> bool:
-        return not self._coeffs
+        return not self.numerators
 
-    def _merge(self, other: "RingElement", negate: bool) -> "RingElement":
-        """self + other, or self - other when negate, without validating the
-        terms of either operand again."""
+    def _merge(self, other: "RingElement", sign: int) -> "RingElement":
+        """self + sign * other over the lcm of the denominators, without
+        validating the terms of either operand again."""
         _require_same_group(self.group, other.group)
-        out = dict(self._coeffs)
-        for g, c in other._coeffs.items():
-            if negate:
-                c = -c
-            prev = out.get(g)
-            out[g] = c if prev is None else prev + c
-        return RingElement._trusted(self.group, out)
+        denominator = lcm(self.denominator, other.denominator)
+        mine = denominator // self.denominator
+        theirs = sign * (denominator // other.denominator)
+        out = {i: c * mine for i, c in self.numerators.items()}
+        for i, c in other.numerators.items():
+            out[i] = out.get(i, 0) + c * theirs
+        return RingElement._trusted(self.group, out, denominator)
 
     def __add__(self, other: "RingElement") -> "RingElement":
-        return self._merge(other, False)
+        return self._merge(other, 1)
 
     def __neg__(self) -> "RingElement":
-        return RingElement._trusted(self.group, {g: -c for g, c in self._coeffs.items()})
+        return self.scale(-1)
 
     def __sub__(self, other: "RingElement") -> "RingElement":
-        return self._merge(other, True)
+        return self._merge(other, -1)
 
     def scale(self, factor) -> "RingElement":
         factor = Fraction(factor)
         return RingElement._trusted(
-            self.group, {g: c * factor for g, c in self._coeffs.items()})
+            self.group, {i: c * factor.numerator for i, c in self.numerators.items()},
+            self.denominator * factor.denominator)
 
     def __mul__(self, other):
         if isinstance(other, RingElement):
@@ -118,17 +134,18 @@ class RingElement:
     def convolve(self, other: "RingElement") -> "RingElement":
         """Product extending group multiplication: (u*v)(g) = sum u(a) v(b) over ab = g."""
         _require_same_group(self.group, other.group)
-        out: dict[GroupElement, Fraction] = {}
-        for a, ca in self._coeffs.items():
-            for b, cb in other._coeffs.items():
-                g = a * b
-                prev = out.get(g)
-                out[g] = ca * cb if prev is None else prev + ca * cb
-        return RingElement._trusted(self.group, out)
+        products = self.group.table.products
+        out: dict[int, int] = {}
+        for a, ca in self.numerators.items():
+            for b, cb in other.numerators.items():
+                g = products[a, b]
+                out[g] = out.get(g, 0) + ca * cb
+        return RingElement._trusted(self.group, out,
+                                    self.denominator * other.denominator)
 
     def augment(self) -> Fraction:
         """Sum of coefficients; a ring homomorphism onto the rationals."""
-        return sum(self._coeffs.values(), Fraction(0))
+        return Fraction(sum(self.numerators.values()), self.denominator)
 
     def is_central(self) -> bool:
         """True iff this element commutes with every generator."""
@@ -140,13 +157,15 @@ class RingElement:
 
     def max_word_length(self) -> int:
         """Largest word length in the support (0 for the zero element)."""
-        return max((g.word_length() for g in self._coeffs), default=0)
+        lengths = self.group.table.lengths
+        return max((lengths[i] for i in self.numerators), default=0)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, RingElement):
             return NotImplemented
-        return (self.group == other.group
-                and self._coeffs == other._coeffs)
+        return (self.group is other.group
+                and self.denominator == other.denominator
+                and self.numerators == other.numerators)
 
     __hash__ = None
 
@@ -158,7 +177,7 @@ class RingElement:
 
 
 def _require_same_group(left: Group, right: Group):
-    if left != right:
+    if left is not right:
         raise ValueError(f"cross-group ring operands: {left.name} vs {right.name}")
 
 

@@ -15,12 +15,15 @@ group name form; `from_catalog` resolves names in it and in the resolution
 catalog.
 
 Each group keeps an `ElementTable`: integer ids for the elements it has
-met, with products, inverses and word lengths cached by id.  The exact
-homotopy kernel runs on these ids; `Group.intern` is its checked entry.
+met, with products, inverses and word lengths cached by id.  Group-ring
+elements and the exact homotopy kernel run on these ids; `Group.intern` is
+their checked entry.
 
 A group kind is one class plus one catalog row: the class declares every
-fact about its kind (see `Group`), no other module branches on the kind, and
-two groups are the same iff their names are.
+fact about its kind (see `Group`), and no other module branches on the kind.
+A group equals only itself: ids are numbered per instance, in the order the
+instance meets its elements, so two instances built from one name are
+different groups and mixing their elements raises ValueError.
 """
 
 from __future__ import annotations
@@ -43,8 +46,8 @@ class InvariantViolation(RuntimeError):
 class GroupElement:
     """Element of a catalog group, held in canonical normal form.
 
-    Two elements compare equal iff they belong to the same group and their
-    normal forms coincide.  Elements are immutable and hashable.
+    Two elements compare equal iff they belong to the same group instance and
+    their normal forms coincide.  Elements are immutable and hashable.
     """
 
     __slots__ = ("group", "key")
@@ -82,8 +85,7 @@ class GroupElement:
     def __eq__(self, other) -> bool:
         if not isinstance(other, GroupElement):
             return NotImplemented
-        return self.key == other.key and (
-            self.group is other.group or self.group.name == other.group.name)
+        return self.key == other.key and self.group is other.group
 
     def __hash__(self) -> int:
         # Equal elements have equal keys, so the key alone is a valid hash;
@@ -230,8 +232,7 @@ class Group:
                 f"cannot parse {token!r} as an element of {self.name}") from None
 
     def _require_member(self, a: GroupElement):
-        if not isinstance(a, GroupElement) or (
-                a.group is not self and a.group.name != self.name):
+        if not isinstance(a, GroupElement) or a.group is not self:
             raise ValueError(
                 f"cross-group operand: expected an element of {self.name}, got {a!r}"
             )
@@ -299,14 +300,6 @@ class Group:
                 )
             self._grow_one_layer()
         return self._dist[a.key]
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, Group):
-            return NotImplemented
-        return self.name == other.name
-
-    def __hash__(self) -> int:
-        return hash(self.name)
 
     def __repr__(self) -> str:
         return f"<group {self.name}>"

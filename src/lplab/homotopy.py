@@ -4,13 +4,13 @@ multiplier, and exact residual measurements for class-sum variants.
 Everything here is exact: the homotopy identity is an algebraic statement
 and floating error would blur it into a tolerance.  The kernel runs on
 interned data.  Group elements are the integer ids of the group's
-`ElementTable`, and a cochain holds its values as integer coefficients over
-one common denominator, the lcm of its coefficient denominators.  Every
-operator is Z-linear with integer multipliers, so an operator's value is an
-integer combination of stored values, and a residual comes out as a literal
-integer over that denominator; exact zero stays literal 0.  Elements and
-`RingElement` values are converted, and checked, only where they enter or
-leave.
+`ElementTable`, and a cochain stores its values as `RingElement`s, which
+hold integer numerators on those ids over a denominator; the cochain's
+denominator is the lcm of theirs.  Every operator is Z-linear with integer
+multipliers, so an operator's value is an integer combination of stored
+numerators over the cochain's denominator, and a residual comes out as a
+literal integer over it; exact zero stays literal 0.  Argument elements are
+interned, and checked, only where they enter.
 
 A cochain is stored on its equivariant slice, the argument tuples with leading
 identity that resolutions.bar_resolution_basis enumerates (and caps at the
@@ -34,15 +34,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
-from math import gcd, lcm
+from math import lcm
 from random import Random
 
 from .groups import ElementTable, Group, GroupElement
 from .group_ring import RingElement
 from .resolutions import BAR_DEGREE_CAP, bar_slice_ball
 
-# An interned value: element id -> integer coefficient over the cochain's
-# common denominator.  Zero coefficients may appear in an accumulator.
+# An accumulator: element id -> integer coefficient over the cochain's
+# denominator.  Zero coefficients may appear in it.
 IdValue = dict[int, int]
 IdTuple = tuple[int, ...]
 
@@ -70,12 +70,11 @@ class EquivariantCochain:
     times the stored value.  With truncated=False missing tails are zero;
     with truncated=True tails outside the window raise WindowUnderflowError.
 
-    The values are checked and interned once, here: `numerators` maps id
-    tails to {element id: integer}, and a coefficient is that integer over
-    `denominator`, the lcm of the coefficient denominators.
+    The tails are checked and interned once, here: `stored` maps id tails to
+    the nonzero values, and `denominator` is the lcm of their denominators.
     """
 
-    __slots__ = ("group", "degree", "radius", "truncated", "numerators",
+    __slots__ = ("group", "degree", "radius", "truncated", "stored",
                  "denominator", "_add")
 
     def __init__(self, group: Group, degree: int, radius: int, values,
@@ -85,7 +84,7 @@ class EquivariantCochain:
         if radius < 0:
             raise ValueError(f"radius must be nonnegative, got {radius}")
         table = group.table
-        fractions: dict[IdTuple, dict[int, Fraction]] = {}
+        stored: dict[IdTuple, RingElement] = {}
         for tail, value in (values.items() if hasattr(values, "items") else values):
             tail = tuple(tail)
             if len(tail) != degree:
@@ -97,56 +96,37 @@ class EquivariantCochain:
                     raise ValueError(
                         f"tail element {table.elements[x]} lies outside the "
                         f"radius-{radius} window")
-            if value.group != group:
+            if value.group is not group:
                 raise ValueError("value belongs to a different group ring")
-            if not value.is_zero():
-                fractions[ids] = {table.ids[g.key]: c
-                                  for g, c in value.items_sorted()}
-        denominator = lcm(*(c.denominator for value in fractions.values()
-                            for c in value.values()))
-        numerators = {tail: {g: c.numerator * (denominator // c.denominator)
-                             for g, c in value.items()}
-                      for tail, value in fractions.items()}
-        self._store(group, int(degree), int(radius), numerators, denominator,
-                    bool(truncated))
+            stored[ids] = value
+        self._store(group, int(degree), int(radius), stored, bool(truncated))
 
-    def _store(self, group: Group, degree: int, radius: int, numerators: dict,
-               denominator: int, truncated: bool):
-        """Keep interned values: drop zeros and reduce the numerators and the
-        denominator by their common factor, so equal cochains store equal
-        data."""
-        common = gcd(denominator, *(c for value in numerators.values()
-                                    for c in value.values()))
-        numerators = {tail: nonzero for tail, value in numerators.items()
-                      if (nonzero := {g: c // common for g, c in value.items() if c})}
-        denominator //= common
+    def _store(self, group: Group, degree: int, radius: int,
+               stored: dict[IdTuple, RingElement], truncated: bool):
+        """Keep the nonzero values and the lcm of their denominators."""
+        stored = {tail: value for tail, value in stored.items() if value.numerators}
         self.group = group
         self.degree = degree
         self.radius = radius
         self.truncated = truncated
-        self.numerators = numerators
-        self.denominator = denominator
-        self._add = _stored_adder(group.table, radius, numerators, truncated)
+        self.stored = stored
+        self.denominator = lcm(*(value.denominator for value in stored.values()))
+        self._add = _stored_adder(group.table, radius, stored, self.denominator,
+                                  truncated)
 
     @classmethod
-    def _interned(cls, group: Group, degree: int, radius: int, numerators: dict,
-                  denominator: int, truncated: bool) -> "EquivariantCochain":
-        """A cochain from interned values whose tails are already checked."""
+    def _interned(cls, group: Group, degree: int, radius: int,
+                  stored: dict[IdTuple, RingElement],
+                  truncated: bool) -> "EquivariantCochain":
+        """A cochain from values on id tails that are already checked."""
         phi = object.__new__(cls)
-        phi._store(group, degree, radius, numerators, denominator, truncated)
+        phi._store(group, degree, radius, stored, truncated)
         return phi
 
-    def _on(self, group: Group) -> "EquivariantCochain":
-        """This cochain over group, which must have the same name.  Ids are
-        per instance (each `Group` numbers elements in the order it meets
-        them), so a cochain built on another instance of the same group is
-        rebuilt from its values before they meet this group's ids."""
-        if group is self.group:
-            return self
-        if group != self.group:
-            raise ValueError("cochains belong to different groups")
-        return EquivariantCochain(group, self.degree, self.radius, self.values,
-                                  self.truncated)
+    def _require_same_group(self, group: Group):
+        if group is not self.group:
+            raise ValueError(f"cochains belong to different groups: "
+                             f"{self.group.name} vs {group.name}")
 
     def _intern_args(self, args, arity: int) -> IdTuple:
         args = tuple(args)
@@ -154,22 +134,17 @@ class EquivariantCochain:
             raise ValueError(f"expected {arity} arguments, got {len(args)}")
         return tuple(self.group.intern(x) for x in args)
 
-    def _ring_element(self, value: IdValue) -> RingElement:
-        elements = self.group.table.elements
-        return RingElement(self.group, [(elements[g], Fraction(c, self.denominator))
-                                        for g, c in value.items() if c])
-
     @property
     def values(self) -> dict[tuple[GroupElement, ...], RingElement]:
-        """The stored slice values as ring elements, keyed by element tails."""
+        """The stored slice values, keyed by element tails."""
         elements = self.group.table.elements
-        return {tuple(elements[x] for x in tail): self._ring_element(value)
-                for tail, value in self.numerators.items()}
+        return {tuple(elements[x] for x in tail): value
+                for tail, value in self.stored.items()}
 
     def _value(self, args: IdTuple) -> RingElement:
         acc: IdValue = {}
         self._add(acc, 1, 0, args)
-        return self._ring_element(acc)
+        return RingElement._trusted(self.group, acc, self.denominator)
 
     def value_at_tail(self, tail: tuple[GroupElement, ...]) -> RingElement:
         """Stored value at a slice tuple (1, *tail)."""
@@ -183,9 +158,8 @@ class EquivariantCochain:
         factor = Fraction(factor)
         return EquivariantCochain._interned(
             self.group, self.degree, self.radius,
-            {tail: {g: c * factor.numerator for g, c in value.items()}
-             for tail, value in self.numerators.items()},
-            self.denominator * factor.denominator, self.truncated)
+            {tail: value.scale(factor) for tail, value in self.stored.items()},
+            self.truncated)
 
     def __rmul__(self, factor):
         if isinstance(factor, (int, Fraction)):
@@ -198,7 +172,7 @@ class EquivariantCochain:
     def __add__(self, other: "EquivariantCochain") -> "EquivariantCochain":
         if not isinstance(other, EquivariantCochain):
             return NotImplemented
-        other = other._on(self.group)
+        self._require_same_group(other.group)
         if self.degree != other.degree:
             raise ValueError("cochains have different degrees")
         truncated = self.truncated or other.truncated
@@ -207,18 +181,15 @@ class EquivariantCochain:
         else:
             radius = max(self.radius, other.radius)
         lengths = self.group.table.lengths
-        denominator = lcm(self.denominator, other.denominator)
-        merged: dict[IdTuple, IdValue] = {}
+        merged: dict[IdTuple, RingElement] = {}
         for source in (self, other):
-            multiplier = denominator // source.denominator
-            for tail, value in source.numerators.items():
+            for tail, value in source.stored.items():
                 if truncated and any(lengths[x] > radius for x in tail):
                     continue
-                acc = merged.setdefault(tail, {})
-                for g, c in value.items():
-                    acc[g] = acc.get(g, 0) + multiplier * c
+                prev = merged.get(tail)
+                merged[tail] = value if prev is None else prev + value
         return EquivariantCochain._interned(self.group, self.degree, radius,
-                                            merged, denominator, truncated)
+                                            merged, truncated)
 
     def __sub__(self, other: "EquivariantCochain") -> "EquivariantCochain":
         return self + (-other)
@@ -226,19 +197,15 @@ class EquivariantCochain:
     def __eq__(self, other) -> bool:
         if not isinstance(other, EquivariantCochain):
             return NotImplemented
-        if self.group != other.group:
-            return False
-        other = other._on(self.group)
-        return (self.degree == other.degree
-                and self.denominator == other.denominator
-                and self.numerators == other.numerators)
+        self._require_same_group(other.group)
+        return self.degree == other.degree and self.stored == other.stored
 
     __hash__ = None
 
     def __repr__(self) -> str:
         flavor = "truncated" if self.truncated else "supported"
         return (f"<cochain degree={self.degree} radius={self.radius} "
-                f"{flavor} on {self.group.name}, {len(self.numerators)} tails>")
+                f"{flavor} on {self.group.name}, {len(self.stored)} tails>")
 
 
 def zero_cochain(group: Group, degree: int, radius: int) -> EquivariantCochain:
@@ -252,18 +219,18 @@ def random_cochain(group: Group, degree: int, radius: int,
     ids = group.table.ids
     value_ball = [ids[g.key] for g in group.ball(2)]
     # every coefficient is a/b with 1 <= b <= 9, so lcm(1, ..., 9) is a
-    # common denominator; storing reduces it to the lcm of the actual ones
+    # common denominator of each value
     denominator = lcm(*range(1, 10))
-    numerators = {}
+    values = {}
     for args in _slice_tuples(group, degree, radius):
         value: IdValue = {}
         for _ in range(rng.randint(1, 2)):
             g = value_ball[rng.randrange(len(value_ball))]
             a, b = rng.randint(-9, 9), rng.randint(1, 9)
             value[g] = value.get(g, 0) + a * (denominator // b)
-        numerators[args[1:]] = value
-    return EquivariantCochain._interned(group, degree, radius, numerators,
-                                        denominator, truncated=False)
+        values[args[1:]] = RingElement._trusted(group, value, denominator)
+    return EquivariantCochain._interned(group, degree, radius, values,
+                                        truncated=False)
 
 
 # -- formula evaluation ----------------------------------------------------------
@@ -301,15 +268,18 @@ def _shifted(table: ElementTable, slice_add):
     return add
 
 
-def _stored_adder(table: ElementTable, radius: int, numerators: dict,
+def _stored_adder(table: ElementTable, radius: int,
+                  stored: dict[IdTuple, RingElement], denominator: int,
                   truncated: bool):
-    """Adder of a stored cochain.  Closing over the values rather than the
-    cochain keeps a cochain free of reference cycles."""
+    """Adder of a stored cochain: a value's numerators count over the
+    cochain's denominator once scaled by denominator // value.denominator.
+    Closing over the values rather than the cochain keeps a cochain free of
+    reference cycles."""
     products, lengths = table.products, table.lengths
 
     def add_at_slice(acc: IdValue, m: int, head: int, args: IdTuple):
         tail = args[1:]
-        value = numerators.get(tail)
+        value = stored.get(tail)
         if value is None:
             if truncated:
                 longest = max(map(lengths.__getitem__, tail), default=0)
@@ -320,7 +290,8 @@ def _stored_adder(table: ElementTable, radius: int, numerators: dict,
                         required_radius=longest)
             return
         get = acc.get
-        for g, c in value.items():
+        m *= denominator // value.denominator
+        for g, c in value.numerators.items():
             if head:
                 g = products[head, g]
             acc[g] = get(g, 0) + m * c
@@ -372,13 +343,14 @@ def _homotopy_adder(table: ElementTable, inner, multipliers: IdTuple):
 def _materialize(phi: EquivariantCochain, add, degree: int,
                  radius: int) -> EquivariantCochain:
     """The operator behind add, stored on the slice tuples of a window."""
+    group = phi.group
     values = {}
-    for args in _slice_tuples(phi.group, degree, radius):
+    for args in _slice_tuples(group, degree, radius):
         acc: IdValue = {}
         add(acc, 1, 0, args)
-        values[args[1:]] = acc
-    return EquivariantCochain._interned(phi.group, degree, radius, values,
-                                        phi.denominator, truncated=True)
+        values[args[1:]] = RingElement._trusted(group, acc, phi.denominator)
+    return EquivariantCochain._interned(group, degree, radius, values,
+                                        truncated=True)
 
 
 def coboundary(phi: EquivariantCochain,
@@ -530,7 +502,8 @@ class ResidualForm:
         if phi.degree != self.degree:
             raise ValueError(
                 f"cochain has degree {phi.degree}, the form {self.degree}")
-        return _residual_scan(self, phi._on(self.group))
+        phi._require_same_group(self.group)
+        return _residual_scan(self, phi)
 
 
 def _residual_scan(form: ResidualForm, phi: EquivariantCochain) -> ResidualReport:

@@ -15,10 +15,10 @@ Point masses, embedded ring elements, re-embeddings on larger balls and
 translates are all built by one scatter, ``_scatter``: it adds each
 (copy, element, value) entry at its basis slot and raises ValueError for an
 element outside the target ball.  ``index_of`` raises ValueError for a copy
-outside the space's rank.  Elements from callers are checked to belong to the
-space's group where they enter (``delta_chain``, ``vector_from_ring_parts``,
-``Vector.coefficient``); the scatter trusts its entries.  Boundary assembly
-fills its matrix columns with its own loop.
+outside the space's rank.  Elements and ring elements from callers are
+checked to belong to the space's group where they enter (``delta_chain``,
+``vector_from_ring_parts``, ``Vector.coefficient``); the scatter trusts its
+entries.  Boundary assembly fills its matrix columns with its own loop.
 """
 
 from __future__ import annotations
@@ -77,7 +77,7 @@ class TruncatedSpace:
                 yield copy, g
 
     def compatible_with(self, other: "TruncatedSpace") -> bool:
-        return self.group == other.group and self.rank == other.rank
+        return self.group is other.group and self.rank == other.rank
 
 
 class Vector:
@@ -141,9 +141,10 @@ def vector_from_ring_parts(space: TruncatedSpace, parts) -> Vector:
     for copy, part in enumerate(parts):
         if part is None:
             continue
-        for g, coeff in part.items_sorted():
-            space.group._require_member(g)
-            entries.append((copy, g, float(coeff)))
+        if part.group is not space.group:
+            raise ValueError(f"cross-group operand: expected a ring element of "
+                             f"{space.group.name}, got one of {part.group.name}")
+        entries.extend((copy, g, float(coeff)) for g, coeff in part.items_sorted())
     return _scatter(space, entries)
 
 
@@ -182,17 +183,18 @@ def assemble_boundary(res: Resolution, i: int, radius: int) -> BoundaryOperator:
                               radius + boundary_growth(res, i))
     out = np.zeros((codomain.dim, domain.dim))
     n_dom = len(domain.elements)
+    terms = [[[(g, float(coeff)) for g, coeff in entry.items_sorted()]
+              for entry in row] for row in mat]
     for b in range(domain.rank):
         for h_pos, h in enumerate(domain.elements):
             col = b * n_dom + h_pos
             for a in range(codomain.rank):
-                entry = mat[a][b]
-                for g, coeff in entry.items_sorted():
+                for g, coeff in terms[a][b]:
                     row_idx = codomain.index_of(a, h * g)
                     if row_idx is None:
                         raise RuntimeError(
                             "convolution support escaped the enlarged ball")
-                    out[row_idx, col] += float(coeff)
+                    out[row_idx, col] += coeff
     return BoundaryOperator(domain, codomain, out)
 
 
@@ -213,7 +215,7 @@ def pairing(y: Vector, x: Vector) -> float:
     """Evaluation pairing: sum over copies and elements of products of
     coefficients, aligned by basis label; missing slots count as zero."""
     ys, xs = y.space, x.space
-    if ys.group != xs.group:
+    if ys.group is not xs.group:
         raise ValueError("pairing needs vectors over the same group")
     if ys.rank != xs.rank:
         raise ValueError(f"rank mismatch: {ys.rank} vs {xs.rank}")
@@ -234,7 +236,7 @@ def translate(x, g: GroupElement):
 def translate_ring(x, u: RingElement):
     """Weighted sum of left translations over the support of a ring element."""
     space = x.space
-    if u.group != space.group:
+    if u.group is not space.group:
         raise ValueError("ring element belongs to a different group")
     if u.is_zero():
         return Vector(space, np.zeros(space.dim))

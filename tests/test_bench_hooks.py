@@ -2,9 +2,10 @@
 
 `perfbench/tracing.py` instruments the program by replacing functions and
 methods of the lplab modules by name, so renaming one of them breaks a
-traced benchmark run.  This test installs the tracer, runs one tiny
-experiment through `cli.main`, and checks that the run was traced and that
-uninstalling puts every original back.  It only reads `perfbench/`.
+traced benchmark run.  This test installs the tracer, runs a tiny homotopy
+experiment and a ring-heavy resolution check through `cli.main`, and checks
+that the runs were traced, that every layer counter it asserts moved, and
+that uninstalling puts every original back.  It only reads `perfbench/`.
 """
 
 import sys
@@ -30,20 +31,28 @@ def test_tracer_installs_traces_a_run_and_uninstalls(tmp_path, monkeypatch):
     import tracing
 
     before = _lplab_attributes()
-    cfg = tmp_path / "tiny.cfg"
-    cfg.write_text("experiment=verify-homotopy\ngroup=Z^1\nR=1\ncount=1\n"
-                   f"output={tmp_path / 'tiny.csv'}\n", encoding="utf-8")
+    configs = {
+        "tiny": "experiment=verify-homotopy\ngroup=Z^1\nR=1\ncount=1\n",
+        "resolutions": "experiment=verify-resolutions\n",
+    }
     tracer = tracing.Tracer()
     uninstall = tracing.install(tracer)
     try:
-        code = cli.main(["run", str(cfg)])
+        codes = []
+        for name, text in configs.items():
+            cfg = tmp_path / f"{name}.cfg"
+            cfg.write_text(text + f"output={tmp_path / name}.csv\n",
+                           encoding="utf-8")
+            codes.append(cli.main(["run", str(cfg)]))
     finally:
         uninstall()
-    assert code == cli.EXIT_OK
-    assert (tmp_path / "tiny.csv").exists()
-    assert any(span[0] == "cli.run" for span in tracer.spans)
+    assert codes == [cli.EXIT_OK] * len(configs)
+    assert all((tmp_path / f"{name}.csv").exists() for name in configs)
+    assert sum(span[0] == "cli.run" for span in tracer.spans) == len(configs)
     assert tracer.count["homotopy.tuples_checked"] > 0
     assert tracer.count["groups.mul_calls"] > 0
+    assert tracer.count["group_ring.elements_built"] > 0
+    assert tracer.count["group_ring.convolve_calls"] > 0
     moved = [f"{getattr(owner, '__name__', owner)}.{attr}"
              for owner, attr, value in before
              if vars(owner).get(attr) is not value]

@@ -1,6 +1,7 @@
 """Group-ring arithmetic: convolution, augmentation, centers, class sums."""
 
 from fractions import Fraction
+from math import gcd
 from random import Random
 
 import pytest
@@ -203,17 +204,25 @@ def test_coefficient_rejects_foreign_elements_and_non_elements():
     assert u.coefficient(heis.identity) == 0
 
 
-def test_ring_arithmetic_across_instances_of_one_group():
+def test_ring_arithmetic_rejects_another_instance_of_one_group():
+    # element ids are numbered per Group instance, so two builds of one name
+    # are different groups
     first = group_from_name("heisenberg")
     second = group_from_name("heisenberg")
-    x1, y1 = first.generators
-    x2, y2 = second.generators
-    assert x1 == x2 and hash(x1) == hash(x2)
-    assert hash(x1 * y1) == hash(x2 * y2)
+    assert first != second
+    x1, x2 = first.generators[0], second.generators[0]
+    assert x1 != x2
     u = RingElement.from_element(x1) + RingElement.one(first)
-    v = RingElement.from_element(y2, 2)
-    assert u + v == RingElement(first, [(x1, 1), (first.identity, 1), (y1, 2)])
-    assert u * v == RingElement(first, [(x1 * y1, 2), (y1, 2)])
+    v = RingElement.from_element(x2, 2)
+    for op in (lambda: u + v, lambda: u - v, lambda: u * v, lambda: v * u):
+        with pytest.raises(ValueError,
+                           match="cross-group ring operands: heisenberg vs heisenberg"):
+            op()
+    with pytest.raises(ValueError, match="cross-group operand"):
+        RingElement(first, [(x2, 1)])
+    with pytest.raises(ValueError, match="cross-group operand"):
+        u.coefficient(x2)
+    assert u != RingElement(second, [(x2, 1), (second.identity, 1)])
 
 
 def test_arithmetic_results_keep_invariants():
@@ -223,7 +232,6 @@ def test_arithmetic_results_keep_invariants():
     u = one - RingElement.from_element(t)
     for zero in (u + (-u), u.scale(0), u * (one + RingElement.from_element(t))):
         assert zero.is_zero()
-        assert zero.support() == ()
         assert zero == RingElement.zero(c2)
     half = RingElement(c2, [(t, 0.5)]).coefficient(t)
     assert type(half) is Fraction and half == Fraction(1, 2)
@@ -270,3 +278,34 @@ def test_format_parse_round_trip_random(pairs):
     t = lattice.generators[0]
     u = RingElement(lattice, [(t ** k, c) for k, c in pairs])
     assert parse_ring_element(lattice, format_ring_element(u)) == u
+
+
+_coefficients = st.fractions(min_value=-5, max_value=5, max_denominator=6)
+_dihedral_terms = st.lists(st.tuples(st.integers(-3, 3), st.integers(0, 1),
+                                     _coefficients), max_size=5)
+
+
+def _is_canonical(u):
+    """Positive denominator, coprime to the numerators, no zero numerator."""
+    return (u.denominator > 0 and all(u.numerators.values())
+            and gcd(u.denominator, *u.numerators.values()) == 1)
+
+
+@settings(max_examples=80, deadline=None)
+@given(_dihedral_terms, _dihedral_terms,
+       _coefficients.filter(lambda f: f != 0))
+def test_arithmetic_keeps_the_canonical_form(u_terms, v_terms, factor):
+    dihedral = group_from_name("dihedral-inf")
+    u, v = (RingElement(dihedral, [(dihedral.element((a, e)), c)
+                                   for a, e, c in terms])
+            for terms in (u_terms, v_terms))
+    assert (u + v) - v == u
+    assert u.scale(factor).scale(1 / factor) == u
+    for w in (u, v, u + v, u - v, u * v, -u, u.scale(factor)):
+        assert _is_canonical(w)
+        # equal elements store equal data
+        rebuilt = RingElement(dihedral, w.items_sorted())
+        assert (rebuilt.numerators, rebuilt.denominator) == \
+            (w.numerators, w.denominator)
+    for zero in (u - u, u.scale(0), RingElement.zero(dihedral)):
+        assert (zero.numerators, zero.denominator) == ({}, 1)

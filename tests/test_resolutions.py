@@ -1,6 +1,5 @@
 """Resolution catalog: boundary data, free-derivative identities, validation."""
 
-from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -139,12 +138,18 @@ def test_fox_resolution_of_a_kind_outside_the_catalog():
 def test_lattice_rank_one_matches_cyclic_infinite():
     res = lattice_resolution(1)
     reference = cyclic_infinite_resolution()
+
+    def entries(r):
+        # each build has its own group, so entries compare by normal forms
+        return [[[(g.key, c) for g, c in entry.items_sorted()] for entry in row]
+                for mat in r.boundaries for row in mat]
+
     assert res.ranks == reference.ranks
-    assert res.boundary(1)[0][0] == reference.boundary(1)[0][0]
-    assert res.boundaries == reference.boundaries
+    assert str(res.boundary(1)[0][0]) == str(reference.boundary(1)[0][0])
+    assert entries(res) == entries(reference)
     # the two differ only in their names
+    assert res.group.name == reference.group.name == "Z^1"
     assert (res.name, reference.name) == ("lattice:1", "cyclic-inf")
-    assert replace(res, name="cyclic-inf") == reference
 
 
 def test_lattice_two_signs():
