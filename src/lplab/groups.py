@@ -14,10 +14,12 @@ such a word in the generator labels.  `GROUP_CATALOG` holds one row per
 group name form; `from_catalog` resolves names in it and in the resolution
 catalog.
 
-Each group keeps an `ElementTable`: integer ids for the elements it has
-met, with products, inverses and word lengths cached by id.  Group-ring
-elements and the exact homotopy kernel run on these ids; `Group.intern` is
-their checked entry.
+Each group keeps an `ElementTable`, the one store of its elements: each
+element it meets is built once, as a row with the next free integer id, and
+products, inverses and word lengths are cached by id.  Equality of elements
+is identity, and an element hashes to its id.  Group-ring elements and the
+exact homotopy kernel run on these ids; `Group.intern` is their checked
+entry.
 
 A group kind is one class plus one catalog row: the class declares every
 fact about its kind (see `Group`), and no other module branches on the kind.
@@ -44,17 +46,20 @@ class InvariantViolation(RuntimeError):
 
 
 class GroupElement:
-    """Element of a catalog group, held in canonical normal form.
+    """Element of a catalog group: its normal form `key` and its `id`, the
+    row of its group's `ElementTable`.
 
-    Two elements compare equal iff they belong to the same group instance and
-    their normal forms coincide.  Elements are immutable and hashable.
+    Built once, by the table; equality is identity, so two elements are equal
+    iff they are the same object.  The hash is the id, so set and dict order
+    never depends on memory addresses.
     """
 
-    __slots__ = ("group", "key")
+    __slots__ = ("group", "key", "id")
 
-    def __init__(self, group: "Group", key):
+    def __init__(self, group: "Group", key, id: int):
         self.group = group
         self.key = key
+        self.id = id
 
     def __mul__(self, other: "GroupElement") -> "GroupElement":
         return self.group.mul(self, other)
@@ -80,17 +85,10 @@ class GroupElement:
         return self.group.word_length(self)
 
     def is_identity(self) -> bool:
-        return self.key == self.group.identity.key
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, GroupElement):
-            return NotImplemented
-        return self.key == other.key and self.group is other.group
+        return self.id == 0
 
     def __hash__(self) -> int:
-        # Equal elements have equal keys, so the key alone is a valid hash;
-        # elements of different groups sharing a key are told apart by __eq__.
-        return hash(self.key)
+        return self.id
 
     def __lt__(self, other: "GroupElement") -> bool:
         # Sort order for elements of one group: lexicographic on normal forms.
@@ -118,37 +116,41 @@ class _Filled(dict):
 
 
 class ElementTable:
-    """Integer ids for the elements of one group, with the group operations
-    cached by id.  Every entry is filled on first lookup.
+    """The elements of one group, each built once as a row with an integer
+    id, and the group operations cached by id.  Every entry is filled on
+    first lookup.
 
     - `ids[key]` is the id of the element with that normal form: 0 for the
-      identity, the next free id for a key not seen before;
+      identity, the next free id for a key not seen before, whose element
+      is built then;
     - `elements[i]` is the element with id i;
-    - `products[i, j]` is the id of the product, computed once by
-      `Group.mul`;
-    - `inverses[i]` and `lengths[i]` are the id of the inverse and the word
-      length.
+    - `products[i, j]` and `inverses[i]` are the ids of the product and the
+      inverse, computed on normal forms;
+    - `lengths[i]` is the word length; its fill grows the group's ball
+      until the ball reaches element i.
 
-    Keys are not checked here; `Group.intern` is the checked entry.
+    Keys are not checked here; `Group.element` and `Group.intern` are the
+    checked entries.
     """
 
     __slots__ = ("elements", "ids", "products", "inverses", "lengths")
 
-    def __init__(self, group: "Group"):
-        elements = [group.identity]
+    def __init__(self, group: "Group", identity_key):
+        elements: list[GroupElement] = []
 
         def new_id(key) -> int:
-            elements.append(GroupElement(group, key))
+            elements.append(GroupElement(group, key, len(elements)))
             return len(elements) - 1
 
         ids = _Filled(new_id)
-        ids[group.identity.key] = 0
+        ids[identity_key]  # the identity is row 0
         self.elements = elements
         self.ids = ids
-        self.products = _Filled(
-            lambda ij: ids[group.mul(elements[ij[0]], elements[ij[1]]).key])
-        self.inverses = _Filled(lambda i: ids[group.inverse(elements[i]).key])
-        self.lengths = _Filled(lambda i: group.word_length(elements[i]))
+        self.products = _Filled(lambda ij: ids[group._mul_keys(
+            elements[ij[0]].key, elements[ij[1]].key)])
+        self.inverses = _Filled(lambda i: ids[group._inv_key(elements[i].key)])
+        self.lengths = _Filled(group._grow_to)
+        self.lengths[0] = 0
 
 
 class Group:
@@ -183,22 +185,17 @@ class Group:
         self.name = name
         self.generator_labels = tuple(generator_labels)
         self.ball_cap = int(ball_cap)
-        self.identity = GroupElement(self, identity_key)
+        self.table = ElementTable(self, identity_key)
+        self.identity = self.table.elements[0]
+        self._layers: list[list[GroupElement]] = [[self.identity]]
         self.generators: tuple[GroupElement, ...] = tuple(
-            GroupElement(self, k) for k in generator_keys)
+            self.element(k) for k in generator_keys)
         # the generators followed by those of their inverses not yet listed
         symmetric = list(self.generators)
-        keys = {g.key for g in symmetric}
         for g in self.generators:
-            inv = self.inverse(g)
-            if inv.key not in keys:
-                symmetric.append(inv)
-                keys.add(inv.key)
+            if g.inverse() not in symmetric:
+                symmetric.append(g.inverse())
         self.symmetric_generators: tuple[GroupElement, ...] = tuple(symmetric)
-        self._layers: list[list[GroupElement]] = [[self.identity]]
-        self._dist: dict = {identity_key: 0}
-        self._exhausted = False
-        self.table = ElementTable(self)
 
     # -- per-kind interface -------------------------------------------------
 
@@ -217,9 +214,9 @@ class Group:
     # -- shared operations ----------------------------------------------------
 
     def element(self, key) -> GroupElement:
-        """Construct an element from a raw normal form, after validation."""
+        """The element with a raw normal form, after validation."""
         self._check_key(key)
-        return GroupElement(self, key)
+        return self.table.elements[self.table.ids[key]]
 
     def parse_element(self, token: str) -> GroupElement:
         """Read "1" or a word such as "x^2*y^-1" in the generator labels."""
@@ -240,52 +237,57 @@ class Group:
     def intern(self, a: GroupElement) -> int:
         """Id of a in this group's `ElementTable`, after checking membership."""
         self._require_member(a)
-        return self.table.ids[a.key]
+        return a.id
 
     def mul(self, a: GroupElement, b: GroupElement) -> GroupElement:
         self._require_member(a)
         self._require_member(b)
-        return GroupElement(self, self._mul_keys(a.key, b.key))
+        return self.table.elements[self.table.products[a.id, b.id]]
 
     def inverse(self, a: GroupElement) -> GroupElement:
         self._require_member(a)
-        return GroupElement(self, self._inv_key(a.key))
+        return self.table.elements[self.table.inverses[a.id]]
 
     # -- Cayley balls ----------------------------------------------------------
 
     def _grow_one_layer(self):
-        if self._exhausted:
-            return
-        frontier = self._layers[-1]
+        """Append the next layer of the ball, sorted by normal form, and
+        record its word lengths; an exhausted finite group gets an empty
+        layer."""
+        table = self.table
+        ids, lengths = table.ids, table.lengths
         next_keys = set()
-        for a in frontier:
+        for a in self._layers[-1]:
             for s in self.symmetric_generators:
                 k = self._mul_keys(a.key, s.key)
-                if k not in self._dist:
+                if ids.get(k) not in lengths:
                     next_keys.add(k)
-        if not next_keys:
-            self._exhausted = True
-            return
         total = sum(len(layer) for layer in self._layers) + len(next_keys)
-        if total > self.ball_cap:
+        if next_keys and total > self.ball_cap:
             raise BallCapError(
                 f"ball of {self.name} would exceed the cap of {self.ball_cap} elements"
             )
         depth = len(self._layers)
-        layer = [GroupElement(self, k) for k in sorted(next_keys)]
+        layer = [table.elements[ids[k]] for k in sorted(next_keys)]
         for g in layer:
-            self._dist[g.key] = depth
+            lengths[g.id] = depth
         self._layers.append(layer)
 
-    def _ensure_radius(self, radius: int):
-        while len(self._layers) <= radius and not self._exhausted:
+    def _grow_to(self, i: int) -> int:
+        """Grow the ball until it reaches the element with id i; its length."""
+        while i not in self.table.lengths:
+            if not self._layers[-1]:
+                raise RuntimeError(f"element {self.table.elements[i]} of "
+                                   f"{self.name} was not reached by the generators")
             self._grow_one_layer()
+        return self.table.lengths[i]
 
     def ball(self, radius: int) -> list[GroupElement]:
         """Elements of word length <= radius, in (layer, normal form) order."""
         if radius < 0:
             raise ValueError(f"ball radius must be nonnegative, got {radius}")
-        self._ensure_radius(radius)
+        while len(self._layers) <= radius and self._layers[-1]:
+            self._grow_one_layer()
         out: list[GroupElement] = []
         for layer in self._layers[: radius + 1]:
             out.extend(layer)
@@ -293,13 +295,7 @@ class Group:
 
     def word_length(self, a: GroupElement) -> int:
         self._require_member(a)
-        while a.key not in self._dist:
-            if self._exhausted:
-                raise RuntimeError(
-                    f"element {a} of {self.name} was not reached by the generators"
-                )
-            self._grow_one_layer()
-        return self._dist[a.key]
+        return self.table.lengths[a.id]
 
     def __repr__(self) -> str:
         return f"<group {self.name}>"
@@ -428,7 +424,7 @@ class LatticeGroup(Group):
     def parse_element(self, token: str) -> GroupElement:
         """Also reads the integer vector "(a,b,...)"."""
         if token.startswith("("):
-            return GroupElement(self, _parse_int_tuple(token, self.rank, self.name))
+            return self.element(_parse_int_tuple(token, self.rank, self.name))
         return super().parse_element(token)
 
 
@@ -547,7 +543,7 @@ class HeisenbergGroup(Group):
     def __init__(self, ball_cap: int = DEFAULT_BALL_CAP):
         super().__init__("heisenberg", ("x", "y"), (0, 0, 0),
                          [(1, 0, 0), (0, 1, 0)], ball_cap)
-        self.central_element = GroupElement(self, (0, 0, 1))
+        self.central_element = self.element((0, 0, 1))
 
     def _mul_keys(self, a, b):
         a1, b1, c1 = a
@@ -569,7 +565,7 @@ class HeisenbergGroup(Group):
     def parse_element(self, token: str) -> GroupElement:
         """Also reads the triple "(a,b,c)"."""
         if token.startswith("("):
-            return GroupElement(self, _parse_int_tuple(token, 3, self.name))
+            return self.element(_parse_int_tuple(token, 3, self.name))
         return super().parse_element(token)
 
 
@@ -629,7 +625,7 @@ class SymmetricGroupS3(Group):
         perm = [0, 1, 2]
         for i, p in enumerate(points):
             perm[p] = points[(i + 1) % len(points)]
-        return GroupElement(self, tuple(perm))
+        return self.element(tuple(perm))
 
 
 class CatalogEntry(NamedTuple):

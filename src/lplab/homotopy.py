@@ -57,8 +57,7 @@ class WindowUnderflowError(ValueError):
 
 def _slice_tuples(group: Group, degree: int, radius: int):
     """The tuples of bar_resolution_basis as ids, in the same order."""
-    ids = group.table.ids
-    ball = [ids[x.key] for x in bar_slice_ball(group, degree, radius)]
+    ball = [x.id for x in bar_slice_ball(group, degree, radius)]
     return ((0,) + tail for tail in product(ball, repeat=degree))
 
 
@@ -216,8 +215,7 @@ def random_cochain(group: Group, degree: int, radius: int,
                    rng: Random) -> EquivariantCochain:
     """Dense random cochain on the window: each value has one or two terms on
     the radius-2 ball with small random rational coefficients."""
-    ids = group.table.ids
-    value_ball = [ids[g.key] for g in group.ball(2)]
+    value_ball = [g.id for g in group.ball(2)]
     # every coefficient is a/b with 1 <= b <= 9, so lcm(1, ..., 9) is a
     # common denominator of each value
     denominator = lcm(*range(1, 10))

@@ -55,7 +55,7 @@ class TruncatedSpace:
         self.rank = int(rank)
         self.radius = int(radius)
         self.elements = tuple(group.ball(radius))
-        self._positions = {g.key: i for i, g in enumerate(self.elements)}
+        self._positions = {g: i for i, g in enumerate(self.elements)}
 
     @property
     def dim(self) -> int:
@@ -67,7 +67,7 @@ class TruncatedSpace:
         if not 0 <= copy < self.rank:
             raise ValueError(
                 f"copy {copy} outside 0..{self.rank - 1} of a rank-{self.rank} space")
-        pos = self._positions.get(g.key)
+        pos = self._positions.get(g)
         return None if pos is None else copy * len(self.elements) + pos
 
     def basis_labels(self):

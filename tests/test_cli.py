@@ -333,6 +333,31 @@ def test_verify_resolutions_run(tmp_path):
                or ",true" in line for line in lines[1:])
 
 
+# Runs whose CSVs hold only exact integers, so their bytes do not depend on
+# the BLAS build; each golden file is the output of its config.
+GOLDEN_RUNS = {
+    "verify_resolutions.csv": {"experiment": "verify-resolutions"},
+    "translation_decay_dihedral.csv": {
+        "experiment": "translation-decay", "group": "dihedral-inf",
+        "radius": 3, "indices": "0..4", "x": "1*r + -2*s",
+        "y": "3*r^2*s + 1*r", "p": "1.5,2"},
+    "translation_decay_heisenberg.csv": {
+        "experiment": "translation-decay", "group": "heisenberg",
+        "radius": 4, "indices": "-3..3", "x": "1*x + -1*(0,0,1)",
+        "y": "2*(0,0,-1) + 1*x*y"},
+}
+
+
+@pytest.mark.parametrize("golden", sorted(GOLDEN_RUNS))
+def test_run_matches_golden(tmp_path, golden):
+    out = tmp_path / golden
+    cfg = write_config(tmp_path, "golden.cfg", **GOLDEN_RUNS[golden],
+                       output=out)
+    assert main(["run", str(cfg)]) == EXIT_OK
+    expected = Path(__file__).parent / "golden" / golden
+    assert out.read_bytes() == expected.read_bytes()
+
+
 def test_class_sum_homotopy_run(tmp_path):
     out = tmp_path / "cs.csv"
     cfg = write_config(tmp_path, "cs.cfg", experiment="class-sum-homotopy",

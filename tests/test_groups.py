@@ -62,6 +62,42 @@ def test_equal_keys_in_different_groups_stay_distinct():
     assert table[a] == "lattice" and table[b] == "heisenberg"
 
 
+def test_each_element_is_built_once():
+    heis = group_from_name("heisenberg")
+    x, y = heis.generators
+    assert x * y is x * y
+    assert heis.parse_element("x*y") is x * y
+    assert heis.element((1, 1, 1)) is x * y
+    assert x ** 3 is x * x * x
+    for g in heis.ball(2):
+        assert hash(g) == g.id
+        assert heis.table.elements[g.id] is g
+
+
+def test_table_fills_products_and_inverses_without_group_mul(monkeypatch):
+    heis = group_from_name("heisenberg")
+    x, y = heis.generators
+
+    def refuse(self, a, b):
+        raise AssertionError("Group.mul called by a table fill")
+
+    monkeypatch.setattr(type(heis), "mul", refuse)
+    table = heis.table
+    product = table.elements[table.products[x.id, y.id]]
+    assert product.key == (1, 1, 1)
+    assert table.elements[table.inverses[product.id]].key == (-1, -1, 0)
+
+
+def test_word_length_grows_the_ball_to_an_element_met_earlier():
+    heis = group_from_name("heisenberg")
+    g = heis.generators[0] ** 5
+    assert g.id not in heis.table.lengths
+    assert g not in heis.ball(4)
+    assert g.id not in heis.table.lengths
+    assert g.word_length() == 5
+    assert heis.table.lengths[g.id] == 5 and g in heis.ball(5)
+
+
 def test_inverses():
     lattice = group_from_name("Z^1")
     t = lattice.generators[0]
