@@ -1,5 +1,5 @@
-"""Laboratory for exact group-ring algebra, truncated p-summable chain
-complexes, and numerical vanishing experiments over a small group catalog.
+"""Laboratory for exact group-ring algebra, p-summable chain complexes on
+finite balls, and numerical vanishing experiments over a small group catalog.
 
 The exact modules load with the package.  The float names of ``lp_complex``
 and ``vanishing`` resolve on first use (PEP 562), so exact work never loads
@@ -38,7 +38,6 @@ from .homotopy import (
     EquivariantCochain,
     ResidualForm,
     ResidualReport,
-    WindowUnderflowError,
     class_sum_homotopy_residual,
     coboundary,
     homotopy_residual,

@@ -16,10 +16,12 @@ A cochain is stored on its equivariant slice, the argument tuples with leading
 identity that resolutions.bar_resolution_basis enumerates (and caps at the
 group's ball_cap); evaluation elsewhere shifts to the slice and translates the
 value.
-Directly constructed cochains are finitely supported, so they evaluate to zero
-outside their window.  Operator results are exact only inside their window and
-refuse evaluation beyond it, because the coboundary of a finitely supported
-cochain is not finitely supported.
+Every cochain is finitely supported: it is zero at the slice tuples outside
+its window.  The coboundary of a finitely supported cochain is not finitely
+supported, so a materialized operator is the operator's restriction to a
+window: exact at the slice tuples of the window and zero outside it.  The
+homotopy identity holds for every cochain, so it holds exactly for these
+restrictions too.
 
 The homotopy residual is linear in the cochain, so it is measured in two
 phases.  A `ResidualForm` expands the identity once per (group, degree,
@@ -47,14 +49,6 @@ IdValue = dict[int, int]
 IdTuple = tuple[int, ...]
 
 
-class WindowUnderflowError(ValueError):
-    """An evaluation needs arguments beyond the stored window."""
-
-    def __init__(self, message: str, required_radius: int | None = None):
-        super().__init__(message)
-        self.required_radius = required_radius
-
-
 def _slice_tuples(group: Group, degree: int, radius: int):
     """The tuples of bar_resolution_basis as ids, in the same order."""
     ball = [x.id for x in bar_slice_ball(group, degree, radius)]
@@ -66,18 +60,15 @@ class EquivariantCochain:
 
     values maps argument tails (x_1, ..., x_n) inside the radius window to
     ring elements; the value at a general tuple (g, g x_1, ..., g x_n) is g
-    times the stored value.  With truncated=False missing tails are zero;
-    with truncated=True tails outside the window raise WindowUnderflowError.
+    times the stored value, and missing tails are zero.
 
     The tails are checked and interned once, here: `stored` maps id tails to
     the nonzero values, and `denominator` is the lcm of their denominators.
     """
 
-    __slots__ = ("group", "degree", "radius", "truncated", "stored",
-                 "denominator", "_add")
+    __slots__ = ("group", "degree", "radius", "stored", "denominator", "_add")
 
-    def __init__(self, group: Group, degree: int, radius: int, values,
-                 truncated: bool = False):
+    def __init__(self, group: Group, degree: int, radius: int, values):
         if not 0 <= degree <= BAR_DEGREE_CAP:
             raise ValueError(f"degree must lie in 0..{BAR_DEGREE_CAP}, got {degree}")
         if radius < 0:
@@ -98,28 +89,25 @@ class EquivariantCochain:
             if value.group is not group:
                 raise ValueError("value belongs to a different group ring")
             stored[ids] = value
-        self._store(group, int(degree), int(radius), stored, bool(truncated))
+        self._store(group, int(degree), int(radius), stored)
 
     def _store(self, group: Group, degree: int, radius: int,
-               stored: dict[IdTuple, RingElement], truncated: bool):
+               stored: dict[IdTuple, RingElement]):
         """Keep the nonzero values and the lcm of their denominators."""
         stored = {tail: value for tail, value in stored.items() if value.numerators}
         self.group = group
         self.degree = degree
         self.radius = radius
-        self.truncated = truncated
         self.stored = stored
         self.denominator = lcm(*(value.denominator for value in stored.values()))
-        self._add = _stored_adder(group.table, radius, stored, self.denominator,
-                                  truncated)
+        self._add = _stored_adder(group.table, stored, self.denominator)
 
     @classmethod
     def _interned(cls, group: Group, degree: int, radius: int,
-                  stored: dict[IdTuple, RingElement],
-                  truncated: bool) -> "EquivariantCochain":
+                  stored: dict[IdTuple, RingElement]) -> "EquivariantCochain":
         """A cochain from values on id tails that are already checked."""
         phi = object.__new__(cls)
-        phi._store(group, degree, radius, stored, truncated)
+        phi._store(group, degree, radius, stored)
         return phi
 
     def _require_same_group(self, group: Group):
@@ -157,8 +145,7 @@ class EquivariantCochain:
         factor = Fraction(factor)
         return EquivariantCochain._interned(
             self.group, self.degree, self.radius,
-            {tail: value.scale(factor) for tail, value in self.stored.items()},
-            self.truncated)
+            {tail: value.scale(factor) for tail, value in self.stored.items()})
 
     def __rmul__(self, factor):
         if isinstance(factor, (int, Fraction)):
@@ -174,21 +161,12 @@ class EquivariantCochain:
         self._require_same_group(other.group)
         if self.degree != other.degree:
             raise ValueError("cochains have different degrees")
-        truncated = self.truncated or other.truncated
-        if truncated:
-            radius = min(self.radius, other.radius)
-        else:
-            radius = max(self.radius, other.radius)
-        lengths = self.group.table.lengths
-        merged: dict[IdTuple, RingElement] = {}
-        for source in (self, other):
-            for tail, value in source.stored.items():
-                if truncated and any(lengths[x] > radius for x in tail):
-                    continue
-                prev = merged.get(tail)
-                merged[tail] = value if prev is None else prev + value
-        return EquivariantCochain._interned(self.group, self.degree, radius,
-                                            merged, truncated)
+        merged = dict(self.stored)
+        for tail, value in other.stored.items():
+            prev = merged.get(tail)
+            merged[tail] = value if prev is None else prev + value
+        return EquivariantCochain._interned(
+            self.group, self.degree, max(self.radius, other.radius), merged)
 
     def __sub__(self, other: "EquivariantCochain") -> "EquivariantCochain":
         return self + (-other)
@@ -202,9 +180,8 @@ class EquivariantCochain:
     __hash__ = None
 
     def __repr__(self) -> str:
-        flavor = "truncated" if self.truncated else "supported"
         return (f"<cochain degree={self.degree} radius={self.radius} "
-                f"{flavor} on {self.group.name}, {len(self.stored)} tails>")
+                f"on {self.group.name}, {len(self.stored)} tails>")
 
 
 def zero_cochain(group: Group, degree: int, radius: int) -> EquivariantCochain:
@@ -227,8 +204,7 @@ def random_cochain(group: Group, degree: int, radius: int,
             a, b = rng.randint(-9, 9), rng.randint(1, 9)
             value[g] = value.get(g, 0) + a * (denominator // b)
         values[args[1:]] = RingElement._trusted(group, value, denominator)
-    return EquivariantCochain._interned(group, degree, radius, values,
-                                        truncated=False)
+    return EquivariantCochain._interned(group, degree, radius, values)
 
 
 # -- formula evaluation ----------------------------------------------------------
@@ -266,26 +242,17 @@ def _shifted(table: ElementTable, slice_add):
     return add
 
 
-def _stored_adder(table: ElementTable, radius: int,
-                  stored: dict[IdTuple, RingElement], denominator: int,
-                  truncated: bool):
+def _stored_adder(table: ElementTable, stored: dict[IdTuple, RingElement],
+                  denominator: int):
     """Adder of a stored cochain: a value's numerators count over the
-    cochain's denominator once scaled by denominator // value.denominator.
-    Closing over the values rather than the cochain keeps a cochain free of
-    reference cycles."""
-    products, lengths = table.products, table.lengths
+    cochain's denominator once scaled by denominator // value.denominator,
+    and a tail that is not stored adds nothing.  Closing over the values
+    rather than the cochain keeps a cochain free of reference cycles."""
+    products = table.products
 
     def add_at_slice(acc: IdValue, m: int, head: int, args: IdTuple):
-        tail = args[1:]
-        value = stored.get(tail)
+        value = stored.get(args[1:])
         if value is None:
-            if truncated:
-                longest = max(map(lengths.__getitem__, tail), default=0)
-                if longest > radius:
-                    raise WindowUnderflowError(
-                        f"tail {tuple(str(table.elements[x]) for x in tail)} "
-                        f"lies outside the stored radius-{radius} window",
-                        required_radius=longest)
             return
         get = acc.get
         m *= denominator // value.denominator
@@ -339,37 +306,27 @@ def _homotopy_adder(table: ElementTable, inner, multipliers: IdTuple):
 
 
 def _materialize(phi: EquivariantCochain, add, degree: int,
-                 radius: int) -> EquivariantCochain:
-    """The operator behind add, stored on the slice tuples of a window."""
+                 radius: int | None) -> EquivariantCochain:
+    """The restriction of the operator behind add to the slice tuples of the
+    window of the given radius, by default phi's."""
     group = phi.group
+    radius = phi.radius if radius is None else radius
     values = {}
     for args in _slice_tuples(group, degree, radius):
         acc: IdValue = {}
         add(acc, 1, 0, args)
         values[args[1:]] = RingElement._trusted(group, acc, phi.denominator)
-    return EquivariantCochain._interned(group, degree, radius, values,
-                                        truncated=True)
+    return EquivariantCochain._interned(group, degree, radius, values)
 
 
 def coboundary(phi: EquivariantCochain,
                radius: int | None = None) -> EquivariantCochain:
-    """Alternating sum over argument omissions, materialized on a window.
-
-    For a truncated input the default window halves, because the omission of
-    the leading argument shifts by the first remaining one.
+    """The coboundary, an alternating sum over argument omissions, restricted
+    to the window of the given radius (by default phi's): exact at the slice
+    tuples of the window, zero outside it.
     """
     if phi.degree + 1 > BAR_DEGREE_CAP:
         raise ValueError(f"coboundary would exceed the degree cap {BAR_DEGREE_CAP}")
-    if phi.truncated:
-        safe = phi.radius // 2
-        if radius is None:
-            radius = safe
-        elif radius > safe:
-            raise WindowUnderflowError(
-                f"coboundary window {radius} needs stored radius {2 * radius}, "
-                f"have {phi.radius}", required_radius=2 * radius)
-    elif radius is None:
-        radius = phi.radius
     return _materialize(phi, _coboundary_adder(phi._add), phi.degree + 1, radius)
 
 
@@ -380,20 +337,26 @@ def require_central(element: GroupElement):
             f"element {element} is not central in {element.group.name}")
 
 
+def _require_degree_to_lower(phi: EquivariantCochain):
+    if phi.degree < 1:
+        raise ValueError("the homotopy lowers degree; need degree >= 1")
+
+
 def _require_central_multiplier(phi: EquivariantCochain,
                                 element: GroupElement):
     """Preconditions of the central-multiplier homotopy: the multiplier lies
     in the group, the cochain has a degree to lower, and the multiplier is
     central."""
     phi.group._require_member(element)
-    if phi.degree < 1:
-        raise ValueError("the homotopy lowers degree; need degree >= 1")
+    _require_degree_to_lower(phi)
     require_central(element)
 
 
 def multiplier_homotopy(phi: EquivariantCochain, central_element: GroupElement,
                         radius: int | None = None) -> EquivariantCochain:
-    """Degree-lowering homotopy for a central multiplier.
+    """Degree-lowering homotopy for a central multiplier, restricted to the
+    window of the given radius (by default phi's): exact at the slice tuples
+    of the window, zero outside it.
 
     Rejects non-central multipliers: the construction is equivariant only
     when the multiplier commutes with everything (class sums are handled by
@@ -401,19 +364,6 @@ def multiplier_homotopy(phi: EquivariantCochain, central_element: GroupElement,
     """
     _require_central_multiplier(phi, central_element)
     group = phi.group
-    length = central_element.word_length()
-    if phi.truncated:
-        safe = phi.radius - length
-        if radius is None:
-            radius = safe
-        if radius < 0 or radius > safe:
-            raise WindowUnderflowError(
-                f"homotopy window {max(radius, 0)} with a length-{length} "
-                f"multiplier needs stored radius {max(radius, 0) + length}, "
-                f"have {phi.radius}",
-                required_radius=max(radius, 0) + length)
-    elif radius is None:
-        radius = phi.radius
     add = _homotopy_adder(group.table, phi._add, (group.intern(central_element),))
     return _materialize(phi, add, phi.degree - 1, radius)
 
@@ -428,6 +378,8 @@ class ResidualReport:
 
     max_abs: Fraction
     tuples_checked: int
+    # Always 0: every cochain is finitely supported, so no tuple is skipped.
+    # The field stays because the benchmark's tracer reads it.
     tuples_skipped: int
     worst_tail: tuple[GroupElement, ...] | None = None
 
@@ -438,13 +390,11 @@ class ResidualForm:
     of one (group, degree, radius).
 
     The expansion runs on the first evaluation.  Each row is
-    (slice tuple, touched, symbols): symbols holds the (head, slice tuple, m)
-    whose coefficient m did not cancel, and touched the ids of the elements
-    of every tail the formula read, cancelled or not.  A truncated cochain
-    cannot evaluate a row that touched an element longer than its radius,
-    so the row is skipped.  Word lengths are looked up only then, because
-    finding the length of a touched element can grow the Cayley ball to
-    twice the radius plus the multiplier length.
+    (slice tuple, symbols): symbols holds the (head, slice tuple, m) whose
+    coefficient m did not cancel.  Every cochain is finitely supported, so
+    every row can be evaluated, and the expansion looks up no word length:
+    the tails it reads reach twice the radius plus the multiplier length,
+    and their lengths would grow the Cayley ball that far.
     """
 
     __slots__ = ("group", "degree", "radius", "multipliers", "_rows")
@@ -464,12 +414,12 @@ class ResidualForm:
         self._rows = None
 
     @property
-    def rows(self) -> list[tuple[IdTuple, IdTuple, tuple]]:
+    def rows(self) -> list[tuple[IdTuple, tuple]]:
         if self._rows is None:
             self._rows = self._expand()
         return self._rows
 
-    def _expand(self) -> list[tuple[IdTuple, IdTuple, tuple]]:
+    def _expand(self) -> list[tuple[IdTuple, tuple]]:
         """The rows, in slice-tuple order, from one run of the operator
         stack over the formal bottom adder."""
         table = self.group.table
@@ -489,10 +439,8 @@ class ResidualForm:
             base(acc, target_scale, 0, args)
             for g in multipliers:
                 base(acc, 1, g, args)
-            touched = {x for _, at in acc for x in at}
-            touched.discard(0)
-            rows.append((args, tuple(touched),
-                         tuple((head, at, m) for (head, at), m in acc.items() if m)))
+            rows.append(
+                (args, tuple((head, at, m) for (head, at), m in acc.items() if m)))
         return rows
 
     def evaluate(self, phi: EquivariantCochain) -> ResidualReport:
@@ -506,19 +454,13 @@ class ResidualForm:
 
 def _residual_scan(form: ResidualForm, phi: EquivariantCochain) -> ResidualReport:
     """The residual report of phi, already checked against form: phi is
-    read at the surviving symbols of every row.  The form expands here on
-    its first evaluation."""
-    table = form.group.table
-    lengths = table.lengths
+    finitely supported, so it is read at the surviving symbols of every row.
+    The form expands here on its first evaluation."""
+    rows = form.rows
     add = phi._add
     worst = 0
     worst_tail = None
-    checked = skipped = 0
-    for args, touched, symbols in form.rows:
-        if phi.truncated and any(lengths[x] > phi.radius for x in touched):
-            skipped += 1
-            continue
-        checked += 1
+    for args, symbols in rows:
         if symbols:
             acc: IdValue = {}
             for head, at, m in symbols:
@@ -527,15 +469,10 @@ def _residual_scan(form: ResidualForm, phi: EquivariantCochain) -> ResidualRepor
             if top > worst:
                 worst = top
                 worst_tail = args[1:]
-    if checked == 0:
-        raise WindowUnderflowError(
-            "no argument tuple keeps every intermediate inside the stored "
-            f"window of radius {phi.radius}",
-            required_radius=2 * form.radius + max(
-                (lengths[g] for g in form.multipliers), default=0))
     if worst_tail is not None:
-        worst_tail = tuple(table.elements[x] for x in worst_tail)
-    return ResidualReport(Fraction(worst, phi.denominator), checked, skipped,
+        elements = form.group.table.elements
+        worst_tail = tuple(elements[x] for x in worst_tail)
+    return ResidualReport(Fraction(worst, phi.denominator), len(rows), 0,
                           worst_tail)
 
 
@@ -579,6 +516,7 @@ def equivariance_defect(phi: EquivariantCochain,
     Compares the literal formula at shifted tuples against the shift of the
     value at the slice; zero certifies that storing the slice loses nothing.
     """
+    _require_degree_to_lower(phi)
     group = phi.group
     table = group.table
     products = table.products

@@ -1,6 +1,6 @@
 """Truncated chain and cochain spaces over catalog groups.
 
-A truncated space carries coefficient families indexed by (copy, ball element)
+A `TruncatedSpace` carries coefficient families indexed by (copy, ball element)
 with the deterministic ball order.  Boundary operators act by right
 convolution with the group-ring entries of a resolution; the codomain ball is
 enlarged by the largest word length in those entries, so supports grow and are
@@ -81,7 +81,7 @@ class TruncatedSpace:
 
 
 class Vector:
-    """Coefficient family on a truncated space: a chain or a cochain, told
+    """Coefficient family on a `TruncatedSpace`: a chain or a cochain, told
     apart only by the exponent its norm is taken with."""
 
     __slots__ = ("space", "coefficients")
@@ -149,7 +149,7 @@ def vector_from_ring_parts(space: TruncatedSpace, parts) -> Vector:
 
 
 class BoundaryOperator:
-    """Dense matrix of a truncated boundary together with its two spaces."""
+    """Dense matrix of a boundary on finite balls together with its two spaces."""
 
     __slots__ = ("domain", "codomain", "matrix")
 

@@ -1,15 +1,15 @@
-"""Numerical witnesses for vanishing of reduced homology at truncated scale.
+"""Numerical witnesses for vanishing of reduced homology on finite balls.
 
 Membership of a class in the closure of a boundary image cannot be decided at
 finite radius; what can be certified is the trend of the p-norm distance from
-a representative to the truncated image as the ball grows, together with the
+a representative to the image on the ball as the ball grows, together with the
 decay of the duality pairing under translation along a central family.  Both
 are computed here, alongside exact-dimension homology ranks for finite cyclic
 groups where reduced and unreduced agree.  The central family is read off the
 group's declared `order`, `central_element` and `finite_class_element`, never
 off its kind.
 
-The truncated spaces and boundary matrices carry no exponent: p enters only
+The `TruncatedSpace`s and boundary matrices carry no exponent: p enters only
 as the norm a distance minimizes, so a curve over several p assembles each
 radius once and solves every p on that one matrix.  Distances use a
 rank-revealing least-squares solve, QR with column pivoting, at p = 2 and
@@ -210,7 +210,7 @@ class DecayCurve:
 def boundary_distance_curve(res: Resolution, degree: int, x_parts,
                             p_values, radii, *,
                             max_iterations: int = 500) -> DecayCurve:
-    """Distance from a fixed chain to the truncated image of the next boundary.
+    """Distance from a fixed chain to the image of the next boundary on a ball.
 
     The same underlying chain is embedded at every radius, so the feasible
     sets nest and the curve of each p must be nonincreasing; that is asserted.

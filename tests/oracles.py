@@ -161,7 +161,6 @@ def naive_homotopy_residual(phi, multipliers, radius):
     arguments.  The tails run in ball order (word length, then normal form),
     so worst_tail is the first tail whose residual reaches max_abs.
     """
-    assert not phi.truncated, "the oracle reads a finitely supported cochain"
     group = phi.group
     mul, inv = group._mul_keys, group._inv_key
     e = group.identity.key

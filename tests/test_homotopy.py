@@ -11,7 +11,6 @@ from lplab.homotopy import (
     EquivariantCochain,
     ResidualForm,
     ResidualReport,
-    WindowUnderflowError,
     class_sum_homotopy_residual,
     coboundary,
     equivariance_defect,
@@ -107,15 +106,23 @@ def test_cochain_rejects_foreign_tail_elements():
         EquivariantCochain(lattice, 1, 1, {(foreign,): RingElement.one(lattice)})
 
 
-def test_window_underflow_reports_required_radius():
-    rng = Random(2)
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_materialized_coboundary_is_its_restriction_to_the_window(seed):
+    # d(d phi) = 0, and d phi restricted to the radius-2 window is exact
+    # there and zero outside it: d of the restriction at (1, x1, x2) reads
+    # d phi at the tails (x2), (x1) and (x1^-1 x2), so it vanishes where
+    # x1^-1 x2 stays in the window (every tail in ball(1)^2) and is nonzero
+    # where it leaves it
     group = group_from_name("Z^1")
-    phi = random_cochain(group, 0, 2, rng)
-    truncated = coboundary(phi, radius=2)  # degree 1, truncated window 2
-    with pytest.raises(WindowUnderflowError) as err:
-        coboundary(truncated, radius=2)
-    assert err.value.required_radius == 4
-    assert coboundary(truncated).radius == 1
+    phi = random_cochain(group, 0, 2, Random(seed))
+    dd = coboundary(coboundary(phi, radius=2), radius=2)
+    assert dd.radius == 2
+    ball = group.ball(2)
+    nonzero = {(x1, x2) for x1 in ball for x2 in ball
+               if not dd.value_at_tail((x1, x2)).is_zero()}
+    assert nonzero == {(x1, x2) for x1 in ball for x2 in ball
+                       if (x1.inverse() * x2).word_length() > 2}
+    assert len(nonzero) == 6
 
 
 def test_homotopy_single_term_examples():
@@ -184,17 +191,19 @@ def test_homotopy_identity_all_short_central_elements():
                 assert homotopy_residual(phi, h).max_abs == 0
 
 
-def test_residual_on_truncated_cochain_skips_out_of_window():
+def test_residual_of_a_materialized_operator_is_exact_zero():
+    # a materialized operator is a finitely supported cochain, so the
+    # homotopy identity holds for it on the nose at every tuple
     rng = Random(8)
     group = group_from_name("Z^1")
     t = group.generators[0]
     phi = random_cochain(group, 1, 6, rng)
-    narrowed = coboundary(multiplier_homotopy(phi, t))  # degree 1, truncated
-    assert narrowed.radius == 3
-    assert homotopy_residual(narrowed, t, eval_radius=1) == ResidualReport(
+    restricted = coboundary(multiplier_homotopy(phi, t))
+    assert restricted.radius == 6
+    assert homotopy_residual(restricted, t, eval_radius=1) == ResidualReport(
         Fraction(0), 3, 0, None)
-    # at t^3 the homotopy of the coboundary needs t^4, beyond the window
-    assert homotopy_residual(narrowed, t) == ResidualReport(Fraction(0), 6, 1, None)
+    assert homotopy_residual(restricted, t) == ResidualReport(
+        Fraction(0), 13, 0, None)
 
 
 def test_class_sum_abelian_singletons():
@@ -290,7 +299,7 @@ def test_one_form_evaluates_successive_cochains(name, token, degree, radius):
 
 
 def _rows_with_symbols(form):
-    return sum(1 for _, _, symbols in form.rows if symbols)
+    return sum(1 for _, symbols in form.rows if symbols)
 
 
 @pytest.mark.parametrize("name", ["Z^1", "cyclic:4", "heisenberg"])
@@ -320,16 +329,13 @@ def test_single_rotation_form_keeps_symbols(degree, kept, rows):
 
 
 def test_form_grows_no_ball_for_a_finitely_supported_cochain():
-    # the 289 slice tuples fit a cap of 400; the ball out to the longest
-    # element the formula touches would not
-    wide = group_from_name("heisenberg")
-    rows = ResidualForm(wide, 2, 2, [wide.central_element]).rows
-    reach = max(wide.table.lengths[x] for _, touched, _ in rows for x in touched)
-    assert (reach, len(wide.ball(reach))) == (6, 593)
+    # the 289 slice tuples fit a cap of 400; the tails the formula reads
+    # reach length 6, and the radius-6 ball (593 elements) would not
     group = group_from_name("heisenberg", ball_cap=400)
     phi = random_cochain(group, 2, 2, Random(16))
     form = ResidualForm(group, 2, 2, [group.central_element])
     assert form.evaluate(phi) == ResidualReport(Fraction(0), 289, 0, None)
+    assert max(group.table.lengths.values()) == 2
 
 
 def test_form_evaluation_checks_its_cochain():
@@ -402,3 +408,6 @@ def test_degree_zero_rejected():
         homotopy_residual(phi, t)
     with pytest.raises(ValueError, match="degree"):
         multiplier_homotopy(phi, t)
+    with pytest.raises(ValueError,
+                       match=r"the homotopy lowers degree; need degree >= 1"):
+        equivariance_defect(phi, (t,), (t,))

@@ -30,7 +30,7 @@ EXACT_EXPORTS = (
     "lattice_resolution", "periodic_cyclic_resolution", "relator_words",
     "resolution_from_name", "validate",
     "EquivariantCochain", "ResidualForm", "ResidualReport",
-    "WindowUnderflowError", "class_sum_homotopy_residual", "coboundary",
+    "class_sum_homotopy_residual", "coboundary",
     "homotopy_residual", "multiplier_homotopy", "random_cochain",
     "zero_cochain",
 )
