@@ -11,14 +11,15 @@ off its kind.
 
 The `TruncatedSpace`s and boundary matrices carry no exponent: p enters only
 as the norm a distance minimizes, so a curve over several p assembles each
-radius once and solves every p on that one matrix.  Distances use a
-rank-revealing least-squares solve, QR with column pivoting, at p = 2 and
-iteratively reweighted least squares elsewhere, each of whose weighted
-solves is the same QR solve; the IRLS iteration is damped so that the true
-p-objective never increases.  Every distance comes with a lower bound from
-the dual side, dist_p(x, im T) = max <y, x> over y in ker T^t with
-||y||_q <= 1, and IRLS stops once that bound certifies the value to a
-relative gap of _GAP_TOL.
+radius once and solves every p on that one matrix.  At p = 2 the distance
+is the norm of x's projection on ker T^t, computed by conjugate gradients
+on the normal equations (CGLS) over the nonzeros of T.  Other p use
+iteratively reweighted least squares, whose start and weighted solves are
+a rank-revealing QR solve with column pivoting; the IRLS iteration is
+damped so that the true p-objective never increases.  Every distance comes
+with a lower bound from the dual side, dist_p(x, im T) = max <y, x> over y
+in ker T^t with ||y||_q <= 1, and IRLS stops once that bound certifies the
+value to a relative gap of _GAP_TOL.
 """
 
 from __future__ import annotations
@@ -47,6 +48,15 @@ _IMPROVEMENT_TOL = 1e-10
 # Relative duality gap at which IRLS stops; the nesting slack of
 # boundary_distance_curve is the same size.
 _GAP_TOL = 1e-9
+# The p = 2 orthogonality gate: max |T^t r| <= _GATE_TOL * scale, with
+# scale = (1 + ||x||_2)(1 + max |T|).  CGLS stops a thousand times inside it.
+_GATE_TOL = 1e-10
+_CG_TOL = 1e-13
+# CGLS step cap per unit of min(m, n).  In exact arithmetic CG ends within
+# rank T <= min(m, n) steps; rounding delays it, on the catalog boundaries
+# to at most 1.06 min(m, n) steps and on an ill-conditioned random 500 x 249
+# matrix to 3.3 min(m, n).  A solve that hits the cap fails the gate.
+_CG_STEP_FACTOR = 10
 
 
 @dataclass
@@ -63,13 +73,55 @@ class MinimizationResult:
     converged: bool
 
 
+def _cgls(T: np.ndarray, x: np.ndarray, tol: float,
+          max_steps: int) -> np.ndarray:
+    """Coefficients c minimizing ||x - T c||_2, by conjugate gradients on
+    the normal equations T^t T c = T^t x (CGLS, Hestenes & Stiefel 1952).
+
+    Starting from c = 0 the iterates stay in the row space of T, so a
+    rank-deficient T gives the minimum-norm solution.  The products with T
+    and T^t run over its nonzeros only.  The iteration stops once the
+    recurred gradient T^t r has max-norm at most tol, or after max_steps.
+    """
+    m, n = T.shape
+    rows, cols = np.nonzero(T)
+    values = T[rows, cols]
+
+    def image(v):
+        return np.bincount(rows, weights=values * v[cols], minlength=m)
+
+    def coimage(u):
+        return np.bincount(cols, weights=values * u[rows], minlength=n)
+
+    c = np.zeros(n)
+    r = x.copy()
+    gradient = coimage(r)
+    direction = gradient.copy()
+    gamma = float(gradient @ gradient)
+    steps = 0
+    while steps < max_steps and np.max(np.abs(gradient)) > tol:
+        steps += 1
+        q = image(direction)
+        alpha = gamma / float(q @ q)
+        c += alpha * direction
+        r -= alpha * q
+        gradient = coimage(r)
+        gamma, previous = float(gradient @ gradient), gamma
+        direction = gradient + (gamma / previous) * direction
+    return c
+
+
 def _solve_lstsq(T: np.ndarray, x: np.ndarray) -> np.ndarray:
-    # gelsy is LAPACK's rank-revealing QR with column pivoting.  On every
-    # catalog boundary (radii up to 4-32, a delta and a random x) it chose
-    # the rank an SVD chooses and matched the distance of the SVD projection
-    # to 7e-15, at a fifth of the cost of a full SVD solve.  gelsd, scipy's
-    # default, solves by SVD too: it chose that rank at this cutoff but took
-    # 1.1-1.3x as long as gelsy.  The cutoff is numpy's lstsq default rcond.
+    # The IRLS start and every weighted IRLS step.  gelsy is LAPACK's
+    # rank-revealing QR with column pivoting.  On every catalog boundary
+    # (radii up to 4-32, a delta and a random x) it chose the rank an SVD
+    # chooses and matched the distance of the SVD projection to 7e-15, at a
+    # fifth of the cost of a full SVD solve.  On a small path operator it is
+    # also faster than CGLS (0.2 against 2.0 ms at cyclic-inf R=32), and
+    # CGLS in its place made the lattice:2 degree-1 IRLS curve (R=2..8,
+    # p=1.5,3) 1.6x slower.  gelsd, scipy's default, solves by SVD too: it
+    # chose that rank at this cutoff but took 1.1-1.3x as long as gelsy.
+    # The cutoff is numpy's lstsq default rcond.
     # At scipy's default each driver misjudges the rank of some of these
     # matrices: it keeps directions of rounding size (about 1e-15 against a
     # largest singular value near 4), inverts them into coefficients of
@@ -96,11 +148,12 @@ def lp_distance(x: np.ndarray, T: np.ndarray, p: float, *,
                 max_iterations: int = 500) -> MinimizationResult:
     """Minimize the p-norm of x - T c over coefficient vectors c.
 
-    p = 2 solves directly by a rank-revealing factorization and certifies
-    optimality by residual orthogonality; its lower bound is <r, x>/||r||_2.
-    Other p > 1 start from that least-squares solution and run damped IRLS.
-    Each weighted solve leaves T^t (w * (x - T candidate)) = 0, so
-    y = w * (x - T candidate) is a point of ker T^t, as the least-squares
+    p = 2 solves by CGLS on the nonzeros of T and certifies optimality by
+    residual orthogonality, max |T^t r| <= _GATE_TOL * scale; a solve that
+    misses it raises InvariantViolation.  Its lower bound is <r, x>/||r||_2.
+    Other p > 1 start from a rank-revealing least-squares solution and run
+    damped IRLS.  Each weighted solve leaves T^t (w * (x - T candidate)) = 0,
+    so y = w * (x - T candidate) is a point of ker T^t, as the least-squares
     residual is at the start, and gives the dual bound <y, x>/||y||_q.  The
     largest bound so far is `lower`; the result is converged, and the
     iteration stops, once value - lower <= _GAP_TOL * value.  Meanwhile the
@@ -127,22 +180,23 @@ def lp_distance(x: np.ndarray, T: np.ndarray, p: float, *,
     if T.shape[1] == 0:
         value = lp_norm(x, p)
         return MinimizationResult(value, value, np.zeros(0), 0,
-                                  "exact-least-squares" if p == 2.0 else "IRLS",
-                                  True)
+                                  "least-squares" if p == 2.0 else "IRLS", True)
 
-    c = _solve_lstsq(T, x)
-    residual = x - T @ c
     if p == 2.0:
-        gradient = np.max(np.abs(T.T @ residual)) if residual.size else 0.0
         scale = (1.0 + float(np.linalg.norm(x))) * (1.0 + float(np.abs(T).max()))
-        if gradient > 1e-10 * scale:
+        c = _cgls(T, x, _CG_TOL * scale, _CG_STEP_FACTOR * min(T.shape))
+        residual = x - T @ c
+        gradient = np.max(np.abs(T.T @ residual)) if residual.size else 0.0
+        if gradient > _GATE_TOL * scale:
             raise InvariantViolation(
                 f"least-squares residual is not orthogonal to the column "
                 f"space: gradient {gradient:.3e}")
         value = lp_norm(residual, p)
         return MinimizationResult(value, min(_dual_bound(x, residual, 2.0), value),
-                                  c, 1, "exact-least-squares", True)
+                                  c, 1, "least-squares", True)
 
+    c = _solve_lstsq(T, x)
+    residual = x - T @ c
     q = conjugate_exponent(p)
     objective = lp_norm(residual, p)
     lower = _dual_bound(x, residual, q)

@@ -97,7 +97,8 @@ def dense_normal_equations_distance(T, x):
     """Euclidean distance via an LU solve of the normal equations.
 
     Requires T to have full column rank; independent of the library's
-    least-squares route, a column-pivoted QR solve (LAPACK gelsy).
+    least-squares routes, conjugate gradients on the normal equations at
+    p = 2 and a column-pivoted QR solve (LAPACK gelsy) inside IRLS.
     """
     T = np.asarray(T, dtype=float)
     x = np.asarray(x, dtype=float)

@@ -112,6 +112,9 @@ def test_exact_runs_load_no_float_module(tmp_path):
     # the float run still loads what it needs and writes the golden curve
     assert label == "distance-curve" and code == 0
     assert "numpy" in loaded and "scipy.linalg" in loaded
+    # the p = 2 solve runs on numpy's bincount; scipy.sparse.linalg alone
+    # would add about 3.6 MB, 5% of lab verify-all's peak RSS
+    assert [name for name in loaded if name.startswith("scipy.sparse")] == []
     assert (tmp_path / "dc.csv").read_bytes() == \
         (GOLDEN_DIR / "distance_curve.csv").read_bytes()
 

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from lplab import vanishing
-from lplab.groups import group_from_name
+from lplab.cli import EXIT_INVARIANT, main
+from lplab.groups import InvariantViolation, group_from_name
 from lplab.group_ring import RingElement
 from lplab.resolutions import resolution_from_name
 from lplab.lp_complex import (
@@ -71,7 +72,7 @@ def test_least_squares_matches_dense_oracle():
         ours = lp_distance(x, T, 2.0)
         reference = dense_normal_equations_distance(T, x)
         assert abs(ours.value - reference) <= 1e-8
-        assert ours.method == "exact-least-squares"
+        assert ours.method == "least-squares"
 
 
 def test_truncated_boundary_distance_matches_oracle():
@@ -108,6 +109,89 @@ def test_rank_deficient_boundary_distance_matches_svd_projection(
     for x in (delta, np.random.default_rng(0).standard_normal(rows)):
         expected = float(np.linalg.norm(x - basis @ (basis.T @ x)))
         assert abs(lp_distance(x, op.matrix, 2.0).value - expected) <= 1e-8
+
+
+def _svd_projection_distance(T, x):
+    u, s, _ = np.linalg.svd(T, full_matrices=False)
+    basis = u[:, s > 1e-10 * s[0]]
+    return float(np.linalg.norm(x - basis @ (basis.T @ x)))
+
+
+def _gate_scale(T, x):
+    return (1.0 + float(np.linalg.norm(x))) * (1.0 + float(np.abs(T).max()))
+
+
+def _curve_problem(name, degree, radius):
+    res = resolution_from_name(name)
+    op = assemble_boundary(res, degree + 1, radius)
+    parts = [RingElement.one(res.group)]
+    parts += [RingElement.zero(res.group)] * (res.ranks[degree] - 1)
+    return op.matrix, vector_from_ring_parts(op.codomain, parts).coefficients
+
+
+def _rank_deficient_random(rows, cols, rank, seed):
+    rng = np.random.default_rng(seed)
+    T = rng.standard_normal((rows, rank)) @ rng.standard_normal((rank, cols))
+    return T, rng.standard_normal(rows)
+
+
+@pytest.mark.parametrize("problem", [
+    # the seven single-radius p = 2 problems of the lp-direct benchmark
+    ("fox:free:2", 0, 4),
+    ("fox:heisenberg", 0, 4),
+    ("fox:heisenberg", 0, 5),
+    ("fox:heisenberg", 1, 4),
+    ("lattice:3", 0, 6),
+    ("lattice:3", 1, 4),
+    ("lattice:2", 0, 16),
+    # a path of 257 edges: CGLS needs all 257 steps
+    ("cyclic-inf", 0, 128),
+    ("random", 80, 40, 12),
+    ("random", 40, 80, 12),
+], ids=lambda problem: "-".join(map(str, problem)))
+def test_least_squares_distance_matches_svd_projection(problem):
+    if problem[0] == "random":
+        T, x = _rank_deficient_random(*problem[1:], seed=12)
+        assert np.linalg.matrix_rank(T) == problem[3]
+    else:
+        T, x = _curve_problem(*problem)
+    result = lp_distance(x, T, 2.0)
+    expected = _svd_projection_distance(T, x)
+    assert abs(result.value - expected) <= 1e-12 * expected
+    # <r, x>/||r|| trails ||r|| by <T^t r, c>/||r||: 1.2e-11 relative at
+    # fox:free:2, where CGLS stopped at gradient 3.6e-14 scale
+    assert 0.0 <= result.value - result.lower <= 1e-10 * result.value
+    gradient = np.max(np.abs(T.T @ (x - T @ result.coefficients)))
+    assert gradient <= 1e-10 * _gate_scale(T, x)
+    assert (result.method, result.iterations, result.converged) == (
+        "least-squares", 1, True)
+
+
+def test_least_squares_solve_that_misses_the_gate_raises(monkeypatch,
+                                                         tmp_path):
+    # fox:heisenberg degree 0 at R=4 needs about a hundred CGLS steps; capped
+    # at one, the residual is far from orthogonal to the column space
+    T, x = _curve_problem("fox:heisenberg", 0, 4)
+    uncapped = vanishing._cgls
+
+    def one_step(T, x, tol, max_steps):
+        return uncapped(T, x, tol, 1)
+
+    tol = vanishing._CG_TOL * _gate_scale(T, x)
+    for steps in (1, 50):
+        c = uncapped(T, x, tol, steps)
+        gradient = np.max(np.abs(T.T @ (x - T @ c)))
+        assert gradient > vanishing._GATE_TOL * _gate_scale(T, x)
+    monkeypatch.setattr(vanishing, "_cgls", one_step)
+    with pytest.raises(InvariantViolation, match="not orthogonal"):
+        lp_distance(x, T, 2.0)
+    # the failure aborts the curve, and the run writes no CSV
+    config = tmp_path / "curve.cfg"
+    config.write_text("experiment=distance-curve\nresolution=fox:heisenberg\n"
+                      f"degree=0\np=2\nR=4\noutput={tmp_path / 'curve.csv'}\n",
+                      encoding="utf-8")
+    assert main(["run", str(config)]) == EXIT_INVARIANT
+    assert not (tmp_path / "curve.csv").exists()
 
 
 def test_irls_objective_never_increases_and_is_stable():
