@@ -14,9 +14,11 @@ as the norm a distance minimizes, so a curve over several p assembles each
 radius once and solves every p on that one matrix.  At p = 2 the distance
 is the norm of x's projection on ker T^t, computed by conjugate gradients
 on the normal equations (CGLS) over the nonzeros of T.  Other p use
-iteratively reweighted least squares, whose start and weighted solves are
-a rank-revealing QR solve with column pivoting; the IRLS iteration is
-damped so that the true p-objective never increases.  Every distance comes
+iteratively reweighted least squares.  Its start is a rank-revealing QR
+solve with column pivoting, which also picks a basis of T's columns; each
+weighted step solves the weighted normal equations on those columns by
+Cholesky, summed from the nonzeros of T.  The IRLS iteration is damped so
+that the true p-objective never increases.  Every distance comes
 with a lower bound from the dual side, dist_p(x, im T) = max <y, x> over y
 in ker T^t with ||y||_q <= 1, and IRLS stops once that bound certifies the
 value to a relative gap of _GAP_TOL.
@@ -73,6 +75,12 @@ class MinimizationResult:
     converged: bool
 
 
+def _nonzeros(T: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(rows, cols, values) of the nonzero entries of T, row by row."""
+    rows, cols = np.nonzero(T)
+    return rows, cols, T[rows, cols]
+
+
 def _cgls(T: np.ndarray, x: np.ndarray, tol: float,
           max_steps: int) -> np.ndarray:
     """Coefficients c minimizing ||x - T c||_2, by conjugate gradients on
@@ -84,8 +92,7 @@ def _cgls(T: np.ndarray, x: np.ndarray, tol: float,
     recurred gradient T^t r has max-norm at most tol, or after max_steps.
     """
     m, n = T.shape
-    rows, cols = np.nonzero(T)
-    values = T[rows, cols]
+    rows, cols, values = _nonzeros(T)
 
     def image(v):
         return np.bincount(rows, weights=values * v[cols], minlength=m)
@@ -111,30 +118,93 @@ def _cgls(T: np.ndarray, x: np.ndarray, tol: float,
     return c
 
 
-def _solve_lstsq(T: np.ndarray, x: np.ndarray) -> np.ndarray:
-    # The IRLS start and every weighted IRLS step.  gelsy is LAPACK's
-    # rank-revealing QR with column pivoting.  On every catalog boundary
-    # (radii up to 4-32, a delta and a random x) it chose the rank an SVD
-    # chooses and matched the distance of the SVD projection to 7e-15, at a
-    # fifth of the cost of a full SVD solve.  On a small path operator it is
-    # also faster than CGLS (0.2 against 2.0 ms at cyclic-inf R=32), and
-    # CGLS in its place made the lattice:2 degree-1 IRLS curve (R=2..8,
-    # p=1.5,3) 1.6x slower.  gelsd, scipy's default, solves by SVD too: it
-    # chose that rank at this cutoff but took 1.1-1.3x as long as gelsy.
-    # The cutoff is numpy's lstsq default rcond.
-    # At scipy's default each driver misjudges the rank of some of these
-    # matrices: it keeps directions of rounding size (about 1e-15 against a
-    # largest singular value near 4), inverts them into coefficients of
-    # order 1e13, and the residual is no longer orthogonal to the column
-    # space.  lp_distance has checked that the input is finite.
-    solution, *_ = _sla.lstsq(T, x, cond=max(T.shape) * np.finfo(float).eps,
-                              check_finite=False, lapack_driver="gelsy")
-    return solution
+_gelsy, _gelsy_lwork = _sla.get_lapack_funcs(("gelsy", "gelsy_lwork"),
+                                             dtype=np.float64)
 
 
-def _weighted_lstsq(T: np.ndarray, x: np.ndarray, weights: np.ndarray) -> np.ndarray:
-    sw = np.sqrt(weights)
-    return _solve_lstsq(sw[:, None] * T, sw * x)
+def _solve_lstsq(T: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Least-squares coefficients c for x ~ T c, and the columns they use.
+
+    The IRLS start, and the basis of its weighted steps: LAPACK gelsy, a
+    rank-revealing QR with column pivoting, called with the cutoff and
+    workspace scipy.linalg.lstsq would pass.  Returns c and basis, the
+    sorted columns the QR kept; T[:, basis] has full column rank and spans
+    the column space of T to the cutoff.  lp_distance has checked that the
+    input is finite.
+    """
+    # On every catalog boundary (radii up to 4-32, a delta and a random x)
+    # gelsy chose the rank an SVD chooses and matched the distance of the SVD
+    # projection to 7e-15, at a fifth of the cost of a full SVD solve.  On a
+    # small path operator it is also faster than CGLS (0.2 against 2.0 ms at
+    # cyclic-inf R=32).  gelsd, scipy's default, solves by SVD too: it chose
+    # that rank at this cutoff but took 1.1-1.3x as long as gelsy.  The
+    # cutoff is numpy's lstsq default rcond.  At scipy's default each driver
+    # misjudges the rank of some of these matrices: it keeps directions of
+    # rounding size (about 1e-15 against a largest singular value near 4),
+    # inverts them into coefficients of order 1e13, and the residual is no
+    # longer orthogonal to the column space.
+    m, n = T.shape
+    cond = max(m, n) * np.finfo(float).eps
+    work, _ = _gelsy_lwork(m, n, 1, cond)
+    rhs = x if m >= n else np.concatenate([x, np.zeros(n - m)])
+    _, solution, pivots, rank, _ = _gelsy(
+        T, rhs, np.zeros(n, dtype=np.int32), cond, int(work), False, False)
+    return solution[:n], np.sort(pivots[:rank] - 1)
+
+
+def _weighted_solver(T: np.ndarray, x: np.ndarray, basis: np.ndarray):
+    """The weighted IRLS step: a function of weights w > 0 that returns the
+    coefficients c, zero off basis, minimizing ||w^(1/2) (x - T c)||_2.
+
+    T_B = T[:, basis] has full column rank, so the normal equations
+    T_B^t W T_B c_B = T_B^t W x are positive definite and are solved by
+    Cholesky.  Both sides are summed from the nonzeros of T_B with
+    np.bincount; the matrix from every pair of nonzeros that share a row.
+    The pair arrays, built here once, hold sum_i k_i^2 entries, k_i the
+    number of nonzeros in row i of T_B, so at most max_i k_i times its nnz;
+    the catalog boundaries have at most 8 nonzeros in a row, and up to
+    radius 8 at most 6 nnz pairs (the norm rows of cyclic:6).  A
+    factorization that fails raises InvariantViolation: there is no second
+    solver.
+    """
+    n = T.shape[1]
+    size = basis.size
+    position = np.full(n, -1)
+    position[basis] = np.arange(size)
+    rows, cols, values = _nonzeros(T)
+    kept = position[cols] >= 0
+    rows, cols, values = rows[kept], position[cols[kept]], values[kept]
+    # each nonzero pairs with every nonzero of its row, a contiguous run
+    per_row = np.bincount(rows, minlength=T.shape[0])
+    repeats = per_row[rows]
+    first = np.repeat(np.arange(rows.size), repeats)
+    run_start = np.cumsum(per_row) - per_row
+    offset = np.arange(first.size) - np.repeat(np.cumsum(repeats) - repeats,
+                                               repeats)
+    pair_rows = rows[first]
+    second = run_start[pair_rows] + offset
+    pair_index = cols[first] * size + cols[second]
+    pair_products = values[first] * values[second]
+    rhs_terms = values * x[rows]
+
+    def solve(weights: np.ndarray) -> np.ndarray:
+        gram = np.bincount(pair_index, weights=weights[pair_rows] * pair_products,
+                           minlength=size * size).reshape(size, size)
+        rhs = np.bincount(cols, weights=weights[rows] * rhs_terms,
+                          minlength=size)
+        try:
+            factor = _sla.cho_factor(gram, overwrite_a=True,
+                                     check_finite=False)
+        except np.linalg.LinAlgError as exc:
+            raise InvariantViolation(
+                f"IRLS weighted normal equations are not positive definite "
+                f"({exc})") from None
+        candidate = np.zeros(n)
+        candidate[basis] = _sla.cho_solve(factor, rhs, overwrite_b=True,
+                                          check_finite=False)
+        return candidate
+
+    return solve
 
 
 def _dual_bound(x: np.ndarray, y: np.ndarray, q: float) -> float:
@@ -152,7 +222,9 @@ def lp_distance(x: np.ndarray, T: np.ndarray, p: float, *,
     residual orthogonality, max |T^t r| <= _GATE_TOL * scale; a solve that
     misses it raises InvariantViolation.  Its lower bound is <r, x>/||r||_2.
     Other p > 1 start from a rank-revealing least-squares solution and run
-    damped IRLS.  Each weighted solve leaves T^t (w * (x - T candidate)) = 0,
+    damped IRLS, whose weighted steps are Cholesky solves on the columns the
+    start kept; a factorization that fails raises InvariantViolation.  Each
+    weighted solve leaves T^t (w * (x - T candidate)) = 0,
     so y = w * (x - T candidate) is a point of ker T^t, as the least-squares
     residual is at the start, and gives the dual bound <y, x>/||y||_q.  The
     largest bound so far is `lower`; the result is converged, and the
@@ -195,7 +267,7 @@ def lp_distance(x: np.ndarray, T: np.ndarray, p: float, *,
         return MinimizationResult(value, min(_dual_bound(x, residual, 2.0), value),
                                   c, 1, "least-squares", True)
 
-    c = _solve_lstsq(T, x)
+    c, basis = _solve_lstsq(T, x)
     residual = x - T @ c
     q = conjugate_exponent(p)
     objective = lp_norm(residual, p)
@@ -203,10 +275,12 @@ def lp_distance(x: np.ndarray, T: np.ndarray, p: float, *,
     converged = objective - lower <= _GAP_TOL * objective
     eps = _EPS_START
     iterations = 0
+    if not converged:  # most starts are certified and take no weighted step
+        weighted_step = _weighted_solver(T, x, basis)
     while not converged and iterations < max_iterations:
         iterations += 1
         weights = (residual * residual + eps) ** ((p - 2.0) / 2.0)
-        candidate = _weighted_lstsq(T, x, weights)
+        candidate = weighted_step(weights)
         lower = max(lower, _dual_bound(x, weights * (x - T @ candidate), q))
         direction = candidate - c
         best = objective

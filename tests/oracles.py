@@ -97,8 +97,9 @@ def dense_normal_equations_distance(T, x):
     """Euclidean distance via an LU solve of the normal equations.
 
     Requires T to have full column rank; independent of the library's
-    least-squares routes, conjugate gradients on the normal equations at
-    p = 2 and a column-pivoted QR solve (LAPACK gelsy) inside IRLS.
+    least-squares routes: conjugate gradients on the normal equations at
+    p = 2, and inside IRLS a column-pivoted QR start (LAPACK gelsy) and
+    weighted steps by Cholesky on normal equations summed from T's nonzeros.
     """
     T = np.asarray(T, dtype=float)
     x = np.asarray(x, dtype=float)
@@ -107,6 +108,21 @@ def dense_normal_equations_distance(T, x):
     gram = T.T @ T
     c = np.linalg.solve(gram, T.T @ x)
     return float(np.linalg.norm(x - T @ c))
+
+
+def weighted_lstsq_residual(T, x, weights):
+    """x - T c for a c minimizing ||w^(1/2) (x - T c)||_2, by numpy's SVD
+    least squares on the scaled system w^(1/2) T, w^(1/2) x.
+
+    The residual does not depend on which minimizer c is taken, so a
+    rank-deficient T is allowed; this is the solve the library's weighted
+    IRLS step replaces with a Cholesky factorization.
+    """
+    T = np.asarray(T, dtype=float)
+    x = np.asarray(x, dtype=float)
+    root = np.sqrt(np.asarray(weights, dtype=float))
+    c, *_ = np.linalg.lstsq(root[:, None] * T, root * x, rcond=None)
+    return x - T @ c
 
 
 def exact_rank(matrix):

@@ -119,6 +119,30 @@ def test_exact_runs_load_no_float_module(tmp_path):
         (GOLDEN_DIR / "distance_curve.csv").read_bytes()
 
 
+def test_irls_weighted_steps_load_no_sparse_module(tmp_path):
+    # lattice:2 degree 1 is not certified at the start, so IRLS takes
+    # weighted steps; they sum their normal equations with numpy's bincount
+    out = tmp_path / "irls.csv"
+    steps = [("distance-curve", ["run", _config(
+        tmp_path / "irls.cfg", experiment="distance-curve",
+        resolution="lattice:2", degree=1, p="1.5", R="2..3", output=out)])]
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    done = subprocess.run([sys.executable, "-c", PROBE, json.dumps(steps)],
+                          cwd=tmp_path, env=env, capture_output=True,
+                          text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    (_, _, _), (label, code, loaded) = json.loads(
+        done.stdout.strip().splitlines()[-1])
+    assert label == "distance-curve" and code == 0
+    assert "scipy.linalg" in loaded
+    assert [name for name in loaded if name.startswith("scipy.sparse")] == []
+    iterations = [int(line.split(",")[8])
+                  for line in out.read_text().splitlines()[1:]]
+    assert len(iterations) == 2 and min(iterations) > 0
+
+
 def test_every_export_resolves():
     from lplab import central_catalog, lp_distance, Vector
 

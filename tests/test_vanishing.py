@@ -1,5 +1,8 @@
 """Minimization, decay curves, finite homology, and central families."""
 
+import csv
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -29,7 +32,10 @@ from oracles import (
     dense_normal_equations_distance,
     exact_rank,
     translated_pairing_by_summation,
+    weighted_lstsq_residual,
 )
+
+GOLDEN_DIR = Path(__file__).parent / "golden"
 
 
 def test_feasible_point_has_zero_distance():
@@ -203,6 +209,86 @@ def test_irls_objective_never_increases_and_is_stable():
         long = lp_distance(x, T, p, max_iterations=5000)
         assert short.converged
         assert abs(short.value - long.value) <= 1e-6
+
+
+def test_irls_curve_matches_the_golden_table(tmp_path):
+    # the lp-irls benchmark's lattice:2 degree-1 curve takes 6-18 weighted
+    # steps at every point.  The table was written by the dense gelsy
+    # weighted solve that the Cholesky step replaced; the values depend on
+    # the BLAS build, so they are compared to 1e-12 relative, and the
+    # iteration counts and convergence flags exactly.
+    out = tmp_path / "curve.csv"
+    config = tmp_path / "curve.cfg"
+    config.write_text("experiment=distance-curve\nresolution=lattice:2\n"
+                      f"degree=1\np=1.5,3\nR=2..8\noutput={out}\n",
+                      encoding="utf-8")
+    assert main(["run", str(config)]) == 0
+    with out.open(encoding="utf-8") as got_file, (
+            GOLDEN_DIR / "irls_curve_lattice2_d1.csv").open(
+            encoding="utf-8") as want_file:
+        got, want = list(csv.DictReader(got_file)), list(csv.DictReader(want_file))
+    assert len(got) == len(want) == 14
+    assert all(int(row["iterations"]) > 0 for row in want)
+    for got_row, want_row in zip(got, want):
+        for key in ("value", "lower"):
+            expected = float(want_row[key])
+            assert abs(float(got_row.pop(key)) - expected) <= 1e-12 * expected
+            del want_row[key]
+        assert got_row == want_row
+
+
+def test_weighted_step_on_a_rank_deficient_operator():
+    # fox:heisenberg degree 0 at R=4 is 299 x 270 of rank 230; a random x is
+    # not certified by the least-squares start, so IRLS takes weighted steps,
+    # each on the 230 columns the start's pivoted QR kept
+    T, _ = _curve_problem("fox:heisenberg", 0, 4)
+    x = np.random.default_rng(12).standard_normal(T.shape[0])
+    c, basis = vanishing._solve_lstsq(T, x)
+    assert T.shape == (299, 270) and basis.size == 230
+    assert np.linalg.matrix_rank(T[:, basis]) == 230
+    start = x - T @ c
+    step = vanishing._weighted_solver(T, x, basis)
+    rounding = 1e3 * np.finfo(float).eps * np.abs(T).max()
+    for p in (1.5, 3.0):
+        for eps in (1e-3, 1e-12):  # the ends of the IRLS smoothing schedule
+            weights = (start * start + eps) ** ((p - 2.0) / 2.0)
+            candidate = step(weights)
+            assert not candidate[np.setdiff1d(np.arange(270), basis)].any()
+            residual = x - T @ candidate
+            expected = weighted_lstsq_residual(T, x, weights)
+            root = np.sqrt(weights)
+            assert np.linalg.norm(root * (residual - expected)) <= \
+                1e-10 * np.linalg.norm(root * expected)
+            # the dual point w * r lies in ker T^t to rounding
+            y = weights * residual
+            assert np.abs(T.T @ y).max() <= rounding * np.abs(weights * x).sum()
+    for p in (1.5, 3.0):
+        reference = lp_distance(x, T, p, max_iterations=5000)
+        result = lp_distance(x, T, p)
+        assert result.iterations > 0 and result.converged
+        assert abs(result.value - reference.value) <= 1e-9 * reference.value
+
+
+def test_failed_cholesky_is_an_invariant_failure(monkeypatch, tmp_path):
+    def failing(*args, **kwargs):
+        raise np.linalg.LinAlgError("2-th leading minor not positive")
+
+    monkeypatch.setattr(vanishing._sla, "cho_factor", failing)
+    # a start the dual bound certifies takes no weighted step and factors
+    # nothing
+    T, x = _curve_problem("lattice:2", 0, 3)
+    assert lp_distance(x, T, 1.5).iterations == 0
+    T, x = _curve_problem("lattice:2", 1, 3)
+    with pytest.raises(InvariantViolation, match="not positive definite"):
+        lp_distance(x, T, 1.5)
+    # the failure aborts the curve, and the run writes no CSV
+    out = tmp_path / "curve.csv"
+    config = tmp_path / "curve.cfg"
+    config.write_text("experiment=distance-curve\nresolution=lattice:2\n"
+                      f"degree=1\np=1.5\nR=2..3\noutput={out}\n",
+                      encoding="utf-8")
+    assert main(["run", str(config)]) == EXIT_INVARIANT
+    assert not out.exists()
 
 
 def test_dual_bound_brackets_the_value():
