@@ -18,7 +18,10 @@ element outside the target ball.  ``index_of`` raises ValueError for a copy
 outside the space's rank.  Elements and ring elements from callers are
 checked to belong to the space's group where they enter (``delta_chain``,
 ``vector_from_ring_parts``, ``Vector.coefficient``); the scatter trusts its
-entries.  Boundary assembly fills its matrix columns with its own loop.
+entries.  Boundary assembly works on table ids instead: it reads each product
+of a domain ball element and an entry element once from the group's
+`ElementTable`, maps ids to codomain slots through one position array, and
+places each entry term in every domain column at once.
 """
 
 from __future__ import annotations
@@ -181,20 +184,29 @@ def assemble_boundary(res: Resolution, i: int, radius: int) -> BoundaryOperator:
     domain = TruncatedSpace(group, res.ranks[i], radius)
     codomain = TruncatedSpace(group, res.ranks[i - 1],
                               radius + boundary_growth(res, i))
+    n_dom, n_cod = len(domain.elements), len(codomain.elements)
+    products = group.table.products
+    domain_ids = [h.id for h in domain.elements]
+    # ids of h * g over the domain ball, for each element g of an entry
+    right_products: dict[int, list[int]] = {}
+    terms = []
+    for a, row in enumerate(mat):
+        for b, entry in enumerate(row):
+            for g, coeff in entry.items_sorted():
+                if g.id not in right_products:
+                    right_products[g.id] = [products[h, g.id] for h in domain_ids]
+                terms.append((a, b, g.id, float(coeff)))
+    # codomain slot of every table id, -1 off the enlarged ball; sized after
+    # the products, which may have met elements beyond it
+    position = np.full(len(group.table.elements), -1)
+    position[[g.id for g in codomain.elements]] = np.arange(n_cod)
+    slots = {g: position[ids] for g, ids in right_products.items()}
+    if any((rows < 0).any() for rows in slots.values()):
+        raise RuntimeError("convolution support escaped the enlarged ball")
     out = np.zeros((codomain.dim, domain.dim))
-    n_dom = len(domain.elements)
-    terms = [[[(g, float(coeff)) for g, coeff in entry.items_sorted()]
-              for entry in row] for row in mat]
-    for b in range(domain.rank):
-        for h_pos, h in enumerate(domain.elements):
-            col = b * n_dom + h_pos
-            for a in range(codomain.rank):
-                for g, coeff in terms[a][b]:
-                    row_idx = codomain.index_of(a, h * g)
-                    if row_idx is None:
-                        raise RuntimeError(
-                            "convolution support escaped the enlarged ball")
-                    out[row_idx, col] += coeff
+    columns = np.arange(n_dom)
+    for a, b, g, coeff in terms:
+        out[a * n_cod + slots[g], b * n_dom + columns] += coeff
     return BoundaryOperator(domain, codomain, out)
 
 

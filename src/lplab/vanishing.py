@@ -11,7 +11,9 @@ off its kind.
 
 The `TruncatedSpace`s and boundary matrices carry no exponent: p enters only
 as the norm a distance minimizes, so a curve over several p assembles each
-radius once and solves every p on that one matrix.  At p = 2 the distance
+radius once and solves every p on that one matrix, and every p != 2 there
+shares one least-squares start and one set of weighted-step arrays (see
+`_IrlsStart`).  At p = 2 the distance
 is the norm of x's projection on ker T^t, computed by conjugate gradients
 on the normal equations (CGLS) over the nonzeros of T.  Other p use
 iteratively reweighted least squares.  Its start is a rank-revealing QR
@@ -27,6 +29,7 @@ value to a relative gap of _GAP_TOL.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 from scipy import linalg as _sla
@@ -75,24 +78,35 @@ class MinimizationResult:
     converged: bool
 
 
-def _nonzeros(T: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(rows, cols, values) of the nonzero entries of T, row by row."""
+class _Nonzeros(NamedTuple):
+    """The nonzero entries of a matrix, row by row, and its shape."""
+
+    rows: np.ndarray
+    cols: np.ndarray
+    values: np.ndarray
+    shape: tuple[int, int]
+
+
+def _nonzeros(T) -> _Nonzeros:
+    """The nonzeros of a dense T, read in one scan; nonzeros already read
+    are returned as they are."""
+    if isinstance(T, _Nonzeros):
+        return T
     rows, cols = np.nonzero(T)
-    return rows, cols, T[rows, cols]
+    return _Nonzeros(rows, cols, T[rows, cols], T.shape)
 
 
-def _cgls(T: np.ndarray, x: np.ndarray, tol: float,
-          max_steps: int) -> np.ndarray:
+def _cgls(T, x: np.ndarray, tol: float, max_steps: int) -> np.ndarray:
     """Coefficients c minimizing ||x - T c||_2, by conjugate gradients on
     the normal equations T^t T c = T^t x (CGLS, Hestenes & Stiefel 1952).
 
     Starting from c = 0 the iterates stay in the row space of T, so a
     rank-deficient T gives the minimum-norm solution.  The products with T
-    and T^t run over its nonzeros only.  The iteration stops once the
-    recurred gradient T^t r has max-norm at most tol, or after max_steps.
+    and T^t run over its nonzeros only; T is a dense matrix or its
+    `_Nonzeros`.  The iteration stops once the recurred gradient T^t r has
+    max-norm at most tol, or after max_steps.
     """
-    m, n = T.shape
-    rows, cols, values = _nonzeros(T)
+    rows, cols, values, (m, n) = _nonzeros(T)
 
     def image(v):
         return np.bincount(rows, weights=values * v[cols], minlength=m)
@@ -171,7 +185,7 @@ def _weighted_solver(T: np.ndarray, x: np.ndarray, basis: np.ndarray):
     size = basis.size
     position = np.full(n, -1)
     position[basis] = np.arange(size)
-    rows, cols, values = _nonzeros(T)
+    rows, cols, values, _ = _nonzeros(T)
     kept = position[cols] >= 0
     rows, cols, values = rows[kept], position[cols[kept]], values[kept]
     # each nonzero pairs with every nonzero of its row, a contiguous run
@@ -214,28 +228,9 @@ def _dual_bound(x: np.ndarray, y: np.ndarray, q: float) -> float:
     return float(y @ x) / norm if norm > 0.0 else 0.0
 
 
-def lp_distance(x: np.ndarray, T: np.ndarray, p: float, *,
-                max_iterations: int = 500) -> MinimizationResult:
-    """Minimize the p-norm of x - T c over coefficient vectors c.
-
-    p = 2 solves by CGLS on the nonzeros of T and certifies optimality by
-    residual orthogonality, max |T^t r| <= _GATE_TOL * scale; a solve that
-    misses it raises InvariantViolation.  Its lower bound is <r, x>/||r||_2.
-    Other p > 1 start from a rank-revealing least-squares solution and run
-    damped IRLS, whose weighted steps are Cholesky solves on the columns the
-    start kept; a factorization that fails raises InvariantViolation.  Each
-    weighted solve leaves T^t (w * (x - T candidate)) = 0,
-    so y = w * (x - T candidate) is a point of ker T^t, as the least-squares
-    residual is at the start, and gives the dual bound <y, x>/||y||_q.  The
-    largest bound so far is `lower`; the result is converged, and the
-    iteration stops, once value - lower <= _GAP_TOL * value.  Meanwhile the
-    smoothing parameter is quartered each step from _EPS_START down to
-    _EPS_FLOOR, and a step at the floor that gains less than
-    _IMPROVEMENT_TOL stops the iteration unconverged, as does the iteration
-    cap; the value and its bound are still reported.  The objective is
-    asserted nonincreasing at every step.  A NaN or inf in x or T is
-    rejected here, so the solves skip scipy's finiteness scan.
-    """
+def _checked_problem(x, T) -> tuple[np.ndarray, np.ndarray]:
+    """x as a float vector and T as a float matrix with one row per entry
+    of x, both finite; anything else raises ValueError."""
     x = np.asarray(x, dtype=float).reshape(-1)
     T = np.asarray(T, dtype=float)
     if T.ndim != 2 or T.shape[0] != x.shape[0]:
@@ -244,6 +239,71 @@ def lp_distance(x: np.ndarray, T: np.ndarray, p: float, *,
     for name, array in (("x", x), ("T", T)):
         if not np.isfinite(array).all():
             raise ValueError(f"non-finite input: {name} holds NaN or inf")
+    return x, T
+
+
+class _IrlsStart:
+    """The part of an IRLS solve of x ~ T c that does not depend on p: the
+    least-squares start and its basis from _solve_lstsq, and the weighted
+    step on that basis, built by the first solve that iterates.  `sources`
+    are the arrays it was built from, the only ones lp_distance accepts it
+    with."""
+
+    __slots__ = ("sources", "x", "T", "coefficients", "basis", "_step")
+
+    def __init__(self, sources, x: np.ndarray, T: np.ndarray):
+        self.sources = sources
+        self.x, self.T = x, T
+        self.coefficients, self.basis = _solve_lstsq(T, x)
+        self._step = None
+
+    def weighted_step(self):
+        if self._step is None:
+            self._step = _weighted_solver(self.T, self.x, self.basis)
+        return self._step
+
+
+def _irls_start(x, T) -> _IrlsStart:
+    """The start that lp_distance(x, T, p, start=...) shares across every
+    p != 2; T must have columns."""
+    return _IrlsStart((x, T), *_checked_problem(x, T))
+
+
+def lp_distance(x: np.ndarray, T: np.ndarray, p: float, *,
+                max_iterations: int = 500,
+                start: _IrlsStart | None = None) -> MinimizationResult:
+    """Minimize the p-norm of x - T c over coefficient vectors c.
+
+    p = 2 solves by CGLS on the nonzeros of T and certifies optimality by
+    residual orthogonality, max |T^t r| <= _GATE_TOL * scale; a solve that
+    misses it raises InvariantViolation.  Its lower bound is <r, x>/||r||_2,
+    or 0 if that is negative.
+    Other p > 1 start from a rank-revealing least-squares solution and run
+    damped IRLS, whose weighted steps are Cholesky solves on the columns the
+    start kept; a factorization that fails raises InvariantViolation.  Each
+    weighted solve leaves T^t (w * (x - T candidate)) = 0,
+    so y = w * (x - T candidate) is a point of ker T^t, as the least-squares
+    residual is at the start, and gives the dual bound <y, x>/||y||_q.  The
+    largest of 0 and these bounds is `lower`; the result is converged, and the
+    iteration stops, once value - lower <= _GAP_TOL * value.  Meanwhile the
+    smoothing parameter is quartered each step from _EPS_START down to
+    _EPS_FLOOR, and a step at the floor that gains less than
+    _IMPROVEMENT_TOL stops the iteration unconverged, as does the iteration
+    cap; the value and its bound are still reported.  The objective is
+    asserted nonincreasing at every step.  A NaN or inf in x or T is
+    rejected here, so the solves skip scipy's finiteness scan.
+
+    `start`, from _irls_start(x, T) on these very x and T, carries the
+    p-independent part of the IRLS solve, so that several p share it; it
+    was checked when it was built.  A start built from other arrays raises
+    ValueError.  The result is the same with or without it.
+    """
+    if start is None:
+        x, T = _checked_problem(x, T)
+    elif start.sources[0] is not x or start.sources[1] is not T:
+        raise ValueError("the IRLS start was built for another x or T")
+    else:
+        x, T = start.x, start.T
     if not 1.0 < p < float("inf"):
         raise ValueError(f"exponent p must lie in (1, inf), got {p}")
     if max_iterations < 1:
@@ -255,8 +315,10 @@ def lp_distance(x: np.ndarray, T: np.ndarray, p: float, *,
                                   "least-squares" if p == 2.0 else "IRLS", True)
 
     if p == 2.0:
-        scale = (1.0 + float(np.linalg.norm(x))) * (1.0 + float(np.abs(T).max()))
-        c = _cgls(T, x, _CG_TOL * scale, _CG_STEP_FACTOR * min(T.shape))
+        nonzeros = _nonzeros(T)
+        scale = ((1.0 + float(np.linalg.norm(x)))
+                 * (1.0 + float(np.abs(nonzeros.values).max(initial=0.0))))
+        c = _cgls(nonzeros, x, _CG_TOL * scale, _CG_STEP_FACTOR * min(T.shape))
         residual = x - T @ c
         gradient = np.max(np.abs(T.T @ residual)) if residual.size else 0.0
         if gradient > _GATE_TOL * scale:
@@ -264,19 +326,24 @@ def lp_distance(x: np.ndarray, T: np.ndarray, p: float, *,
                 f"least-squares residual is not orthogonal to the column "
                 f"space: gradient {gradient:.3e}")
         value = lp_norm(residual, p)
-        return MinimizationResult(value, min(_dual_bound(x, residual, 2.0), value),
-                                  c, 1, "least-squares", True)
+        lower = max(0.0, _dual_bound(x, residual, 2.0))
+        return MinimizationResult(value, min(lower, value), c, 1,
+                                  "least-squares", True)
 
-    c, basis = _solve_lstsq(T, x)
+    if start is None:
+        start = _IrlsStart((x, T), x, T)
+    c = start.coefficients
     residual = x - T @ c
     q = conjugate_exponent(p)
     objective = lp_norm(residual, p)
-    lower = _dual_bound(x, residual, q)
+    # 0 is always a bound; the start's own can fall below it when x lies in
+    # im T and its residual is rounding noise
+    lower = max(0.0, _dual_bound(x, residual, q))
     converged = objective - lower <= _GAP_TOL * objective
     eps = _EPS_START
     iterations = 0
     if not converged:  # most starts are certified and take no weighted step
-        weighted_step = _weighted_solver(T, x, basis)
+        weighted_step = start.weighted_step()
     while not converged and iterations < max_iterations:
         iterations += 1
         weights = (residual * residual + eps) ** ((p - 2.0) / 2.0)
@@ -342,8 +409,9 @@ def boundary_distance_curve(res: Resolution, degree: int, x_parts,
 
     The same underlying chain is embedded at every radius, so the feasible
     sets nest and the curve of each p must be nonincreasing; that is asserted.
-    Each radius is assembled once and solved for every p; the rows come out
-    grouped by p, in the order of p_values, each group in the order of radii.
+    Each radius is assembled once and solved for every p, the p != 2 solves
+    from one shared least-squares start; the rows come out grouped by p, in
+    the order of p_values, each group in the order of radii.
     """
     i = degree + 1
     if not 1 <= i <= res.length:
@@ -353,12 +421,15 @@ def boundary_distance_curve(res: Resolution, degree: int, x_parts,
     x_parts = list(x_parts)
     p_values = list(p_values)
     rows: list[list[CurveRow]] = [[] for _ in p_values]
+    irls = any(p != 2.0 for p in p_values)
     for radius in radii:
         op = assemble_boundary(res, i, radius)
         x = vector_from_ring_parts(op.codomain, x_parts).coefficients
+        T = op.matrix
+        start = _irls_start(x, T) if irls and T.shape[1] else None
         for p, p_rows in zip(p_values, rows):
-            result = lp_distance(x, op.matrix, p,
-                                 max_iterations=max_iterations)
+            result = lp_distance(x, T, p, max_iterations=max_iterations,
+                                 start=start)
             previous = p_rows[-1].value if p_rows else float("inf")
             if result.value > previous + 1e-9 * (1.0 + previous):
                 raise InvariantViolation(

@@ -77,6 +77,33 @@ def naive_convolve(u, v):
     return {g: c for g, c in out.items() if c != 0}
 
 
+def naive_boundary_matrix(res, i, radius):
+    """Dense matrix of the i-th boundary of a resolution on the radius ball,
+    one column at a time.
+
+    The column of (copy b, ball element h) is the right convolution of the
+    delta at h with the entries of column b: each term (g, coeff) of entry
+    (a, b) adds coeff at (copy a, h * g).  Rows are listed over the ball
+    enlarged by the longest word among the entries, positions are list
+    positions in `group.ball`, and products are `GroupElement` products.
+    """
+    group = res.group
+    entries = res.boundary(i)
+    growth = max((g.word_length() for row in entries for entry in row
+                  for g, _ in entry.items_sorted()), default=0)
+    domain = group.ball(radius)
+    codomain = group.ball(radius + growth)
+    out = np.zeros((res.ranks[i - 1] * len(codomain), res.ranks[i] * len(domain)))
+    for b in range(res.ranks[i]):
+        for h_pos, h in enumerate(domain):
+            col = b * len(domain) + h_pos
+            for a in range(res.ranks[i - 1]):
+                for g, coeff in entries[a][b].items_sorted():
+                    row = a * len(codomain) + codomain.index(h * g)
+                    out[row, col] += float(coeff)
+    return out
+
+
 def naive_p_norm(values, p):
     """Scalar-loop p-norm of an iterable of floats."""
     total = 0.0

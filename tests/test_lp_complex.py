@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy import linalg as sla
 
-from lplab import checks
+from lplab import checks, lp_complex
 from lplab.groups import group_from_name
 from lplab.group_ring import RingElement
 from lplab.resolutions import resolution_from_name
@@ -25,7 +25,7 @@ from lplab.lp_complex import (
     vector_from_ring_parts,
 )
 
-from oracles import naive_p_norm, naive_pairing
+from oracles import naive_boundary_matrix, naive_p_norm, naive_pairing
 
 
 def test_conjugate_exponent():
@@ -67,6 +67,25 @@ def test_assemble_norm_element_columns():
 @pytest.mark.parametrize("name", checks.CATALOG_RESOLUTIONS)
 def test_assembled_composition_is_exactly_zero(name):
     checks.check_composition_zero(name)
+
+
+@pytest.mark.parametrize("name", checks.CATALOG_RESOLUTIONS)
+def test_assembly_matches_the_naive_oracle(name):
+    res = resolution_from_name(name)
+    for i in range(1, res.length + 1):
+        for radius in range(4):
+            assert np.array_equal(assemble_boundary(res, i, radius).matrix,
+                                  naive_boundary_matrix(res, i, radius))
+
+
+def test_assembly_raises_when_a_product_escapes_the_ball(monkeypatch):
+    # with no room for growth the codomain ball is the domain ball, and the
+    # boundary's entries carry its outer layer beyond it
+    res = resolution_from_name("fox:heisenberg")
+    monkeypatch.setattr(lp_complex, "boundary_growth", lambda res, i: 0)
+    for i in (1, 2):
+        with pytest.raises(RuntimeError, match="escaped the enlarged ball"):
+            assemble_boundary(res, i, 2)
 
 
 def test_rank_zero_boundary_assembles():

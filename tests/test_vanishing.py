@@ -55,6 +55,19 @@ def test_feasible_point_has_zero_distance():
             assert result.lower == 0.0 and result.converged
 
 
+def test_lower_bound_on_a_feasible_point_is_never_negative():
+    # x = T c0 lies in im T, so the start residual is rounding noise whose
+    # own dual bound can be negative; 0 is always a bound
+    rng = np.random.default_rng(5)
+    for trial in range(40):
+        rows = int(rng.integers(5, 40))
+        T = rng.standard_normal((rows, int(rng.integers(1, 2 * rows))))
+        x = T @ rng.standard_normal(T.shape[1])
+        for p in (1.2, 1.5, 2.0, 3.0):
+            result = lp_distance(x, T, p)
+            assert 0.0 <= result.lower <= result.value
+
+
 def test_zero_operator_distance_is_the_norm():
     rng = np.random.default_rng(1)
     x = rng.standard_normal(25)
@@ -198,6 +211,41 @@ def test_least_squares_solve_that_misses_the_gate_raises(monkeypatch,
                       encoding="utf-8")
     assert main(["run", str(config)]) == EXIT_INVARIANT
     assert not (tmp_path / "curve.csv").exists()
+
+
+@pytest.mark.parametrize("name, degree, radii", [
+    ("lattice:2", 1, range(2, 6)),
+    ("cyclic-inf", 0, range(1, 9)),
+])
+def test_curve_rows_match_independent_solves(name, degree, radii):
+    # the curve solves every p at a radius from one shared start; each row
+    # must be what a solve on its own returns, to the bit
+    res = resolution_from_name(name)
+    parts = [RingElement.one(res.group)]
+    parts += [RingElement.zero(res.group)] * (res.ranks[degree] - 1)
+    curve = boundary_distance_curve(res, degree, parts, (1.5, 3.0), radii)
+    assert len(curve.rows) == 2 * len(radii)
+    for row in curve.rows:
+        T, x = _curve_problem(name, degree, row.index)
+        alone = lp_distance(x, T, row.p)
+        assert (row.value, row.lower, row.iterations, row.converged) == (
+            alone.value, alone.lower, alone.iterations, alone.converged)
+
+
+def test_a_start_is_accepted_only_with_its_own_arrays():
+    T, x = _curve_problem("lattice:2", 1, 3)
+    start = vanishing._irls_start(x, T)
+    for p in (1.5, 3.0):
+        shared = lp_distance(x, T, p, start=start)
+        alone = lp_distance(x, T, p)
+        assert shared.iterations > 0
+        assert (shared.value, shared.lower, shared.iterations) == (
+            alone.value, alone.lower, alone.iterations)
+        assert np.array_equal(shared.coefficients, alone.coefficients)
+    for other_x, other_T in ((x.copy(), T), (x, T.copy()), (2.0 * x, T)):
+        for p in (1.5, 2.0):
+            with pytest.raises(ValueError, match="another x or T"):
+                lp_distance(other_x, other_T, p, start=start)
 
 
 def test_irls_objective_never_increases_and_is_stable():
