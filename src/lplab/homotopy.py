@@ -24,22 +24,28 @@ homotopy identity holds for every cochain, so it holds exactly for these
 restrictions too.
 
 The homotopy residual is linear in the cochain, so it is measured in two
-phases.  A `ResidualForm` expands the identity once per (group, degree,
-radius, multipliers): at each slice tuple it is a sum of symbols [g, tail],
-each standing for g times a cochain's value at (1, *tail), and the symbols
-whose coefficients cancel drop out.  Each cochain is then evaluated against
-the symbols that remain; for a central multiplier none remain.
+phases.  At each slice tuple it is a sum of symbols [g, tail], each standing
+for g times a cochain's value at (1, *tail).  The expression is the same for
+every tuple and every group, so it is compiled once per (degree n, class size
+k) on free words in the tail letters a_1, ..., a_n and the multiplier letters
+g_1, ..., g_k, where the symbols that cancel in the free group drop out and
+2nk remain: those that cancel only when g commutes with the a_i.  A
+`ResidualForm` reads that compiled form on one group's table over the slice
+tuples of a radius, merges the symbols that coincide there and drops those
+whose coefficients cancel; for a central multiplier none remain.  Each
+cochain is then evaluated against the symbols that remain.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
+from functools import lru_cache
+from itertools import product, repeat
 from math import lcm
 from random import Random
 
-from .groups import ElementTable, Group, GroupElement
+from .groups import ElementTable, Group, GroupElement, _Filled
 from .group_ring import RingElement
 from .resolutions import BAR_DEGREE_CAP, bar_slice_ball
 
@@ -218,10 +224,12 @@ def random_cochain(group: Group, degree: int, radius: int,
 # stored values; it shifts its tuple to the slice first, which is the
 # definition of evaluation for an equivariant cochain.
 #
-# The residual scan runs the same stack in two phases.  Expanding a
-# ResidualForm puts _formal_adder at the bottom, which adds m to the symbol
-# (head, slice tuple) in place of m times the head-translate of the value
-# there; this runs once per form.  Evaluating a cochain then feeds each
+# The residual scan runs the same stack in two phases.  _compiled_form puts
+# _formal_adder at the bottom, which adds m to the symbol (head, slice tuple)
+# in place of m times the head-translate of the value there, and runs the
+# stack once per (degree, class size) on _FreeWords, a table of freely
+# reduced words in place of a group's ids.  A ResidualForm evaluates those
+# words on its group's table, and evaluating a cochain then feeds each
 # surviving symbol to the cochain's _add.
 
 
@@ -384,17 +392,76 @@ class ResidualReport:
     worst_tail: tuple[GroupElement, ...] | None = None
 
 
+def _free_product(pair):
+    """The freely reduced product of two words, 0 when it is empty."""
+    u, v = pair
+    u, v = u or (), v or ()
+    i = 0
+    while i < len(u) and i < len(v) and u[-1 - i] == -v[i]:
+        i += 1
+    return u[:len(u) - i] + v[i:] or 0
+
+
+def _free_inverse(u):
+    return tuple(-letter for letter in reversed(u)) if u else 0
+
+
+class _FreeWords:
+    """A table whose products and inverses act on freely reduced words: a
+    word is a tuple of nonzero letters, -l being the inverse of l.  The empty
+    word is written 0, the identity's id on every ElementTable, so the adders'
+    literal 0 and the empty products they form are one identity and merge as
+    one symbol."""
+
+    __slots__ = ("products", "inverses")
+
+    def __init__(self):
+        self.products = _Filled(_free_product)
+        self.inverses = _Filled(_free_inverse)
+
+
+@lru_cache(maxsize=None)
+def _compiled_form(degree: int, size: int) -> tuple[tuple[int, object, tuple], ...]:
+    """The homotopy residual at the slice tuple (1, a_1, ..., a_n) for the
+    multipliers g_1, ..., g_k, as terms (m, head, tail) standing for m times
+    the head-translate of a cochain's value at (1, *tail).
+
+    Head and tail are free words in the letters 1..n (the a_i) and
+    n+1..n+k (the g_j), built by one run of the operator stack on
+    _FreeWords.  Symbols equal as free words are equal in every group, so
+    merging them is sound; the 2nk that remain cancel only where g_j
+    commutes with the a_i.
+    """
+    table = _FreeWords()
+    multipliers = tuple((degree + j,) for j in range(1, size + 1))
+    base = _formal_adder(table)
+    # The top tuple is a slice tuple, where the shift is the identity, except
+    # under the coboundary, whose leading omission leaves the slice.
+    j_d = _homotopy_adder(table, _coboundary_adder(base), multipliers)
+    d_j = _coboundary_adder(
+        _shifted(table, _homotopy_adder(table, base, multipliers)))
+    args = (0,) + tuple((i,) for i in range(1, degree + 1))
+    acc: dict = {}
+    d_j(acc, 1, 0, args)
+    j_d(acc, 1, 0, args)
+    base(acc, -size, 0, args)
+    for g in multipliers:
+        base(acc, 1, g, args)
+    return tuple((m, head, at[1:]) for (head, at), m in acc.items() if m)
+
+
 class ResidualForm:
     """The residual of dJ + Jd against k times the identity minus the
     translates by the k multipliers, expanded formally over the slice tuples
     of one (group, degree, radius).
 
-    The expansion runs on the first evaluation.  Each row is
+    The expansion runs on the first evaluation: it reads the compiled form
+    of (degree, k) on the group's table at each slice tuple.  Each row is
     (slice tuple, symbols): symbols holds the (head, slice tuple, m) whose
-    coefficient m did not cancel.  Every cochain is finitely supported, so
-    every row can be evaluated, and the expansion looks up no word length:
-    the tails it reads reach twice the radius plus the multiplier length,
-    and their lengths would grow the Cayley ball that far.
+    coefficient m did not cancel in the group.  Every cochain is finitely
+    supported, so every row can be evaluated, and the expansion looks up no
+    word length: the tails it reads reach twice the radius plus the
+    multiplier length, and their lengths would grow the Cayley ball that far.
     """
 
     __slots__ = ("group", "degree", "radius", "multipliers", "_rows")
@@ -420,27 +487,48 @@ class ResidualForm:
         return self._rows
 
     def _expand(self) -> list[tuple[IdTuple, tuple]]:
-        """The rows, in slice-tuple order, from one run of the operator
-        stack over the formal bottom adder."""
+        """The rows, in slice-tuple order.  The compiled words are evaluated
+        column-wise, one block of tuples per leading tail element: a word's
+        column holds its id at each tuple of the block, built from the
+        column of its longest proper prefix with one table lookup per
+        tuple."""
         table = self.group.table
-        multipliers = self.multipliers
-        base = _formal_adder(table)
-        # The tuples are slice tuples, where the shift is the identity, except
-        # under the coboundary, whose leading omission leaves the slice.
-        j_d = _homotopy_adder(table, _coboundary_adder(base), multipliers)
-        d_j = _coboundary_adder(
-            _shifted(table, _homotopy_adder(table, base, multipliers)))
-        target_scale = -len(multipliers)
+        products, inverses = table.products, table.inverses
+        degree = self.degree
+        terms = _compiled_form(degree, len(self.multipliers))
+        coefficients = [m for m, _, _ in terms]
+        ball = [x.id for x in bar_slice_ball(self.group, degree, self.radius)]
+        rest = list(product(ball, repeat=degree - 1))
+        size = len(rest)
+        rest_columns = [list(c) for c in zip(*rest)]
         rows = []
-        for args in _slice_tuples(self.group, self.degree, self.radius):
-            acc: dict = {}
-            d_j(acc, 1, 0, args)
-            j_d(acc, 1, 0, args)
-            base(acc, target_scale, 0, args)
-            for g in multipliers:
-                base(acc, 1, g, args)
-            rows.append(
-                (args, tuple((head, at, m) for (head, at), m in acc.items() if m)))
+        for first in ball:
+            columns = {(1,): [first] * size}
+            for i, c in enumerate(rest_columns, start=2):
+                columns[(i,)] = c
+            for j, g in enumerate(self.multipliers, start=degree + 1):
+                columns[(j,)] = [g] * size
+
+            def column(word):
+                col = columns.get(word)
+                if col is None:
+                    if len(word) == 1:
+                        col = [inverses[x] for x in column((-word[0],))]
+                    else:
+                        col = list(map(products.__getitem__,
+                                       zip(column(word[:-1]), column(word[-1:]))))
+                    columns[word] = col
+                return col
+
+            keys = zip(*[zip(column(head), zip(repeat(0), *map(column, tail)))
+                         for _, head, tail in terms])
+            for tail, row_keys in zip(rest, keys):
+                acc: dict = {}
+                for m, key in zip(coefficients, row_keys):
+                    acc[key] = acc.get(key, 0) + m
+                rows.append(((0, first) + tail,
+                             tuple((head, at, m)
+                                   for (head, at), m in acc.items() if m)))
         return rows
 
     def evaluate(self, phi: EquivariantCochain) -> ResidualReport:
