@@ -263,10 +263,11 @@ def check_adjointness():
     for name in ("cyclic-inf", "cyclic:4:2", "lattice:2", "fox:dihedral-inf"):
         res = resolution_from_name(name)
         op = assemble_boundary(res, 1, 3)
+        T = op.matrix
         for _ in range(50):
             x = rng.standard_normal(op.domain.dim)
             y = rng.standard_normal(op.codomain.dim)
-            gap, bound = adjoint_gap(op.matrix, x, y)
+            gap, bound = adjoint_gap(T, x, y)
             assert gap <= bound, f"adjointness fails for {name}"
 
 

@@ -419,12 +419,13 @@ def _run_pairing_adjointness(cfg: dict, out_path: Path):
     # the operator and every draw serve all p; only the Hoelder norms use p
     rng = np.random.default_rng(seed)
     op = assemble_boundary(res, degree, radius)
+    T = op.matrix
     max_gap = 0.0
     max_excess = [float("-inf")] * len(p_values)
     for _ in range(draws):
         x = rng.standard_normal(op.domain.dim)
         y = rng.standard_normal(op.codomain.dim)
-        gap, bound = checks.adjoint_gap(op.matrix, x, y)
+        gap, bound = checks.adjoint_gap(T, x, y)
         if gap > bound:
             raise InvariantViolation(
                 f"adjointness gap {gap:.3e} exceeds {bound:.3e}")

@@ -255,23 +255,30 @@ class Group:
         record its word lengths; an exhausted finite group gets an empty
         layer."""
         table = self.table
-        ids, lengths = table.ids, table.lengths
-        next_keys = set()
-        for a in self._layers[-1]:
-            for s in self.symmetric_generators:
-                k = self._mul_keys(a.key, s.key)
-                if ids.get(k) not in lengths:
-                    next_keys.add(k)
-        total = sum(len(layer) for layer in self._layers) + len(next_keys)
+        ids, elements, lengths = table.ids, table.elements, table.lengths
+        layers = self._layers
+        mul = self._mul_keys
+        steps = [s.key for s in self.symmetric_generators]
+        # the generators are closed under inverses, so a neighbour of a
+        # length-d element has length d - 1, d or d + 1: the keys met that
+        # are not in the last two layers are exactly the next layer
+        next_keys = {mul(a.key, s) for a in layers[-1] for s in steps}
+        next_keys.difference_update(a.key for layer in layers[-2:] for a in layer)
+        total = sum(len(layer) for layer in layers) + len(next_keys)
         if next_keys and total > self.ball_cap:
             raise BallCapError(
                 f"ball of {self.name} would exceed the cap of {self.ball_cap} elements"
             )
-        depth = len(self._layers)
-        layer = [table.elements[ids[k]] for k in sorted(next_keys)]
-        for g in layer:
-            lengths[g.id] = depth
-        self._layers.append(layer)
+        depth = len(layers)
+        layer = []
+        for k in sorted(next_keys):
+            i = ids.get(k)
+            if i is None:  # built here, as the table's fill would build it
+                i = ids[k] = len(elements)
+                elements.append(GroupElement(self, k, i))
+            lengths[i] = depth
+            layer.append(elements[i])
+        layers.append(layer)
 
     def _grow_to(self, i: int) -> int:
         """Grow the ball until it reaches the element with id i; its length."""

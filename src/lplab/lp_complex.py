@@ -22,16 +22,24 @@ entries.  Boundary assembly works on table ids instead: it reads each product
 of a domain ball element and an entry element once from the group's
 `ElementTable`, maps ids to codomain slots through one position array, and
 places each entry term in every domain column at once.
+
+A `BoundaryOperator` stores its matrix as `Nonzeros`, one row-major
+(rows, cols, values) triple and the shape, the one representation the
+solvers read.  The dense `matrix` is built from it on first read, and
+raises `BallCapError` instead when it would take more than
+`DENSE_BYTE_CAP` bytes, so an operator out of dense reach fails loudly
+where dense work is asked of it rather than exhausting memory.
 """
 
 from __future__ import annotations
 
 import math
+from typing import NamedTuple
 
 import numpy as np
 from scipy import linalg as _sla
 
-from .groups import Group, GroupElement
+from .groups import BallCapError, Group, GroupElement
 from .group_ring import RingElement
 from .resolutions import Resolution
 
@@ -151,16 +159,80 @@ def vector_from_ring_parts(space: TruncatedSpace, parts) -> Vector:
     return _scatter(space, entries)
 
 
-class BoundaryOperator:
-    """Dense matrix of a boundary on finite balls together with its two spaces."""
+# The largest dense matrix `Nonzeros.dense` builds: 256 MiB of doubles.  A
+# boundary past it (fox:free:2 i=1 at R=7 is 13121 x 8746, 0.92 GB dense)
+# is solved at p = 2 on its nonzeros; reading it densely raises.
+DENSE_BYTE_CAP = 1 << 28
 
-    __slots__ = ("domain", "codomain", "matrix")
+
+class Nonzeros(NamedTuple):
+    """The nonzero entries of a matrix, row by row, and its shape: `rows`,
+    `cols` and `values` in row-major order, the order np.nonzero gives."""
+
+    rows: np.ndarray
+    cols: np.ndarray
+    values: np.ndarray
+    shape: tuple[int, int]
+
+    @classmethod
+    def of(cls, matrix) -> "Nonzeros":
+        """The nonzeros of a dense matrix, read in one scan; nonzeros are
+        returned as they are."""
+        if isinstance(matrix, Nonzeros):
+            return matrix
+        rows, cols = np.nonzero(matrix)
+        return cls(rows, cols, matrix[rows, cols], matrix.shape)
+
+    def image(self, v: np.ndarray) -> np.ndarray:
+        """T v."""
+        return np.bincount(self.rows, weights=self.values * v[self.cols],
+                           minlength=self.shape[0])
+
+    def coimage(self, u: np.ndarray) -> np.ndarray:
+        """T^t u."""
+        return np.bincount(self.cols, weights=self.values * u[self.rows],
+                           minlength=self.shape[1])
+
+    def transpose(self) -> "Nonzeros":
+        """The nonzeros of T^t, row by row."""
+        m, n = self.shape
+        order = np.argsort(self.cols * m + self.rows)
+        return Nonzeros(self.cols[order], self.rows[order], self.values[order],
+                        (n, m))
+
+    def dense(self) -> np.ndarray:
+        """The dense matrix; one over DENSE_BYTE_CAP bytes raises BallCapError
+        before anything is allocated."""
+        m, n = self.shape
+        size = m * n * np.dtype(float).itemsize
+        if size > DENSE_BYTE_CAP:
+            raise BallCapError(
+                f"a dense {m}x{n} matrix needs {size} bytes, over the cap of "
+                f"{DENSE_BYTE_CAP} bytes")
+        out = np.zeros(self.shape)
+        out[self.rows, self.cols] = self.values
+        return out
+
+
+class BoundaryOperator:
+    """A boundary on finite balls, stored as its nonzeros, together with its
+    two spaces.  `matrix`, the dense form, is built on first read and kept;
+    an operator over DENSE_BYTE_CAP raises BallCapError there instead."""
+
+    __slots__ = ("domain", "codomain", "nonzeros", "_matrix")
 
     def __init__(self, domain: TruncatedSpace, codomain: TruncatedSpace,
-                 matrix: np.ndarray):
+                 nonzeros: Nonzeros):
         self.domain = domain
         self.codomain = codomain
-        self.matrix = matrix
+        self.nonzeros = nonzeros
+        self._matrix = None
+
+    @property
+    def matrix(self) -> np.ndarray:
+        if self._matrix is None:
+            self._matrix = self.nonzeros.dense()
+        return self._matrix
 
 
 def boundary_growth(res: Resolution, i: int) -> int:
@@ -171,13 +243,17 @@ def boundary_growth(res: Resolution, i: int) -> int:
 
 
 def assemble_boundary(res: Resolution, i: int, radius: int) -> BoundaryOperator:
-    """Finite matrix of the i-th boundary tensored with coefficient functions.
+    """Nonzeros of the i-th boundary tensored with coefficient functions.
 
     Columns are indexed by (copy, ball element) at the given radius; each
     column carries the right convolution of its basis delta with the matching
     group-ring entries, landing in the ball enlarged by the largest entry word
-    length.  Entries are exact integers embedded in doubles, and the matrix
-    is the same for every exponent.
+    length.  Entries are exact integers embedded in doubles, and the operator
+    is the same for every exponent.  Each term (g, coeff) of entry (a, b)
+    puts coeff at (copy a, h * g) in the column of (copy b, h) for every
+    domain element h at once; distinct terms never share a position, so the
+    terms' entries, sorted once into row-major order, are the nonzeros with
+    no duplicate and no explicit zero.
     """
     mat = res.boundary(i)
     group = res.group
@@ -203,17 +279,24 @@ def assemble_boundary(res: Resolution, i: int, radius: int) -> BoundaryOperator:
     slots = {g: position[ids] for g, ids in right_products.items()}
     if any((rows < 0).any() for rows in slots.values()):
         raise RuntimeError("convolution support escaped the enlarged ball")
-    out = np.zeros((codomain.dim, domain.dim))
-    columns = np.arange(n_dom)
-    for a, b, g, coeff in terms:
-        out[a * n_cod + slots[g], b * n_dom + columns] += coeff
-    return BoundaryOperator(domain, codomain, out)
+    # one row of term_slots and of copies per term, one column per domain
+    # element: the term lands at (a * n_cod + slot, b * n_dom + column)
+    term_slots = np.array([slots[g] for _, _, g, _ in terms],
+                          dtype=int).reshape(-1, n_dom)
+    copies = np.array([(a, b) for a, b, _, _ in terms], dtype=int).reshape(-1, 2)
+    rows = (copies[:, :1] * n_cod + term_slots).ravel()
+    cols = (copies[:, 1:] * n_dom + np.arange(n_dom)).ravel()
+    values = np.repeat([coeff for *_, coeff in terms], n_dom)
+    shape = (codomain.dim, domain.dim)
+    order = np.argsort(rows * shape[1] + cols)
+    return BoundaryOperator(domain, codomain, Nonzeros(
+        rows[order], cols[order], values[order], shape))
 
 
 def dual_boundary(res: Resolution, i: int, radius: int) -> BoundaryOperator:
     """Transpose of the assembled boundary, acting on cochain coefficients."""
     op = assemble_boundary(res, i, radius)
-    return BoundaryOperator(op.codomain, op.domain, op.matrix.T.copy())
+    return BoundaryOperator(op.codomain, op.domain, op.nonzeros.transpose())
 
 
 def embed(vec, target: TruncatedSpace):
@@ -281,11 +364,11 @@ def export_matrix_coordinate(op: BoundaryOperator, path, *, resolution: str,
     lines = [
         f"# group={op.domain.group.name} resolution={resolution} "
         f"i={index} R={radius}",
-        f"# shape={op.matrix.shape[0]}x{op.matrix.shape[1]}",
+        f"# shape={op.nonzeros.shape[0]}x{op.nonzeros.shape[1]}",
     ]
-    rows, cols = np.nonzero(op.matrix)
-    for r, c in zip(rows.tolist(), cols.tolist()):
-        lines.append(f"{r} {c} {op.matrix[r, c]:.17g}")
+    rows, cols, values, _ = op.nonzeros
+    for r, c, v in zip(rows.tolist(), cols.tolist(), values.tolist()):
+        lines.append(f"{r} {c} {v:.17g}")
     text = "\n".join(lines) + "\n"
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(text)

@@ -9,15 +9,16 @@ groups where reduced and unreduced agree.  The central family is read off the
 group's declared `order`, `central_element` and `finite_class_element`, never
 off its kind.
 
-The `TruncatedSpace`s and boundary matrices carry no exponent: p enters only
+The `TruncatedSpace`s and boundary operators carry no exponent: p enters only
 as the norm a distance minimizes, so a curve over several p assembles each
-radius once and solves every p on that one matrix, and every p != 2 there
+radius once and solves every p on that one operator, and every p != 2 there
 shares one least-squares start and one set of weighted-step arrays (see
-`_IrlsStart`).  At p = 2 the distance
-is the norm of x's projection on ker T^t, computed by conjugate gradients
-on the normal equations (CGLS) over the nonzeros of T.  Other p use
-iteratively reweighted least squares.  Its start is a rank-revealing QR
-solve with column pivoting, which also picks a basis of T's columns; each
+`_IrlsStart`).  At p = 2 the distance is the norm of x's projection on
+ker T^t, computed by conjugate gradients on the normal equations (CGLS)
+over the nonzeros of T, the `Nonzeros` a `BoundaryOperator` stores, so a
+p = 2 curve never forms a dense matrix.  Other p use iteratively reweighted
+least squares on the dense matrix.  Its start is a rank-revealing QR solve
+with column pivoting, which also picks a basis of T's columns; each
 weighted step solves the weighted normal equations on those columns by
 Cholesky, summed from the nonzeros of T.  The IRLS iteration is damped so
 that the true p-objective never increases.  Every distance comes
@@ -29,7 +30,6 @@ value to a relative gap of _GAP_TOL.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 from scipy import linalg as _sla
@@ -38,6 +38,7 @@ from .groups import Group, GroupElement, InvariantViolation
 from .group_ring import DEFAULT_CLASS_CAP, RingElement, class_sum
 from .resolutions import Resolution, periodic_cyclic_resolution
 from .lp_complex import (
+    Nonzeros,
     Vector,
     assemble_boundary,
     conjugate_exponent,
@@ -78,24 +79,6 @@ class MinimizationResult:
     converged: bool
 
 
-class _Nonzeros(NamedTuple):
-    """The nonzero entries of a matrix, row by row, and its shape."""
-
-    rows: np.ndarray
-    cols: np.ndarray
-    values: np.ndarray
-    shape: tuple[int, int]
-
-
-def _nonzeros(T) -> _Nonzeros:
-    """The nonzeros of a dense T, read in one scan; nonzeros already read
-    are returned as they are."""
-    if isinstance(T, _Nonzeros):
-        return T
-    rows, cols = np.nonzero(T)
-    return _Nonzeros(rows, cols, T[rows, cols], T.shape)
-
-
 def _cgls(T, x: np.ndarray, tol: float, max_steps: int) -> np.ndarray:
     """Coefficients c minimizing ||x - T c||_2, by conjugate gradients on
     the normal equations T^t T c = T^t x (CGLS, Hestenes & Stiefel 1952).
@@ -103,18 +86,12 @@ def _cgls(T, x: np.ndarray, tol: float, max_steps: int) -> np.ndarray:
     Starting from c = 0 the iterates stay in the row space of T, so a
     rank-deficient T gives the minimum-norm solution.  The products with T
     and T^t run over its nonzeros only; T is a dense matrix or its
-    `_Nonzeros`.  The iteration stops once the recurred gradient T^t r has
+    `Nonzeros`.  The iteration stops once the recurred gradient T^t r has
     max-norm at most tol, or after max_steps.
     """
-    rows, cols, values, (m, n) = _nonzeros(T)
-
-    def image(v):
-        return np.bincount(rows, weights=values * v[cols], minlength=m)
-
-    def coimage(u):
-        return np.bincount(cols, weights=values * u[rows], minlength=n)
-
-    c = np.zeros(n)
+    nonzeros = Nonzeros.of(T)
+    image, coimage = nonzeros.image, nonzeros.coimage
+    c = np.zeros(nonzeros.shape[1])
     r = x.copy()
     gradient = coimage(r)
     direction = gradient.copy()
@@ -166,9 +143,10 @@ def _solve_lstsq(T: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return solution[:n], np.sort(pivots[:rank] - 1)
 
 
-def _weighted_solver(T: np.ndarray, x: np.ndarray, basis: np.ndarray):
+def _weighted_solver(T, x: np.ndarray, basis: np.ndarray):
     """The weighted IRLS step: a function of weights w > 0 that returns the
-    coefficients c, zero off basis, minimizing ||w^(1/2) (x - T c)||_2.
+    coefficients c, zero off basis, minimizing ||w^(1/2) (x - T c)||_2; T is
+    a dense matrix or its `Nonzeros`.
 
     T_B = T[:, basis] has full column rank, so the normal equations
     T_B^t W T_B c_B = T_B^t W x are positive definite and are solved by
@@ -185,7 +163,7 @@ def _weighted_solver(T: np.ndarray, x: np.ndarray, basis: np.ndarray):
     size = basis.size
     position = np.full(n, -1)
     position[basis] = np.arange(size)
-    rows, cols, values, _ = _nonzeros(T)
+    rows, cols, values, _ = Nonzeros.of(T)
     kept = position[cols] >= 0
     rows, cols, values = rows[kept], position[cols[kept]], values[kept]
     # each nonzero pairs with every nonzero of its row, a contiguous run
@@ -228,15 +206,19 @@ def _dual_bound(x: np.ndarray, y: np.ndarray, q: float) -> float:
     return float(y @ x) / norm if norm > 0.0 else 0.0
 
 
-def _checked_problem(x, T) -> tuple[np.ndarray, np.ndarray]:
-    """x as a float vector and T as a float matrix with one row per entry
-    of x, both finite; anything else raises ValueError."""
+def _checked_problem(x, T):
+    """x as a float vector and T as a float matrix, or as its `Nonzeros`,
+    with one row per entry of x, both finite; anything else raises
+    ValueError.  The finiteness of nonzeros is checked on their values."""
     x = np.asarray(x, dtype=float).reshape(-1)
-    T = np.asarray(T, dtype=float)
-    if T.ndim != 2 or T.shape[0] != x.shape[0]:
+    if isinstance(T, Nonzeros):
+        entries = T.values
+    else:
+        T = entries = np.asarray(T, dtype=float)
+    if len(T.shape) != 2 or T.shape[0] != x.shape[0]:
         raise ValueError(
             f"dimension mismatch: T is {T.shape}, x has length {x.shape[0]}")
-    for name, array in (("x", x), ("T", T)):
+    for name, array in (("x", x), ("T", entries)):
         if not np.isfinite(array).all():
             raise ValueError(f"non-finite input: {name} holds NaN or inf")
     return x, T
@@ -245,43 +227,55 @@ def _checked_problem(x, T) -> tuple[np.ndarray, np.ndarray]:
 class _IrlsStart:
     """The part of an IRLS solve of x ~ T c that does not depend on p: the
     least-squares start and its basis from _solve_lstsq, and the weighted
-    step on that basis, built by the first solve that iterates.  `sources`
-    are the arrays it was built from, the only ones lp_distance accepts it
-    with."""
+    step on that basis, built by the first solve that iterates from
+    `nonzeros`, T's `Nonzeros` or T itself.  `sources` are the arrays it was
+    built from, the only ones lp_distance accepts it with."""
 
-    __slots__ = ("sources", "x", "T", "coefficients", "basis", "_step")
+    __slots__ = ("sources", "x", "T", "nonzeros", "coefficients", "basis",
+                 "_step")
 
-    def __init__(self, sources, x: np.ndarray, T: np.ndarray):
+    def __init__(self, sources, x: np.ndarray, T: np.ndarray, nonzeros):
         self.sources = sources
-        self.x, self.T = x, T
+        self.x, self.T, self.nonzeros = x, T, nonzeros
         self.coefficients, self.basis = _solve_lstsq(T, x)
         self._step = None
 
     def weighted_step(self):
         if self._step is None:
-            self._step = _weighted_solver(self.T, self.x, self.basis)
+            self._step = _weighted_solver(self.nonzeros, self.x, self.basis)
         return self._step
 
 
-def _irls_start(x, T) -> _IrlsStart:
+def _irls_start(x, T: np.ndarray, nonzeros: Nonzeros | None = None) -> _IrlsStart:
     """The start that lp_distance(x, T, p, start=...) shares across every
-    p != 2; T must have columns."""
-    return _IrlsStart((x, T), *_checked_problem(x, T))
+    p != 2; T must be dense and have columns.  `nonzeros`, T's own when the
+    caller holds them, are what T is checked finite on and what the
+    weighted step reads, so T is never scanned."""
+    if nonzeros is None:
+        x_checked, T_checked = _checked_problem(x, T)
+        return _IrlsStart((x, T), x_checked, T_checked, T_checked)
+    x_checked, nonzeros = _checked_problem(x, nonzeros)
+    return _IrlsStart((x, T), x_checked, T, nonzeros)
 
 
-def lp_distance(x: np.ndarray, T: np.ndarray, p: float, *,
+def lp_distance(x: np.ndarray, T, p: float, *,
                 max_iterations: int = 500,
                 start: _IrlsStart | None = None) -> MinimizationResult:
     """Minimize the p-norm of x - T c over coefficient vectors c.
 
+    T is a dense matrix or its `Nonzeros`, such as a `BoundaryOperator`'s.
     p = 2 solves by CGLS on the nonzeros of T and certifies optimality by
-    residual orthogonality, max |T^t r| <= _GATE_TOL * scale; a solve that
-    misses it raises InvariantViolation.  Its lower bound is <r, x>/||r||_2,
-    or 0 if that is negative.
-    Other p > 1 start from a rank-revealing least-squares solution and run
-    damped IRLS, whose weighted steps are Cholesky solves on the columns the
-    start kept; a factorization that fails raises InvariantViolation.  Each
-    weighted solve leaves T^t (w * (x - T candidate)) = 0,
+    residual orthogonality, max |T^t r| <= _GATE_TOL * scale, with the
+    residual r = x - T c and T^t r both summed from the nonzeros; a solve
+    that misses it raises InvariantViolation.  Its lower bound is
+    <r, x>/||r||_2, or 0 if that is negative.  Given nonzeros, p = 2 never
+    forms the dense matrix.
+    Other p > 1 run on the dense matrix, built from nonzeros if need be
+    (`Nonzeros.dense`, which refuses one over its byte cap).  They start
+    from a rank-revealing least-squares solution and run damped IRLS,
+    whose weighted steps are Cholesky solves on the columns the start kept;
+    a factorization that fails raises InvariantViolation.  Each weighted
+    solve leaves T^t (w * (x - T candidate)) = 0,
     so y = w * (x - T candidate) is a point of ker T^t, as the least-squares
     residual is at the start, and gives the dual bound <y, x>/||y||_q.  The
     largest of 0 and these bounds is `lower`; the result is converged, and the
@@ -291,7 +285,8 @@ def lp_distance(x: np.ndarray, T: np.ndarray, p: float, *,
     _IMPROVEMENT_TOL stops the iteration unconverged, as does the iteration
     cap; the value and its bound are still reported.  The objective is
     asserted nonincreasing at every step.  A NaN or inf in x or T is
-    rejected here, so the solves skip scipy's finiteness scan.
+    rejected here, checked on the values of nonzeros, so the solves skip
+    scipy's finiteness scan.
 
     `start`, from _irls_start(x, T) on these very x and T, carries the
     p-independent part of the IRLS solve, so that several p share it; it
@@ -300,10 +295,11 @@ def lp_distance(x: np.ndarray, T: np.ndarray, p: float, *,
     """
     if start is None:
         x, T = _checked_problem(x, T)
+        nonzeros = T
     elif start.sources[0] is not x or start.sources[1] is not T:
         raise ValueError("the IRLS start was built for another x or T")
     else:
-        x, T = start.x, start.T
+        x, T, nonzeros = start.x, start.T, start.nonzeros
     if not 1.0 < p < float("inf"):
         raise ValueError(f"exponent p must lie in (1, inf), got {p}")
     if max_iterations < 1:
@@ -315,12 +311,12 @@ def lp_distance(x: np.ndarray, T: np.ndarray, p: float, *,
                                   "least-squares" if p == 2.0 else "IRLS", True)
 
     if p == 2.0:
-        nonzeros = _nonzeros(T)
+        nonzeros = Nonzeros.of(nonzeros)
         scale = ((1.0 + float(np.linalg.norm(x)))
                  * (1.0 + float(np.abs(nonzeros.values).max(initial=0.0))))
         c = _cgls(nonzeros, x, _CG_TOL * scale, _CG_STEP_FACTOR * min(T.shape))
-        residual = x - T @ c
-        gradient = np.max(np.abs(T.T @ residual)) if residual.size else 0.0
+        residual = x - nonzeros.image(c)
+        gradient = np.max(np.abs(nonzeros.coimage(residual)))
         if gradient > _GATE_TOL * scale:
             raise InvariantViolation(
                 f"least-squares residual is not orthogonal to the column "
@@ -331,7 +327,9 @@ def lp_distance(x: np.ndarray, T: np.ndarray, p: float, *,
                                   "least-squares", True)
 
     if start is None:
-        start = _IrlsStart((x, T), x, T)
+        dense = T.dense() if isinstance(T, Nonzeros) else T
+        start = _IrlsStart((x, T), x, dense, nonzeros)
+    T = start.T
     c = start.coefficients
     residual = x - T @ c
     q = conjugate_exponent(p)
@@ -409,9 +407,11 @@ def boundary_distance_curve(res: Resolution, degree: int, x_parts,
 
     The same underlying chain is embedded at every radius, so the feasible
     sets nest and the curve of each p must be nonincreasing; that is asserted.
-    Each radius is assembled once and solved for every p, the p != 2 solves
-    from one shared least-squares start; the rows come out grouped by p, in
-    the order of p_values, each group in the order of radii.
+    Each radius is assembled once and solved for every p: p = 2 on the
+    operator's nonzeros, so a curve of p = 2 alone never forms a dense
+    matrix, and the p != 2 solves on its dense matrix from one shared
+    least-squares start.  The rows come out grouped by p, in the order of
+    p_values, each group in the order of radii.
     """
     i = degree + 1
     if not 1 <= i <= res.length:
@@ -425,11 +425,16 @@ def boundary_distance_curve(res: Resolution, degree: int, x_parts,
     for radius in radii:
         op = assemble_boundary(res, i, radius)
         x = vector_from_ring_parts(op.codomain, x_parts).coefficients
-        T = op.matrix
-        start = _irls_start(x, T) if irls and T.shape[1] else None
+        T = op.matrix if irls else None
+        start = (_irls_start(x, T, op.nonzeros) if irls and op.domain.dim
+                 else None)
         for p, p_rows in zip(p_values, rows):
-            result = lp_distance(x, T, p, max_iterations=max_iterations,
-                                 start=start)
+            if p == 2.0:
+                result = lp_distance(x, op.nonzeros, p,
+                                     max_iterations=max_iterations)
+            else:
+                result = lp_distance(x, T, p, max_iterations=max_iterations,
+                                     start=start)
             previous = p_rows[-1].value if p_rows else float("inf")
             if result.value > previous + 1e-9 * (1.0 + previous):
                 raise InvariantViolation(

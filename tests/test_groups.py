@@ -9,7 +9,8 @@ from hypothesis import strategies as st
 from lplab.checks import CHECK_GROUPS
 from lplab.groups import BallCapError, group_from_name
 
-from oracles import product_set_ball, product_set_word_length
+from oracles import (product_set_ball, product_set_layers,
+                     product_set_word_length)
 
 
 def test_make_group_trivial_and_cyclic():
@@ -137,6 +138,23 @@ def test_ball_matches_product_set_oracle():
     for radius in range(4):
         bfs = {g.key for g in heis.ball(radius)}
         assert bfs == product_set_ball(heis, radius)
+
+
+@pytest.mark.parametrize("name", CHECK_GROUPS + ("Z^3", "free:3"))
+def test_ball_is_the_oracle_layers_each_in_normal_form_order(name):
+    # the oracle meets each product against every shorter one, the ball
+    # growth only against the last two layers
+    group = group_from_name(name)
+    # an element built before the ball reaches it joins the ball as it is
+    early = group.parse_element("x^4" if name.startswith("free") else "1")
+    layers = product_set_layers(group, 5)
+    ball = group.ball(5)
+    assert [g.key for g in ball] == [
+        key for layer in layers for key in sorted(layer)]
+    assert any(g is early for g in ball)
+    for length, layer in enumerate(layers):
+        for key in layer:
+            assert group.table.lengths[group.table.ids[key]] == length
 
 
 def test_ball_ordering_is_bfs_then_lexicographic():

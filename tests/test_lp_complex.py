@@ -1,11 +1,13 @@
 """Truncated operators, norms, pairing, translation, annihilator checks."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy import linalg as sla
 
 from lplab import checks, lp_complex
-from lplab.groups import group_from_name
+from lplab.groups import BallCapError, group_from_name
 from lplab.group_ring import RingElement
 from lplab.resolutions import resolution_from_name
 from lplab.lp_complex import (
@@ -76,6 +78,41 @@ def test_assembly_matches_the_naive_oracle(name):
         for radius in range(4):
             assert np.array_equal(assemble_boundary(res, i, radius).matrix,
                                   naive_boundary_matrix(res, i, radius))
+
+
+@pytest.mark.parametrize("name", checks.CATALOG_RESOLUTIONS)
+def test_stored_nonzeros_are_the_naive_matrix_read_row_by_row(name):
+    # in order and value, for the boundary and for its dual, the transpose
+    res = resolution_from_name(name)
+    for i in range(1, res.length + 1):
+        for radius in range(4):
+            reference = naive_boundary_matrix(res, i, radius)
+            for nonzeros, dense in (
+                    (assemble_boundary(res, i, radius).nonzeros, reference),
+                    (dual_boundary(res, i, radius).nonzeros, reference.T)):
+                rows, cols = np.nonzero(dense)
+                assert nonzeros.shape == dense.shape
+                assert np.array_equal(nonzeros.rows, rows)
+                assert np.array_equal(nonzeros.cols, cols)
+                assert np.array_equal(nonzeros.values, dense[rows, cols])
+
+
+def test_reading_a_matrix_over_the_dense_cap_raises_before_allocating():
+    # fox:free:2 i=1 at R=7 has 17492 nonzeros and would be 0.92 GB dense
+    op = assemble_boundary(resolution_from_name("fox:free:2"), 1, 7)
+    assert op.nonzeros.shape == (13121, 8746)
+    assert op.nonzeros.values.size == 17492
+    size = 13121 * 8746 * 8
+    assert size > lp_complex.DENSE_BYTE_CAP
+    tracemalloc.start()
+    try:
+        with pytest.raises(BallCapError,
+                           match=f"dense 13121x8746 matrix needs {size} bytes"):
+            op.matrix
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 def test_assembly_raises_when_a_product_escapes_the_ball(monkeypatch):
@@ -350,3 +387,17 @@ def test_export_formats(tmp_path):
     lines = vector_path.read_text().splitlines()
     assert lines[0] == "copy,element,value"
     assert len(lines) == 1 + op.codomain.dim
+
+
+def test_matrix_export_lists_the_nonzeros_row_by_row(tmp_path):
+    res = resolution_from_name("fox:heisenberg")
+    op = assemble_boundary(res, 2, 2)
+    path = tmp_path / "matrix.txt"
+    export_matrix_coordinate(op, path, resolution="fox:heisenberg", index=2,
+                             radius=2)
+    dense = naive_boundary_matrix(res, 2, 2)
+    rows, cols = np.nonzero(dense)
+    expected = ["# group=heisenberg resolution=fox:heisenberg i=2 R=2",
+                f"# shape={dense.shape[0]}x{dense.shape[1]}"]
+    expected += [f"{r} {c} {dense[r, c]:.17g}" for r, c in zip(rows, cols)]
+    assert path.read_text() == "\n".join(expected) + "\n"

@@ -1,6 +1,7 @@
 """Minimization, decay curves, finite homology, and central families."""
 
 import csv
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -211,6 +212,52 @@ def test_least_squares_solve_that_misses_the_gate_raises(monkeypatch,
                       encoding="utf-8")
     assert main(["run", str(config)]) == EXIT_INVARIANT
     assert not (tmp_path / "curve.csv").exists()
+
+
+def test_least_squares_curve_out_of_dense_reach_runs_on_the_nonzeros(
+        tmp_path):
+    # fox:free:2 degree 0 is 4373 x 2918 at R=6 and 13121 x 8746 at R=7,
+    # 0.10 and 0.92 GB dense; the p = 2 curve never forms either matrix
+    res = resolution_from_name("fox:free:2")
+    tracemalloc.start()
+    try:
+        curve = boundary_distance_curve(res, 0, [RingElement.one(res.group)],
+                                        [2.0], [6, 7])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 << 20
+    assert curve.rows[1].value < curve.rows[0].value
+    for row, radius in zip(curve.rows, (6, 7)):
+        _, expected = degree_zero_distance(res.group, radius, 2.0)
+        assert abs(row.value - expected) <= 1e-10 * expected
+        assert 0.0 <= row.lower <= row.value and row.converged
+    # at p != 2 the curve needs the dense matrix, and refuses it at R=7
+    config = tmp_path / "curve.cfg"
+    config.write_text("experiment=distance-curve\nresolution=fox:free:2\n"
+                      f"degree=0\np=1.5\nR=7\noutput={tmp_path / 'curve.csv'}\n",
+                      encoding="utf-8")
+    assert main(["run", str(config)]) == EXIT_INVARIANT
+    assert not (tmp_path / "curve.csv").exists()
+
+
+def test_least_squares_on_nonzeros_matches_the_dense_solve():
+    for name, degree, radius in (("fox:heisenberg", 1, 3), ("lattice:3", 1, 3),
+                                 ("cyclic-inf", 0, 20)):
+        op = assemble_boundary(resolution_from_name(name), degree + 1, radius)
+        x = np.random.default_rng(radius).standard_normal(op.codomain.dim)
+        for p in (2.0, 1.5, 3.0):
+            sparse = lp_distance(x, op.nonzeros, p)
+            dense = lp_distance(x, op.matrix, p)
+            assert np.array_equal(sparse.coefficients, dense.coefficients)
+            assert (sparse.value, sparse.lower, sparse.iterations) == (
+                dense.value, dense.lower, dense.iterations)
+    bad = op.nonzeros._replace(values=np.where(op.nonzeros.values > 0, np.inf,
+                                                op.nonzeros.values))
+    with pytest.raises(ValueError, match="non-finite input: T"):
+        lp_distance(x, bad, 2.0)
+    with pytest.raises(ValueError, match="dimension mismatch"):
+        lp_distance(x[1:], op.nonzeros, 2.0)
 
 
 @pytest.mark.parametrize("name, degree, radii", [
