@@ -45,7 +45,7 @@ from itertools import product, repeat
 from math import lcm
 from random import Random
 
-from .groups import ElementTable, Group, GroupElement, _Filled
+from .groups import ElementTable, FreeGroup, Group, GroupElement
 from .group_ring import RingElement
 from .resolutions import BAR_DEGREE_CAP, bar_slice_ball
 
@@ -226,9 +226,9 @@ def random_cochain(group: Group, degree: int, radius: int,
 #
 # The residual scan runs the same stack in two phases.  _compiled_form puts
 # _formal_adder at the bottom, which adds m to the symbol (head, slice tuple)
-# in place of m times the head-translate of the value there, and runs the
-# stack once per (degree, class size) on _FreeWords, a table of freely
-# reduced words in place of a group's ids.  A ResidualForm evaluates those
+# in place of m times the head-translate of the value there.  It runs the
+# stack once per (degree, class size) on the table of a free group and
+# reads its ids back as freely reduced words.  A ResidualForm evaluates those
 # words on its group's table, and evaluating a cochain then feeds each
 # surviving symbol to the cochain's _add.
 
@@ -392,34 +392,6 @@ class ResidualReport:
     worst_tail: tuple[GroupElement, ...] | None = None
 
 
-def _free_product(pair):
-    """The freely reduced product of two words, 0 when it is empty."""
-    u, v = pair
-    u, v = u or (), v or ()
-    i = 0
-    while i < len(u) and i < len(v) and u[-1 - i] == -v[i]:
-        i += 1
-    return u[:len(u) - i] + v[i:] or 0
-
-
-def _free_inverse(u):
-    return tuple(-letter for letter in reversed(u)) if u else 0
-
-
-class _FreeWords:
-    """A table whose products and inverses act on freely reduced words: a
-    word is a tuple of nonzero letters, -l being the inverse of l.  The empty
-    word is written 0, the identity's id on every ElementTable, so the adders'
-    literal 0 and the empty products they form are one identity and merge as
-    one symbol."""
-
-    __slots__ = ("products", "inverses")
-
-    def __init__(self):
-        self.products = _Filled(_free_product)
-        self.inverses = _Filled(_free_inverse)
-
-
 @lru_cache(maxsize=None)
 def _compiled_form(degree: int, size: int) -> tuple[tuple[int, object, tuple], ...]:
     """The homotopy residual at the slice tuple (1, a_1, ..., a_n) for the
@@ -427,27 +399,34 @@ def _compiled_form(degree: int, size: int) -> tuple[tuple[int, object, tuple], .
     the head-translate of a cochain's value at (1, *tail).
 
     Head and tail are free words in the letters 1..n (the a_i) and
-    n+1..n+k (the g_j), built by one run of the operator stack on
-    _FreeWords.  Symbols equal as free words are equal in every group, so
-    merging them is sound; the 2nk that remain cancel only where g_j
-    commutes with the a_i.
+    n+1..n+k (the g_j), written as FreeGroup keys, with the identity
+    written 0.  They are built by one run of the operator stack on the
+    table of the free group of rank n + k.  Symbols equal as free words are
+    equal in every group, so merging them is sound; the 2nk that remain
+    cancel only where g_j commutes with the a_i.
     """
-    table = _FreeWords()
-    multipliers = tuple((degree + j,) for j in range(1, size + 1))
+    table = FreeGroup(degree + size).table
+    ids = table.ids
+    multipliers = tuple(ids[(degree + j,)] for j in range(1, size + 1))
     base = _formal_adder(table)
     # The top tuple is a slice tuple, where the shift is the identity, except
     # under the coboundary, whose leading omission leaves the slice.
     j_d = _homotopy_adder(table, _coboundary_adder(base), multipliers)
     d_j = _coboundary_adder(
         _shifted(table, _homotopy_adder(table, base, multipliers)))
-    args = (0,) + tuple((i,) for i in range(1, degree + 1))
+    args = (0,) + tuple(ids[(i,)] for i in range(1, degree + 1))
     acc: dict = {}
     d_j(acc, 1, 0, args)
     j_d(acc, 1, 0, args)
     base(acc, -size, 0, args)
     for g in multipliers:
         base(acc, 1, g, args)
-    return tuple((m, head, at[1:]) for (head, at), m in acc.items() if m)
+
+    def word(i):
+        return table.elements[i].key or 0
+
+    return tuple((m, word(head), tuple(map(word, at[1:])))
+                 for (head, at), m in acc.items() if m)
 
 
 class ResidualForm:
@@ -456,15 +435,18 @@ class ResidualForm:
     of one (group, degree, radius).
 
     The expansion runs on the first evaluation: it reads the compiled form
-    of (degree, k) on the group's table at each slice tuple.  Each row is
-    (slice tuple, symbols): symbols holds the (head, slice tuple, m) whose
-    coefficient m did not cancel in the group.  Every cochain is finitely
-    supported, so every row can be evaluated, and the expansion looks up no
-    word length: the tails it reads reach twice the radius plus the
-    multiplier length, and their lengths would grow the Cayley ball that far.
+    of (degree, k) on the group's table at each slice tuple, and
+    `tuples_checked` counts them.  A row is kept for each tuple where some
+    symbol survives, as (slice tuple, symbols): symbols holds the
+    (head, slice tuple, m) whose coefficient m did not cancel in the group;
+    a tuple with none has residual 0 for every cochain.  Every cochain is
+    finitely supported, so every row can be evaluated, and the expansion
+    looks up no word length: the tails it reads reach twice the radius plus
+    the multiplier length, and their lengths would grow the Cayley ball that
+    far.
     """
 
-    __slots__ = ("group", "degree", "radius", "multipliers", "_rows")
+    __slots__ = ("group", "degree", "radius", "multipliers", "_expansion")
 
     def __init__(self, group: Group, degree: int, radius: int, multipliers):
         self.multipliers = tuple(sorted({group.intern(g) for g in multipliers}))
@@ -478,20 +460,27 @@ class ResidualForm:
         self.group = group
         self.degree = degree
         self.radius = radius
-        self._rows = None
+        self._expansion = None
 
     @property
     def rows(self) -> list[tuple[IdTuple, tuple]]:
-        if self._rows is None:
-            self._rows = self._expand()
-        return self._rows
+        return self._expanded()[0]
 
-    def _expand(self) -> list[tuple[IdTuple, tuple]]:
-        """The rows, in slice-tuple order.  The compiled words are evaluated
-        column-wise, one block of tuples per leading tail element: a word's
-        column holds its id at each tuple of the block, built from the
-        column of its longest proper prefix with one table lookup per
-        tuple."""
+    @property
+    def tuples_checked(self) -> int:
+        return self._expanded()[1]
+
+    def _expanded(self) -> tuple[list[tuple[IdTuple, tuple]], int]:
+        if self._expansion is None:
+            self._expansion = self._expand()
+        return self._expansion
+
+    def _expand(self) -> tuple[list[tuple[IdTuple, tuple]], int]:
+        """The rows, in slice-tuple order, and the number of slice tuples
+        read.  The compiled words are evaluated column-wise, one block of
+        tuples per leading tail element: a word's column holds its id at
+        each tuple of the block, built from the column of its longest proper
+        prefix with one table lookup per tuple."""
         table = self.group.table
         products, inverses = table.products, table.inverses
         degree = self.degree
@@ -526,10 +515,11 @@ class ResidualForm:
                 acc: dict = {}
                 for m, key in zip(coefficients, row_keys):
                     acc[key] = acc.get(key, 0) + m
-                rows.append(((0, first) + tail,
-                             tuple((head, at, m)
-                                   for (head, at), m in acc.items() if m)))
-        return rows
+                symbols = tuple((head, at, m)
+                                for (head, at), m in acc.items() if m)
+                if symbols:
+                    rows.append(((0, first) + tail, symbols))
+        return rows, len(ball) * size
 
     def evaluate(self, phi: EquivariantCochain) -> ResidualReport:
         """The residual report of one cochain of this form's degree."""
@@ -544,24 +534,22 @@ def _residual_scan(form: ResidualForm, phi: EquivariantCochain) -> ResidualRepor
     """The residual report of phi, already checked against form: phi is
     finitely supported, so it is read at the surviving symbols of every row.
     The form expands here on its first evaluation."""
-    rows = form.rows
     add = phi._add
     worst = 0
     worst_tail = None
-    for args, symbols in rows:
-        if symbols:
-            acc: IdValue = {}
-            for head, at, m in symbols:
-                add(acc, m, head, at)
-            top = max(map(abs, acc.values()), default=0)
-            if top > worst:
-                worst = top
-                worst_tail = args[1:]
+    for args, symbols in form.rows:
+        acc: IdValue = {}
+        for head, at, m in symbols:
+            add(acc, m, head, at)
+        top = max(map(abs, acc.values()), default=0)
+        if top > worst:
+            worst = top
+            worst_tail = args[1:]
     if worst_tail is not None:
         elements = form.group.table.elements
         worst_tail = tuple(elements[x] for x in worst_tail)
-    return ResidualReport(Fraction(worst, phi.denominator), len(rows), 0,
-                          worst_tail)
+    return ResidualReport(Fraction(worst, phi.denominator),
+                          form.tuples_checked, 0, worst_tail)
 
 
 def homotopy_residual(phi: EquivariantCochain, central_element: GroupElement,

@@ -25,10 +25,13 @@ places each entry term in every domain column at once.
 
 A `BoundaryOperator` stores its matrix as `Nonzeros`, one row-major
 (rows, cols, values) triple and the shape, the one representation the
-solvers read.  The dense `matrix` is built from it on first read, and
-raises `BallCapError` instead when it would take more than
-`DENSE_BYTE_CAP` bytes, so an operator out of dense reach fails loudly
-where dense work is asked of it rather than exhausting memory.
+solvers read: `vanishing` checks a distance problem once, on these
+nonzeros, and its CGLS and weighted IRLS steps read nothing else of T.
+Only the least-squares start of IRLS and its line search need the dense
+`matrix`, built from the nonzeros on first read; it raises `BallCapError`
+instead when it would take more than `DENSE_BYTE_CAP` bytes, so an
+operator out of dense reach fails loudly where dense work is asked of it
+rather than exhausting memory.
 """
 
 from __future__ import annotations

@@ -10,11 +10,14 @@ group's declared `order`, `central_element` and `finite_class_element`, never
 off its kind.
 
 The `TruncatedSpace`s and boundary operators carry no exponent: p enters only
-as the norm a distance minimizes, so a curve over several p assembles each
-radius once and solves every p on that one operator, and every p != 2 there
-shares one least-squares start and one set of weighted-step arrays (see
-`_IrlsStart`).  At p = 2 the distance is the norm of x's projection on
-ker T^t, computed by conjugate gradients on the normal equations (CGLS)
+as the norm a distance minimizes.  A distance problem x ~ T c is checked
+once, as a `_Problem`, at the API boundary: its shape, and finiteness on
+T's `Nonzeros`, the one scan of T.  A curve over several p assembles each
+radius once and solves every p on that one problem, and every p != 2 there
+shares the least-squares start and the weighted step the problem builds on
+first use.  The steps that sum over T, CGLS and the weighted step, read
+only its `Nonzeros`.  At p = 2 the distance is the norm of x's projection
+on ker T^t, computed by conjugate gradients on the normal equations (CGLS)
 over the nonzeros of T, the `Nonzeros` a `BoundaryOperator` stores, so a
 p = 2 curve never forms a dense matrix.  Other p use iteratively reweighted
 least squares on the dense matrix.  Its start is a rank-revealing QR solve
@@ -79,17 +82,16 @@ class MinimizationResult:
     converged: bool
 
 
-def _cgls(T, x: np.ndarray, tol: float, max_steps: int) -> np.ndarray:
+def _cgls(nonzeros: Nonzeros, x: np.ndarray, tol: float,
+          max_steps: int) -> np.ndarray:
     """Coefficients c minimizing ||x - T c||_2, by conjugate gradients on
     the normal equations T^t T c = T^t x (CGLS, Hestenes & Stiefel 1952).
 
     Starting from c = 0 the iterates stay in the row space of T, so a
     rank-deficient T gives the minimum-norm solution.  The products with T
-    and T^t run over its nonzeros only; T is a dense matrix or its
-    `Nonzeros`.  The iteration stops once the recurred gradient T^t r has
-    max-norm at most tol, or after max_steps.
+    and T^t run over its `nonzeros` only.  The iteration stops once the
+    recurred gradient T^t r has max-norm at most tol, or after max_steps.
     """
-    nonzeros = Nonzeros.of(T)
     image, coimage = nonzeros.image, nonzeros.coimage
     c = np.zeros(nonzeros.shape[1])
     r = x.copy()
@@ -120,7 +122,7 @@ def _solve_lstsq(T: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     rank-revealing QR with column pivoting, called with the cutoff and
     workspace scipy.linalg.lstsq would pass.  Returns c and basis, the
     sorted columns the QR kept; T[:, basis] has full column rank and spans
-    the column space of T to the cutoff.  lp_distance has checked that the
+    the column space of T to the cutoff.  _Problem has checked that the
     input is finite.
     """
     # On every catalog boundary (radii up to 4-32, a delta and a random x)
@@ -143,10 +145,10 @@ def _solve_lstsq(T: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return solution[:n], np.sort(pivots[:rank] - 1)
 
 
-def _weighted_solver(T, x: np.ndarray, basis: np.ndarray):
+def _weighted_solver(nonzeros: Nonzeros, x: np.ndarray, basis: np.ndarray):
     """The weighted IRLS step: a function of weights w > 0 that returns the
-    coefficients c, zero off basis, minimizing ||w^(1/2) (x - T c)||_2; T is
-    a dense matrix or its `Nonzeros`.
+    coefficients c, zero off basis, minimizing ||w^(1/2) (x - T c)||_2, T
+    given by its `nonzeros`.
 
     T_B = T[:, basis] has full column rank, so the normal equations
     T_B^t W T_B c_B = T_B^t W x are positive definite and are solved by
@@ -159,15 +161,15 @@ def _weighted_solver(T, x: np.ndarray, basis: np.ndarray):
     factorization that fails raises InvariantViolation: there is no second
     solver.
     """
-    n = T.shape[1]
+    m, n = nonzeros.shape
     size = basis.size
     position = np.full(n, -1)
     position[basis] = np.arange(size)
-    rows, cols, values, _ = Nonzeros.of(T)
+    rows, cols, values, _ = nonzeros
     kept = position[cols] >= 0
     rows, cols, values = rows[kept], position[cols[kept]], values[kept]
     # each nonzero pairs with every nonzero of its row, a contiguous run
-    per_row = np.bincount(rows, minlength=T.shape[0])
+    per_row = np.bincount(rows, minlength=m)
     repeats = per_row[rows]
     first = np.repeat(np.arange(rows.size), repeats)
     run_start = np.cumsum(per_row) - per_row
@@ -206,61 +208,59 @@ def _dual_bound(x: np.ndarray, y: np.ndarray, q: float) -> float:
     return float(y @ x) / norm if norm > 0.0 else 0.0
 
 
-def _checked_problem(x, T):
-    """x as a float vector and T as a float matrix, or as its `Nonzeros`,
-    with one row per entry of x, both finite; anything else raises
-    ValueError.  The finiteness of nonzeros is checked on their values."""
-    x = np.asarray(x, dtype=float).reshape(-1)
-    if isinstance(T, Nonzeros):
-        entries = T.values
-    else:
-        T = entries = np.asarray(T, dtype=float)
-    if len(T.shape) != 2 or T.shape[0] != x.shape[0]:
-        raise ValueError(
-            f"dimension mismatch: T is {T.shape}, x has length {x.shape[0]}")
-    for name, array in (("x", x), ("T", entries)):
-        if not np.isfinite(array).all():
-            raise ValueError(f"non-finite input: {name} holds NaN or inf")
-    return x, T
+class _Problem:
+    """The problem x ~ T c of lp_distance, checked once: x as a float vector
+    and T, a dense matrix or its `Nonzeros`, with one row per entry of x,
+    both finite; anything else raises ValueError.  T is checked finite on
+    `nonzeros`, its own when the caller holds them and otherwise read from
+    a dense T here, the only scan of it; every step that sums over T reads
+    them.  The dense matrix, the least-squares start with its basis, and the
+    weighted step on that basis are built on first use, so every p solved
+    on one problem shares them.  `sources` are the x and T it was built
+    from, the only ones lp_distance accepts it with."""
 
+    __slots__ = ("sources", "x", "nonzeros", "_dense", "_start", "_step")
 
-class _IrlsStart:
-    """The part of an IRLS solve of x ~ T c that does not depend on p: the
-    least-squares start and its basis from _solve_lstsq, and the weighted
-    step on that basis, built by the first solve that iterates from
-    `nonzeros`, T's `Nonzeros` or T itself.  `sources` are the arrays it was
-    built from, the only ones lp_distance accepts it with."""
+    def __init__(self, x, T, nonzeros: Nonzeros | None = None):
+        self.sources = (x, T)
+        x = np.asarray(x, dtype=float).reshape(-1)
+        if isinstance(T, Nonzeros):
+            dense, nonzeros = None, T
+        else:
+            T = dense = np.asarray(T, dtype=float)
+        if len(T.shape) != 2 or T.shape[0] != x.shape[0]:
+            raise ValueError(
+                f"dimension mismatch: T is {T.shape}, x has length {x.shape[0]}")
+        if not np.isfinite(x).all():
+            raise ValueError("non-finite input: x holds NaN or inf")
+        if nonzeros is None:
+            nonzeros = Nonzeros.of(dense)
+        if not np.isfinite(nonzeros.values).all():
+            raise ValueError("non-finite input: T holds NaN or inf")
+        self.x, self.nonzeros, self._dense = x, nonzeros, dense
+        self._start = self._step = None
 
-    __slots__ = ("sources", "x", "T", "nonzeros", "coefficients", "basis",
-                 "_step")
+    def dense(self) -> np.ndarray:
+        """T as a dense matrix (`Nonzeros.dense`, under its byte cap)."""
+        if self._dense is None:
+            self._dense = self.nonzeros.dense()
+        return self._dense
 
-    def __init__(self, sources, x: np.ndarray, T: np.ndarray, nonzeros):
-        self.sources = sources
-        self.x, self.T, self.nonzeros = x, T, nonzeros
-        self.coefficients, self.basis = _solve_lstsq(T, x)
-        self._step = None
+    def start(self) -> tuple[np.ndarray, np.ndarray]:
+        """The IRLS start and its basis, from _solve_lstsq."""
+        if self._start is None:
+            self._start = _solve_lstsq(self.dense(), self.x)
+        return self._start
 
     def weighted_step(self):
         if self._step is None:
-            self._step = _weighted_solver(self.nonzeros, self.x, self.basis)
+            self._step = _weighted_solver(self.nonzeros, self.x, self.start()[1])
         return self._step
-
-
-def _irls_start(x, T: np.ndarray, nonzeros: Nonzeros | None = None) -> _IrlsStart:
-    """The start that lp_distance(x, T, p, start=...) shares across every
-    p != 2; T must be dense and have columns.  `nonzeros`, T's own when the
-    caller holds them, are what T is checked finite on and what the
-    weighted step reads, so T is never scanned."""
-    if nonzeros is None:
-        x_checked, T_checked = _checked_problem(x, T)
-        return _IrlsStart((x, T), x_checked, T_checked, T_checked)
-    x_checked, nonzeros = _checked_problem(x, nonzeros)
-    return _IrlsStart((x, T), x_checked, T, nonzeros)
 
 
 def lp_distance(x: np.ndarray, T, p: float, *,
                 max_iterations: int = 500,
-                start: _IrlsStart | None = None) -> MinimizationResult:
+                start: _Problem | None = None) -> MinimizationResult:
     """Minimize the p-norm of x - T c over coefficient vectors c.
 
     T is a dense matrix or its `Nonzeros`, such as a `BoundaryOperator`'s.
@@ -288,33 +288,32 @@ def lp_distance(x: np.ndarray, T, p: float, *,
     rejected here, checked on the values of nonzeros, so the solves skip
     scipy's finiteness scan.
 
-    `start`, from _irls_start(x, T) on these very x and T, carries the
-    p-independent part of the IRLS solve, so that several p share it; it
-    was checked when it was built.  A start built from other arrays raises
+    `start`, a _Problem(x, T) on these very x and T, is the problem already
+    checked, with the p-independent part of the solve it has built, so
+    that several p share it.  A problem built from other arrays raises
     ValueError.  The result is the same with or without it.
     """
     if start is None:
-        x, T = _checked_problem(x, T)
-        nonzeros = T
+        problem = _Problem(x, T)
     elif start.sources[0] is not x or start.sources[1] is not T:
         raise ValueError("the IRLS start was built for another x or T")
     else:
-        x, T, nonzeros = start.x, start.T, start.nonzeros
+        problem = start
+    x, nonzeros = problem.x, problem.nonzeros
     if not 1.0 < p < float("inf"):
         raise ValueError(f"exponent p must lie in (1, inf), got {p}")
     if max_iterations < 1:
         raise ValueError(f"max_iterations must be at least 1, got {max_iterations}")
 
-    if T.shape[1] == 0:
+    if nonzeros.shape[1] == 0:
         value = lp_norm(x, p)
         return MinimizationResult(value, value, np.zeros(0), 0,
                                   "least-squares" if p == 2.0 else "IRLS", True)
 
     if p == 2.0:
-        nonzeros = Nonzeros.of(nonzeros)
         scale = ((1.0 + float(np.linalg.norm(x)))
                  * (1.0 + float(np.abs(nonzeros.values).max(initial=0.0))))
-        c = _cgls(nonzeros, x, _CG_TOL * scale, _CG_STEP_FACTOR * min(T.shape))
+        c = _cgls(nonzeros, x, _CG_TOL * scale, _CG_STEP_FACTOR * min(nonzeros.shape))
         residual = x - nonzeros.image(c)
         gradient = np.max(np.abs(nonzeros.coimage(residual)))
         if gradient > _GATE_TOL * scale:
@@ -326,11 +325,8 @@ def lp_distance(x: np.ndarray, T, p: float, *,
         return MinimizationResult(value, min(lower, value), c, 1,
                                   "least-squares", True)
 
-    if start is None:
-        dense = T.dense() if isinstance(T, Nonzeros) else T
-        start = _IrlsStart((x, T), x, dense, nonzeros)
-    T = start.T
-    c = start.coefficients
+    T = problem.dense()
+    c, _ = problem.start()
     residual = x - T @ c
     q = conjugate_exponent(p)
     objective = lp_norm(residual, p)
@@ -341,7 +337,7 @@ def lp_distance(x: np.ndarray, T, p: float, *,
     eps = _EPS_START
     iterations = 0
     if not converged:  # most starts are certified and take no weighted step
-        weighted_step = start.weighted_step()
+        weighted_step = problem.weighted_step()
     while not converged and iterations < max_iterations:
         iterations += 1
         weights = (residual * residual + eps) ** ((p - 2.0) / 2.0)
@@ -407,11 +403,12 @@ def boundary_distance_curve(res: Resolution, degree: int, x_parts,
 
     The same underlying chain is embedded at every radius, so the feasible
     sets nest and the curve of each p must be nonincreasing; that is asserted.
-    Each radius is assembled once and solved for every p: p = 2 on the
-    operator's nonzeros, so a curve of p = 2 alone never forms a dense
-    matrix, and the p != 2 solves on its dense matrix from one shared
-    least-squares start.  The rows come out grouped by p, in the order of
-    p_values, each group in the order of radii.
+    Each radius is assembled once and checked once, as one _Problem that
+    every p solves: p = 2 on the operator's nonzeros, so a curve of p = 2
+    alone never forms a dense matrix, and the p != 2 solves on its dense
+    matrix from the one least-squares start they share.  The rows come out
+    grouped by p, in the order of p_values, each group in the order of
+    radii.
     """
     i = degree + 1
     if not 1 <= i <= res.length:
@@ -425,16 +422,13 @@ def boundary_distance_curve(res: Resolution, degree: int, x_parts,
     for radius in radii:
         op = assemble_boundary(res, i, radius)
         x = vector_from_ring_parts(op.codomain, x_parts).coefficients
-        T = op.matrix if irls else None
-        start = (_irls_start(x, T, op.nonzeros) if irls and op.domain.dim
-                 else None)
+        # the p != 2 solves need the dense matrix, and the benchmark's
+        # tracer reads it off their calls
+        T = op.matrix if irls else op.nonzeros
+        problem = _Problem(x, T, op.nonzeros)
         for p, p_rows in zip(p_values, rows):
-            if p == 2.0:
-                result = lp_distance(x, op.nonzeros, p,
-                                     max_iterations=max_iterations)
-            else:
-                result = lp_distance(x, T, p, max_iterations=max_iterations,
-                                     start=start)
+            result = lp_distance(x, T, p, max_iterations=max_iterations,
+                                 start=problem)
             previous = p_rows[-1].value if p_rows else float("inf")
             if result.value > previous + 1e-9 * (1.0 + previous):
                 raise InvariantViolation(

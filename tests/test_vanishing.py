@@ -13,6 +13,7 @@ from lplab.groups import InvariantViolation, group_from_name
 from lplab.group_ring import RingElement
 from lplab.resolutions import resolution_from_name
 from lplab.lp_complex import (
+    Nonzeros,
     TruncatedSpace,
     Vector,
     assemble_boundary,
@@ -199,7 +200,7 @@ def test_least_squares_solve_that_misses_the_gate_raises(monkeypatch,
 
     tol = vanishing._CG_TOL * _gate_scale(T, x)
     for steps in (1, 50):
-        c = uncapped(T, x, tol, steps)
+        c = uncapped(Nonzeros.of(T), x, tol, steps)
         gradient = np.max(np.abs(T.T @ (x - T @ c)))
         assert gradient > vanishing._GATE_TOL * _gate_scale(T, x)
     monkeypatch.setattr(vanishing, "_cgls", one_step)
@@ -281,8 +282,8 @@ def test_curve_rows_match_independent_solves(name, degree, radii):
 
 def test_a_start_is_accepted_only_with_its_own_arrays():
     T, x = _curve_problem("lattice:2", 1, 3)
-    start = vanishing._irls_start(x, T)
-    for p in (1.5, 3.0):
+    start = vanishing._Problem(x, T)
+    for p in (1.5, 2.0, 3.0):
         shared = lp_distance(x, T, p, start=start)
         alone = lp_distance(x, T, p)
         assert shared.iterations > 0
@@ -342,7 +343,7 @@ def test_weighted_step_on_a_rank_deficient_operator():
     assert T.shape == (299, 270) and basis.size == 230
     assert np.linalg.matrix_rank(T[:, basis]) == 230
     start = x - T @ c
-    step = vanishing._weighted_solver(T, x, basis)
+    step = vanishing._weighted_solver(Nonzeros.of(T), x, basis)
     rounding = 1e3 * np.finfo(float).eps * np.abs(T).max()
     for p in (1.5, 3.0):
         for eps in (1e-3, 1e-12):  # the ends of the IRLS smoothing schedule
