@@ -36,7 +36,8 @@ from .resolutions import (
     resolution_from_name,
     validate,
 )
-from .homotopy import ResidualForm, random_cochain, require_central
+from .homotopy import (ResidualForm, random_cochain, require_central,
+                       zero_cochain)
 from . import checks
 
 if TYPE_CHECKING:
@@ -375,7 +376,11 @@ def _run_homotopy_scan(cfg: dict, out_path: Path, default_count: int,
                        multipliers_of):
     """Residual rows of the homotopy identity for count random cochains.  A
     single multiplier is central (a class of one element commutes with every
-    conjugator), so its residual must vanish; a larger class is measured."""
+    conjugator), so its residual must vanish; a larger class is measured.
+
+    A form with no surviving rows certifies residual 0 for every cochain, so
+    then nothing is drawn from the seed and each of the count rows evaluates
+    the zero cochain, which reads 0/1."""
     group = _group(cfg)
     degree = _int_field(cfg, "degree", 1, low=1, high=BAR_DEGREE_CAP)
     radius = _int_field(cfg, "R", 3, low=0)
@@ -387,7 +392,8 @@ def _run_homotopy_scan(cfg: dict, out_path: Path, default_count: int,
     rows = []
     worst = 0
     for _ in range(count):
-        phi = random_cochain(group, degree, radius, rng)
+        phi = (random_cochain(group, degree, radius, rng) if form.rows
+               else zero_cochain(group, degree, radius))
         residual = form.evaluate(phi).max_abs
         rows.append([group.name, label, str(degree), str(radius),
                      str(residual.numerator), str(residual.denominator)])

@@ -40,7 +40,6 @@ import math
 from typing import NamedTuple
 
 import numpy as np
-from scipy import linalg as _sla
 
 from .groups import BallCapError, Group, GroupElement
 from .group_ring import RingElement
@@ -353,9 +352,11 @@ def annihilator_residual(res: Resolution, i: int, radius: int) -> float:
     transpose annihilates the image, so the residual should vanish up to
     rounding.
     """
+    from scipy.linalg import null_space, orth
+
     T = assemble_boundary(res, i, radius).matrix
-    kernel = _sla.null_space(T.T)
-    image = _sla.orth(T)
+    kernel = null_space(T.T)
+    image = orth(T)
     if kernel.size == 0 or image.size == 0:
         return 0.0
     return float(np.max(np.abs(kernel.T @ image)))

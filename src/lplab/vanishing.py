@@ -27,15 +27,17 @@ Cholesky, summed from the nonzeros of T.  The IRLS iteration is damped so
 that the true p-objective never increases.  Every distance comes
 with a lower bound from the dual side, dist_p(x, im T) = max <y, x> over y
 in ker T^t with ||y||_q <= 1, and IRLS stops once that bound certifies the
-value to a relative gap of _GAP_TOL.
+value to a relative gap of _GAP_TOL.  scipy is imported inside the
+functions that call it, the IRLS start and weighted step and the numerical
+rank, so a p = 2 solve loads numpy alone.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
-from scipy import linalg as _sla
 
 from .groups import Group, GroupElement, InvariantViolation
 from .group_ring import DEFAULT_CLASS_CAP, RingElement, class_sum
@@ -111,8 +113,12 @@ def _cgls(nonzeros: Nonzeros, x: np.ndarray, tol: float,
     return c
 
 
-_gelsy, _gelsy_lwork = _sla.get_lapack_funcs(("gelsy", "gelsy_lwork"),
-                                             dtype=np.float64)
+@cache
+def _gelsy_drivers():
+    """LAPACK gelsy and its workspace query, looked up on the first start."""
+    from scipy.linalg import get_lapack_funcs
+
+    return get_lapack_funcs(("gelsy", "gelsy_lwork"), dtype=np.float64)
 
 
 def _solve_lstsq(T: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -136,11 +142,12 @@ def _solve_lstsq(T: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     # rounding size (about 1e-15 against a largest singular value near 4),
     # inverts them into coefficients of order 1e13, and the residual is no
     # longer orthogonal to the column space.
+    gelsy, gelsy_lwork = _gelsy_drivers()
     m, n = T.shape
     cond = max(m, n) * np.finfo(float).eps
-    work, _ = _gelsy_lwork(m, n, 1, cond)
+    work, _ = gelsy_lwork(m, n, 1, cond)
     rhs = x if m >= n else np.concatenate([x, np.zeros(n - m)])
-    _, solution, pivots, rank, _ = _gelsy(
+    _, solution, pivots, rank, _ = gelsy(
         T, rhs, np.zeros(n, dtype=np.int32), cond, int(work), False, False)
     return solution[:n], np.sort(pivots[:rank] - 1)
 
@@ -161,6 +168,8 @@ def _weighted_solver(nonzeros: Nonzeros, x: np.ndarray, basis: np.ndarray):
     factorization that fails raises InvariantViolation: there is no second
     solver.
     """
+    from scipy import linalg
+
     m, n = nonzeros.shape
     size = basis.size
     position = np.full(n, -1)
@@ -187,15 +196,15 @@ def _weighted_solver(nonzeros: Nonzeros, x: np.ndarray, basis: np.ndarray):
         rhs = np.bincount(cols, weights=weights[rows] * rhs_terms,
                           minlength=size)
         try:
-            factor = _sla.cho_factor(gram, overwrite_a=True,
-                                     check_finite=False)
+            factor = linalg.cho_factor(gram, overwrite_a=True,
+                                       check_finite=False)
         except np.linalg.LinAlgError as exc:
             raise InvariantViolation(
                 f"IRLS weighted normal equations are not positive definite "
                 f"({exc})") from None
         candidate = np.zeros(n)
-        candidate[basis] = _sla.cho_solve(factor, rhs, overwrite_b=True,
-                                          check_finite=False)
+        candidate[basis] = linalg.cho_solve(factor, rhs, overwrite_b=True,
+                                            check_finite=False)
         return candidate
 
     return solve
@@ -524,9 +533,11 @@ def translation_pairing_decay(y: Vector, x: Vector, sequence: CentralSequence,
 
 
 def _numerical_rank(matrix: np.ndarray, threshold: float) -> int:
+    from scipy.linalg import svdvals
+
     if matrix.size == 0:
         return 0
-    singular = _sla.svdvals(matrix)
+    singular = svdvals(matrix)
     if singular.size == 0 or singular[0] <= 0.0:
         return 0
     return int(np.sum(singular > threshold * singular[0]))

@@ -2,6 +2,7 @@
 
 from fractions import Fraction
 from pathlib import Path
+from random import Random
 
 import pytest
 
@@ -10,7 +11,8 @@ from lplab.group_ring import parse_ring_element
 from lplab.lp_complex import (TruncatedSpace, assemble_boundary, pairing,
                               vector_from_ring_parts)
 from lplab.groups import GROUP_NAME_SYNTAX, group_from_name
-from lplab.homotopy import ResidualReport
+from lplab.homotopy import (ResidualReport, class_sum_homotopy_residual,
+                            random_cochain)
 from lplab.resolutions import RESOLUTION_NAME_SYNTAX
 from lplab.vanishing import translation_pairing_decay
 from lplab.cli import (
@@ -397,6 +399,50 @@ def test_homotopy_residual_must_vanish_for_a_single_multiplier(
     err = capsys.readouterr().err
     assert ("invariant failure: homotopy residual must vanish" in err) == (
         code == EXIT_INVARIANT)
+
+
+@pytest.mark.parametrize("experiment, fields", [
+    ("verify-homotopy", dict(group="heisenberg", degree=2)),
+    ("class-sum-homotopy", dict(group="dihedral-inf", **{"class": "r^2"})),
+])
+def test_a_form_with_no_surviving_rows_draws_no_cochain(
+        tmp_path, monkeypatch, experiment, fields):
+    # the empty form certifies residual 0 for every cochain, so the rows are
+    # written without a draw from the seed
+    def no_draws(*args):
+        raise AssertionError("drew a random cochain")
+
+    monkeypatch.setattr(cli, "random_cochain", no_draws)
+    out = tmp_path / "h.csv"
+    cfg = write_config(tmp_path, "h.cfg", experiment=experiment, **fields,
+                       R=3, count=3, output=out)
+    assert main(["run", str(cfg)]) == EXIT_OK
+    lines = out.read_text().splitlines()
+    assert len(lines) == 4
+    assert all(line.endswith(",0,1") for line in lines[1:])
+
+
+def test_a_form_with_surviving_rows_samples_the_seed(tmp_path, monkeypatch):
+    # r alone is not central in dihedral-inf, so symbols survive and each row
+    # is the residual of the next cochain drawn from Random(seed)
+    monkeypatch.setattr(cli, "_class_multipliers",
+                        lambda cfg, group: ([group.parse_element("r")],
+                                            "class:r"))
+    out = tmp_path / "h.csv"
+    cfg = write_config(tmp_path, "h.cfg", experiment="class-sum-homotopy",
+                       group="dihedral-inf", **{"class": "r"}, degree=1, R=2,
+                       count=3, seed=5, output=out)
+    assert main(["run", str(cfg)]) == EXIT_INVARIANT
+    written = [Fraction(int(num), int(den)) for num, den in
+               (line.split(",")[-2:] for line in
+                out.read_text().splitlines()[1:])]
+    group = group_from_name("dihedral-inf")
+    r = group.parse_element("r")
+    rng = Random(5)
+    expected = [class_sum_homotopy_residual(
+        random_cochain(group, 1, 2, rng), [r]).max_abs for _ in range(3)]
+    assert written == expected
+    assert any(expected)
 
 
 def test_determinism_byte_identical(tmp_path):

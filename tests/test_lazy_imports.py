@@ -1,9 +1,10 @@
-"""The exact regime runs without numpy or scipy.
+"""The exact regime runs without numpy or scipy, and p = 2 without scipy.
 
 `lplab` resolves its float names lazily and the CLI and the check registry
-import the float modules inside the float runners and checks.  These tests
-pin that in a fresh interpreter, and pin that every name the package
-exports still resolves.
+import the float modules inside the float runners and checks; the float
+modules import scipy inside the functions that call it.  These tests pin
+that in a fresh interpreter, and pin that every name the package exports
+still resolves.
 """
 
 import json
@@ -77,6 +78,18 @@ def _config(path: Path, **fields) -> str:
     return str(path)
 
 
+def _probe(tmp_path: Path, steps) -> list:
+    """Run PROBE on steps in a fresh interpreter and return its report."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    done = subprocess.run([sys.executable, "-c", PROBE, json.dumps(steps)],
+                          cwd=tmp_path, env=env, capture_output=True,
+                          text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    return json.loads(done.stdout.strip().splitlines()[-1])
+
+
 def test_exact_runs_load_no_float_module(tmp_path):
     steps = [
         ("lab list", ["list"]),
@@ -95,14 +108,7 @@ def test_exact_runs_load_no_float_module(tmp_path):
             resolution="cyclic-inf", degree=0, p="1.5,2,3", R="1..12",
             output=tmp_path / "dc.csv")]),
     ]
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
-    done = subprocess.run([sys.executable, "-c", PROBE, json.dumps(steps)],
-                          cwd=tmp_path, env=env, capture_output=True,
-                          text=True, timeout=300)
-    assert done.returncode == 0, done.stderr
-    report = json.loads(done.stdout.strip().splitlines()[-1])
+    report = _probe(tmp_path, steps)
     *exact, (label, code, loaded) = report
     assert [step[0] for step in exact] == ["import lplab"] + [
         name for name, _ in steps[:-1]]
@@ -126,21 +132,27 @@ def test_irls_weighted_steps_load_no_sparse_module(tmp_path):
     steps = [("distance-curve", ["run", _config(
         tmp_path / "irls.cfg", experiment="distance-curve",
         resolution="lattice:2", degree=1, p="1.5", R="2..3", output=out)])]
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
-    done = subprocess.run([sys.executable, "-c", PROBE, json.dumps(steps)],
-                          cwd=tmp_path, env=env, capture_output=True,
-                          text=True, timeout=300)
-    assert done.returncode == 0, done.stderr
-    (_, _, _), (label, code, loaded) = json.loads(
-        done.stdout.strip().splitlines()[-1])
+    (_, _, _), (label, code, loaded) = _probe(tmp_path, steps)
     assert label == "distance-curve" and code == 0
     assert "scipy.linalg" in loaded
     assert [name for name in loaded if name.startswith("scipy.sparse")] == []
     iterations = [int(line.split(",")[8])
                   for line in out.read_text().splitlines()[1:]]
     assert len(iterations) == 2 and min(iterations) > 0
+
+
+def test_least_squares_runs_load_no_scipy_module(tmp_path):
+    # p = 2 solves by CGLS on numpy alone; scipy is imported only by the
+    # functions that call it
+    out = tmp_path / "p2.csv"
+    steps = [("distance-curve", ["run", _config(
+        tmp_path / "p2.cfg", experiment="distance-curve",
+        resolution="lattice:2", degree=0, p="2", R="1..3", output=out)])]
+    (_, _, _), (label, code, loaded) = _probe(tmp_path, steps)
+    assert label == "distance-curve" and code == 0
+    assert "numpy" in loaded
+    assert [name for name in loaded if name.split(".")[0] == "scipy"] == []
+    assert len(out.read_text().splitlines()) == 4
 
 
 def test_every_export_resolves():
