@@ -2,7 +2,7 @@
 
 Each check exercises one structural property the library promises: group and
 ring axioms on random samples, ball geometry, complex validation, duality
-plumbing, exactness of the homotopy identity, and monotonicity of the
+plumbing, certificates of the homotopy identity, and monotonicity of the
 minimization routines.  Checks return quietly or raise; the runner turns that
 into one line per check.
 
@@ -18,7 +18,8 @@ Three consumers share the registry:
   tests take their group and resolution lists from the catalogs; the
   per-resolution and per-group tests call the per-case checks
   (``check_resolution_validates``, ``check_fox_identity``,
-  ``check_composition_zero``) that the catalog-wide checks loop over.
+  ``check_composition_zero``, ``check_homotopy_certificate``) that the
+  catalog-wide checks loop over.
 
 Float modules are imported inside the float checks and measurements, so
 exact runs, which import this module for its catalogs, never load numpy or
@@ -43,7 +44,7 @@ from .resolutions import (
     resolution_from_name,
     validate,
 )
-from .homotopy import class_sum_homotopy_residual, homotopy_residual, random_cochain
+from .homotopy import ResidualForm
 
 if TYPE_CHECKING:
     import numpy as np
@@ -64,6 +65,9 @@ CATALOG_RESOLUTIONS = (
 # formula; the verify-resolutions CSV lists them in this order.
 FOX_GROUPS = ("Z^2", "Z^3", "free:2", "dihedral-inf", "heisenberg", "cyclic:4",
               "S3")
+# (group, central multiplier, degree, radius) of each homotopy certificate.
+HOMOTOPY_CASES = (("Z^1", "t", 1, 3), ("cyclic:4", "t", 1, 3),
+                  ("heisenberg", "(0,0,1)", 1, 2))
 
 
 @dataclass(frozen=True)
@@ -312,28 +316,34 @@ def check_annihilator():
     assert annihilator_residual(res4, 2, 4) <= 1e-10
 
 
+def _require_certified(form: ResidualForm, label: str):
+    """A form with no surviving row over every slice tuple of its window
+    certifies that the homotopy residual is 0 for every cochain there."""
+    assert not form.rows, \
+        f"homotopy residual survives at {len(form.rows)} of " \
+        f"{form.tuples_checked} tuples for {label}"
+    expected = len(form.group.ball(form.radius)) ** form.degree
+    assert form.tuples_checked == expected, \
+        f"{label}: {form.tuples_checked} tuples checked, expected {expected}"
+
+
+def check_homotopy_certificate(name: str, token: str, degree: int, radius: int):
+    group = group_from_name(name)
+    form = ResidualForm(group, degree, radius, [group.parse_element(token)])
+    _require_certified(form, f"{name} with multiplier {token}")
+
+
 def check_homotopy_exact():
-    rng = Random(6)
-    cases = [("Z^1", "t", 1, 3), ("cyclic:4", "t", 1, 3),
-             ("heisenberg", "(0,0,1)", 1, 2)]
-    for name, token, degree, radius in cases:
-        group = group_from_name(name)
-        h = group.parse_element(token)
-        for _ in range(2):
-            phi = random_cochain(group, degree, radius, rng)
-            report = homotopy_residual(phi, h)
-            assert report.max_abs == 0, f"homotopy residual nonzero for {name}"
+    for case in HOMOTOPY_CASES:
+        check_homotopy_certificate(*case)
 
 
 def check_class_sum_singleton():
-    rng = Random(9)
     group = group_from_name("heisenberg")
     z = group.element((0, 0, 1))
-    phi = random_cochain(group, 1, 2, rng)
-    plain = homotopy_residual(phi, z)
-    summed = class_sum_homotopy_residual(phi, [z])
-    assert plain.max_abs == summed.max_abs == 0
-    assert plain.tuples_checked == summed.tuples_checked
+    orbit = conjugacy_class(z, DEFAULT_CLASS_CAP)
+    assert orbit == {z}, f"the class of central {z} is {orbit}"
+    _require_certified(ResidualForm(group, 1, 2, orbit), f"the class of {z}")
 
 
 def check_minimization():

@@ -434,8 +434,8 @@ class ResidualForm:
     translates by the k multipliers, expanded formally over the slice tuples
     of one (group, degree, radius).
 
-    The expansion runs on the first evaluation: it reads the compiled form
-    of (degree, k) on the group's table at each slice tuple, and
+    The form expands at construction: it reads the compiled form of
+    (degree, k) on the group's table at each slice tuple, and
     `tuples_checked` counts them.  A row is kept for each tuple where some
     symbol survives, as (slice tuple, symbols): symbols holds the
     (head, slice tuple, m) whose coefficient m did not cancel in the group;
@@ -446,7 +446,8 @@ class ResidualForm:
     far.
     """
 
-    __slots__ = ("group", "degree", "radius", "multipliers", "_expansion")
+    __slots__ = ("group", "degree", "radius", "multipliers", "rows",
+                 "tuples_checked")
 
     def __init__(self, group: Group, degree: int, radius: int, multipliers):
         self.multipliers = tuple(sorted({group.intern(g) for g in multipliers}))
@@ -460,20 +461,7 @@ class ResidualForm:
         self.group = group
         self.degree = degree
         self.radius = radius
-        self._expansion = None
-
-    @property
-    def rows(self) -> list[tuple[IdTuple, tuple]]:
-        return self._expanded()[0]
-
-    @property
-    def tuples_checked(self) -> int:
-        return self._expanded()[1]
-
-    def _expanded(self) -> tuple[list[tuple[IdTuple, tuple]], int]:
-        if self._expansion is None:
-            self._expansion = self._expand()
-        return self._expansion
+        self.rows, self.tuples_checked = self._expand()
 
     def _expand(self) -> tuple[list[tuple[IdTuple, tuple]], int]:
         """The rows, in slice-tuple order, and the number of slice tuples
@@ -532,8 +520,8 @@ class ResidualForm:
 
 def _residual_scan(form: ResidualForm, phi: EquivariantCochain) -> ResidualReport:
     """The residual report of phi, already checked against form: phi is
-    finitely supported, so it is read at the surviving symbols of every row.
-    The form expands here on its first evaluation."""
+    finitely supported, so it is read at the surviving symbols of every row,
+    which the form expanded at construction."""
     add = phi._add
     worst = 0
     worst_tail = None

@@ -177,11 +177,8 @@ class Nonzeros(NamedTuple):
     shape: tuple[int, int]
 
     @classmethod
-    def of(cls, matrix) -> "Nonzeros":
-        """The nonzeros of a dense matrix, read in one scan; nonzeros are
-        returned as they are."""
-        if isinstance(matrix, Nonzeros):
-            return matrix
+    def of(cls, matrix: np.ndarray) -> "Nonzeros":
+        """The nonzeros of a dense matrix, read in one scan."""
         rows, cols = np.nonzero(matrix)
         return cls(rows, cols, matrix[rows, cols], matrix.shape)
 

@@ -293,9 +293,10 @@ def lp_distance(x: np.ndarray, T, p: float, *,
     _EPS_FLOOR, and a step at the floor that gains less than
     _IMPROVEMENT_TOL stops the iteration unconverged, as does the iteration
     cap; the value and its bound are still reported.  The objective is
-    asserted nonincreasing at every step.  A NaN or inf in x or T is
-    rejected here, checked on the values of nonzeros, so the solves skip
-    scipy's finiteness scan.
+    nonincreasing by construction: the line search accepts a trial only if
+    it does not raise the objective, and keeps c otherwise.  A NaN or inf
+    in x or T is rejected here, checked on the values of nonzeros, so the
+    solves skip scipy's finiteness scan.
 
     `start`, a _Problem(x, T) on these very x and T, is the problem already
     checked, with the p-independent part of the solve it has built, so
@@ -353,24 +354,18 @@ def lp_distance(x: np.ndarray, T, p: float, *,
         candidate = weighted_step(weights)
         lower = max(lower, _dual_bound(x, weights * (x - T @ candidate), q))
         direction = candidate - c
-        best = objective
-        best_c = c
         scale_factor = 1.0
         for _ in range(60):
             trial = c + scale_factor * direction
-            trial_obj = lp_norm(x - T @ trial, p)
-            if trial_obj <= best:
-                best = trial_obj
-                best_c = trial
+            trial_residual = x - T @ trial
+            trial_obj = lp_norm(trial_residual, p)
+            if trial_obj <= objective:
+                step = objective - trial_obj
+                c, residual, objective = trial, trial_residual, trial_obj
                 break
             scale_factor *= 0.5
-        if best > objective + 1e-12 * (1.0 + objective):
-            raise InvariantViolation(
-                f"IRLS objective increased from {objective} to {best}")
-        step = objective - best
-        c = best_c
-        residual = x - T @ c
-        objective = best
+        else:
+            step = 0.0
         converged = objective - lower <= _GAP_TOL * objective
         if eps > _EPS_FLOOR:
             eps = max(_EPS_FLOOR, eps * 0.25)
@@ -538,7 +533,7 @@ def _numerical_rank(matrix: np.ndarray, threshold: float) -> int:
     if matrix.size == 0:
         return 0
     singular = svdvals(matrix)
-    if singular.size == 0 or singular[0] <= 0.0:
+    if singular[0] <= 0.0:
         return 0
     return int(np.sum(singular > threshold * singular[0]))
 

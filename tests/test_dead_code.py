@@ -1,0 +1,87 @@
+"""No dead code in the library: every private module- or class-level name is
+read somewhere in ``src/lplab``, and no module imports a name it never reads.
+
+Only the stdlib ``ast`` module is used.  A read is a name or attribute
+loaded outside the definition itself, so a private function that only calls
+itself still counts as dead.  ``__init__`` re-exports names, so its imports
+are not checked.
+"""
+
+import ast
+from pathlib import Path
+
+SOURCE = Path(__file__).resolve().parent.parent / "src" / "lplab"
+MODULES = {path.stem: ast.parse(path.read_text(), str(path))
+           for path in sorted(SOURCE.glob("*.py"))}
+
+
+def _is_private(name: str) -> bool:
+    return name.startswith("_") and not name.endswith("__")
+
+
+def _loads(tree: ast.AST, skip: ast.AST | None = None):
+    """The names and attribute names loaded in tree, outside skip."""
+    stack = [tree]
+    while stack:
+        node = stack.pop()
+        if node is skip:
+            continue
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            yield node.id
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            yield node.attr
+        stack.extend(ast.iter_child_nodes(node))
+
+
+def _definitions(body):
+    """(name, node) for each function, class and assignment target in body."""
+    for node in body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                             ast.ClassDef)):
+            yield node.name, node
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            for target in targets:
+                for name in ast.walk(target):
+                    if isinstance(name, ast.Name):
+                        yield name.id, node
+
+
+def _private_definitions():
+    for module, tree in MODULES.items():
+        scopes = [tree.body] + [node.body for node in tree.body
+                                if isinstance(node, ast.ClassDef)]
+        for body in scopes:
+            for name, node in _definitions(body):
+                if _is_private(name):
+                    yield module, name, node
+
+
+def test_every_private_name_is_read():
+    private = list(_private_definitions())
+    assert {"_compiled_form", "_Problem", "_expand"} <= {
+        name for _, name, _ in private}, "the guard lost sight of definitions"
+    unread = [f"{module}.{name}" for module, name, node in private
+              if not any(name in _loads(tree, skip=node)
+                         for tree in MODULES.values())]
+    assert not unread, f"defined but never read in lplab: {unread}"
+
+
+def _imported_names(tree: ast.AST):
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                yield alias.asname or alias.name.split(".")[0]
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                yield alias.asname or alias.name
+
+
+def test_every_import_is_read():
+    unread = {}
+    for module, tree in MODULES.items():
+        if module != "__init__":
+            names = sorted(set(_imported_names(tree)) - set(_loads(tree)))
+            if names:
+                unread[module] = names
+    assert not unread, f"imported but never read: {unread}"

@@ -5,7 +5,7 @@ from random import Random
 
 import pytest
 
-from lplab.groups import group_from_name
+from lplab.groups import BallCapError, group_from_name
 from lplab.group_ring import RingElement, conjugacy_class
 from lplab.homotopy import (
     EquivariantCochain,
@@ -372,6 +372,14 @@ def test_form_grows_no_ball_for_a_finitely_supported_cochain():
     form = ResidualForm(group, 2, 2, [group.central_element])
     assert form.evaluate(phi) == ResidualReport(Fraction(0), 289, 0, None)
     assert max(group.table.lengths.values()) == 2
+
+
+def test_form_expands_at_construction():
+    # 17 ** 2 = 289 slice tuples exceed a cap of 200 before any evaluation
+    group = group_from_name("heisenberg", ball_cap=200)
+    with pytest.raises(BallCapError,
+                       match="289 bar tuples would exceed the cap of 200"):
+        ResidualForm(group, 2, 2, [group.central_element])
 
 
 def test_form_evaluation_checks_its_cochain():
