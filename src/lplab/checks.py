@@ -115,7 +115,7 @@ def hoelder_excess(y: Vector, x: Vector, p: float) -> tuple[float, float]:
 
 
 def _random_element(ball, rng: Random):
-    return ball[rng.randrange(len(ball))]
+    return rng.choice(ball)
 
 
 def _random_ring_element(ball, rng: Random, terms: int = 3):
@@ -177,9 +177,10 @@ def check_ring_axioms():
             u = _random_ring_element(ball, rng)
             v = _random_ring_element(ball, rng)
             w = _random_ring_element(ball, rng)
-            assert (u * v) * w == u * (v * w), f"ring associativity fails in {name}"
-            assert u * (v + w) == u * v + u * w, f"distributivity fails in {name}"
-            assert (u * v).augment() == u.augment() * v.augment(), \
+            uv = u * v
+            assert uv * w == u * (v * w), f"ring associativity fails in {name}"
+            assert u * (v + w) == uv + u * w, f"distributivity fails in {name}"
+            assert uv.augment() == u.augment() * v.augment(), \
                 f"augmentation is not multiplicative in {name}"
 
 

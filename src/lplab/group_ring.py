@@ -13,7 +13,10 @@ definite answer.
 Validation happens once, where values enter: the public constructors
 (``RingElement(group, coeffs)``, ``one``, ``from_element``, parsing, class sums)
 intern every support element through ``Group.intern``, which checks that it
-belongs to the group, and coerce every coefficient to ``Fraction``.
+belongs to the group, read an ``int`` or ``Fraction`` coefficient as its
+integer numerator and denominator, and coerce any other coefficient once with
+``Fraction``; the terms are summed as integers over the lcm of their
+denominators.
 Arithmetic between validated elements checks only that both operands share a
 ring and builds its result without checking each term again.
 """
@@ -35,13 +38,17 @@ class RingElement:
 
     def __init__(self, group: Group, coeffs=()):
         items = coeffs.items() if hasattr(coeffs, "items") else coeffs
-        fractions: dict[int, Fraction] = {}
+        terms = []
         for g, c in items:
             i = group.intern(g)
-            fractions[i] = fractions.get(i, 0) + Fraction(c)
-        denominator = lcm(*(c.denominator for c in fractions.values()))
-        self._reduce(group, {i: c.numerator * (denominator // c.denominator)
-                             for i, c in fractions.items()}, denominator)
+            if not isinstance(c, (int, Fraction)):
+                c = Fraction(c)
+            terms.append((i, c.numerator, c.denominator))
+        denominator = lcm(*(d for _, _, d in terms))
+        numerators: dict[int, int] = {}
+        for i, n, d in terms:
+            numerators[i] = numerators.get(i, 0) + n * (denominator // d)
+        self._reduce(group, numerators, denominator)
 
     def _reduce(self, group: Group, numerators: dict[int, int], denominator: int):
         """Keep numerators over a positive denominator, without zeros and
@@ -69,11 +76,11 @@ class RingElement:
 
     @classmethod
     def one(cls, group: Group) -> "RingElement":
-        return cls(group, [(group.identity, Fraction(1))])
+        return cls(group, [(group.identity, 1)])
 
     @classmethod
     def from_element(cls, g: GroupElement, coeff=1) -> "RingElement":
-        return cls(g.group, [(g, Fraction(coeff))])
+        return cls(g.group, [(g, coeff)])
 
     def coefficient(self, g: GroupElement) -> Fraction:
         return Fraction(self.numerators.get(self.group.intern(g), 0),
@@ -253,4 +260,4 @@ def class_sum(g: GroupElement, cap: int) -> RingElement:
         raise ValueError(
             f"not a finite conjugacy class at cap {cap}: element {g} of {g.group.name}"
         )
-    return RingElement(g.group, [(h, Fraction(1)) for h in sorted(orbit)])
+    return RingElement(g.group, [(h, 1) for h in sorted(orbit)])

@@ -480,7 +480,8 @@ class ResidualForm:
         rest_columns = [list(c) for c in zip(*rest)]
         rows = []
         for first in ball:
-            columns = {(1,): [first] * size}
+            # The identity, written 0 in the compiled words, has id 0.
+            columns = {0: [0] * size, (1,): [first] * size}
             for i, c in enumerate(rest_columns, start=2):
                 columns[(i,)] = c
             for j, g in enumerate(self.multipliers, start=degree + 1):

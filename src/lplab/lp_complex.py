@@ -53,7 +53,7 @@ def conjugate_exponent(p: float) -> float:
 
 def lp_norm(values: np.ndarray, exponent: float) -> float:
     """(sum of |value|^exponent)^(1/exponent)."""
-    return float(np.sum(np.abs(values) ** exponent) ** (1.0 / exponent))
+    return float((np.abs(values) ** exponent).sum() ** (1.0 / exponent))
 
 
 class TruncatedSpace:
@@ -104,7 +104,7 @@ class Vector:
         if arr.shape[0] != space.dim:
             raise ValueError(
                 f"expected {space.dim} coefficients, got {arr.shape[0]}")
-        if not np.all(np.isfinite(arr)):
+        if not np.isfinite(arr).all():
             raise ValueError("coefficients must be finite")
         self.space = space
         self.coefficients = arr

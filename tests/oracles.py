@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import product
+from math import gcd
 
 import numpy as np
 
@@ -75,6 +76,22 @@ def naive_convolve(u, v):
             g = a * b
             out[g] = out.get(g, Fraction(0)) + ca * cb
     return {g: c for g, c in out.items() if c != 0}
+
+
+def fraction_sum_form(pairs):
+    """The stored form of a ring element with the given (element, coefficient)
+    terms, by summing one `Fraction` per term: (numerators on element ids,
+    denominator), the denominator the least one that clears every nonzero
+    coefficient."""
+    sums = {}
+    for g, c in pairs:
+        sums[g.id] = sums.get(g.id, Fraction(0)) + Fraction(c)
+    sums = {i: c for i, c in sums.items() if c != 0}
+    denominator = 1
+    for c in sums.values():
+        denominator = denominator * c.denominator // gcd(denominator, c.denominator)
+    return ({i: c.numerator * (denominator // c.denominator)
+             for i, c in sums.items()}, denominator)
 
 
 def naive_boundary_matrix(res, i, radius):

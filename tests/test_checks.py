@@ -1,8 +1,13 @@
 """The invariant registry: every entry of ``lplab.checks.ALL_CHECKS`` passes."""
 
+from fractions import Fraction
+from random import Random
+
 import pytest
 
 from lplab import checks
+from lplab.group_ring import RingElement
+from lplab.groups import group_from_name
 
 
 @pytest.mark.parametrize("check", [fn for _, fn in checks.ALL_CHECKS],
@@ -21,3 +26,35 @@ def test_non_central_multiplier_fails_the_certificate():
     with pytest.raises(AssertionError,
                        match="survives at 12 of 17 tuples for heisenberg"):
         checks.check_homotopy_certificate("heisenberg", "x", 1, 2)
+
+
+@pytest.mark.parametrize("name", ["S3", "heisenberg"])
+def test_sampled_checks_keep_their_draws(name):
+    # the draws written out as the sampled checks made them before
+    # `_random_element` called `Random.choice`
+    ball = group_from_name(name).ball(4)
+    rng, reference = Random(1), Random(1)
+    for _ in range(300):
+        pairs = [(ball[reference.randrange(len(ball))],
+                  Fraction(reference.randint(-5, 5), reference.randint(1, 4)))
+                 for _ in range(reference.randint(1, 3))]
+        assert checks._random_ring_element(ball, rng) == \
+            RingElement(ball[0].group, pairs)
+    assert rng.getstate() == reference.getstate()
+
+
+def test_ring_axioms_catch_a_wrong_product(monkeypatch):
+    convolve = RingElement.convolve
+
+    def off_by_one(u, v):
+        w = convolve(u, v)
+        if u.support_size() > 1 and v.support_size() > 1 and w.numerators:
+            numerators = dict(w.numerators)
+            numerators[min(numerators)] += 1
+            return RingElement._trusted(w.group, numerators, w.denominator)
+        return w
+
+    monkeypatch.setattr(RingElement, "convolve", off_by_one)
+    with pytest.raises(AssertionError,
+                       match="ring associativity fails in cyclic:4"):
+        checks.check_ring_axioms()

@@ -18,7 +18,7 @@ from lplab.group_ring import (
     parse_ring_element,
 )
 
-from oracles import naive_convolve
+from oracles import fraction_sum_form, naive_convolve
 
 
 def _rng_element(group, rng, radius=4, terms=3):
@@ -191,6 +191,20 @@ def test_cross_group_ring_rejection():
             op()
 
 
+def test_constructor_checks_the_element_before_its_coefficient():
+    # Z^3 shares the key (1,0,0) with the Heisenberg generator x
+    lattice = group_from_name("Z^3")
+    foreign = group_from_name("heisenberg").element((1, 0, 0))
+    for bad in ("not a number", object()):
+        with pytest.raises(ValueError, match="cross-group operand"):
+            RingElement(lattice, [(foreign, bad)])
+    # terms are read in order: a bad coefficient ahead of a foreign element
+    with pytest.raises(TypeError):
+        RingElement(lattice, [(lattice.identity, object()), (foreign, 1)])
+    with pytest.raises(ValueError, match="Invalid literal"):
+        RingElement(lattice, [(lattice.identity, "x"), (foreign, 1)])
+
+
 def test_coefficient_rejects_foreign_elements_and_non_elements():
     # Z^3 shares the key (1,0,0) with the Heisenberg generator x
     heis = group_from_name("heisenberg")
@@ -309,3 +323,32 @@ def test_arithmetic_keeps_the_canonical_form(u_terms, v_terms, factor):
             (w.numerators, w.denominator)
     for zero in (u - u, u.scale(0), RingElement.zero(dihedral)):
         assert (zero.numerators, zero.denominator) == ({}, 1)
+
+
+# Every coefficient type the constructor takes: int and Fraction are read as
+# integers, the others are coerced by Fraction.
+_any_coefficient = st.one_of(
+    st.integers(-6, 6),
+    _coefficients,
+    st.booleans(),
+    st.floats(min_value=-8, max_value=8, allow_nan=False),
+    _coefficients.map(str),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.tuples(st.integers(0, 3), _any_coefficient), max_size=6),
+       st.booleans())
+def test_constructor_stores_the_fraction_sum(terms, cancel):
+    heis = group_from_name("heisenberg")
+    # four elements, so support elements repeat
+    ball = heis.ball(1)
+    pairs = [(ball[k], c) for k, c in terms]
+    if cancel:
+        # the negated terms cancel every coefficient to zero
+        pairs += [(g, -Fraction(c)) for g, c in pairs]
+    u = RingElement(heis, pairs)
+    assert (u.numerators, u.denominator) == fraction_sum_form(pairs)
+    assert _is_canonical(u)
+    if cancel:
+        assert (u.numerators, u.denominator) == ({}, 1)

@@ -5,6 +5,7 @@ from random import Random
 
 import pytest
 
+from lplab import homotopy
 from lplab.groups import BallCapError, group_from_name
 from lplab.group_ring import RingElement, conjugacy_class
 from lplab.homotopy import (
@@ -380,6 +381,22 @@ def test_form_expands_at_construction():
     with pytest.raises(BallCapError,
                        match="289 bar tuples would exceed the cap of 200"):
         ResidualForm(group, 2, 2, [group.central_element])
+
+
+def test_form_reads_identity_words(monkeypatch):
+    # A wrong compile could leave the identity, written 0, as a head or a
+    # tail word; the form must report it as a surviving symbol.
+    _compiled_form.cache_clear()
+    extra = ((1, 0, (0,)), (2, 0, ((1,),)))
+    monkeypatch.setattr(homotopy, "_compiled_form",
+                        lambda degree, size: _compiled_form(degree, size) + extra)
+    group = group_from_name("Z^1")
+    form = ResidualForm(group, 1, 2, [group.generators[0]])
+    assert form.tuples_checked == 5
+    assert len(form.rows) == 5
+    assert all(symbols for _, symbols in form.rows)
+    # at the slice tuple (1, 1) both extra terms land on the identity tail
+    assert form.rows[0] == ((0, 0), ((0, (0, 0), 3),))
 
 
 def test_form_evaluation_checks_its_cochain():
