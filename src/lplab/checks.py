@@ -114,16 +114,12 @@ def hoelder_excess(y: Vector, x: Vector, p: float) -> tuple[float, float]:
 # -- checks ----------------------------------------------------------------------
 
 
-def _random_element(ball, rng: Random):
-    return rng.choice(ball)
-
-
-def _random_ring_element(ball, rng: Random, terms: int = 3):
-    """A ring element on up to terms random elements of a ball, with small
+def _random_ring_element(ball, rng: Random):
+    """A ring element on up to three random elements of a ball, with small
     rational coefficients."""
     pairs = []
-    for _ in range(rng.randint(1, terms)):
-        pairs.append((_random_element(ball, rng),
+    for _ in range(rng.randint(1, 3)):
+        pairs.append((rng.choice(ball),
                       Fraction(rng.randint(-5, 5), rng.randint(1, 4))))
     return RingElement(ball[0].group, pairs)
 
@@ -135,9 +131,9 @@ def check_group_axioms():
         e = group.identity
         ball = group.ball(4)
         for _ in range(126):
-            a = _random_element(ball, rng)
-            b = _random_element(ball, rng)
-            c = _random_element(ball, rng)
+            a = rng.choice(ball)
+            b = rng.choice(ball)
+            c = rng.choice(ball)
             assert (a * b) * c == a * (b * c), f"associativity fails in {name}"
             assert a * e == a and e * a == a, f"identity fails in {name}"
             assert a * a.inverse() == e, f"inverse fails in {name}"

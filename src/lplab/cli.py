@@ -15,6 +15,7 @@ import io
 import math
 import os
 import sys
+from contextlib import contextmanager
 from dataclasses import replace
 from pathlib import Path
 from random import Random
@@ -41,7 +42,6 @@ from .homotopy import (ResidualForm, random_cochain, require_central,
 from . import checks
 
 if TYPE_CHECKING:
-    from .lp_complex import TruncatedSpace, Vector
     from .vanishing import DecayCurve
 
 EXIT_OK = 0
@@ -137,6 +137,18 @@ def _float_list(text: str, field: str) -> list[float]:
     return values
 
 
+@contextmanager
+def _field(key: str):
+    """Report a ValueError raised inside as a config error on field key; a
+    ConfigError passes through unchanged."""
+    try:
+        yield
+    except ConfigError:
+        raise
+    except ValueError as exc:
+        raise ConfigError(f"field {key}: {exc}") from None
+
+
 def _require(cfg: dict, key: str) -> str:
     if key not in cfg:
         raise ConfigError(f"field {key}: required for experiment "
@@ -185,18 +197,14 @@ def _ball_cap(cfg: dict) -> int:
 
 def _group(cfg: dict):
     name, cap = _require(cfg, "group"), _ball_cap(cfg)
-    try:
+    with _field("group"):
         return group_from_name(name, cap)
-    except ValueError as exc:
-        raise ConfigError(f"field group: {exc}") from None
 
 
 def _resolution(cfg: dict):
     name, cap = _require(cfg, "resolution"), _ball_cap(cfg)
-    try:
+    with _field("resolution"):
         return resolution_from_name(name, cap)
-    except ValueError as exc:
-        raise ConfigError(f"field resolution: {exc}") from None
 
 
 # -- output writers ----------------------------------------------------------------
@@ -342,11 +350,9 @@ def _central_multiplier(cfg: dict, group: Group) -> tuple[list, str]:
     """verify-homotopy's multiplier: field h, which must be central, or the
     group's declared central element."""
     if "h" in cfg:
-        try:
+        with _field("h"):
             h = group.parse_element(cfg["h"])
             require_central(h)
-        except ValueError as exc:
-            raise ConfigError(f"field h: {exc}") from None
     elif group.central_element is None:
         raise ConfigError(
             f"field h: required for {group.name} (no declared central element)")
@@ -359,10 +365,8 @@ def _class_multipliers(cfg: dict, group: Group) -> tuple[frozenset, str]:
     """class-sum-homotopy's multipliers: the finite conjugacy class of field
     class, labelled by its class sum."""
     cap = _int_field(cfg, "cap", DEFAULT_CLASS_CAP, low=1)
-    try:
+    with _field("class"):
         representative = group.parse_element(_require(cfg, "class"))
-    except ValueError as exc:
-        raise ConfigError(f"field class: {exc}") from None
     orbit = conjugacy_class(representative, cap)
     if orbit is None:
         raise ConfigError(
@@ -460,25 +464,13 @@ def _parse_ring_parts(cfg: dict, key: str, group, rank: int):
         raise ConfigError(
             f"field {key}: expected {rank} part(s) separated by ';', got "
             f"{len(pieces)}")
-    try:
+    with _field(key):
         return [parse_ring_element(group, piece) for piece in pieces]
-    except ValueError as exc:
-        raise ConfigError(f"field {key}: {exc}") from None
-
-
-def _embed_field(key: str, space: TruncatedSpace, parts) -> Vector:
-    """The ring-element parts of field key as a vector on space; a support
-    element outside its ball is a config error."""
-    from .lp_complex import vector_from_ring_parts
-
-    try:
-        return vector_from_ring_parts(space, parts)
-    except ValueError as exc:
-        raise ConfigError(f"field {key}: {exc}") from None
 
 
 def _run_distance_curve(cfg: dict, out_path: Path):
-    from .lp_complex import TruncatedSpace, boundary_growth
+    from .lp_complex import (TruncatedSpace, boundary_growth,
+                             vector_from_ring_parts)
     from .vanishing import boundary_distance_curve
 
     res = _resolution(cfg)
@@ -494,8 +486,9 @@ def _run_distance_curve(cfg: dict, out_path: Path):
     # the same chain is embedded in the codomain ball at every radius, so it
     # must fit the one of the smallest, first radius
     reach = radii[0] + boundary_growth(res, degree + 1)
-    _embed_field("x", TruncatedSpace(res.group, res.ranks[degree], reach),
-                 x_parts)
+    space = TruncatedSpace(res.group, res.ranks[degree], reach)
+    with _field("x"):
+        vector_from_ring_parts(space, x_parts)
     curve = boundary_distance_curve(res, degree, x_parts, p_values, radii,
                                     max_iterations=max_iter)
     _write_curve(curve, out_path, "R")
@@ -503,30 +496,29 @@ def _run_distance_curve(cfg: dict, out_path: Path):
 
 def _run_translation_decay(cfg: dict, out_path: Path):
     import numpy as np
-    from .lp_complex import TruncatedSpace, Vector
+    from .lp_complex import TruncatedSpace, Vector, vector_from_ring_parts
     from .vanishing import central_catalog, translation_pairing_decay
 
     group = _group(cfg)
     radius = _int_field(cfg, "radius", 4, low=0)
     seed = _int_field(cfg, "seed", 0, low=0)
     indices = _int_list(_require(cfg, "indices"), "indices")
-    try:
+    with _field("group"):
         sequence = central_catalog(group, max(1, *(abs(i) for i in indices)))
-    except ValueError as exc:
-        raise ConfigError(f"field group: {exc}") from None
     if sequence.kind == "class-sums" and min(indices) < 0:
         raise ConfigError("field indices: class-sum indices must be >= 0")
     p_values = _p_list(cfg)
     space = TruncatedSpace(group, 1, radius)
     rng = np.random.default_rng(seed)
-    if "x" in cfg:
-        x = _embed_field("x", space, _parse_ring_parts(cfg, "x", group, 1))
-    else:
-        x = Vector(space, rng.standard_normal(space.dim))
-    if "y" in cfg:
-        y = _embed_field("y", space, _parse_ring_parts(cfg, "y", group, 1))
-    else:
-        y = Vector(space, rng.standard_normal(space.dim))
+    vectors = []
+    for key in ("x", "y"):
+        if key in cfg:
+            with _field(key):
+                vectors.append(vector_from_ring_parts(
+                    space, _parse_ring_parts(cfg, key, group, 1)))
+        else:
+            vectors.append(Vector(space, rng.standard_normal(space.dim)))
+    x, y = vectors
     # the pairing does not depend on p: compute it once, label it per p
     curve = translation_pairing_decay(y, x, sequence, indices, p_values[0])
     _write_curve(replace(curve, rows=tuple(
@@ -554,10 +546,8 @@ def _run_finite_index(cfg: dict, out_path: Path):
     m = _int_field(cfg, "m", low=2)
     length = _int_field(cfg, "N", 3, low=1)
     p_values = _p_list(cfg)
-    try:
+    with _field("m"):
         report = finite_index_compare(n, m, length=length)
-    except ValueError as exc:
-        raise ConfigError(f"field m: {exc}") from None
     if not report.equal:
         raise InvariantViolation(
             f"dimensions differ between cyclic:{n} and cyclic:{m}")

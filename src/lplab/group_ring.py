@@ -179,8 +179,7 @@ class RingElement:
     def __str__(self) -> str:
         return format_ring_element(self)
 
-    def __repr__(self) -> str:
-        return format_ring_element(self)
+    __repr__ = __str__
 
 
 def _require_same_group(left: Group, right: Group):

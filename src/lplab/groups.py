@@ -677,7 +677,6 @@ GROUP_CATALOG = (
     CatalogEntry("S3", "symmetric group on three points", "S3",
                  SymmetricGroupS3),
 )
-GROUP_NAME_SYNTAX = tuple(entry.form for entry in GROUP_CATALOG)
 
 
 def group_from_name(name: str, ball_cap: int = DEFAULT_BALL_CAP) -> Group:

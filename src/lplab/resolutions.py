@@ -86,10 +86,7 @@ class ValidationReport:
 
     @property
     def first_failure(self) -> CheckResult | None:
-        for check in self.checks:
-            if not check.ok:
-                return check
-        return None
+        return next((check for check in self.checks if not check.ok), None)
 
 
 def compose_boundary_matrices(outer: Matrix, inner: Matrix, group: Group) -> Matrix:
@@ -116,39 +113,23 @@ def compose_boundary_matrices(outer: Matrix, inner: Matrix, group: Group) -> Mat
 
 
 def validate(res: Resolution) -> ValidationReport:
-    """Check all composites vanish and degree-one entries have augmentation zero."""
+    """Check all composites vanish and degree-one entries have augmentation
+    zero; a failed check's detail names its first bad entry, in row-major
+    order."""
     checks: list[CheckResult] = []
     for i in range(1, res.length):
         composite = compose_boundary_matrices(res.boundary(i), res.boundary(i + 1),
                                               res.group)
-        bad = None
-        for a, row in enumerate(composite):
-            for c, entry in enumerate(row):
-                if not entry.is_zero():
-                    bad = (a, c, entry)
-                    break
-            if bad:
-                break
-        if bad:
-            a, c, entry = bad
-            checks.append(CheckResult(
-                "boundary_composition", i, False,
-                f"composite of boundaries {i} and {i + 1} is nonzero at "
-                f"({a},{c}): {entry}"))
-        else:
-            checks.append(CheckResult("boundary_composition", i, True))
+        bad = next((f"composite of boundaries {i} and {i + 1} is nonzero at "
+                    f"({a},{c}): {entry}"
+                    for a, row in enumerate(composite)
+                    for c, entry in enumerate(row) if not entry.is_zero()), "")
+        checks.append(CheckResult("boundary_composition", i, not bad, bad))
     if res.length >= 1:
-        bad_aug = None
-        for j, entry in enumerate(res.boundary(1)[0]):
-            if entry.augment() != 0:
-                bad_aug = (j, entry.augment())
-                break
-        if bad_aug:
-            checks.append(CheckResult(
-                "augmentation", 1, False,
-                f"degree-1 entry {bad_aug[0]} has augmentation {bad_aug[1]}"))
-        else:
-            checks.append(CheckResult("augmentation", 1, True))
+        augmentations = (entry.augment() for entry in res.boundary(1)[0])
+        bad = next((f"degree-1 entry {j} has augmentation {aug}"
+                    for j, aug in enumerate(augmentations) if aug != 0), "")
+        checks.append(CheckResult("augmentation", 1, not bad, bad))
     ok = all(c.ok for c in checks)
     return ValidationReport(ok, tuple(checks))
 
@@ -331,7 +312,6 @@ RESOLUTION_CATALOG = (
                  lambda group, cap: fox_partial_resolution(
                      group_from_name(group, cap))),
 )
-RESOLUTION_NAME_SYNTAX = tuple(entry.form for entry in RESOLUTION_CATALOG)
 
 
 def resolution_from_name(name: str, ball_cap: int = DEFAULT_BALL_CAP) -> Resolution:

@@ -30,8 +30,8 @@ def test_non_central_multiplier_fails_the_certificate():
 
 @pytest.mark.parametrize("name", ["S3", "heisenberg"])
 def test_sampled_checks_keep_their_draws(name):
-    # the draws written out as the sampled checks made them before
-    # `_random_element` called `Random.choice`
+    # the draws written out as the sampled checks made them before they
+    # called `Random.choice` on the ball
     ball = group_from_name(name).ball(4)
     rng, reference = Random(1), Random(1)
     for _ in range(300):

@@ -10,10 +10,10 @@ from lplab import checks, cli, homotopy, lp_complex, vanishing
 from lplab.group_ring import parse_ring_element
 from lplab.lp_complex import (TruncatedSpace, assemble_boundary, pairing,
                               vector_from_ring_parts)
-from lplab.groups import GROUP_NAME_SYNTAX, group_from_name
+from lplab.groups import GROUP_CATALOG, group_from_name
 from lplab.homotopy import (ResidualReport, class_sum_homotopy_residual,
                             random_cochain)
-from lplab.resolutions import RESOLUTION_NAME_SYNTAX
+from lplab.resolutions import RESOLUTION_CATALOG
 from lplab.vanishing import translation_pairing_decay
 from lplab.cli import (
     ADJOINTNESS_HEADER,
@@ -63,8 +63,9 @@ def test_list_catalog_forms_match_name_syntax():
             block.append(line.split()[0])
         return sorted(block)
 
-    assert forms("groups") == sorted(GROUP_NAME_SYNTAX)
-    assert forms("resolutions") == sorted(RESOLUTION_NAME_SYNTAX)
+    assert forms("groups") == sorted(entry.form for entry in GROUP_CATALOG)
+    assert forms("resolutions") == sorted(
+        entry.form for entry in RESOLUTION_CATALOG)
 
 
 def test_verify_homotopy_run(tmp_path, capsys):
@@ -128,6 +129,13 @@ def test_config_errors_name_their_field_once(tmp_path, capsys):
     assert main(["run", str(cfg)]) == EXIT_CONFIG
     assert capsys.readouterr().err == (
         f"{cfg}: config error: field max_ball: not an integer: 'abc'\n")
+
+    cfg = write_config(tmp_path, "class.cfg", experiment="class-sum-homotopy",
+                       group="dihedral-inf")
+    assert main(["run", str(cfg)]) == EXIT_CONFIG
+    assert capsys.readouterr().err == (
+        f"{cfg}: config error: field class: required for experiment "
+        "'class-sum-homotopy'\n")
 
 
 @pytest.mark.parametrize("field, settings", [

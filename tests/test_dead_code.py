@@ -1,5 +1,6 @@
 """No dead code in the library: every private module- or class-level name is
-read somewhere in ``src/lplab``, and no module imports a name it never reads.
+read somewhere in ``src/lplab``, no module imports a name it never reads, and
+no private function has a defaulted parameter that no call passes.
 
 Only the stdlib ``ast`` module is used.  A read is a name or attribute
 loaded outside the definition itself, so a private function that only calls
@@ -85,3 +86,50 @@ def test_every_import_is_read():
             if names:
                 unread[module] = names
     assert not unread, f"imported but never read: {unread}"
+
+
+def _calls(name: str):
+    """The calls in lplab to a function or method called name."""
+    for tree in MODULES.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call) and name == (
+                    node.func.id if isinstance(node.func, ast.Name)
+                    else getattr(node.func, "attr", None)):
+                yield node
+
+
+def _passes(call: ast.Call, position: int | None, name: str) -> bool:
+    """Whether call passes the parameter at position (None: keyword-only)
+    called name; a *args or **kwargs argument may pass any of them."""
+    return (any(isinstance(arg, ast.Starred) for arg in call.args)
+            or (position is not None and len(call.args) > position)
+            or any(keyword.arg in (name, None) for keyword in call.keywords))
+
+
+def _defaulted_private_parameters():
+    """(function label, parameter name, call position) for each defaulted
+    parameter of a private function; a method's position skips self or cls."""
+    for module, tree in MODULES.items():
+        for node in ast.walk(tree):
+            if not (isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+                    and _is_private(node.name)):
+                continue
+            args = node.args
+            positional = args.posonlyargs + args.args
+            bound = int(bool(positional) and positional[0].arg in ("self", "cls"))
+            first_default = len(positional) - len(args.defaults)
+            for i, arg in enumerate(positional[first_default:], first_default):
+                yield f"{module}.{node.name}", arg.arg, i - bound
+            for arg, default in zip(args.kwonlyargs, args.kw_defaults):
+                if default is not None:
+                    yield f"{module}.{node.name}", arg.arg, None
+
+
+def test_every_default_of_a_private_function_is_passed():
+    defaulted = list(_defaulted_private_parameters())
+    assert ("cli._int_field", "default", 2) in defaulted, \
+        "the guard lost sight of defaulted parameters"
+    knobs = [f"{label}({name})" for label, name, position in defaulted
+             if not any(_passes(call, position, name)
+                        for call in _calls(label.split(".")[1]))]
+    assert not knobs, f"defaulted parameters that no call passes: {knobs}"

@@ -20,6 +20,7 @@ from lplab.resolutions import (
     periodic_cyclic_resolution,
     reduce_word,
     relator_words,
+    Resolution,
     resolution_from_name,
     validate,
 )
@@ -189,7 +190,6 @@ def test_validate_detects_injected_sign_flip():
     res = lattice_resolution(2)
     d2 = [list(row) for row in res.boundary(2)]
     d2[0][0] = d2[0][0].scale(-1)  # flip one sign
-    from lplab.resolutions import Resolution
     corrupted = Resolution(res.group, "corrupted", res.ranks,
                            (res.boundary(1), tuple(tuple(r) for r in d2)))
     report = validate(corrupted)
@@ -197,6 +197,40 @@ def test_validate_detects_injected_sign_flip():
     failure = report.first_failure
     assert failure.name == "boundary_composition"
     assert failure.index == 1
+    assert failure.detail == (
+        "composite of boundaries 1 and 2 is nonzero at (0,0): "
+        "2*(0,0) + -2*(0,1) + -2*(1,0) + 2*(1,1)")
+
+
+def test_validate_reports_the_first_nonzero_entry_in_row_major_order():
+    group = group_from_name("Z^1")
+    one, zero = RingElement.one(group), RingElement.zero(group)
+    # boundary 2 is the identity, so the composite with boundary 3 is
+    # boundary 3 itself: nonzero at (0,1) and (1,0)
+    res = Resolution(group, "corrupted", (1, 2, 2, 2),
+                     (((zero, zero),),
+                      ((one, zero), (zero, one)),
+                      ((zero, one.scale(2)), (one.scale(3), zero))))
+    report = validate(res)
+    assert [(c.name, c.index, c.ok) for c in report.checks] == [
+        ("boundary_composition", 1, True),
+        ("boundary_composition", 2, False),
+        ("augmentation", 1, True)]
+    assert report.first_failure.detail == (
+        "composite of boundaries 2 and 3 is nonzero at (0,1): 2*1")
+
+
+def test_validate_detects_a_degree_one_augmentation():
+    res = lattice_resolution(2)
+    first, second = res.boundary(1)[0]
+    # x - 1 keeps augmentation 0; (y - 1) + 3 has augmentation 3
+    row = (first, second + RingElement.one(res.group).scale(3))
+    report = validate(Resolution(res.group, "corrupted", res.ranks[:2],
+                                 ((row,),)))
+    assert not report.ok
+    failure = report.first_failure
+    assert (failure.name, failure.index) == ("augmentation", 1)
+    assert failure.detail == "degree-1 entry 1 has augmentation 3"
 
 
 def test_bar_resolution_basis_counts():
