@@ -31,7 +31,10 @@ Only the least-squares start of IRLS and its line search need the dense
 `matrix`, built from the nonzeros on first read; it raises `BallCapError`
 instead when it would take more than `DENSE_BYTE_CAP` bytes, so an
 operator out of dense reach fails loudly where dense work is asked of it
-rather than exhausting memory.
+rather than exhausting memory.  Ball order is (layer, normal form), so the
+operator at a smaller radius is a per-copy prefix of the larger one's
+nonzeros: `BoundaryOperator.restricted` cuts it out of them, and a curve
+over growing radii assembles once, at its largest.
 """
 
 from __future__ import annotations
@@ -232,6 +235,35 @@ class BoundaryOperator:
         if self._matrix is None:
             self._matrix = self.nonzeros.dense()
         return self._matrix
+
+    def restricted(self, radius: int) -> "BoundaryOperator":
+        """The operator assembled at a radius no larger than the domain's,
+        cut out of these nonzeros; at the domain's radius, self.
+
+        Ball order is (layer, normal form), so each smaller ball is a prefix
+        of the larger one, in the domain and in the codomain, whose radius
+        keeps its growth over the domain's.  The kept nonzeros are those
+        whose column lies inside that prefix of its copy; their images lie
+        inside the codomain prefix of their copy.  Renumbering rows and
+        columns copy by copy is increasing, so the nonzeros stay row-major.
+        """
+        if radius == self.domain.radius:
+            return self
+        if radius > self.domain.radius:
+            raise ValueError(f"radius {radius} exceeds the assembled radius "
+                             f"{self.domain.radius}")
+        group = self.domain.group
+        growth = self.codomain.radius - self.domain.radius
+        domain = TruncatedSpace(group, self.domain.rank, radius)
+        codomain = TruncatedSpace(group, self.codomain.rank, radius + growth)
+        n_dom, n_cod = len(domain.elements), len(codomain.elements)
+        rows, cols, values, _ = self.nonzeros
+        col_copy, col_pos = np.divmod(cols, len(self.domain.elements))
+        kept = col_pos < n_dom
+        row_copy, row_pos = np.divmod(rows[kept], len(self.codomain.elements))
+        return BoundaryOperator(domain, codomain, Nonzeros(
+            row_copy * n_cod + row_pos, col_copy[kept] * n_dom + col_pos[kept],
+            values[kept], (codomain.dim, domain.dim)))
 
 
 def boundary_growth(res: Resolution, i: int) -> int:

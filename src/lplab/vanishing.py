@@ -9,27 +9,30 @@ groups where reduced and unreduced agree.  The central family is read off the
 group's declared `order`, `central_element` and `finite_class_element`, never
 off its kind.
 
-The `TruncatedSpace`s and boundary operators carry no exponent: p enters only
-as the norm a distance minimizes.  A distance problem x ~ T c is checked
-once, as a `_Problem`, at the API boundary: its shape, and finiteness on
-T's `Nonzeros`, the one scan of T.  A curve over several p assembles each
-radius once and solves every p on that one problem, and every p != 2 there
-shares the least-squares start and the weighted step the problem builds on
-first use.  The steps that sum over T, CGLS and the weighted step, read
-only its `Nonzeros`.  At p = 2 the distance is the norm of x's projection
-on ker T^t, computed by conjugate gradients on the normal equations (CGLS)
-over the nonzeros of T, the `Nonzeros` a `BoundaryOperator` stores, so a
-p = 2 curve never forms a dense matrix.  Other p use iteratively reweighted
-least squares on the dense matrix.  Its start is a rank-revealing QR solve
-with column pivoting, which also picks a basis of T's columns; each
-weighted step solves the weighted normal equations on those columns by
-Cholesky, summed from the nonzeros of T.  The IRLS iteration is damped so
-that the true p-objective never increases.  Every distance comes
-with a lower bound from the dual side, dist_p(x, im T) = max <y, x> over y
-in ker T^t with ||y||_q <= 1, and IRLS stops once that bound certifies the
-value to a relative gap of _GAP_TOL.  scipy is imported inside the
-functions that call it, the IRLS start and weighted step and the numerical
-rank, so a p = 2 solve loads numpy alone.
+The `TruncatedSpace`s and boundary operators carry no exponent: p enters
+only as the norm a distance minimizes.  A distance problem x ~ T c is
+checked once, as a `_Problem`, at the API boundary: its shape, and
+finiteness on T's `Nonzeros`, the one scan of T.  A curve assembles its
+boundary once, at its largest radius, and cuts every radius's operator out
+of those nonzeros (`BoundaryOperator.restricted`); it checks each radius
+once and solves every p on that one problem, and every p != 2 there shares
+the least-squares start and the weighted step the problem builds on first
+use.  The steps that sum over T, CGLS and the weighted step, read only its
+`Nonzeros`.  At p = 2 the distance is the norm of x's projection on ker T^t,
+computed by conjugate gradients on the normal equations (CGLS) over the
+nonzeros of T, the `Nonzeros` a `BoundaryOperator` stores, so a p = 2 curve
+never forms a dense matrix.  Other p use iteratively reweighted least
+squares on the dense matrix.  Its start is a rank-revealing QR solve with
+column pivoting, which also picks a basis of T's columns; each weighted step
+solves the weighted normal equations on those columns, summed from the
+nonzeros of T, by Cholesky: LAPACK potrf and potrs, called directly.  The
+IRLS iteration is damped so that the true p-objective never increases.
+Every distance comes with a lower bound from the dual side,
+dist_p(x, im T) = max <y, x> over y in ker T^t with ||y||_q <= 1, and IRLS
+stops once that bound certifies the value to a relative gap of _GAP_TOL.  scipy is imported
+inside the functions that call it, the lookups of the LAPACK drivers of the
+IRLS start and weighted step, and the numerical rank, so a p = 2 solve loads
+numpy alone.
 """
 
 from __future__ import annotations
@@ -152,6 +155,14 @@ def _solve_lstsq(T: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return solution[:n], np.sort(pivots[:rank] - 1)
 
 
+@cache
+def _cholesky_drivers():
+    """LAPACK potrf and potrs, looked up on the first weighted step."""
+    from scipy.linalg import get_lapack_funcs
+
+    return get_lapack_funcs(("potrf", "potrs"), dtype=np.float64)
+
+
 def _weighted_solver(nonzeros: Nonzeros, x: np.ndarray, basis: np.ndarray):
     """The weighted IRLS step: a function of weights w > 0 that returns the
     coefficients c, zero off basis, minimizing ||w^(1/2) (x - T c)||_2, T
@@ -159,17 +170,19 @@ def _weighted_solver(nonzeros: Nonzeros, x: np.ndarray, basis: np.ndarray):
 
     T_B = T[:, basis] has full column rank, so the normal equations
     T_B^t W T_B c_B = T_B^t W x are positive definite and are solved by
-    Cholesky.  Both sides are summed from the nonzeros of T_B with
-    np.bincount; the matrix from every pair of nonzeros that share a row.
-    The pair arrays, built here once, hold sum_i k_i^2 entries, k_i the
-    number of nonzeros in row i of T_B, so at most max_i k_i times its nnz;
-    the catalog boundaries have at most 8 nonzeros in a row, and up to
-    radius 8 at most 6 nnz pairs (the norm rows of cyclic:6).  A
-    factorization that fails raises InvariantViolation: there is no second
-    solver.
+    Cholesky: LAPACK potrf and potrs, called with the arguments
+    scipy.linalg.cho_factor and cho_solve pass, without their wrappers.  An
+    empty basis gives c = 0 with no LAPACK call.  Both sides are summed from
+    the nonzeros of T_B with np.bincount; the matrix from every pair of
+    nonzeros that share a row.  The pair arrays, built here once, hold
+    sum_i k_i^2 entries, k_i the number of nonzeros in row i of T_B, so at
+    most max_i k_i times its nnz; the catalog boundaries have at most 8 nonzeros
+    in a row, and up to radius 8 at most 6 nnz pairs (the norm rows of
+    cyclic:6).  A factorization that fails raises InvariantViolation, in the
+    words of scipy's LinAlgError: there is no second solver.  An illegal
+    argument reported by either driver raises ValueError.
     """
-    from scipy import linalg
-
+    potrf, potrs = _cholesky_drivers()
     m, n = nonzeros.shape
     size = basis.size
     position = np.full(n, -1)
@@ -195,16 +208,21 @@ def _weighted_solver(nonzeros: Nonzeros, x: np.ndarray, basis: np.ndarray):
                            minlength=size * size).reshape(size, size)
         rhs = np.bincount(cols, weights=weights[rows] * rhs_terms,
                           minlength=size)
-        try:
-            factor = linalg.cho_factor(gram, overwrite_a=True,
-                                       check_finite=False)
-        except np.linalg.LinAlgError as exc:
+        candidate = np.zeros(n)
+        if size == 0:  # potrs rejects an empty system
+            return candidate
+        factor, info = potrf(gram, lower=False, overwrite_a=True, clean=False)
+        if info > 0:
             raise InvariantViolation(
                 f"IRLS weighted normal equations are not positive definite "
-                f"({exc})") from None
-        candidate = np.zeros(n)
-        candidate[basis] = linalg.cho_solve(factor, rhs, overwrite_b=True,
-                                            check_finite=False)
+                f"({info}-th leading minor of the array is not positive "
+                f"definite)")
+        if info < 0:
+            raise ValueError(f"LAPACK potrf: illegal value in argument {-info}")
+        solution, info = potrs(factor, rhs, lower=False, overwrite_b=True)
+        if info < 0:
+            raise ValueError(f"LAPACK potrs: illegal value in argument {-info}")
+        candidate[basis] = solution
         return candidate
 
     return solve
@@ -407,12 +425,13 @@ def boundary_distance_curve(res: Resolution, degree: int, x_parts,
 
     The same underlying chain is embedded at every radius, so the feasible
     sets nest and the curve of each p must be nonincreasing; that is asserted.
-    Each radius is assembled once and checked once, as one _Problem that
-    every p solves: p = 2 on the operator's nonzeros, so a curve of p = 2
-    alone never forms a dense matrix, and the p != 2 solves on its dense
-    matrix from the one least-squares start they share.  The rows come out
-    grouped by p, in the order of p_values, each group in the order of
-    radii.
+    The boundary is assembled once, at the largest radius; each radius's
+    operator is cut out of its nonzeros (`BoundaryOperator.restricted`)
+    and checked once, as one _Problem that every p solves: p = 2 on the
+    operator's nonzeros, so a curve of p = 2 alone never forms a dense
+    matrix, and the p != 2 solves on its dense matrix from the one
+    least-squares start they share.  The rows come out grouped by p, in the
+    order of p_values, each group in the order of radii.
     """
     i = degree + 1
     if not 1 <= i <= res.length:
@@ -423,8 +442,10 @@ def boundary_distance_curve(res: Resolution, degree: int, x_parts,
     p_values = list(p_values)
     rows: list[list[CurveRow]] = [[] for _ in p_values]
     irls = any(p != 2.0 for p in p_values)
+    radii = list(radii)
+    full = assemble_boundary(res, i, max(radii)) if radii else None
     for radius in radii:
-        op = assemble_boundary(res, i, radius)
+        op = full.restricted(radius)
         x = vector_from_ring_parts(op.codomain, x_parts).coefficients
         # the p != 2 solves need the dense matrix, and the benchmark's
         # tracer reads it off their calls

@@ -494,6 +494,19 @@ def test_ball_cap_env_override(tmp_path, monkeypatch, capsys):
     assert main(["run", str(cfg2)]) == EXIT_OK
 
 
+def test_distance_curve_over_the_ball_cap_writes_nothing(tmp_path, capsys):
+    # the cap trips inside the curve, at whichever radius first outgrows it
+    out = tmp_path / "capped.csv"
+    cfg = write_config(tmp_path, "capped.cfg", experiment="distance-curve",
+                       resolution="lattice:2", degree=0, p="1.5,3", R="2..8",
+                       max_ball=100, output=out)
+    assert main(["run", str(cfg)]) == EXIT_INVARIANT
+    assert capsys.readouterr().err == (
+        f"{cfg}: invariant failure: ball of Z^2 would exceed the cap of 100 "
+        f"elements\n")
+    assert not out.exists() and not out.with_suffix(".svg").exists()
+
+
 def test_verify_homotopy_needs_h_without_central_generator(tmp_path, capsys):
     cfg = write_config(tmp_path, "noh.cfg", experiment="verify-homotopy",
                        group="dihedral-inf", degree=1, R=2,

@@ -97,6 +97,26 @@ def test_stored_nonzeros_are_the_naive_matrix_read_row_by_row(name):
                 assert np.array_equal(nonzeros.values, dense[rows, cols])
 
 
+@pytest.mark.parametrize("name", checks.CATALOG_RESOLUTIONS)
+def test_restricting_the_largest_operator_assembles_each_radius(name):
+    res = resolution_from_name(name)
+    for i in range(1, res.length + 1):
+        full = assemble_boundary(res, i, 5)
+        assert full.restricted(5) is full
+        with pytest.raises(ValueError, match="exceeds the assembled radius 5"):
+            full.restricted(6)
+        for radius in range(6):
+            cut, op = full.restricted(radius), assemble_boundary(res, i, radius)
+            for space, expected in ((cut.domain, op.domain),
+                                    (cut.codomain, op.codomain)):
+                assert (space.rank, space.radius, space.elements) == \
+                    (expected.rank, expected.radius, expected.elements)
+            assert cut.nonzeros.shape == op.nonzeros.shape
+            for got, expected in zip(cut.nonzeros[:3], op.nonzeros[:3]):
+                assert got.dtype == expected.dtype
+                assert np.array_equal(got, expected)
+
+
 def test_reading_a_matrix_over_the_dense_cap_raises_before_allocating():
     # fox:free:2 i=1 at R=7 has 17492 nonzeros and would be 0.92 GB dense
     op = assemble_boundary(resolution_from_name("fox:free:2"), 1, 7)

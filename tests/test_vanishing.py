@@ -6,7 +6,6 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-import scipy.linalg
 
 from lplab import vanishing
 from lplab.cli import EXIT_INVARIANT, main
@@ -366,18 +365,25 @@ def test_weighted_step_on_a_rank_deficient_operator():
         assert abs(result.value - reference.value) <= 1e-9 * reference.value
 
 
-def test_failed_cholesky_is_an_invariant_failure(monkeypatch, tmp_path):
-    def failing(*args, **kwargs):
-        raise np.linalg.LinAlgError("2-th leading minor not positive")
+def test_failed_cholesky_is_an_invariant_failure(monkeypatch, tmp_path,
+                                                 capsys):
+    _, potrs = vanishing._cholesky_drivers()
 
-    monkeypatch.setattr(scipy.linalg, "cho_factor", failing)
+    def failing(gram, **kwargs):
+        return gram, 2  # LAPACK's info: the 2nd leading minor fails
+
+    monkeypatch.setattr(vanishing, "_cholesky_drivers",
+                        lambda: (failing, potrs))
+    message = ("IRLS weighted normal equations are not positive definite "
+               "(2-th leading minor of the array is not positive definite)")
     # a start the dual bound certifies takes no weighted step and factors
     # nothing
     T, x = _curve_problem("lattice:2", 0, 3)
     assert lp_distance(x, T, 1.5).iterations == 0
     T, x = _curve_problem("lattice:2", 1, 3)
-    with pytest.raises(InvariantViolation, match="not positive definite"):
+    with pytest.raises(InvariantViolation) as failure:
         lp_distance(x, T, 1.5)
+    assert str(failure.value) == message
     # the failure aborts the curve, and the run writes no CSV
     out = tmp_path / "curve.csv"
     config = tmp_path / "curve.cfg"
@@ -385,6 +391,7 @@ def test_failed_cholesky_is_an_invariant_failure(monkeypatch, tmp_path):
                       f"degree=1\np=1.5\nR=2..3\noutput={out}\n",
                       encoding="utf-8")
     assert main(["run", str(config)]) == EXIT_INVARIANT
+    assert capsys.readouterr().err == f"{config}: invariant failure: {message}\n"
     assert not out.exists()
 
 
@@ -459,7 +466,7 @@ def test_dual_bound_on_a_wide_rank_deficient_operator():
             assert 0.0 < lower <= reference.value * (1 + 1e-12)
 
 
-def test_distance_curve_assembles_each_radius_once(monkeypatch):
+def test_distance_curve_assembles_once_at_the_largest_radius(monkeypatch):
     calls = []
 
     def counting(res, i, radius):
@@ -470,7 +477,7 @@ def test_distance_curve_assembles_each_radius_once(monkeypatch):
     parts = [RingElement.one(res.group)]
     monkeypatch.setattr(vanishing, "assemble_boundary", counting)
     curve = boundary_distance_curve(res, 0, parts, [1.5, 3.0], range(2, 5))
-    assert calls == [2, 3, 4]
+    assert calls == [4]
     # rows stay grouped by p, as two one-p curves would give them
     assert curve.rows == tuple(
         row for p in (1.5, 3.0)
