@@ -29,13 +29,12 @@ scipy.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from random import Random
 from typing import TYPE_CHECKING
 
 from .groups import group_from_name
-from .group_ring import (DEFAULT_CLASS_CAP, RingElement, class_sum,
-                         conjugacy_class)
+from .group_ring import (DEFAULT_CLASS_CAP, RingElement, _sum_terms,
+                         class_sum, conjugacy_class)
 from .resolutions import (
     evaluate_word,
     fox_derivative,
@@ -116,12 +115,12 @@ def hoelder_excess(y: Vector, x: Vector, p: float) -> tuple[float, float]:
 
 def _random_ring_element(ball, rng: Random):
     """A ring element on up to three random elements of a ball, with small
-    rational coefficients."""
-    pairs = []
-    for _ in range(rng.randint(1, 3)):
-        pairs.append((rng.choice(ball),
-                      Fraction(rng.randint(-5, 5), rng.randint(1, 4))))
-    return RingElement(ball[0].group, pairs)
+    rational coefficients n/d.  The draws are summed as integer terms
+    (id, n, d) by the constructor's own summing path, without interning the
+    ball's elements again or building a Fraction per term."""
+    terms = [(rng.choice(ball).id, rng.randint(-5, 5), rng.randint(1, 4))
+             for _ in range(rng.randint(1, 3))]
+    return RingElement._trusted(ball[0].group, *_sum_terms(terms))
 
 
 def check_group_axioms():

@@ -15,8 +15,9 @@ Validation happens once, where values enter: the public constructors
 intern every support element through ``Group.intern``, which checks that it
 belongs to the group, read an ``int`` or ``Fraction`` coefficient as its
 integer numerator and denominator, and coerce any other coefficient once with
-``Fraction``; the terms are summed as integers over the lcm of their
-denominators.
+``Fraction``.  One integer path, ``_sum_terms``, sums (id, numerator,
+denominator) terms over the lcm of their denominators; the constructor feeds
+it the validated terms, and the sampled checks feed it their draws directly.
 Arithmetic between validated elements checks only that both operands share a
 ring and builds its result without checking each term again.
 """
@@ -44,11 +45,7 @@ class RingElement:
             if not isinstance(c, (int, Fraction)):
                 c = Fraction(c)
             terms.append((i, c.numerator, c.denominator))
-        denominator = lcm(*(d for _, _, d in terms))
-        numerators: dict[int, int] = {}
-        for i, n, d in terms:
-            numerators[i] = numerators.get(i, 0) + n * (denominator // d)
-        self._reduce(group, numerators, denominator)
+        self._reduce(group, *_sum_terms(terms))
 
     def _reduce(self, group: Group, numerators: dict[int, int], denominator: int):
         """Keep numerators over a positive denominator, without zeros and
@@ -106,9 +103,11 @@ class RingElement:
         denominator = lcm(self.denominator, other.denominator)
         mine = denominator // self.denominator
         theirs = sign * (denominator // other.denominator)
-        out = {i: c * mine for i, c in self.numerators.items()}
+        out = (dict(self.numerators) if mine == 1
+               else {i: c * mine for i, c in self.numerators.items()})
+        get = out.get
         for i, c in other.numerators.items():
-            out[i] = out.get(i, 0) + c * theirs
+            out[i] = get(i, 0) + c * theirs
         return RingElement._trusted(self.group, out, denominator)
 
     def __add__(self, other: "RingElement") -> "RingElement":
@@ -143,10 +142,12 @@ class RingElement:
         _require_same_group(self.group, other.group)
         products = self.group.table.products
         out: dict[int, int] = {}
+        get = out.get
+        theirs = other.numerators.items()
         for a, ca in self.numerators.items():
-            for b, cb in other.numerators.items():
+            for b, cb in theirs:
                 g = products[a, b]
-                out[g] = out.get(g, 0) + ca * cb
+                out[g] = get(g, 0) + ca * cb
         return RingElement._trusted(self.group, out,
                                     self.denominator * other.denominator)
 
@@ -180,6 +181,17 @@ class RingElement:
         return format_ring_element(self)
 
     __repr__ = __str__
+
+
+def _sum_terms(terms) -> tuple[dict[int, int], int]:
+    """Integer numerators keyed by id over the lcm of the positive
+    denominators of terms (id, numerator, denominator), summed per id; the
+    fraction is not yet reduced."""
+    denominator = lcm(*(d for _, _, d in terms))
+    numerators: dict[int, int] = {}
+    for i, n, d in terms:
+        numerators[i] = numerators.get(i, 0) + n * (denominator // d)
+    return numerators, denominator
 
 
 def _require_same_group(left: Group, right: Group):

@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import re
 from itertools import combinations
+from operator import add, neg
 from typing import Callable, NamedTuple
 
 DEFAULT_BALL_CAP = 200_000
@@ -413,10 +414,10 @@ class LatticeGroup(Group):
         self.central_element = self.generators[0]
 
     def _mul_keys(self, a, b):
-        return tuple(x + y for x, y in zip(a, b))
+        return tuple(map(add, a, b))
 
     def _inv_key(self, a):
-        return tuple(-x for x in a)
+        return tuple(map(neg, a))
 
     def _check_key(self, key):
         if (not isinstance(key, tuple) or len(key) != self.rank

@@ -41,7 +41,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import product, repeat
+from itertools import product
 from math import lcm
 from random import Random
 
@@ -468,7 +468,11 @@ class ResidualForm:
         read.  The compiled words are evaluated column-wise, one block of
         tuples per leading tail element: a word's column holds its id at
         each tuple of the block, built from the column of its longest proper
-        prefix with one table lookup per tuple."""
+        prefix with one table lookup per tuple.  At each tuple a term's
+        coefficient is summed under the flat key (head, *tail) of its ids;
+        every compiled tail has the same length, so flat keys of different
+        symbols differ, and the symbol (head, (0, *tail), m) is built only
+        for a tuple where some coefficient survives."""
         table = self.group.table
         products, inverses = table.products, table.inverses
         degree = self.degree
@@ -498,16 +502,16 @@ class ResidualForm:
                     columns[word] = col
                 return col
 
-            keys = zip(*[zip(column(head), zip(repeat(0), *map(column, tail)))
+            keys = zip(*[zip(column(head), *map(column, tail))
                          for _, head, tail in terms])
             for tail, row_keys in zip(rest, keys):
                 acc: dict = {}
                 for m, key in zip(coefficients, row_keys):
                     acc[key] = acc.get(key, 0) + m
-                symbols = tuple((head, at, m)
-                                for (head, at), m in acc.items() if m)
-                if symbols:
-                    rows.append(((0, first) + tail, symbols))
+                if any(acc.values()):
+                    rows.append(((0, first) + tail, tuple(
+                        (key[0], (0,) + key[1:], m)
+                        for key, m in acc.items() if m)))
         return rows, len(ball) * size
 
     def evaluate(self, phi: EquivariantCochain) -> ResidualReport:

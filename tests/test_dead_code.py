@@ -9,6 +9,7 @@ are not checked.
 """
 
 import ast
+from collections import Counter
 from pathlib import Path
 
 SOURCE = Path(__file__).resolve().parent.parent / "src" / "lplab"
@@ -20,13 +21,11 @@ def _is_private(name: str) -> bool:
     return name.startswith("_") and not name.endswith("__")
 
 
-def _loads(tree: ast.AST, skip: ast.AST | None = None):
-    """The names and attribute names loaded in tree, outside skip."""
+def _loads(tree: ast.AST):
+    """The names and attribute names loaded in tree."""
     stack = [tree]
     while stack:
         node = stack.pop()
-        if node is skip:
-            continue
         if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
             yield node.id
         elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
@@ -62,9 +61,10 @@ def test_every_private_name_is_read():
     private = list(_private_definitions())
     assert {"_compiled_form", "_Problem", "_expand"} <= {
         name for _, name, _ in private}, "the guard lost sight of definitions"
+    # a name is read when it is loaded more often than inside its definition
+    loads = Counter(name for tree in MODULES.values() for name in _loads(tree))
     unread = [f"{module}.{name}" for module, name, node in private
-              if not any(name in _loads(tree, skip=node)
-                         for tree in MODULES.values())]
+              if loads[name] == Counter(_loads(node))[name]]
     assert not unread, f"defined but never read in lplab: {unread}"
 
 

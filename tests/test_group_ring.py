@@ -12,6 +12,7 @@ from lplab.checks import CHECK_GROUPS
 from lplab.groups import group_from_name
 from lplab.group_ring import (
     RingElement,
+    _sum_terms,
     class_sum,
     conjugacy_class,
     format_ring_element,
@@ -352,3 +353,24 @@ def test_constructor_stores_the_fraction_sum(terms, cancel):
     assert _is_canonical(u)
     if cancel:
         assert (u.numerators, u.denominator) == ({}, 1)
+
+
+@pytest.mark.parametrize("terms", [
+    [],
+    [(1, 1, 2), (1, 1, 3), (2, -2, 1), (1, 1, 6)],  # repeated ids
+    [(1, 3, 4), (2, 1, 1), (1, -3, 4)],  # one id cancels
+    [(1, 3, 4), (3, -1, 1), (1, -6, 8), (3, 2, 2)],  # everything cancels
+    [(0, 2, 4), (1, 0, 3), (2, 6, 4), (3, 4, 2)],  # reducible n/d
+    [(4, -5, 2), (2, -4, 3), (4, -1, 2)],  # negative numerators
+])
+def test_summed_terms_equal_the_constructor(terms):
+    # the sampled checks sum (id, n, d) draws without building a Fraction;
+    # the canonical form makes unreduced n/d store the same data
+    heis = group_from_name("heisenberg")
+    ball = heis.ball(1)
+    triples = [(ball[k].id, n, d) for k, n, d in terms]
+    summed = RingElement._trusted(heis, *_sum_terms(triples))
+    built = RingElement(heis, [(ball[k], Fraction(n, d)) for k, n, d in terms])
+    assert (summed.numerators, summed.denominator) == \
+        (built.numerators, built.denominator)
+    assert _is_canonical(summed)

@@ -1,6 +1,7 @@
 """Exact bar-complex checks: coboundary, homotopy identity, class sums."""
 
 from fractions import Fraction
+from itertools import product
 from random import Random
 
 import pytest
@@ -363,6 +364,48 @@ def test_single_rotation_form_keeps_symbols(degree, kept, rows):
     form = ResidualForm(group, degree, 2, [group.generators[0]])
     assert form.tuples_checked == rows
     assert _rows_with_symbols(form) == len(form.rows) == kept
+
+
+def _term_by_term_rows(group, degree, radius, multipliers):
+    """The rows a residual form must hold, from the compiled terms alone: at
+    each slice tuple every word is multiplied out with Group.mul and
+    Group.inverse, and the coefficients are summed per (head, slice tuple)."""
+    multipliers = sorted(set(multipliers), key=lambda g: g.id)
+    terms = _compiled_form(degree, len(multipliers))
+    rows = []
+    for args in product(group.ball(radius), repeat=degree):
+        letters = (*args, *multipliers)
+
+        def value(word):
+            x = group.identity
+            for letter in word or ():
+                g = letters[abs(letter) - 1]
+                x = group.mul(x, g if letter > 0 else group.inverse(g))
+            return x.id
+
+        acc = {}
+        for m, head, tail in terms:
+            key = (value(head), (0, *map(value, tail)))
+            acc[key] = acc.get(key, 0) + m
+        symbols = tuple((head, at, m) for (head, at), m in acc.items() if m)
+        if symbols:
+            rows.append(((0, *(x.id for x in args)), symbols))
+    return rows
+
+
+@pytest.mark.parametrize("name, multipliers, kept", [
+    ("dihedral-inf", ["r"], 24),
+    ("S3", ["s1", "s2"], 20),
+    ("heisenberg", ["x", "y"], 272),
+])
+def test_form_rows_match_term_by_term_evaluation(name, multipliers, kept):
+    # every surviving symbol, its coefficient and the row and symbol order
+    group = group_from_name(name)
+    elements = [group.parse_element(m) for m in multipliers]
+    form = ResidualForm(group, 2, 2, elements)
+    expected = _term_by_term_rows(group, 2, 2, elements)
+    assert len(expected) == kept
+    assert form.rows == expected
 
 
 def test_form_grows_no_ball_for_a_finitely_supported_cochain():
