@@ -51,7 +51,6 @@ _FLOAT_EXPORTS = {
         "BoundaryOperator",
         "TruncatedSpace",
         "Vector",
-        "annihilator_residual",
         "assemble_boundary",
         "conjugate_exponent",
         "delta_chain",

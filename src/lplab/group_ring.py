@@ -1,4 +1,5 @@
-"""Exact group-ring arithmetic: convolution, augmentation, centers, class sums.
+"""Exact group-ring arithmetic: convolution, the involution g -> g^-1,
+augmentation, centers, class sums.
 
 A ring element is a finitely supported map from group elements to rationals,
 held in the group's interned form: integer numerators keyed by the element
@@ -150,6 +151,14 @@ class RingElement:
                 out[g] = get(g, 0) + ca * cb
         return RingElement._trusted(self.group, out,
                                     self.denominator * other.denominator)
+
+    def star(self) -> "RingElement":
+        """The involution u* = sum of c_g g^-1: additive, (uv)* = v* u*,
+        u** = u, and it keeps the augmentation."""
+        inverses = self.group.table.inverses
+        return RingElement._trusted(
+            self.group, {inverses[i]: c for i, c in self.numerators.items()},
+            self.denominator)
 
     def augment(self) -> Fraction:
         """Sum of coefficients; a ring homomorphism onto the rationals."""

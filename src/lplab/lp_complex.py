@@ -374,23 +374,6 @@ def translate_ring(x, u: RingElement):
                                 for copy, h, c in entries))
 
 
-def annihilator_residual(res: Resolution, i: int, radius: int) -> float:
-    """Largest inner product between orthonormal bases of ker(T^t) and im(T).
-
-    Both bases come from rank-revealing factorizations; the kernel of the
-    transpose annihilates the image, so the residual should vanish up to
-    rounding.
-    """
-    from scipy.linalg import null_space, orth
-
-    T = assemble_boundary(res, i, radius).matrix
-    kernel = null_space(T.T)
-    image = orth(T)
-    if kernel.size == 0 or image.size == 0:
-        return 0.0
-    return float(np.max(np.abs(kernel.T @ image)))
-
-
 def export_matrix_coordinate(op: BoundaryOperator, path, *, resolution: str,
                              index: int, radius: int):
     """Write nonzero entries as "row col value" lines under a naming header."""

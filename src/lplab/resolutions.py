@@ -13,7 +13,8 @@ holds by construction and is not machine-checked.
 `RESOLUTION_CATALOG` holds one row per resolution name form (its `lab list`
 description, pattern and constructor).  A `fox:` resolution is built from the
 relators its group class declares, read once by `relator_words` through
-`parse_word`, which expands the pieces of `groups.word_pieces` into letters;
+`parse_word`, which evaluates the pieces of `groups.word_pieces` in the free
+group on the generator labels, whose normal form is the freely reduced word;
 nothing here depends on the group's kind.
 """
 
@@ -28,6 +29,7 @@ from .groups import (
     BallCapError,
     CatalogEntry,
     CyclicGroup,
+    FreeGroup,
     Group,
     GroupElement,
     LatticeGroup,
@@ -193,23 +195,12 @@ def lattice_resolution(d: int, ball_cap: int = DEFAULT_BALL_CAP) -> Resolution:
 # -- relators and the free differential calculus -------------------------------
 
 
-def reduce_word(letters) -> Word:
-    """Freely reduce a sequence of (generator index, +-1) letters."""
-    out: list[tuple[int, int]] = []
-    for idx, exp in letters:
-        if out and out[-1] == (idx, -exp):
-            out.pop()
-        else:
-            out.append((idx, exp))
-    return tuple(out)
-
-
 def parse_word(text: str, labels: tuple[str, ...]) -> Word:
-    """Parse "x*y*x^-1*y^-1" into letters over the given labels."""
-    letters: list[tuple[int, int]] = []
-    for idx, exp in word_pieces(text, labels):
-        letters.extend([(idx, 1 if exp > 0 else -1)] * abs(exp))
-    return reduce_word(letters)
+    """Parse "x*y*x^-1*y^-1" into freely reduced letters over the given
+    labels: the word's normal form in the free group on them, read back as
+    letters (label index, +1 or -1)."""
+    key = evaluate_word(FreeGroup(len(labels)), word_pieces(text, labels)).key
+    return tuple((abs(letter) - 1, 1 if letter > 0 else -1) for letter in key)
 
 
 def relator_words(group: Group) -> tuple[Word, ...]:

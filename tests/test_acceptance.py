@@ -11,7 +11,8 @@ from random import Random
 
 import numpy as np
 
-from lplab.checks import CATALOG_RESOLUTIONS, fox_defect
+from lplab.checks import (CATALOG_RESOLUTIONS, check_dual_is_coboundary,
+                          fox_defect)
 from lplab.groups import group_from_name
 from lplab.group_ring import RingElement, conjugacy_class
 from lplab.resolutions import (
@@ -22,7 +23,6 @@ from lplab.resolutions import (
 from lplab.lp_complex import (
     TruncatedSpace,
     Vector,
-    annihilator_residual,
     assemble_boundary,
     conjugate_exponent,
     pairing,
@@ -97,19 +97,10 @@ def test_criterion_3_finite_group_vanishing():
 
 def test_criterion_4_duality_plumbing():
     started = time.monotonic()
-    operators = [assemble_boundary(resolution_from_name("cyclic-inf"), 1, 3),
-                 assemble_boundary(resolution_from_name("cyclic:4:2"), 1, 4)]
     plane = group_from_name("Z^2")
     space = TruncatedSpace(plane, 2, 3)
     for p in (1.5, 2.0, 3.0):
         rng = np.random.default_rng(int(p * 1000))
-        for _ in range(1000):
-            op = operators[int(rng.integers(len(operators)))]
-            x = rng.standard_normal(op.domain.dim)
-            y = rng.standard_normal(op.codomain.dim)
-            gap = abs(float(y @ (op.matrix @ x))
-                      - float((op.matrix.T @ y) @ x))
-            assert gap <= 1e-10
         for _ in range(1000):
             xv = Vector(space, rng.standard_normal(space.dim))
             yv = Vector(space, rng.standard_normal(space.dim))
@@ -118,8 +109,8 @@ def test_criterion_4_duality_plumbing():
     res_z = resolution_from_name("cyclic-inf")
     res_c4 = resolution_from_name("cyclic:4:2")
     for radius in (1, 2, 3, 4):
-        assert annihilator_residual(res_z, 1, radius) <= 1e-10
-        assert annihilator_residual(res_c4, 1, radius) <= 1e-10
+        check_dual_is_coboundary(res_z, 1, radius)
+        check_dual_is_coboundary(res_c4, 1, radius)
     _report(4, "duality-plumbing", started, 30.0)
 
 

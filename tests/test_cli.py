@@ -8,8 +8,8 @@ import pytest
 
 from lplab import checks, cli, homotopy, lp_complex, vanishing
 from lplab.group_ring import parse_ring_element
-from lplab.lp_complex import (TruncatedSpace, assemble_boundary, pairing,
-                              vector_from_ring_parts)
+from lplab.lp_complex import (TruncatedSpace, assemble_boundary, dual_boundary,
+                              pairing, vector_from_ring_parts)
 from lplab.groups import GROUP_CATALOG, group_from_name
 from lplab.homotopy import (ResidualReport, class_sum_homotopy_residual,
                             random_cochain)
@@ -329,8 +329,39 @@ def test_pairing_adjointness_run(tmp_path):
                        count=100, seed=1, output=out)
     assert main(["run", str(cfg)]) == EXIT_OK
     lines = out.read_text().splitlines()
-    assert lines[0] == ",".join(ADJOINTNESS_HEADER)
+    assert lines[0] == ",".join(ADJOINTNESS_HEADER) == \
+        "group,resolution,degree,R,p,draws,max_holder_excess"
     assert len(lines) == 4
+
+
+def test_pairing_adjointness_matches_golden(tmp_path):
+    # the acceptance criterion 8 config; its Hoelder excesses are floats
+    out = tmp_path / "adj.csv"
+    cfg = write_config(tmp_path, "adj.cfg", experiment="pairing-adjointness",
+                       resolution="cyclic-inf", degree=1, R=3, p="1.5,2,3",
+                       count=200, seed=1, output=out)
+    assert main(["run", str(cfg)]) == EXIT_OK
+    golden = Path(__file__).parent / "golden" / "pairing_adjointness_cyclic_inf.csv"
+    assert out.read_bytes() == golden.read_bytes()
+
+
+def test_pairing_adjointness_fails_on_a_dual_that_is_not_the_coboundary(
+        tmp_path, monkeypatch, capsys):
+    def flipped(res, i, radius):
+        dual = dual_boundary(res, i, radius)
+        values = -dual.nonzeros.values
+        return lp_complex.BoundaryOperator(
+            dual.domain, dual.codomain, dual.nonzeros._replace(values=values))
+
+    monkeypatch.setattr(lp_complex, "dual_boundary", flipped)
+    out = tmp_path / "adj.csv"
+    cfg = write_config(tmp_path, "adj.cfg", experiment="pairing-adjointness",
+                       resolution="lattice:2", degree=2, R=2, output=out)
+    assert main(["run", str(cfg)]) == EXIT_INVARIANT
+    assert capsys.readouterr().err == (
+        f"{cfg}: invariant failure: the dual of boundary 2 of lattice:2 at "
+        f"R=2 is not its coboundary\n")
+    assert not out.exists()
 
 
 def test_verify_resolutions_run(tmp_path):

@@ -1,4 +1,5 @@
-"""Group-ring arithmetic: convolution, augmentation, centers, class sums."""
+"""Group-ring arithmetic: convolution, the involution, augmentation, centers,
+class sums."""
 
 from fractions import Fraction
 from math import gcd
@@ -161,6 +162,21 @@ def test_ring_axioms_random():
             assert u * (v + w) == u * v + u * w
             assert (u + v) * w == u * w + v * w
             assert (u * v).augment() == u.augment() * v.augment()
+
+
+@pytest.mark.parametrize("name", CHECK_GROUPS)
+def test_star_is_an_involution_that_reverses_products(name):
+    group = group_from_name(name)
+    rng = Random(9)
+    for _ in range(60):
+        u = _rng_element(group, rng)
+        v = _rng_element(group, rng)
+        assert u.star() == RingElement(
+            group, [(g.inverse(), c) for g, c in u.items_sorted()])
+        assert (u * v).star() == v.star() * u.star()
+        assert (u + v).star() == u.star() + v.star()
+        assert u.star().star() == u
+        assert u.star().augment() == u.augment()
 
 
 def test_convolution_support_bound():

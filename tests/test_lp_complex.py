@@ -1,10 +1,9 @@
-"""Truncated operators, norms, pairing, translation, annihilator checks."""
+"""Truncated operators and their duals, norms, pairing, translation."""
 
 import tracemalloc
 
 import numpy as np
 import pytest
-from scipy import linalg as sla
 
 from lplab import checks, lp_complex
 from lplab.groups import BallCapError, group_from_name
@@ -13,7 +12,6 @@ from lplab.resolutions import resolution_from_name
 from lplab.lp_complex import (
     TruncatedSpace,
     Vector,
-    annihilator_residual,
     assemble_boundary,
     conjugate_exponent,
     delta_chain,
@@ -168,28 +166,49 @@ def test_dual_on_order_two_group_is_involution_pattern():
     assert np.array_equal(op.matrix, op.matrix.T)
 
 
-CATALOG_FOR_ADJOINTNESS = (
-    ["cyclic-inf"]
-    + [f"cyclic:{n}:3" for n in (2, 3, 4, 6)]
-    + [f"lattice:{d}" for d in (1, 2, 3)]
-    + ["fox:Z^2", "fox:free:2", "fox:dihedral-inf", "fox:heisenberg"]
-)
+@pytest.mark.parametrize("name", checks.CATALOG_RESOLUTIONS)
+def test_dual_is_the_coboundary(name):
+    res = resolution_from_name(name)
+    for i in range(1, res.length + 1):
+        for radius in range(4):
+            checks.check_dual_is_coboundary(res, i, radius)
 
 
-def test_adjointness_random_vectors():
-    rng = np.random.default_rng(0)
-    for name in CATALOG_FOR_ADJOINTNESS:
-        res = resolution_from_name(name)
-        for i in range(1, res.length + 1):
-            for radius in (1, 3):
-                op = assemble_boundary(res, i, radius)
-                if op.domain.dim == 0:
-                    continue
-                for _ in range(25):
-                    x = rng.standard_normal(op.domain.dim)
-                    y = rng.standard_normal(op.codomain.dim)
-                    gap, bound = checks.adjoint_gap(op.matrix, x, y)
-                    assert gap <= bound, (name, i, radius)
+def _corrupted_dual(corrupt):
+    """dual_boundary with corrupt applied to a copy of its nonzero values."""
+    def wrong(res, i, radius):
+        dual = dual_boundary(res, i, radius)
+        values = dual.nonzeros.values.copy()
+        corrupt(dual.nonzeros, values)
+        return lp_complex.BoundaryOperator(dual.domain, dual.codomain,
+                                           dual.nonzeros._replace(values=values))
+    return wrong
+
+
+def _scale_column_one(nonzeros, values):
+    values[nonzeros.cols == 1] *= 4.0
+
+
+def _flip_first_sign(nonzeros, values):
+    values[0] = -values[0]
+
+
+@pytest.mark.parametrize("corrupt", [_scale_column_one, _flip_first_sign],
+                         ids=["scaled-column", "flipped-sign"])
+def test_a_corrupted_dual_is_not_the_coboundary(monkeypatch, corrupt):
+    monkeypatch.setattr(lp_complex, "dual_boundary", _corrupted_dual(corrupt))
+    res = resolution_from_name("cyclic:4:2")
+    with pytest.raises(AssertionError, match="^the dual of boundary 1 of "
+                       "cyclic:4:2 at R=4 is not its coboundary$"):
+        checks.check_dual_is_coboundary(res, 1, 4)
+
+
+def test_a_star_without_inversion_is_not_the_coboundary(monkeypatch):
+    monkeypatch.setattr(RingElement, "star", lambda u: u)
+    res = resolution_from_name("cyclic-inf")
+    with pytest.raises(AssertionError, match="^the dual of boundary 1 of "
+                       "cyclic-inf at R=3 is not its coboundary$"):
+        checks.check_dual_is_coboundary(res, 1, 3)
 
 
 def test_norms():
@@ -298,29 +317,6 @@ def test_translate_preserves_coefficient_multiset():
         after = sorted(c for c in moved.coefficients if c != 0.0)
         assert before == after
         assert abs(moved.norm(1.5) - x.norm(1.5)) < 1e-14
-
-
-def test_annihilator_residuals():
-    res = resolution_from_name("cyclic-inf")
-    for radius in (1, 2, 3, 4):
-        assert annihilator_residual(res, 1, radius) <= 1e-10
-    res4 = resolution_from_name("cyclic:4:2")
-    assert annihilator_residual(res4, 1, 4) <= 1e-10
-    assert annihilator_residual(res4, 2, 4) <= 1e-10
-
-
-def test_annihilator_fault_injection():
-    # corrupting the dual matrix must break the annihilator relation: scaling
-    # one column skews its kernel away from the orthogonal complement
-    res = resolution_from_name("cyclic:4:2")
-    T = assemble_boundary(res, 1, 4).matrix
-    wrong = T.T.copy()
-    wrong[:, 1] *= 4.0
-    kernel = sla.null_space(wrong)
-    image = sla.orth(T)
-    assert kernel.size and image.size
-    residual = float(np.max(np.abs(kernel.T @ image)))
-    assert residual > 0.1
 
 
 def test_embed_rejects_support_escape():
