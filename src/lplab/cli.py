@@ -172,10 +172,8 @@ def _checked_int(text, label: str, *, low=None, high=None) -> int:
 
 def _int_field(cfg: dict, key: str, default=None, *, low=None,
                high=None) -> int:
-    if key not in cfg and default is None:
-        raise ConfigError(f"field {key}: required")
-    return _checked_int(cfg.get(key, default), f"field {key}", low=low,
-                        high=high)
+    text = _require(cfg, key) if default is None else cfg.get(key, default)
+    return _checked_int(text, f"field {key}", low=low, high=high)
 
 
 def _p_list(cfg: dict, default="2") -> list[float]:
@@ -329,8 +327,7 @@ def _run_verify_resolutions(cfg: dict, out_path: Path):
         res = resolution_from_name(name, cap)
         report = validate(res)
         for check in report.checks:
-            rows.append([name, res.group.name, check.name,
-                         "" if check.index is None else str(check.index),
+            rows.append([name, res.group.name, check.name, str(check.index),
                          fmt_bool(check.ok), check.detail])
             failures += 0 if check.ok else 1
     for gname in checks.FOX_GROUPS:
@@ -613,7 +610,7 @@ def main(argv=None) -> int:
         except (ConfigError, FileNotFoundError) as exc:
             print(f"{config_path}: config error: {exc}", file=sys.stderr)
             status = max(status, EXIT_CONFIG)
-        except (InvariantViolation, AssertionError, BallCapError) as exc:
+        except (InvariantViolation, BallCapError) as exc:
             print(f"{config_path}: invariant failure: {exc}", file=sys.stderr)
             status = max(status, EXIT_INVARIANT)
     return status

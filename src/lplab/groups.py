@@ -285,8 +285,9 @@ class Group:
         """Grow the ball until it reaches the element with id i; its length."""
         while i not in self.table.lengths:
             if not self._layers[-1]:
-                raise RuntimeError(f"element {self.table.elements[i]} of "
-                                   f"{self.name} was not reached by the generators")
+                raise InvariantViolation(
+                    f"element {self.table.elements[i]} of {self.name} was not "
+                    f"reached by the generators")
             self._grow_one_layer()
         return self.table.lengths[i]
 

@@ -44,7 +44,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .groups import BallCapError, Group, GroupElement
+from .groups import BallCapError, Group, GroupElement, InvariantViolation
 from .group_ring import RingElement
 from .resolutions import Resolution
 
@@ -155,8 +155,6 @@ def vector_from_ring_parts(space: TruncatedSpace, parts) -> Vector:
         raise ValueError(f"expected {space.rank} parts, got {len(parts)}")
     entries = []
     for copy, part in enumerate(parts):
-        if part is None:
-            continue
         if part.group is not space.group:
             raise ValueError(f"cross-group operand: expected a ring element of "
                              f"{space.group.name}, got one of {part.group.name}")
@@ -309,7 +307,7 @@ def assemble_boundary(res: Resolution, i: int, radius: int) -> BoundaryOperator:
     position[[g.id for g in codomain.elements]] = np.arange(n_cod)
     slots = {g: position[ids] for g, ids in right_products.items()}
     if any((rows < 0).any() for rows in slots.values()):
-        raise RuntimeError("convolution support escaped the enlarged ball")
+        raise InvariantViolation("convolution support escaped the enlarged ball")
     # one row of term_slots and of copies per term, one column per domain
     # element: the term lands at (a * n_cod + slot, b * n_dom + column)
     term_slots = np.array([slots[g] for _, _, g, _ in terms],
@@ -375,11 +373,12 @@ def translate_ring(x, u: RingElement):
 
 
 def export_matrix_coordinate(op: BoundaryOperator, path, *, resolution: str,
-                             index: int, radius: int):
-    """Write nonzero entries as "row col value" lines under a naming header."""
+                             index: int):
+    """Write nonzero entries as "row col value" lines under a naming header;
+    R is the radius of the operator's domain."""
     lines = [
         f"# group={op.domain.group.name} resolution={resolution} "
-        f"i={index} R={radius}",
+        f"i={index} R={op.domain.radius}",
         f"# shape={op.nonzeros.shape[0]}x{op.nonzeros.shape[1]}",
     ]
     rows, cols, values, _ = op.nonzeros

@@ -76,7 +76,7 @@ class Resolution:
 @dataclass(frozen=True)
 class CheckResult:
     name: str
-    index: int | None
+    index: int
     ok: bool
     detail: str = ""
 

@@ -1,13 +1,19 @@
 """The invariant registry: every entry of ``lplab.checks.ALL_CHECKS`` passes."""
 
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 from random import Random
 
 import pytest
 
 from lplab import checks
 from lplab.group_ring import RingElement
-from lplab.groups import group_from_name
+from lplab.groups import InvariantViolation, group_from_name
+
+SOURCE = Path(__file__).resolve().parent.parent / "src"
 
 
 @pytest.mark.parametrize("check", [fn for _, fn in checks.ALL_CHECKS],
@@ -23,7 +29,7 @@ def test_central_multiplier_is_certified(name, token, degree, radius):
 
 def test_non_central_multiplier_fails_the_certificate():
     # x does not commute with y, so symbols survive at 12 of the 17 tuples
-    with pytest.raises(AssertionError,
+    with pytest.raises(InvariantViolation,
                        match="survives at 12 of 17 tuples for heisenberg"):
         checks.check_homotopy_certificate("heisenberg", "x", 1, 2)
 
@@ -55,6 +61,30 @@ def test_ring_axioms_catch_a_wrong_product(monkeypatch):
         return w
 
     monkeypatch.setattr(RingElement, "convolve", off_by_one)
-    with pytest.raises(AssertionError,
+    with pytest.raises(InvariantViolation,
                        match="ring associativity fails in cyclic:4"):
         checks.check_ring_axioms()
+
+
+STAR_MUTANT = """
+import sys
+from lplab import checks
+from lplab.group_ring import RingElement
+from lplab.groups import InvariantViolation
+
+RingElement.star = lambda u: u
+try:
+    checks.check_coboundary_involution()
+except InvariantViolation as exc:
+    print(sys.flags.optimize, exc)
+"""
+
+
+def test_checks_survive_python_optimize():
+    # -O strips assert statements; the registry must still see a star that
+    # does not invert, so the dual is not the coboundary
+    done = subprocess.run([sys.executable, "-O", "-c", STAR_MUTANT],
+                          capture_output=True, text=True, check=True,
+                          env={**os.environ, "PYTHONPATH": str(SOURCE)})
+    assert done.stdout == ("1 the dual of boundary 1 of cyclic-inf at R=3 is "
+                           "not its coboundary\n")

@@ -137,6 +137,12 @@ def test_config_errors_name_their_field_once(tmp_path, capsys):
         f"{cfg}: config error: field class: required for experiment "
         "'class-sum-homotopy'\n")
 
+    cfg = write_config(tmp_path, "n.cfg", experiment="finite-homology", N=2)
+    assert main(["run", str(cfg)]) == EXIT_CONFIG
+    assert capsys.readouterr().err == (
+        f"{cfg}: config error: field n: required for experiment "
+        "'finite-homology'\n")
+
 
 @pytest.mark.parametrize("field, settings", [
     ("R", dict(experiment="verify-homotopy", group="Z^1", R=-1)),
@@ -361,6 +367,21 @@ def test_pairing_adjointness_fails_on_a_dual_that_is_not_the_coboundary(
     assert capsys.readouterr().err == (
         f"{cfg}: invariant failure: the dual of boundary 2 of lattice:2 at "
         f"R=2 is not its coboundary\n")
+    assert not out.exists()
+
+
+def test_a_product_escaping_the_ball_is_an_invariant_failure(
+        tmp_path, monkeypatch, capsys):
+    # with no room for growth the codomain ball is the domain ball, and the
+    # boundary's entries carry its outer layer beyond it
+    monkeypatch.setattr(lp_complex, "boundary_growth", lambda res, i: 0)
+    out = tmp_path / "dc.csv"
+    cfg = write_config(tmp_path, "dc.cfg", experiment="distance-curve",
+                       resolution="cyclic-inf", degree=0, R="1..3", output=out)
+    assert main(["run", str(cfg)]) == EXIT_INVARIANT
+    assert capsys.readouterr().err == (
+        f"{cfg}: invariant failure: convolution support escaped the enlarged "
+        f"ball\n")
     assert not out.exists()
 
 

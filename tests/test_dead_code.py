@@ -1,6 +1,7 @@
 """No dead code in the library: every private module- or class-level name is
-read somewhere in ``src/lplab``, no module imports a name it never reads, and
-no private function has a defaulted parameter that no call passes.
+read somewhere in ``src/lplab``, no module imports a name it never reads,
+no private function has a defaulted parameter that no call passes, and no
+invariant is an ``assert``, which ``python -O`` strips.
 
 Only the stdlib ``ast`` module is used.  A read is a name or attribute
 loaded outside the definition itself, so a private function that only calls
@@ -133,3 +134,13 @@ def test_every_default_of_a_private_function_is_passed():
              if not any(_passes(call, position, name)
                         for call in _calls(label.split(".")[1]))]
     assert not knobs, f"defaulted parameters that no call passes: {knobs}"
+
+
+def test_no_invariant_is_a_strippable_assert():
+    # python -O removes assert statements, so a check written as one would
+    # pass on any code; a broken invariant raises InvariantViolation instead
+    found = [f"{module}:{node.lineno}" for module, tree in MODULES.items()
+             for node in ast.walk(tree)
+             if isinstance(node, ast.Assert) or (
+                 isinstance(node, ast.Name) and node.id == "AssertionError")]
+    assert not found, f"assert or AssertionError in lplab: {found}"

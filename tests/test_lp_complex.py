@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from lplab import checks, lp_complex
-from lplab.groups import BallCapError, group_from_name
+from lplab.groups import BallCapError, InvariantViolation, group_from_name
 from lplab.group_ring import RingElement
 from lplab.resolutions import resolution_from_name
 from lplab.lp_complex import (
@@ -198,7 +198,7 @@ def _flip_first_sign(nonzeros, values):
 def test_a_corrupted_dual_is_not_the_coboundary(monkeypatch, corrupt):
     monkeypatch.setattr(lp_complex, "dual_boundary", _corrupted_dual(corrupt))
     res = resolution_from_name("cyclic:4:2")
-    with pytest.raises(AssertionError, match="^the dual of boundary 1 of "
+    with pytest.raises(InvariantViolation, match="^the dual of boundary 1 of "
                        "cyclic:4:2 at R=4 is not its coboundary$"):
         checks.check_dual_is_coboundary(res, 1, 4)
 
@@ -206,7 +206,7 @@ def test_a_corrupted_dual_is_not_the_coboundary(monkeypatch, corrupt):
 def test_a_star_without_inversion_is_not_the_coboundary(monkeypatch):
     monkeypatch.setattr(RingElement, "star", lambda u: u)
     res = resolution_from_name("cyclic-inf")
-    with pytest.raises(AssertionError, match="^the dual of boundary 1 of "
+    with pytest.raises(InvariantViolation, match="^the dual of boundary 1 of "
                        "cyclic-inf at R=3 is not its coboundary$"):
         checks.check_dual_is_coboundary(res, 1, 3)
 
@@ -391,8 +391,7 @@ def test_export_formats(tmp_path):
     res = resolution_from_name("cyclic-inf")
     op = assemble_boundary(res, 1, 1)
     matrix_path = tmp_path / "matrix.txt"
-    export_matrix_coordinate(op, matrix_path, resolution="cyclic-inf", index=1,
-                             radius=1)
+    export_matrix_coordinate(op, matrix_path, resolution="cyclic-inf", index=1)
     lines = matrix_path.read_text().splitlines()
     assert lines[0] == "# group=Z^1 resolution=cyclic-inf i=1 R=1"
     assert all(len(line.split()) == 3 for line in lines[2:])
@@ -409,8 +408,7 @@ def test_matrix_export_lists_the_nonzeros_row_by_row(tmp_path):
     res = resolution_from_name("fox:heisenberg")
     op = assemble_boundary(res, 2, 2)
     path = tmp_path / "matrix.txt"
-    export_matrix_coordinate(op, path, resolution="fox:heisenberg", index=2,
-                             radius=2)
+    export_matrix_coordinate(op, path, resolution="fox:heisenberg", index=2)
     dense = naive_boundary_matrix(res, 2, 2)
     rows, cols = np.nonzero(dense)
     expected = ["# group=heisenberg resolution=fox:heisenberg i=2 R=2",
