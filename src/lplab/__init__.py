@@ -24,7 +24,6 @@ from .group_ring import (
 from .resolutions import (
     Resolution,
     ValidationReport,
-    bar_resolution_basis,
     cyclic_infinite_resolution,
     fox_derivative,
     fox_partial_resolution,

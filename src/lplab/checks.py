@@ -1,9 +1,11 @@
 """The invariant registry: every checked invariant and catalog is written here.
 
 Each check exercises one structural property the library promises: group and
-ring axioms on random samples, ball geometry, complex validation, the dual
-boundary as the coboundary read through the ring involution, certificates of
-the homotopy identity, and monotonicity of the minimization routines.  Checks
+ring axioms on random samples, inverse-closed balls, complex validation, the
+dual boundary as the coboundary read through the ring involution,
+certificates of the homotopy identity, and monotonicity of the minimization
+routines.  Each invariant is checked once; a property that holds by
+construction, such as the nesting of balls, is not checked at all.  Checks
 return quietly or raise ``InvariantViolation``, never through a bare assert,
 which ``python -O`` strips; the runner turns that into one line per check.
 
@@ -12,10 +14,11 @@ Three consumers share the registry:
 - ``lab verify-all`` runs ``ALL_CHECKS`` through ``run_all``;
 - the ``verify-resolutions`` and ``pairing-adjointness`` runners in
   ``lplab.cli`` iterate the catalogs and call the per-case measurements
-  ``fox_defect`` and ``hoelder_excess``, as do the tests and demos that
-  measure a free-derivative defect or a Hoelder excess, and
-  ``pairing-adjointness`` runs ``check_dual_is_coboundary`` on its own
-  operator;
+  ``fox_defect`` and ``max_hoelder_excess``, the one Hoelder draw loop,
+  which ``check_hoelder`` runs too; the tests and demos that measure a
+  free-derivative defect or a single Hoelder excess call ``fox_defect`` and
+  ``hoelder_excess``, and ``pairing-adjointness`` runs
+  ``check_dual_is_coboundary`` on its own operator;
 - ``tests/test_checks.py`` runs every entry of ``ALL_CHECKS``, and the other
   tests take their group and resolution lists from the catalogs; the
   per-resolution and per-group tests call the per-case checks
@@ -48,7 +51,7 @@ from .resolutions import (
 from .homotopy import ResidualForm
 
 if TYPE_CHECKING:
-    from .lp_complex import Vector
+    from .lp_complex import TruncatedSpace, Vector
 
 CHECK_GROUPS = ("trivial", "cyclic:4", "Z^1", "Z^2", "free:2", "dihedral-inf",
                 "heisenberg", "S3")
@@ -100,6 +103,26 @@ def hoelder_excess(y: Vector, x: Vector, p: float) -> tuple[float, float]:
     return abs(pairing(y, x)) - bound, 1e-12 * bound
 
 
+def max_hoelder_excess(space: TruncatedSpace, p_values, draws: int,
+                       rng) -> list[float]:
+    """The largest Hoelder excess at each p over draws pairs x, y of standard
+    normal vectors on space, drawn from rng; every pair serves all p.  An
+    excess above its rounding tolerance raises InvariantViolation."""
+    from .lp_complex import Vector
+
+    worst = [float("-inf")] * len(p_values)
+    for _ in range(draws):
+        x = Vector(space, rng.standard_normal(space.dim))
+        y = Vector(space, rng.standard_normal(space.dim))
+        for k, p in enumerate(p_values):
+            excess, tolerance = hoelder_excess(y, x, p)
+            if excess > tolerance:
+                raise InvariantViolation(
+                    f"pairing bound violated by {excess:.3e} at p={p}")
+            worst[k] = max(worst[k], excess)
+    return worst
+
+
 # -- checks ----------------------------------------------------------------------
 
 
@@ -135,29 +158,14 @@ def check_group_axioms():
 
 
 def check_ball_geometry():
+    """Balls are inverse closed.  That they nest and grow holds by
+    construction, since `Group.ball` concatenates the word-length layers."""
     for name in CHECK_GROUPS:
         group = group_from_name(name)
-        sizes = []
         for radius in range(5):
             ball = group.ball(radius)
-            sizes.append(len(ball))
             _ensure(set(ball) >= {g.inverse() for g in ball},
                     f"ball of {name} is not inverse closed")
-            if radius:
-                smaller = group.ball(radius - 1)
-                _ensure(ball[:len(smaller)] == smaller,
-                        f"balls of {name} do not nest")
-        _ensure(sizes == sorted(sizes), f"ball sizes of {name} decrease")
-    c4 = group_from_name("cyclic:4")
-    _ensure(len(c4.ball(4)) == 4, "cyclic:4 ball(4) must be the whole group")
-
-
-def check_heisenberg_center():
-    group = group_from_name("heisenberg")
-    for c in (1, 2):
-        z = group.element((0, 0, c))
-        for g in group.ball(4):
-            _ensure(z * g == g * z, f"(0,0,{c}) fails to commute with {g}")
 
 
 def check_ring_axioms():
@@ -292,17 +300,10 @@ def check_coboundary_involution():
 
 def check_hoelder():
     import numpy as np
-    from .lp_complex import TruncatedSpace, Vector
+    from .lp_complex import TruncatedSpace
 
-    rng = np.random.default_rng(4)
-    group = group_from_name("Z^2")
-    space = TruncatedSpace(group, 2, 3)
-    for p in (1.5, 2.0, 3.0):
-        for _ in range(334):
-            x = Vector(space, rng.standard_normal(space.dim))
-            y = Vector(space, rng.standard_normal(space.dim))
-            excess, tolerance = hoelder_excess(y, x, p)
-            _ensure(excess <= tolerance, f"pairing bound fails at p={p}")
+    space = TruncatedSpace(group_from_name("Z^2"), 2, 3)
+    max_hoelder_excess(space, (1.5, 2.0, 3.0), 334, np.random.default_rng(4))
 
 
 def check_translate_preserves_norm():
@@ -440,7 +441,6 @@ def check_central_catalog():
 ALL_CHECKS = (
     ("group-axioms", check_group_axioms),
     ("ball-geometry", check_ball_geometry),
-    ("heisenberg-center", check_heisenberg_center),
     ("ring-axioms", check_ring_axioms),
     ("convolution-support", check_convolution_support_bound),
     ("class-sums-central", check_class_sums_central),

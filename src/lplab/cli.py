@@ -126,17 +126,6 @@ def _int_list(text: str, field: str) -> list[int]:
     return values
 
 
-def _float_list(text: str, field: str) -> list[float]:
-    try:
-        values = [float(part) for part in text.split(",") if part.strip()]
-    except ValueError:
-        raise ConfigError(f"field {field}: cannot parse number list {text!r}") \
-            from None
-    if not values:
-        raise ConfigError(f"field {field}: empty list")
-    return values
-
-
 @contextmanager
 def _field(key: str):
     """Report a ValueError raised inside as a config error on field key; a
@@ -156,28 +145,31 @@ def _require(cfg: dict, key: str) -> str:
     return cfg[key]
 
 
-def _checked_int(text, label: str, *, low=None, high=None) -> int:
-    """text as an integer within the inclusive bounds low and high; label
-    opens every error message."""
+def _int_field(cfg: dict, key: str, default=None, *, low=None,
+               high=None) -> int:
+    """Field key as an integer within the inclusive bounds low and high; a
+    field without a default is required."""
+    text = _require(cfg, key) if default is None else cfg.get(key, default)
     try:
         value = int(text)
     except ValueError:
-        raise ConfigError(f"{label}: not an integer: {text!r}") from None
+        raise ConfigError(f"field {key}: not an integer: {text!r}") from None
     if high is not None and not low <= value <= high:
-        raise ConfigError(f"{label}: must lie in {low}..{high}, got {value}")
+        raise ConfigError(f"field {key}: must lie in {low}..{high}, got {value}")
     if low is not None and value < low:
-        raise ConfigError(f"{label}: must be at least {low}, got {value}")
+        raise ConfigError(f"field {key}: must be at least {low}, got {value}")
     return value
 
 
-def _int_field(cfg: dict, key: str, default=None, *, low=None,
-               high=None) -> int:
-    text = _require(cfg, key) if default is None else cfg.get(key, default)
-    return _checked_int(text, f"field {key}", low=low, high=high)
-
-
 def _p_list(cfg: dict, default="2") -> list[float]:
-    values = _float_list(cfg.get("p", default), "p")
+    text = cfg.get("p", default)
+    try:
+        values = [float(part) for part in text.split(",") if part.strip()]
+    except ValueError:
+        raise ConfigError(f"field p: cannot parse number list {text!r}") \
+            from None
+    if not values:
+        raise ConfigError("field p: empty list")
     for p in values:
         if not 1.0 < p < math.inf:
             raise ConfigError(f"field p: p must exceed 1 and be finite, got {p}")
@@ -185,12 +177,7 @@ def _p_list(cfg: dict, default="2") -> list[float]:
 
 
 def _ball_cap(cfg: dict) -> int:
-    if "max_ball" in cfg:
-        return _int_field(cfg, "max_ball", low=1)
-    env = os.environ.get("LAB_MAX_BALL")
-    if env:
-        return _checked_int(env, "LAB_MAX_BALL", low=1)
-    return DEFAULT_BALL_CAP
+    return _int_field(cfg, "max_ball", DEFAULT_BALL_CAP, low=1)
 
 
 def _group(cfg: dict):
@@ -415,7 +402,7 @@ def _run_class_sum_homotopy(cfg: dict, out_path: Path):
 
 def _run_pairing_adjointness(cfg: dict, out_path: Path):
     import numpy as np
-    from .lp_complex import TruncatedSpace, Vector
+    from .lp_complex import TruncatedSpace
 
     res = _resolution(cfg)
     degree = _int_field(cfg, "degree", 1, low=1, high=res.length)
@@ -424,19 +411,9 @@ def _run_pairing_adjointness(cfg: dict, out_path: Path):
     seed = _int_field(cfg, "seed", 0, low=0)
     p_values = _p_list(cfg, default="1.5,2,3")
     checks.check_dual_is_coboundary(res, degree, radius)
-    # every draw serves all p; only the Hoelder norms use p
-    rng = np.random.default_rng(seed)
     space = TruncatedSpace(res.group, res.ranks[degree], radius)
-    max_excess = [float("-inf")] * len(p_values)
-    for _ in range(draws):
-        xv = Vector(space, rng.standard_normal(space.dim))
-        yv = Vector(space, rng.standard_normal(space.dim))
-        for k, p in enumerate(p_values):
-            excess, tolerance = checks.hoelder_excess(yv, xv, p)
-            if excess > tolerance:
-                raise InvariantViolation(
-                    f"pairing bound violated by {excess:.3e} at p={p}")
-            max_excess[k] = max(max_excess[k], excess)
+    max_excess = checks.max_hoelder_excess(space, p_values, draws,
+                                           np.random.default_rng(seed))
     rows = [[res.group.name, res.name, str(degree), str(radius), fmt_float(p),
              str(draws), fmt_float(worst)]
             for p, worst in zip(p_values, max_excess)]

@@ -38,10 +38,10 @@ class RingElement:
 
     __slots__ = ("group", "numerators", "denominator")
 
-    def __init__(self, group: Group, coeffs=()):
-        items = coeffs.items() if hasattr(coeffs, "items") else coeffs
+    def __init__(self, group: Group, coeffs):
+        """coeffs: (element, coefficient) pairs; repeated elements add up."""
         terms = []
-        for g, c in items:
+        for g, c in coeffs:
             i = group.intern(g)
             if not isinstance(c, (int, Fraction)):
                 c = Fraction(c)

@@ -39,7 +39,10 @@ DEFAULT_BALL_CAP = 200_000
 
 
 class BallCapError(RuntimeError):
-    """A Cayley-ball enumeration would exceed the configured element cap."""
+    """Work would outgrow a size cap: a Cayley ball over the group's
+    ball_cap elements, a bar slice over ball_cap tuples
+    (`resolutions.bar_slice_ball`), or a dense matrix over
+    `lp_complex.DENSE_BYTE_CAP` bytes."""
 
 
 class InvariantViolation(RuntimeError):

@@ -12,10 +12,10 @@ numerators over the cochain's denominator, and a residual comes out as a
 literal integer over it; exact zero stays literal 0.  Argument elements are
 interned, and checked, only where they enter.
 
-A cochain is stored on its equivariant slice, the argument tuples with leading
-identity that resolutions.bar_resolution_basis enumerates (and caps at the
-group's ball_cap); evaluation elsewhere shifts to the slice and translates the
-value.
+A cochain is stored on its equivariant slice, the argument tuples
+(1, x_1, ..., x_n) with every x_i in the radius ball that
+resolutions.bar_slice_ball returns (after capping their count at the group's
+ball_cap); evaluation elsewhere shifts to the slice and translates the value.
 Every cochain is finitely supported: it is zero at the slice tuples outside
 its window.  The coboundary of a finitely supported cochain is not finitely
 supported, so a materialized operator is the operator's restriction to a
@@ -56,7 +56,8 @@ IdTuple = tuple[int, ...]
 
 
 def _slice_tuples(group: Group, degree: int, radius: int):
-    """The tuples of bar_resolution_basis as ids, in the same order."""
+    """The degree-n slice tuples (1, x_1, ..., x_n) as ids: the identity's
+    id 0, then every x_i in bar_slice_ball, in product order."""
     ball = [x.id for x in bar_slice_ball(group, degree, radius)]
     return ((0,) + tail for tail in product(ball, repeat=degree))
 
@@ -64,9 +65,10 @@ def _slice_tuples(group: Group, degree: int, radius: int):
 class EquivariantCochain:
     """Bar cochain of fixed degree with exact group-ring values.
 
-    values maps argument tails (x_1, ..., x_n) inside the radius window to
-    ring elements; the value at a general tuple (g, g x_1, ..., g x_n) is g
-    times the stored value, and missing tails are zero.
+    values is a dict from argument tails (x_1, ..., x_n) inside the radius
+    window to ring elements; the value at a general tuple
+    (g, g x_1, ..., g x_n) is g times the stored value, and missing tails are
+    zero.
 
     The tails are checked and interned once, here: `stored` maps id tails to
     the nonzero values, and `denominator` is the lcm of their denominators.
@@ -81,7 +83,7 @@ class EquivariantCochain:
             raise ValueError(f"radius must be nonnegative, got {radius}")
         table = group.table
         stored: dict[IdTuple, RingElement] = {}
-        for tail, value in (values.items() if hasattr(values, "items") else values):
+        for tail, value in values.items():
             tail = tuple(tail)
             if len(tail) != degree:
                 raise ValueError(

@@ -92,9 +92,6 @@ class TruncatedSpace:
             for g in self.elements:
                 yield copy, g
 
-    def compatible_with(self, other: "TruncatedSpace") -> bool:
-        return self.group is other.group and self.rank == other.rank
-
 
 class Vector:
     """Coefficient family on a `TruncatedSpace`: a chain or a cochain, told
@@ -330,7 +327,7 @@ def dual_boundary(res: Resolution, i: int, radius: int) -> BoundaryOperator:
 
 def embed(vec, target: TruncatedSpace):
     """Re-express a vector on a larger (or equal) ball, padding with zeros."""
-    if not vec.space.compatible_with(target):
+    if vec.space.group is not target.group or vec.space.rank != target.rank:
         raise ValueError("spaces differ in group or rank")
     return _scatter(target, _nonzero_entries(vec))
 
@@ -362,8 +359,6 @@ def translate_ring(x, u: RingElement):
     space = x.space
     if u.group is not space.group:
         raise ValueError("ring element belongs to a different group")
-    if u.is_zero():
-        return Vector(space, np.zeros(space.dim))
     new_space = TruncatedSpace(space.group, space.rank,
                                space.radius + u.max_word_length())
     entries = list(_nonzero_entries(x))

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from itertools import combinations, product
+from itertools import combinations
 
 from .groups import (
     DEFAULT_BALL_CAP,
@@ -263,9 +263,11 @@ def fox_partial_resolution(group: Group) -> Resolution:
 
 
 def bar_slice_ball(group: Group, degree: int, radius: int) -> list[GroupElement]:
-    """The radius ball whose degree-fold product indexes the degree-n slice
-    (see bar_resolution_basis), after checking the degree and that the
-    number of tuples stays within the group's ball_cap."""
+    """The radius ball whose degree-fold product indexes the equivariant
+    slice of the degree-n piece of the standard (bar) resolution: the tuples
+    (1, x_1, ..., x_n) with every x_i in the ball, on which a cochain is
+    determined.  The degree is checked, and the number of tuples,
+    len(ball) ** degree, must stay within the group's ball_cap."""
     if not 0 <= degree <= BAR_DEGREE_CAP:
         raise ValueError(f"degree must lie in 0..{BAR_DEGREE_CAP}, got {degree}")
     ball = group.ball(radius)
@@ -274,18 +276,6 @@ def bar_slice_ball(group: Group, degree: int, radius: int) -> list[GroupElement]
         raise BallCapError(
             f"{count} bar tuples would exceed the cap of {group.ball_cap}")
     return ball
-
-
-def bar_resolution_basis(group: Group, degree: int,
-                         radius: int) -> list[tuple[GroupElement, ...]]:
-    """Tuples (1, x_1, ..., x_n) with every x_i in the radius ball.
-
-    These index the equivariant slice of the degree-n piece of the standard
-    resolution; a cochain is determined by its values here.
-    """
-    e = group.identity
-    return [(e,) + tail
-            for tail in product(bar_slice_ball(group, degree, radius), repeat=degree)]
 
 
 RESOLUTION_CATALOG = (

@@ -4,10 +4,11 @@ Membership of a class in the closure of a boundary image cannot be decided at
 finite radius; what can be certified is the trend of the p-norm distance from
 a representative to the image on the ball as the ball grows, together with the
 decay of the duality pairing under translation along a central family.  Both
-are computed here, alongside exact-dimension homology ranks for finite cyclic
-groups where reduced and unreduced agree.  The central family is read off the
-group's declared `order`, `central_element` and `finite_class_element`, never
-off its kind.
+are computed here, alongside the homology dimensions of finite cyclic groups,
+where reduced and unreduced agree, from numerical ranks: the counts of
+singular values above a relative threshold.  The central family is read off
+the group's declared `order`, `central_element` and `finite_class_element`,
+never off its kind.
 
 The `TruncatedSpace`s and boundary operators carry no exponent: p enters
 only as the norm a distance minimizes.  A distance problem x ~ T c is
@@ -30,9 +31,8 @@ IRLS iteration is damped so that the true p-objective never increases.
 Every distance comes with a lower bound from the dual side,
 dist_p(x, im T) = max <y, x> over y in ker T^t with ||y||_q <= 1, and IRLS
 stops once that bound certifies the value to a relative gap of _GAP_TOL.  scipy is imported
-inside the functions that call it, the lookups of the LAPACK drivers of the
-IRLS start and weighted step, and the numerical rank, so a p = 2 solve loads
-numpy alone.
+only inside the lookups of the LAPACK drivers of the IRLS start and weighted
+step, so a p = 2 solve and the finite-group ranks load numpy alone.
 """
 
 from __future__ import annotations
@@ -549,11 +549,9 @@ def translation_pairing_decay(y: Vector, x: Vector, sequence: CentralSequence,
 
 
 def _numerical_rank(matrix: np.ndarray, threshold: float) -> int:
-    from scipy.linalg import svdvals
-
     if matrix.size == 0:
         return 0
-    singular = svdvals(matrix)
+    singular = np.linalg.svd(matrix, compute_uv=False)
     if singular[0] <= 0.0:
         return 0
     return int(np.sum(singular > threshold * singular[0]))

@@ -10,7 +10,7 @@ from lplab import checks, cli, homotopy, lp_complex, vanishing
 from lplab.group_ring import parse_ring_element
 from lplab.lp_complex import (TruncatedSpace, assemble_boundary, dual_boundary,
                               pairing, vector_from_ring_parts)
-from lplab.groups import GROUP_CATALOG, group_from_name
+from lplab.groups import GROUP_CATALOG, InvariantViolation, group_from_name
 from lplab.homotopy import (ResidualReport, class_sum_homotopy_residual,
                             random_cochain)
 from lplab.resolutions import RESOLUTION_CATALOG
@@ -370,6 +370,24 @@ def test_pairing_adjointness_fails_on_a_dual_that_is_not_the_coboundary(
     assert not out.exists()
 
 
+def test_hoelder_failures_share_one_path(tmp_path, monkeypatch, capsys):
+    # check_hoelder and the pairing-adjointness runner draw through the one
+    # measurement, max_hoelder_excess, and fail with the same text
+    monkeypatch.setattr(checks, "hoelder_excess", lambda y, x, p: (0.5, 0.0))
+    with pytest.raises(InvariantViolation,
+                       match=r"^pairing bound violated by .* at p=1\.5$"):
+        checks.check_hoelder()
+    out = tmp_path / "adj.csv"
+    cfg = write_config(tmp_path, "adj.cfg", experiment="pairing-adjointness",
+                       resolution="cyclic-inf", degree=1, R=2, count=5,
+                       output=out)
+    assert main(["run", str(cfg)]) == EXIT_INVARIANT
+    assert capsys.readouterr().err == (
+        f"{cfg}: invariant failure: pairing bound violated by 5.000e-01 at "
+        f"p=1.5\n")
+    assert not out.exists()
+
+
 def test_a_product_escaping_the_ball_is_an_invariant_failure(
         tmp_path, monkeypatch, capsys):
     # with no room for growth the codomain ball is the domain ball, and the
@@ -529,17 +547,17 @@ def test_determinism_byte_identical(tmp_path):
             assert svg_a.read_bytes() == svg_b.read_bytes()
 
 
-def test_ball_cap_env_override(tmp_path, monkeypatch, capsys):
-    monkeypatch.setenv("LAB_MAX_BALL", "10")
+def test_ball_cap_is_set_by_max_ball(tmp_path, capsys):
     cfg = write_config(tmp_path, "cap.cfg", experiment="verify-homotopy",
                        group="heisenberg", degree=1, R=3, count=1, seed=0,
-                       output=tmp_path / "cap.csv")
+                       max_ball=10, output=tmp_path / "cap.csv")
     assert main(["run", str(cfg)]) == EXIT_INVARIANT  # ball cap trips
-    monkeypatch.setenv("LAB_MAX_BALL", "0")
-    assert main(["run", str(cfg)]) == EXIT_CONFIG
-    assert "config error: LAB_MAX_BALL: must be at least 1, got 0" in \
+    cfg0 = write_config(tmp_path, "cap0.cfg", experiment="verify-homotopy",
+                        group="heisenberg", degree=1, R=3, count=1, seed=0,
+                        max_ball=0, output=tmp_path / "cap0.csv")
+    assert main(["run", str(cfg0)]) == EXIT_CONFIG
+    assert "config error: field max_ball: must be at least 1, got 0" in \
         capsys.readouterr().err
-    monkeypatch.delenv("LAB_MAX_BALL")
     cfg2 = write_config(tmp_path, "cap2.cfg", experiment="verify-homotopy",
                         group="heisenberg", degree=1, R=2, count=1, seed=0,
                         max_ball=100000, output=tmp_path / "cap2.csv")

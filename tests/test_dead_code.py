@@ -1,7 +1,8 @@
 """No dead code in the library: every private module- or class-level name is
 read somewhere in ``src/lplab``, no module imports a name it never reads,
-no private function has a defaulted parameter that no call passes, and no
-invariant is an ``assert``, which ``python -O`` strips.
+no private function has a defaulted parameter that no call passes, no
+invariant is an ``assert``, which ``python -O`` strips, and no setting is
+read from the environment, so a config key is its one way in.
 
 Only the stdlib ``ast`` module is used.  A read is a name or attribute
 loaded outside the definition itself, so a private function that only calls
@@ -144,3 +145,14 @@ def test_no_invariant_is_a_strippable_assert():
              if isinstance(node, ast.Assert) or (
                  isinstance(node, ast.Name) and node.id == "AssertionError")]
     assert not found, f"assert or AssertionError in lplab: {found}"
+
+
+def test_no_setting_is_read_from_the_environment():
+    # a setting with a config key and an environment variable has two ways
+    # in; the config key is the one
+    readers = {"environ", "environb", "getenv"}
+    found = [f"{module}:{node.lineno}" for module, tree in MODULES.items()
+             for node in ast.walk(tree)
+             if readers & {getattr(node, field, None)
+                           for field in ("attr", "id", "name")}]
+    assert not found, f"environment read in lplab: {found}"

@@ -1,4 +1,5 @@
-"""The exact regime runs without numpy or scipy, and p = 2 without scipy.
+"""The exact regime runs without numpy or scipy, and p = 2 and the
+finite-group ranks without scipy.
 
 `lplab` resolves its float names lazily and the CLI and the check registry
 import the float modules inside the float runners and checks; the float
@@ -28,7 +29,7 @@ EXACT_EXPORTS = (
     "InvariantViolation", "group_from_name",
     "RingElement", "class_sum", "conjugacy_class", "format_ring_element",
     "parse_ring_element",
-    "Resolution", "ValidationReport", "bar_resolution_basis",
+    "Resolution", "ValidationReport",
     "cyclic_infinite_resolution", "fox_derivative", "fox_partial_resolution",
     "lattice_resolution", "periodic_cyclic_resolution", "relator_words",
     "resolution_from_name", "validate",
@@ -156,6 +157,25 @@ def test_least_squares_runs_load_no_scipy_module(tmp_path):
     assert len(out.read_text().splitlines()) == 4
 
 
+def test_finite_group_ranks_load_no_scipy_module(tmp_path):
+    # the ranks of finite-homology and finite-index are counts of numpy's
+    # singular values
+    steps = [
+        ("finite-homology", ["run", _config(
+            tmp_path / "fh.cfg", experiment="finite-homology", n=4, N=3,
+            output=tmp_path / "fh.csv")]),
+        ("finite-index", ["run", _config(
+            tmp_path / "fi.cfg", experiment="finite-index", n=6, m=3, N=3,
+            output=tmp_path / "fi.csv")]),
+    ]
+    _, *runs = _probe(tmp_path, steps)
+    assert [label for label, _, _ in runs] == ["finite-homology", "finite-index"]
+    for label, code, loaded in runs:
+        assert code == 0, label
+        assert "numpy" in loaded, label
+        assert [name for name in loaded if name.split(".")[0] == "scipy"] == [], label
+
+
 def test_every_export_resolves():
     from lplab import central_catalog, lp_distance, Vector
 
@@ -218,11 +238,10 @@ def _scipy_import_sites(node: ast.AST, scope: str):
             child, f"{scope}.{child.name}" if named else scope)
 
 
-def test_scipy_is_imported_only_by_the_lapack_and_rank_helpers():
+def test_scipy_is_imported_only_by_the_lapack_lookups():
     # the float regime is meant to move to numpy alone; a new scipy call
     # site must be added here on purpose
     sites = [site for path in sorted(SOURCE.glob("*.py"))
              for site in _scipy_import_sites(
                  ast.parse(path.read_text(), str(path)), path.stem)]
-    assert sites == ["vanishing._gelsy_drivers", "vanishing._cholesky_drivers",
-                     "vanishing._numerical_rank"]
+    assert sites == ["vanishing._gelsy_drivers", "vanishing._cholesky_drivers"]

@@ -10,7 +10,7 @@ from lplab import checks
 from lplab.groups import Group, group_from_name
 from lplab.group_ring import RingElement
 from lplab.resolutions import (
-    bar_resolution_basis,
+    bar_slice_ball,
     compose_boundary_matrices,
     cyclic_infinite_resolution,
     fox_derivative,
@@ -235,15 +235,19 @@ def test_validate_detects_a_degree_one_augmentation():
 
 
 def test_bar_resolution_basis_counts():
-    trivial_degree = bar_resolution_basis(group_from_name("Z^1"), 0, 2)
-    assert len(trivial_degree) == 1
-    degree_one = bar_resolution_basis(group_from_name("Z^1"), 1, 2)
-    assert len(degree_one) == 5
-    assert all(t[0].is_identity() for t in degree_one)
-    c2 = bar_resolution_basis(group_from_name("cyclic:2"), 2, 1)
-    assert len(c2) == 4
+    # the degree-n slice is (1, x_1, ..., x_n) with every x_i in the ball
+    # bar_slice_ball returns, so it holds len(ball) ** degree tuples
+    from lplab.homotopy import _slice_tuples
+
+    for name, degree, radius, count in (("Z^1", 0, 2, 1), ("Z^1", 1, 2, 5),
+                                        ("cyclic:2", 2, 1, 4)):
+        group = group_from_name(name)
+        assert len(bar_slice_ball(group, degree, radius)) ** degree == count
+        tuples = list(_slice_tuples(group, degree, radius))
+        assert len(tuples) == count
+        assert all(group.table.elements[t[0]].is_identity() for t in tuples)
     with pytest.raises(ValueError):
-        bar_resolution_basis(group_from_name("Z^1"), 4, 1)
+        bar_slice_ball(group_from_name("Z^1"), 4, 1)
 
 
 def test_resolution_from_name_errors():
@@ -268,7 +272,7 @@ def test_bar_basis_respects_ball_cap():
     group = group_from_name("free:2")
     group.ball_cap = 30
     with pytest.raises(BallCapError):
-        bar_resolution_basis(group, 3, 2)
+        bar_slice_ball(group, 3, 2)
     # the radius-2 ball fits the cap, its 17**2 = 289 degree-2 slice does not
     assert len(group.ball(2)) == 17
     with pytest.raises(BallCapError):
