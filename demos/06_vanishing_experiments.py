@@ -49,7 +49,7 @@ for row in curve.rows:
 (OUT / "distance_curve.svg").write_text(
     svg_line_plot(sorted(series.items()), "distance to boundary image", "R",
                   "distance"), encoding="utf-8")
-print(f"  wrote {OUT / 'distance_curve.csv'} and the matching SVG")
+print("  wrote distance_curve.csv and the matching SVG next to this script")
 
 print()
 print("=" * 64)

@@ -2,7 +2,9 @@
 
 One config file describes one experiment.  Runs are deterministic: a fixed
 seed reproduces every output byte for byte.  Exit codes: 0 on success, 2 when
-a structural invariant fails while running, 3 for configuration errors.
+a structural invariant fails while running, 3 for configuration errors,
+among them a config that cannot be read and an output that cannot be
+written.
 Float modules are imported inside the float runners, so ``list`` and the
 exact experiments never load numpy or scipy.
 """
@@ -177,29 +179,41 @@ def _p_list(cfg: dict, default="2") -> list[float]:
 
 
 def _ball_cap(cfg: dict) -> int:
+    """The max_ball field: the ball cap a run assigns on each group it
+    builds."""
     return _int_field(cfg, "max_ball", DEFAULT_BALL_CAP, low=1)
 
 
 def _group(cfg: dict):
     name, cap = _require(cfg, "group"), _ball_cap(cfg)
     with _field("group"):
-        return group_from_name(name, cap)
+        group = group_from_name(name)
+    group.ball_cap = cap
+    return group
 
 
 def _resolution(cfg: dict):
     name, cap = _require(cfg, "resolution"), _ball_cap(cfg)
     with _field("resolution"):
-        return resolution_from_name(name, cap)
+        res = resolution_from_name(name)
+    res.group.ball_cap = cap
+    return res
 
 
 # -- output writers ----------------------------------------------------------------
 
 
 def _atomic_write(path: Path, data: str):
+    """Write data to path through a temporary sibling, which a failed
+    replace removes."""
     path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_suffix(path.suffix + ".tmp")
     tmp.write_text(data, encoding="utf-8")
-    os.replace(tmp, path)
+    try:
+        os.replace(tmp, path)
+    except OSError:
+        tmp.unlink()
+        raise
 
 
 def write_csv(path: Path, header: list[str], rows: list[list[str]]):
@@ -311,14 +325,16 @@ def _run_verify_resolutions(cfg: dict, out_path: Path):
     rows = []
     failures = 0
     for name in checks.CATALOG_RESOLUTIONS:
-        res = resolution_from_name(name, cap)
+        res = resolution_from_name(name)
+        res.group.ball_cap = cap
         report = validate(res)
         for check in report.checks:
             rows.append([name, res.group.name, check.name, str(check.index),
                          fmt_bool(check.ok), check.detail])
             failures += 0 if check.ok else 1
     for gname in checks.FOX_GROUPS:
-        group = group_from_name(gname, cap)
+        group = group_from_name(gname)
+        group.ball_cap = cap
         for idx, word in enumerate(relator_words(group)):
             defect = checks.fox_defect(group, word)
             ok = defect.is_zero()
@@ -584,7 +600,9 @@ def main(argv=None) -> int:
         try:
             out = run_config(config_path)
             print(f"{config_path}: wrote {out}")
-        except (ConfigError, FileNotFoundError) as exc:
+        except (ConfigError, OSError, UnicodeDecodeError) as exc:
+            # a config that cannot be read or an output that cannot be
+            # written is the config's fault
             print(f"{config_path}: config error: {exc}", file=sys.stderr)
             status = max(status, EXIT_CONFIG)
         except (InvariantViolation, BallCapError) as exc:

@@ -172,15 +172,23 @@ class Group:
     - `central_element`, an element that commutes with every generator;
     - `finite_class_element`, an element whose conjugacy class is finite;
       so are the classes of its powers, and their class sums are central.
+
+    `ball_cap` bounds the Cayley ball (`BallCapError` past it) and the bar
+    slices over the group (`resolutions.bar_slice_ball`).  It is a limit on
+    one run, not part of the group: every group starts at
+    `DEFAULT_BALL_CAP`, and `lab run` assigns its `max_ball` key on each
+    group it builds.  No constructor grows the ball, so a cap assigned
+    straight after construction bounds every ball the group grows.
     """
 
     order: int | None = None
     relators: tuple[str, ...] | None = None
     central_element: GroupElement | None = None
     finite_class_element: GroupElement | None = None
+    ball_cap: int = DEFAULT_BALL_CAP
 
     def __init__(self, name: str, generator_labels: tuple[str, ...],
-                 identity_key, generator_keys, ball_cap: int = DEFAULT_BALL_CAP):
+                 identity_key, generator_keys):
         if not generator_labels:
             raise ValueError("generator list must be nonempty")
         if len(generator_keys) != len(generator_labels):
@@ -188,7 +196,6 @@ class Group:
                              f"but {len(generator_keys)} generator keys")
         self.name = name
         self.generator_labels = tuple(generator_labels)
-        self.ball_cap = int(ball_cap)
         self.table = ElementTable(self, identity_key)
         self.identity = self.table.elements[0]
         self._layers: list[list[GroupElement]] = [[self.identity]]
@@ -358,8 +365,8 @@ def _parse_int_tuple(token: str, arity: int, name: str) -> tuple[int, ...]:
 class TrivialGroup(Group):
     order = 1
 
-    def __init__(self, ball_cap: int = DEFAULT_BALL_CAP):
-        super().__init__("trivial", ("e",), (), [()], ball_cap)
+    def __init__(self):
+        super().__init__("trivial", ("e",), (), [()])
         self.central_element = self.identity
 
     def _mul_keys(self, a, b):
@@ -379,12 +386,12 @@ class TrivialGroup(Group):
 class CyclicGroup(Group):
     """Cyclic group of order n; normal form is the exponent in [0, n)."""
 
-    def __init__(self, n: int, ball_cap: int = DEFAULT_BALL_CAP):
+    def __init__(self, n: int):
         if n < 1:
             raise ValueError(f"cyclic order must be at least 1, got {n}")
         self.order = int(n)
         self.relators = (f"t^{n}",)
-        super().__init__(f"cyclic:{n}", ("t",), 0, [1 % self.order], ball_cap)
+        super().__init__(f"cyclic:{n}", ("t",), 0, [1 % self.order])
         self.central_element = self.generators[0]
 
     def _mul_keys(self, a, b):
@@ -404,7 +411,7 @@ class CyclicGroup(Group):
 class LatticeGroup(Group):
     """Free abelian group of rank d; normal form is the integer vector."""
 
-    def __init__(self, d: int, ball_cap: int = DEFAULT_BALL_CAP):
+    def __init__(self, d: int):
         if d < 1:
             raise ValueError(f"lattice rank must be at least 1, got {d}")
         self.rank = int(d)
@@ -413,8 +420,7 @@ class LatticeGroup(Group):
             self.relators = tuple(f"{a}*{b}*{a}^-1*{b}^-1"
                                   for a, b in combinations(labels, 2))
         super().__init__(f"Z^{d}", labels, (0,) * d,
-                         [tuple(int(i == j) for j in range(d)) for i in range(d)],
-                         ball_cap)
+                         [tuple(int(i == j) for j in range(d)) for i in range(d)])
         self.central_element = self.generators[0]
 
     def _mul_keys(self, a, b):
@@ -449,7 +455,7 @@ class FreeGroup(Group):
 
     relators = ()
 
-    def __init__(self, k: int, ball_cap: int = DEFAULT_BALL_CAP):
+    def __init__(self, k: int):
         if k < 1:
             raise ValueError(f"free rank must be at least 1, got {k}")
         self.rank = int(k)
@@ -458,7 +464,7 @@ class FreeGroup(Group):
         else:
             labels = tuple(f"x{i + 1}" for i in range(k))
         super().__init__(f"free:{k}", labels, (),
-                         [(i + 1,) for i in range(k)], ball_cap)
+                         [(i + 1,) for i in range(k)])
         if k == 1:
             self.central_element = self.generators[0]
 
@@ -511,9 +517,8 @@ class InfiniteDihedralGroup(Group):
 
     relators = ("s*s", "s*r*s*r")
 
-    def __init__(self, ball_cap: int = DEFAULT_BALL_CAP):
-        super().__init__("dihedral-inf", ("r", "s"), (0, 0), [(1, 0), (0, 1)],
-                         ball_cap)
+    def __init__(self):
+        super().__init__("dihedral-inf", ("r", "s"), (0, 0), [(1, 0), (0, 1)])
         self.finite_class_element = self.generators[0]
 
     def _mul_keys(self, a, b):
@@ -552,9 +557,9 @@ class HeisenbergGroup(Group):
     relators = ("x*y*x^-1*y^-1*x*y*x*y^-1*x^-1*x^-1",
                 "x*y*x^-1*y^-1*y*y*x*y^-1*x^-1*y^-1")
 
-    def __init__(self, ball_cap: int = DEFAULT_BALL_CAP):
+    def __init__(self):
         super().__init__("heisenberg", ("x", "y"), (0, 0, 0),
-                         [(1, 0, 0), (0, 1, 0)], ball_cap)
+                         [(1, 0, 0), (0, 1, 0)])
         self.central_element = self.element((0, 0, 1))
 
     def _mul_keys(self, a, b):
@@ -587,9 +592,8 @@ class SymmetricGroupS3(Group):
     order = 6
     relators = ("s1*s1", "s2*s2", "s1*s2*s1*s2*s1*s2")
 
-    def __init__(self, ball_cap: int = DEFAULT_BALL_CAP):
-        super().__init__("S3", ("s1", "s2"), (0, 1, 2), [(1, 0, 2), (0, 2, 1)],
-                         ball_cap)
+    def __init__(self):
+        super().__init__("S3", ("s1", "s2"), (0, 1, 2), [(1, 0, 2), (0, 2, 1)])
 
     def _mul_keys(self, a, b):
         # Composition as functions: (a * b)(i) = a(b(i)).
@@ -642,8 +646,8 @@ class SymmetricGroupS3(Group):
 
 class CatalogEntry(NamedTuple):
     """One name form of a catalog: its `lab list` line, the pattern a name
-    must match in full, and the constructor called with the pattern's groups
-    followed by the ball cap."""
+    must match in full, and the constructor called with the pattern's
+    groups."""
 
     form: str
     description: str
@@ -651,14 +655,13 @@ class CatalogEntry(NamedTuple):
     build: Callable
 
 
-def from_catalog(catalog: tuple[CatalogEntry, ...], kind: str, name: str,
-                 ball_cap: int):
+def from_catalog(catalog: tuple[CatalogEntry, ...], kind: str, name: str):
     """Build the object a catalog name denotes."""
     name = name.strip()
     for entry in catalog:
         m = re.fullmatch(entry.pattern, name)
         if m:
-            return entry.build(*m.groups(), ball_cap)
+            return entry.build(*m.groups())
     raise ValueError(
         f"unknown {kind} name {name!r}; known forms: "
         f"{', '.join(entry.form for entry in catalog)}"
@@ -669,12 +672,12 @@ GROUP_CATALOG = (
     CatalogEntry("trivial", "one element", "trivial", TrivialGroup),
     CatalogEntry("cyclic:<n>",
                  "finite cyclic of order n        (e.g. cyclic:4)",
-                 r"cyclic:(\d+)", lambda n, cap: CyclicGroup(int(n), cap)),
+                 r"cyclic:(\d+)", lambda n: CyclicGroup(int(n))),
     CatalogEntry("Z^<d>", "free abelian of rank d          (e.g. Z^2)",
                  r"Z(?:\^(\d+))?",
-                 lambda d, cap: LatticeGroup(1 if d is None else int(d), cap)),
+                 lambda d: LatticeGroup(1 if d is None else int(d))),
     CatalogEntry("free:<k>", "free group of rank k            (e.g. free:2)",
-                 r"free:(\d+)", lambda k, cap: FreeGroup(int(k), cap)),
+                 r"free:(\d+)", lambda k: FreeGroup(int(k))),
     CatalogEntry("dihedral-inf", "infinite dihedral", "dihedral-inf",
                  InfiniteDihedralGroup),
     CatalogEntry("heisenberg", "discrete Heisenberg", "heisenberg",
@@ -684,6 +687,6 @@ GROUP_CATALOG = (
 )
 
 
-def group_from_name(name: str, ball_cap: int = DEFAULT_BALL_CAP) -> Group:
+def group_from_name(name: str) -> Group:
     """Resolve a catalog name like "cyclic:4", "Z^2", or "heisenberg"."""
-    return from_catalog(GROUP_CATALOG, "group", name, ball_cap)
+    return from_catalog(GROUP_CATALOG, "group", name)

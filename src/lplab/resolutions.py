@@ -25,7 +25,6 @@ from fractions import Fraction
 from itertools import combinations
 
 from .groups import (
-    DEFAULT_BALL_CAP,
     BallCapError,
     CatalogEntry,
     CyclicGroup,
@@ -139,14 +138,13 @@ def validate(res: Resolution) -> ValidationReport:
 # -- catalog resolutions -------------------------------------------------------
 
 
-def cyclic_infinite_resolution(ball_cap: int = DEFAULT_BALL_CAP) -> Resolution:
+def cyclic_infinite_resolution() -> Resolution:
     """The two-term resolution over the infinite cyclic group, boundary
     t - 1: the rank-1 lattice resolution under its own name."""
-    return replace(lattice_resolution(1, ball_cap), name="cyclic-inf")
+    return replace(lattice_resolution(1), name="cyclic-inf")
 
 
-def periodic_cyclic_resolution(n: int, length: int,
-                               ball_cap: int = DEFAULT_BALL_CAP) -> Resolution:
+def periodic_cyclic_resolution(n: int, length: int) -> Resolution:
     """Period-two resolution over a finite cyclic group.
 
     Odd boundaries are t - 1, even boundaries the norm element
@@ -156,7 +154,7 @@ def periodic_cyclic_resolution(n: int, length: int,
         raise ValueError(f"cyclic order must be at least 2, got {n}")
     if length < 1:
         raise ValueError(f"resolution length must be at least 1, got {length}")
-    group = CyclicGroup(n, ball_cap)
+    group = CyclicGroup(n)
     t = group.generators[0]
     minus = RingElement.from_element(t) - RingElement.one(group)
     norm = RingElement(group, [(t ** k, Fraction(1)) for k in range(n)])
@@ -165,7 +163,7 @@ def periodic_cyclic_resolution(n: int, length: int,
     return Resolution(group, f"cyclic:{n}:{length}", (1,) * (length + 1), boundaries)
 
 
-def lattice_resolution(d: int, ball_cap: int = DEFAULT_BALL_CAP) -> Resolution:
+def lattice_resolution(d: int) -> Resolution:
     """Tensor-product resolution over the rank-d lattice, length d.
 
     Degree-i basis vectors are the i-element subsets S of {1..d}; the boundary
@@ -174,7 +172,7 @@ def lattice_resolution(d: int, ball_cap: int = DEFAULT_BALL_CAP) -> Resolution:
     """
     if not 1 <= d <= 3:
         raise ValueError(f"lattice resolution supports 1 <= d <= 3, got {d}")
-    group = LatticeGroup(d, ball_cap)
+    group = LatticeGroup(d)
     gens = group.generators
     bases = [list(combinations(range(1, d + 1), i)) for i in range(d + 1)]
     boundaries = []
@@ -283,18 +281,16 @@ RESOLUTION_CATALOG = (
                  "cyclic-inf", cyclic_infinite_resolution),
     CatalogEntry("cyclic:<n>:<N>", "period-two over cyclic:n, length N",
                  r"cyclic:(\d+):(\d+)",
-                 lambda n, length, cap: periodic_cyclic_resolution(
-                     int(n), int(length), cap)),
+                 lambda n, length: periodic_cyclic_resolution(int(n), int(length))),
     CatalogEntry("lattice:<d>", "tensor resolution over Z^d, d <= 3",
                  r"lattice:(\d+)",
-                 lambda d, cap: lattice_resolution(int(d), cap)),
+                 lambda d: lattice_resolution(int(d))),
     CatalogEntry("fox:<group>", "length 2 from the catalog presentation",
                  r"fox:(.*)",
-                 lambda group, cap: fox_partial_resolution(
-                     group_from_name(group, cap))),
+                 lambda group: fox_partial_resolution(group_from_name(group))),
 )
 
 
-def resolution_from_name(name: str, ball_cap: int = DEFAULT_BALL_CAP) -> Resolution:
+def resolution_from_name(name: str) -> Resolution:
     """Resolve a catalog resolution name of a `RESOLUTION_CATALOG` form."""
-    return from_catalog(RESOLUTION_CATALOG, "resolution", name, ball_cap)
+    return from_catalog(RESOLUTION_CATALOG, "resolution", name)

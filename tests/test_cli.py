@@ -223,7 +223,32 @@ def test_repeated_key_rejected(tmp_path, capsys):
 
 
 def test_missing_config_file(tmp_path, capsys):
-    assert main(["run", str(tmp_path / "absent.cfg")]) == EXIT_CONFIG
+    path = tmp_path / "absent.cfg"
+    assert main(["run", str(path)]) == EXIT_CONFIG
+    assert capsys.readouterr().err == (
+        f"{path}: config error: [Errno 2] No such file or directory: "
+        f"'{path}'\n")
+
+
+def test_unreadable_config_and_unwritable_output(tmp_path, capsys):
+    # each is one config error line, and the configs after it still run
+    binary = tmp_path / "binary.cfg"
+    binary.write_bytes(b"experiment=finite-homology\nn=4\xff\n")
+    out_dir = tmp_path / "taken.csv"
+    out_dir.mkdir()
+    to_dir = write_config(tmp_path, "to_dir.cfg", experiment="finite-homology",
+                          n=4, output=out_dir)
+    good = write_config(tmp_path, "good.cfg", experiment="finite-homology",
+                        n=4, output=tmp_path / "good.csv")
+    failing = [tmp_path, binary, to_dir]  # tmp_path is a directory
+    assert main(["run", *map(str, failing + [good])]) == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert [line.partition(": config error: ")[0]
+            for line in captured.err.splitlines()] == list(map(str, failing))
+    assert captured.out == f"{good}: wrote {tmp_path / 'good.csv'}\n"
+    # the failed replace removed its temporary file
+    assert not (tmp_path / "taken.csv.tmp").exists()
+    assert out_dir.is_dir() and not any(out_dir.iterdir())
 
 
 def test_translation_decay_run(tmp_path):
@@ -552,6 +577,13 @@ def test_ball_cap_is_set_by_max_ball(tmp_path, capsys):
                        group="heisenberg", degree=1, R=3, count=1, seed=0,
                        max_ball=10, output=tmp_path / "cap.csv")
     assert main(["run", str(cfg)]) == EXIT_INVARIANT  # ball cap trips
+    # a resolution's group takes the cap too, a fox: one included
+    fox = write_config(tmp_path, "capfox.cfg", experiment="distance-curve",
+                       resolution="fox:free:2", degree=0, p=2, R="1..3",
+                       max_ball=10, output=tmp_path / "capfox.csv")
+    assert main(["run", str(fox)]) == EXIT_INVARIANT
+    assert f"{fox}: invariant failure: ball of free:2 would exceed the cap " \
+        f"of 10 elements\n" in capsys.readouterr().err
     cfg0 = write_config(tmp_path, "cap0.cfg", experiment="verify-homotopy",
                         group="heisenberg", degree=1, R=3, count=1, seed=0,
                         max_ball=0, output=tmp_path / "cap0.csv")

@@ -1,22 +1,30 @@
 """No dead code in the library: every private module- or class-level name is
 read somewhere in ``src/lplab``, no module imports a name it never reads,
-no private function has a defaulted parameter that no call passes, no
+no function or constructor has a defaulted parameter that no call passes, no
 invariant is an ``assert``, which ``python -O`` strips, and no setting is
 read from the environment, so a config key is its one way in.
 
 Only the stdlib ``ast`` module is used.  A read is a name or attribute
 loaded outside the definition itself, so a private function that only calls
 itself still counts as dead.  ``__init__`` re-exports names, so its imports
-are not checked.
+are not checked.  A private function's defaults must be passed inside
+``src/lplab``; a public function's or constructor's may also be passed by
+the tests or the demos.  A constructor is reached through calls of its
+class by name.
 """
 
 import ast
 from collections import Counter
 from pathlib import Path
 
-SOURCE = Path(__file__).resolve().parent.parent / "src" / "lplab"
+ROOT = Path(__file__).resolve().parent.parent
+SOURCE = ROOT / "src" / "lplab"
 MODULES = {path.stem: ast.parse(path.read_text(), str(path))
            for path in sorted(SOURCE.glob("*.py"))}
+# the trees whose calls may pass a public function's defaults
+CALLERS = list(MODULES.values()) + [
+    ast.parse(path.read_text(encoding="utf-8"), str(path))
+    for folder in ("tests", "demos") for path in sorted((ROOT / folder).glob("*.py"))]
 
 
 def _is_private(name: str) -> bool:
@@ -90,9 +98,9 @@ def test_every_import_is_read():
     assert not unread, f"imported but never read: {unread}"
 
 
-def _calls(name: str):
-    """The calls in lplab to a function or method called name."""
-    for tree in MODULES.values():
+def _calls(name: str, trees):
+    """The calls in trees to a function, method or class called name."""
+    for tree in trees:
         for node in ast.walk(tree):
             if isinstance(node, ast.Call) and name == (
                     node.func.id if isinstance(node.func, ast.Name)
@@ -108,33 +116,57 @@ def _passes(call: ast.Call, position: int | None, name: str) -> bool:
             or any(keyword.arg in (name, None) for keyword in call.keywords))
 
 
-def _defaulted_private_parameters():
-    """(function label, parameter name, call position) for each defaulted
-    parameter of a private function; a method's position skips self or cls."""
+def _callables():
+    """(label, callee, node) for each function in lplab other than a dunder,
+    and for each class's ``__init__``, whose callee is the class."""
     for module, tree in MODULES.items():
         for node in ast.walk(tree):
-            if not (isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
-                    and _is_private(node.name)):
-                continue
-            args = node.args
-            positional = args.posonlyargs + args.args
-            bound = int(bool(positional) and positional[0].arg in ("self", "cls"))
-            first_default = len(positional) - len(args.defaults)
-            for i, arg in enumerate(positional[first_default:], first_default):
-                yield f"{module}.{node.name}", arg.arg, i - bound
-            for arg, default in zip(args.kwonlyargs, args.kw_defaults):
-                if default is not None:
-                    yield f"{module}.{node.name}", arg.arg, None
+            if isinstance(node, ast.ClassDef):
+                for item in node.body:
+                    if (isinstance(item, ast.FunctionDef)
+                            and item.name == "__init__"):
+                        yield f"{module}.{node.name}", node.name, item
+            elif (isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+                  and not node.name.startswith("__")):
+                yield f"{module}.{node.name}", node.name, node
+
+
+def _defaulted_parameters():
+    """(label, callee, parameter name, call position) for each defaulted
+    parameter; a method's position skips self or cls."""
+    for label, callee, node in _callables():
+        args = node.args
+        positional = args.posonlyargs + args.args
+        bound = int(bool(positional) and positional[0].arg in ("self", "cls"))
+        first_default = len(positional) - len(args.defaults)
+        for i, arg in enumerate(positional[first_default:], first_default):
+            yield label, callee, arg.arg, i - bound
+        for arg, default in zip(args.kwonlyargs, args.kw_defaults):
+            if default is not None:
+                yield label, callee, arg.arg, None
+
+
+def _unpassed(defaulted, trees) -> list[str]:
+    return [f"{label}({name})" for label, callee, name, position in defaulted
+            if not any(_passes(call, position, name)
+                       for call in _calls(callee, trees))]
 
 
 def test_every_default_of_a_private_function_is_passed():
-    defaulted = list(_defaulted_private_parameters())
-    assert ("cli._int_field", "default", 2) in defaulted, \
+    defaulted = [d for d in _defaulted_parameters() if _is_private(d[1])]
+    assert ("cli._int_field", "_int_field", "default", 2) in defaulted, \
         "the guard lost sight of defaulted parameters"
-    knobs = [f"{label}({name})" for label, name, position in defaulted
-             if not any(_passes(call, position, name)
-                        for call in _calls(label.split(".")[1]))]
+    knobs = _unpassed(defaulted, MODULES.values())
     assert not knobs, f"defaulted parameters that no call passes: {knobs}"
+
+
+def test_every_default_of_a_public_function_is_passed():
+    defaulted = [d for d in _defaulted_parameters() if not _is_private(d[1])]
+    assert ("cli.main", "main", "argv", 0) in defaulted, \
+        "the guard lost sight of defaulted parameters"
+    knobs = _unpassed(defaulted, CALLERS)
+    assert not knobs, \
+        f"defaulted parameters that no call in lplab, tests or demos passes: {knobs}"
 
 
 def test_no_invariant_is_a_strippable_assert():

@@ -6,8 +6,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lplab.checks import CHECK_GROUPS
-from lplab.groups import BallCapError, group_from_name
+from lplab.checks import (CATALOG_RESOLUTIONS, CHECK_GROUPS, FACT_GROUPS,
+                          FOX_GROUPS)
+from lplab.groups import DEFAULT_BALL_CAP, BallCapError, Group, group_from_name
+from lplab.resolutions import resolution_from_name
 
 from oracles import (product_set_ball, product_set_layers,
                      product_set_word_length)
@@ -228,6 +230,17 @@ def test_ball_cap_guard():
     free.ball_cap = 50
     with pytest.raises(BallCapError):
         free.ball(5)
+
+
+def test_no_constructor_grows_the_ball():
+    # so a cap assigned straight after construction, as lab run assigns
+    # max_ball, bounds every ball the group grows
+    groups = [group_from_name(name) for name in FACT_GROUPS + FOX_GROUPS]
+    groups += [resolution_from_name(name).group for name in CATALOG_RESOLUTIONS]
+    assert [len(group.table.lengths) for group in groups] == [1] * len(groups)
+    assert Group.ball_cap == DEFAULT_BALL_CAP
+    groups[0].ball_cap = 5  # one group's cap, not its kind's
+    assert {group.ball_cap for group in groups[1:]} == {DEFAULT_BALL_CAP}
 
 
 def test_group_from_name_errors():

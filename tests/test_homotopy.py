@@ -411,7 +411,8 @@ def test_form_rows_match_term_by_term_evaluation(name, multipliers, kept):
 def test_form_grows_no_ball_for_a_finitely_supported_cochain():
     # the 289 slice tuples fit a cap of 400; the tails the formula reads
     # reach length 6, and the radius-6 ball (593 elements) would not
-    group = group_from_name("heisenberg", ball_cap=400)
+    group = group_from_name("heisenberg")
+    group.ball_cap = 400
     phi = random_cochain(group, 2, 2, Random(16))
     form = ResidualForm(group, 2, 2, [group.central_element])
     assert form.evaluate(phi) == ResidualReport(Fraction(0), 289, 0, None)
@@ -420,7 +421,8 @@ def test_form_grows_no_ball_for_a_finitely_supported_cochain():
 
 def test_form_expands_at_construction():
     # 17 ** 2 = 289 slice tuples exceed a cap of 200 before any evaluation
-    group = group_from_name("heisenberg", ball_cap=200)
+    group = group_from_name("heisenberg")
+    group.ball_cap = 200
     with pytest.raises(BallCapError,
                        match="289 bar tuples would exceed the cap of 200"):
         ResidualForm(group, 2, 2, [group.central_element])
