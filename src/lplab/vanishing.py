@@ -11,28 +11,30 @@ the group's declared `order`, `central_element` and `finite_class_element`,
 never off its kind.
 
 The `TruncatedSpace`s and boundary operators carry no exponent: p enters
-only as the norm a distance minimizes.  A distance problem x ~ T c is
-checked once, as a `_Problem`, at the API boundary: its shape, and
-finiteness on T's `Nonzeros`, the one scan of T.  A curve assembles its
-boundary once, at its largest radius, and cuts every radius's operator out
-of those nonzeros (`BoundaryOperator.restricted`); it checks each radius
-once and solves every p on that one problem, and every p != 2 there shares
-the least-squares start and the weighted step the problem builds on first
-use.  The steps that sum over T, CGLS and the weighted step, read only its
+only as the norm a distance minimizes.  A distance problem x ~ T c is checked
+once, as a `_Problem`, at the API boundary: its shape, and finiteness on T's
+`Nonzeros`, the one scan of T.  A curve assembles its boundary once, at its
+largest radius, and cuts every radius's operator out of those nonzeros
+(`BoundaryOperator.restricted`); it checks each radius once and solves every
+p on that one problem, and every p != 2 there shares the least-squares start
+and the weighted step the problem builds on first use.  The steps that sum
+over T, CGLS, the IRLS start and the weighted step, read only its
 `Nonzeros`.  At p = 2 the distance is the norm of x's projection on ker T^t,
 computed by conjugate gradients on the normal equations (CGLS) over the
 nonzeros of T, the `Nonzeros` a `BoundaryOperator` stores, so a p = 2 curve
 never forms a dense matrix.  Other p use iteratively reweighted least
-squares on the dense matrix.  Its start is a rank-revealing QR solve with
-column pivoting, which also picks a basis of T's columns; each weighted step
-solves the weighted normal equations on those columns, summed from the
-nonzeros of T, by Cholesky: LAPACK potrf and potrs, called directly.  The
-IRLS iteration is damped so that the true p-objective never increases.
-Every distance comes with a lower bound from the dual side,
-dist_p(x, im T) = max <y, x> over y in ker T^t with ||y||_q <= 1, and IRLS
-stops once that bound certifies the value to a relative gap of _GAP_TOL.  scipy is imported
-only inside the lookups of the LAPACK drivers of the IRLS start and weighted
-step, so a p = 2 solve and the finite-group ranks load numpy alone.
+squares, with the residual and the line search on the dense matrix.  Its
+start solves the normal equations T^t T c = T^t x, summed from the nonzeros
+of T, by a Cholesky factorization with complete pivoting (LAPACK pstrf),
+which also picks a basis of T's columns; each weighted step solves the
+weighted normal equations on those columns, summed the same way, by
+Cholesky: LAPACK potrf and potrs, called directly.  The IRLS iteration is
+damped so that the true p-objective never increases.  Every distance comes
+with a lower bound from the dual side, dist_p(x, im T) = max <y, x> over y
+in ker T^t with ||y||_q <= 1, and IRLS stops once that bound certifies the
+value to a relative gap of _GAP_TOL.  scipy is imported only inside the
+lookups of the LAPACK drivers of the IRLS start and weighted step, so a
+p = 2 solve and the finite-group ranks load numpy alone.
 """
 
 from __future__ import annotations
@@ -42,7 +44,8 @@ from functools import cache
 
 import numpy as np
 
-from .groups import Group, GroupElement, InvariantViolation
+from . import lp_complex
+from .groups import BallCapError, Group, GroupElement, InvariantViolation
 from .group_ring import DEFAULT_CLASS_CAP, RingElement, class_sum
 from .resolutions import Resolution, periodic_cyclic_resolution
 from .lp_complex import (
@@ -116,43 +119,113 @@ def _cgls(nonzeros: Nonzeros, x: np.ndarray, tol: float,
     return c
 
 
+def _normal_equations(nonzeros: Nonzeros, x: np.ndarray,
+                      columns: np.ndarray):
+    """The normal equations of x ~ T_B c_B, T_B = T[:, columns] and T given
+    by its `nonzeros`: a function of row weights w that returns the matrix
+    T_B^t W T_B and the right-hand side T_B^t W x, W = diag(w).
+
+    Both are summed from the nonzeros of T_B with np.bincount; the matrix
+    from every pair of nonzeros that share a row.  The pair arrays, built
+    here once, hold sum_i k_i^2 entries, k_i the number of nonzeros in row i
+    of T_B, so at most max_i k_i times its nnz; the catalog boundaries have
+    at most 8 nonzeros in a row, and up to radius 8 at most 6 nnz pairs (the
+    norm rows of cyclic:6).  A matrix, or three pair arrays of 8-byte
+    entries, over `lp_complex.DENSE_BYTE_CAP` bytes raises BallCapError
+    before either is allocated.
+    """
+    m, n = nonzeros.shape
+    size = columns.size
+    position = np.full(n, -1)
+    position[columns] = np.arange(size)
+    rows, cols, values, _ = nonzeros
+    kept = position[cols] >= 0
+    rows, cols, values = rows[kept], position[cols[kept]], values[kept]
+    per_row = np.bincount(rows, minlength=m)
+    cap = lp_complex.DENSE_BYTE_CAP
+    item = np.dtype(float).itemsize
+    gram_bytes = size * size * item
+    if gram_bytes > cap:
+        raise BallCapError(
+            f"a dense {size}x{size} Gram matrix needs {gram_bytes} bytes, "
+            f"over the cap of {cap} bytes")
+    pairs = int(per_row @ per_row)
+    pair_bytes = 3 * pairs * item
+    if pair_bytes > cap:
+        raise BallCapError(
+            f"{pairs} pairs of nonzeros in a row need {pair_bytes} bytes, "
+            f"over the cap of {cap} bytes")
+    # each nonzero pairs with every nonzero of its row, a contiguous run
+    repeats = per_row[rows]
+    first = np.repeat(np.arange(rows.size), repeats)
+    run_start = np.cumsum(per_row) - per_row
+    offset = np.arange(first.size) - np.repeat(np.cumsum(repeats) - repeats,
+                                               repeats)
+    pair_rows = rows[first]
+    second = run_start[pair_rows] + offset
+    pair_index = cols[first] * size + cols[second]
+    pair_products = values[first] * values[second]
+    rhs_terms = values * x[rows]
+
+    def summed(weights: np.ndarray):
+        gram = np.bincount(pair_index, weights=weights[pair_rows] * pair_products,
+                           minlength=size * size).reshape(size, size)
+        rhs = np.bincount(cols, weights=weights[rows] * rhs_terms,
+                          minlength=size)
+        return gram, rhs
+
+    return summed
+
+
 @cache
-def _gelsy_drivers():
-    """LAPACK gelsy and its workspace query, looked up on the first start."""
+def _pivoted_cholesky_drivers():
+    """LAPACK pstrf and potrs, looked up on the first IRLS start."""
     from scipy.linalg import get_lapack_funcs
 
-    return get_lapack_funcs(("gelsy", "gelsy_lwork"), dtype=np.float64)
+    return get_lapack_funcs(("pstrf", "potrs"), dtype=np.float64)
 
 
-def _solve_lstsq(T: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Least-squares coefficients c for x ~ T c, and the columns they use.
+def _least_squares_start(nonzeros: Nonzeros,
+                         x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Least-squares coefficients c for x ~ T c, T given by its `nonzeros`,
+    and the columns they use: the IRLS start, and the basis of its weighted
+    steps.
 
-    The IRLS start, and the basis of its weighted steps: LAPACK gelsy, a
-    rank-revealing QR with column pivoting, called with the cutoff and
-    workspace scipy.linalg.lstsq would pass.  Returns c and basis, the
-    sorted columns the QR kept; T[:, basis] has full column rank and spans
-    the column space of T to the cutoff.  _Problem has checked that the
-    input is finite.
+    T^t T and T^t x are summed from the nonzeros (_normal_equations), and
+    LAPACK pstrf, a Cholesky factorization with complete pivoting, factors
+    T^t T at its default tolerance: it stops, and reports the rank reached,
+    once the largest remaining pivot is at most n u max_j (T^t T)_jj, u the
+    unit roundoff.  The pivoted columns up to that rank are the basis;
+    T[:, basis] has full column rank and spans the column space of T to that
+    tolerance.  potrs solves T_B^t T_B c_B = T_B^t x on the leading
+    rank x rank block of the factor, and c is zero off the basis.  Returns c
+    and the sorted basis.  pstrf stopping short of n (info > 0) is the
+    rank-deficient case, not a failure; an illegal argument reported by
+    either driver raises ValueError.  _Problem has checked that the input is
+    finite.
     """
-    # On every catalog boundary (radii up to 4-32, a delta and a random x)
-    # gelsy chose the rank an SVD chooses and matched the distance of the SVD
-    # projection to 7e-15, at a fifth of the cost of a full SVD solve.  On a
-    # small path operator it is also faster than CGLS (0.2 against 2.0 ms at
-    # cyclic-inf R=32).  gelsd, scipy's default, solves by SVD too: it chose
-    # that rank at this cutoff but took 1.1-1.3x as long as gelsy.  The
-    # cutoff is numpy's lstsq default rcond.  At scipy's default each driver
-    # misjudges the rank of some of these matrices: it keeps directions of
-    # rounding size (about 1e-15 against a largest singular value near 4),
-    # inverts them into coefficients of order 1e13, and the residual is no
-    # longer orthogonal to the column space.
-    gelsy, gelsy_lwork = _gelsy_drivers()
-    m, n = T.shape
-    cond = max(m, n) * np.finfo(float).eps
-    work, _ = gelsy_lwork(m, n, 1, cond)
-    rhs = x if m >= n else np.concatenate([x, np.zeros(n - m)])
-    _, solution, pivots, rank, _ = gelsy(
-        T, rhs, np.zeros(n, dtype=np.int32), cond, int(work), False, False)
-    return solution[:n], np.sort(pivots[:rank] - 1)
+    # On every catalog boundary of tests/test_vanishing.py's rank test the
+    # basis has exactly the rank of T.  The normal equations square the
+    # condition number of T_B, which on these integer operators stays small
+    # enough that the start residual is orthogonal to the columns of T to
+    # rounding: max |T^t r| <= 12.3 u ||x||_2 max |T| there.
+    pstrf, potrs = _pivoted_cholesky_drivers()
+    m, n = nonzeros.shape
+    gram, rhs = _normal_equations(nonzeros, x, np.arange(n))(np.ones(m))
+    # T^t T is symmetric: its transpose is the same matrix in the column
+    # order LAPACK reads, so pstrf factors it in place, with no copy
+    factor, pivots, rank, info = pstrf(gram.T, lower=False, overwrite_a=True)
+    if info < 0:
+        raise ValueError(f"LAPACK pstrf: illegal value in argument {-info}")
+    basis = pivots[:rank] - 1
+    c = np.zeros(n)
+    if rank > 0:  # potrs rejects an empty system
+        solution, info = potrs(factor[:rank, :rank], rhs[basis], lower=False,
+                               overwrite_b=True)
+        if info < 0:
+            raise ValueError(f"LAPACK potrs: illegal value in argument {-info}")
+        c[basis] = solution
+    return c, np.sort(basis)
 
 
 @cache
@@ -169,48 +242,24 @@ def _weighted_solver(nonzeros: Nonzeros, x: np.ndarray, basis: np.ndarray):
     given by its `nonzeros`.
 
     T_B = T[:, basis] has full column rank, so the normal equations
-    T_B^t W T_B c_B = T_B^t W x are positive definite and are solved by
-    Cholesky: LAPACK potrf and potrs, called with the arguments
+    T_B^t W T_B c_B = T_B^t W x, summed from the nonzeros of T_B
+    (_normal_equations), are positive definite and are solved by Cholesky:
+    LAPACK potrf and potrs, called with the arguments
     scipy.linalg.cho_factor and cho_solve pass, without their wrappers.  An
-    empty basis gives c = 0 with no LAPACK call.  Both sides are summed from
-    the nonzeros of T_B with np.bincount; the matrix from every pair of
-    nonzeros that share a row.  The pair arrays, built here once, hold
-    sum_i k_i^2 entries, k_i the number of nonzeros in row i of T_B, so at
-    most max_i k_i times its nnz; the catalog boundaries have at most 8 nonzeros
-    in a row, and up to radius 8 at most 6 nnz pairs (the norm rows of
-    cyclic:6).  A factorization that fails raises InvariantViolation, in the
-    words of scipy's LinAlgError: there is no second solver.  An illegal
-    argument reported by either driver raises ValueError.
+    empty basis gives c = 0 with no LAPACK call.  A factorization that fails
+    raises InvariantViolation, in the words of scipy's LinAlgError: there is
+    no second solver.  An illegal argument reported by either driver raises
+    ValueError.
     """
     potrf, potrs = _cholesky_drivers()
-    m, n = nonzeros.shape
-    size = basis.size
-    position = np.full(n, -1)
-    position[basis] = np.arange(size)
-    rows, cols, values, _ = nonzeros
-    kept = position[cols] >= 0
-    rows, cols, values = rows[kept], position[cols[kept]], values[kept]
-    # each nonzero pairs with every nonzero of its row, a contiguous run
-    per_row = np.bincount(rows, minlength=m)
-    repeats = per_row[rows]
-    first = np.repeat(np.arange(rows.size), repeats)
-    run_start = np.cumsum(per_row) - per_row
-    offset = np.arange(first.size) - np.repeat(np.cumsum(repeats) - repeats,
-                                               repeats)
-    pair_rows = rows[first]
-    second = run_start[pair_rows] + offset
-    pair_index = cols[first] * size + cols[second]
-    pair_products = values[first] * values[second]
-    rhs_terms = values * x[rows]
+    n = nonzeros.shape[1]
+    normal_equations = _normal_equations(nonzeros, x, basis)
 
     def solve(weights: np.ndarray) -> np.ndarray:
-        gram = np.bincount(pair_index, weights=weights[pair_rows] * pair_products,
-                           minlength=size * size).reshape(size, size)
-        rhs = np.bincount(cols, weights=weights[rows] * rhs_terms,
-                          minlength=size)
         candidate = np.zeros(n)
-        if size == 0:  # potrs rejects an empty system
+        if basis.size == 0:  # potrs rejects an empty system
             return candidate
+        gram, rhs = normal_equations(weights)
         factor, info = potrf(gram, lower=False, overwrite_a=True, clean=False)
         if info > 0:
             raise InvariantViolation(
@@ -241,7 +290,8 @@ class _Problem:
     both finite; anything else raises ValueError.  T is checked finite on
     `nonzeros`, its own when the caller holds them and otherwise read from
     a dense T here, the only scan of it; every step that sums over T reads
-    them.  The dense matrix, the least-squares start with its basis, and the
+    them, the least-squares start too, so building it leaves the dense
+    matrix unbuilt.  The dense matrix, the start with its basis, and the
     weighted step on that basis are built on first use, so every p solved
     on one problem shares them.  `sources` are the x and T it was built
     from, the only ones lp_distance accepts it with."""
@@ -274,9 +324,10 @@ class _Problem:
         return self._dense
 
     def start(self) -> tuple[np.ndarray, np.ndarray]:
-        """The IRLS start and its basis, from _solve_lstsq."""
+        """The IRLS start and its basis, from _least_squares_start on the
+        nonzeros alone."""
         if self._start is None:
-            self._start = _solve_lstsq(self.dense(), self.x)
+            self._start = _least_squares_start(self.nonzeros, self.x)
         return self._start
 
     def weighted_step(self):
@@ -297,11 +348,14 @@ def lp_distance(x: np.ndarray, T, p: float, *,
     that misses it raises InvariantViolation.  Its lower bound is
     <r, x>/||r||_2, or 0 if that is negative.  Given nonzeros, p = 2 never
     forms the dense matrix.
-    Other p > 1 run on the dense matrix, built from nonzeros if need be
-    (`Nonzeros.dense`, which refuses one over its byte cap).  They start
-    from a rank-revealing least-squares solution and run damped IRLS,
-    whose weighted steps are Cholesky solves on the columns the start kept;
-    a factorization that fails raises InvariantViolation.  Each weighted
+    Other p > 1 evaluate residuals on the dense matrix, built from nonzeros
+    if need be (`Nonzeros.dense`, which refuses one over its byte cap).
+    They start from a least-squares solution by pivoted Cholesky on the
+    normal equations summed from the nonzeros, whose pivots pick a basis of
+    T's columns, and run damped IRLS, whose weighted steps are Cholesky
+    solves on that basis; a factorization that fails raises
+    InvariantViolation, and a Gram matrix over the dense byte cap raises
+    BallCapError.  Each weighted
     solve leaves T^t (w * (x - T candidate)) = 0,
     so y = w * (x - T candidate) is a point of ker T^t, as the least-squares
     residual is at the start, and gives the dual bound <y, x>/||y||_q.  The

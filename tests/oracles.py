@@ -142,8 +142,9 @@ def dense_normal_equations_distance(T, x):
 
     Requires T to have full column rank; independent of the library's
     least-squares routes: conjugate gradients on the normal equations at
-    p = 2, and inside IRLS a column-pivoted QR start (LAPACK gelsy) and
-    weighted steps by Cholesky on normal equations summed from T's nonzeros.
+    p = 2, and inside IRLS a start by pivoted Cholesky (LAPACK pstrf) and
+    weighted steps by Cholesky, both on normal equations summed from T's
+    nonzeros.
     """
     T = np.asarray(T, dtype=float)
     x = np.asarray(x, dtype=float)

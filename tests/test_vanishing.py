@@ -2,14 +2,16 @@
 
 import csv
 import tracemalloc
+from decimal import Decimal, localcontext
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from lplab import vanishing
+from lplab import lp_complex, vanishing
 from lplab.cli import EXIT_INVARIANT, main
-from lplab.groups import InvariantViolation, group_from_name
+from lplab.groups import BallCapError, InvariantViolation, group_from_name
 from lplab.group_ring import RingElement
 from lplab.resolutions import resolution_from_name
 from lplab.lp_complex import (
@@ -307,12 +309,32 @@ def test_irls_objective_never_increases_and_is_stable():
         assert abs(short.value - long.value) <= 1e-6
 
 
+def test_golden_distance_curve_is_the_closed_form():
+    # cyclic-inf degree 0 on the ball of radius R: the distance from the
+    # point mass to the image is (2R + 2)^(1/p - 1); every p of the golden
+    # table, IRLS and CGLS alike, is within 8 ulp of it, the exact power
+    # taken to 40 digits
+    with (GOLDEN_DIR / "distance_curve.csv").open(encoding="utf-8") as file:
+        rows = list(csv.DictReader(file))
+    assert len(rows) == 36
+    with localcontext() as context:
+        context.prec = 40
+        for row in rows:
+            value, radius = float(row["value"]), int(row["index"])
+            exponent = Fraction(1) / Fraction(row["p"]) - 1
+            exact = Decimal(2 * radius + 2) ** (
+                Decimal(exponent.numerator) / exponent.denominator)
+            assert abs(Decimal(value) - exact) <= \
+                8 * Decimal(np.spacing(value)), row
+
+
 def test_irls_curve_matches_the_golden_table(tmp_path):
     # the lp-irls benchmark's lattice:2 degree-1 curve takes 6-18 weighted
-    # steps at every point.  The table was written by the dense gelsy
-    # weighted solve that the Cholesky step replaced; the values depend on
-    # the BLAS build, so they are compared to 1e-12 relative, and the
-    # iteration counts and convergence flags exactly.
+    # steps at every point.  The table was written by a dense weighted
+    # least-squares solve (LAPACK gelsy) from a column-pivoted QR start,
+    # which the Cholesky step and the pivoted Cholesky start replaced; the
+    # values depend on the BLAS build, so they are compared to 1e-12
+    # relative, and the iteration counts and convergence flags exactly.
     out = tmp_path / "curve.csv"
     config = tmp_path / "curve.cfg"
     config.write_text("experiment=distance-curve\nresolution=lattice:2\n"
@@ -336,10 +358,10 @@ def test_irls_curve_matches_the_golden_table(tmp_path):
 def test_weighted_step_on_a_rank_deficient_operator():
     # fox:heisenberg degree 0 at R=4 is 299 x 270 of rank 230; a random x is
     # not certified by the least-squares start, so IRLS takes weighted steps,
-    # each on the 230 columns the start's pivoted QR kept
+    # each on the 230 columns the start's pivoted Cholesky kept
     T, _ = _curve_problem("fox:heisenberg", 0, 4)
     x = np.random.default_rng(12).standard_normal(T.shape[0])
-    c, basis = vanishing._solve_lstsq(T, x)
+    c, basis = vanishing._least_squares_start(Nonzeros.of(T), x)
     assert T.shape == (299, 270) and basis.size == 230
     assert np.linalg.matrix_rank(T[:, basis]) == 230
     start = x - T @ c
@@ -363,6 +385,96 @@ def test_weighted_step_on_a_rank_deficient_operator():
         result = lp_distance(x, T, p)
         assert result.iterations > 0 and result.converged
         assert abs(result.value - reference.value) <= 1e-9 * reference.value
+
+
+@pytest.mark.parametrize("problem", [
+    ("fox:heisenberg", 0, 3),
+    ("fox:heisenberg", 0, 4),
+    ("lattice:2", 0, 4),
+    ("lattice:2", 1, 4),
+    ("fox:free:2", 0, 3),
+    ("cyclic-inf", 0, 8),
+    ("fox:heisenberg", 1, 2),
+    ("lattice:3", 1, 2),
+], ids=lambda problem: "-".join(map(str, problem)))
+def test_start_keeps_exactly_the_rank_of_the_operator(problem):
+    # pstrf stops at n u max diag(T^t T), about 1e-7 max|T| as a singular
+    # value of T at these sizes; on these integer operators it keeps exactly
+    # as many columns as T has rank
+    T, x = _curve_problem(*problem)
+    c, basis = vanishing._least_squares_start(Nonzeros.of(T), x)
+    assert basis.size == exact_rank(T)
+    assert exact_rank(T[:, basis]) == basis.size
+    assert not c[np.setdiff1d(np.arange(T.shape[1]), basis)].any()
+    # the start residual is the first dual point: it lies in ker T^t to
+    # rounding, here at most 12.3 u ||x||_2 max|T|
+    residual = x - T @ c
+    assert np.abs(T.T @ residual).max() <= \
+        64 * np.finfo(float).eps * np.linalg.norm(x) * np.abs(T).max()
+
+
+def test_start_reads_only_the_nonzeros():
+    res = resolution_from_name("fox:heisenberg")
+    op = assemble_boundary(res, 1, 3)
+    x = vector_from_ring_parts(op.codomain, [RingElement.one(res.group)])
+    problem = vanishing._Problem(x.coefficients, op.nonzeros)
+    _, basis = problem.start()
+    assert basis.size == 99
+    assert problem._dense is None
+
+
+def test_start_gram_over_the_dense_cap_stops_the_run(monkeypatch, tmp_path,
+                                                     capsys):
+    # lattice:2 degree 0 is wide: at R=8 its 181 x 290 operator fits under a
+    # cap that its 290 x 290 Gram matrix exceeds; at R=7 both fit
+    shape = assemble_boundary(resolution_from_name("lattice:2"), 1,
+                              8).nonzeros.shape
+    assert shape == (181, 290)
+    cap = 181 * 290 * 8
+    monkeypatch.setattr(lp_complex, "DENSE_BYTE_CAP", cap)
+    out = tmp_path / "curve.csv"
+    config = tmp_path / "curve.cfg"
+    config.write_text("experiment=distance-curve\nresolution=lattice:2\n"
+                      f"degree=0\np=1.5\nR=7..8\noutput={out}\n",
+                      encoding="utf-8")
+    assert main(["run", str(config)]) == EXIT_INVARIANT
+    assert capsys.readouterr().err == (
+        f"{config}: invariant failure: a dense 290x290 Gram matrix needs "
+        f"{290 * 290 * 8} bytes, over the cap of {cap} bytes\n")
+    assert not out.exists()
+
+
+def test_start_pairs_over_the_dense_cap_raise_before_allocating(monkeypatch):
+    # a dense 100 x 3 matrix has a 72-byte Gram matrix but 900 pairs of
+    # nonzeros that share a row, each held in three 8-byte arrays
+    T = np.random.default_rng(8).standard_normal((100, 3))
+    problem = vanishing._Problem(np.ones(100), T)
+    monkeypatch.setattr(lp_complex, "DENSE_BYTE_CAP", 3 * 900 * 8 - 1)
+    with pytest.raises(BallCapError, match=(
+            "^900 pairs of nonzeros in a row need 21600 bytes, over the cap "
+            "of 21599 bytes$")):
+        problem.start()
+    monkeypatch.setattr(lp_complex, "DENSE_BYTE_CAP", 3 * 900 * 8)
+    assert problem.start()[1].size == 3
+
+
+def test_start_over_the_real_cap_raises_before_allocating():
+    # fox:free:2 degree 0 at R=7: the Gram matrix of its 8746 columns would
+    # take 0.61 GB
+    res = resolution_from_name("fox:free:2")
+    op = assemble_boundary(res, 1, 7)
+    problem = vanishing._Problem(np.zeros(op.nonzeros.shape[0]), op.nonzeros)
+    size = 8746 * 8746 * 8
+    assert size > lp_complex.DENSE_BYTE_CAP
+    tracemalloc.start()
+    try:
+        with pytest.raises(BallCapError,
+                           match=f"dense 8746x8746 Gram matrix needs {size} "):
+            problem.start()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 def test_failed_cholesky_is_an_invariant_failure(monkeypatch, tmp_path,
