@@ -290,7 +290,7 @@ class _Problem:
     both finite; anything else raises ValueError.  T is checked finite on
     `nonzeros`, its own when the caller holds them and otherwise read from
     a dense T here, the only scan of it; every step that sums over T reads
-    them, the least-squares start too, so building it leaves the dense
+    them, the least-squares start included, so the start leaves the dense
     matrix unbuilt.  The dense matrix, the start with its basis, and the
     weighted step on that basis are built on first use, so every p solved
     on one problem shares them.  `sources` are the x and T it was built
@@ -355,8 +355,7 @@ def lp_distance(x: np.ndarray, T, p: float, *,
     T's columns, and run damped IRLS, whose weighted steps are Cholesky
     solves on that basis; a factorization that fails raises
     InvariantViolation, and a Gram matrix over the dense byte cap raises
-    BallCapError.  Each weighted
-    solve leaves T^t (w * (x - T candidate)) = 0,
+    BallCapError.  Each weighted solve leaves T^t (w * (x - T candidate)) = 0,
     so y = w * (x - T candidate) is a point of ker T^t, as the least-squares
     residual is at the start, and gives the dual bound <y, x>/||y||_q.  The
     largest of 0 and these bounds is `lower`; the result is converged, and the

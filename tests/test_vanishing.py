@@ -398,9 +398,9 @@ def test_weighted_step_on_a_rank_deficient_operator():
     ("lattice:3", 1, 2),
 ], ids=lambda problem: "-".join(map(str, problem)))
 def test_start_keeps_exactly_the_rank_of_the_operator(problem):
-    # pstrf stops at n u max diag(T^t T), about 1e-7 max|T| as a singular
-    # value of T at these sizes; on these integer operators it keeps exactly
-    # as many columns as T has rank
+    # pstrf stops once the largest remaining pivot of T^t T is at most
+    # n u max diag(T^t T); on these integer operators it keeps exactly as
+    # many columns as T has rank
     T, x = _curve_problem(*problem)
     c, basis = vanishing._least_squares_start(Nonzeros.of(T), x)
     assert basis.size == exact_rank(T)
