@@ -26,7 +26,10 @@ never forms a dense matrix.  Other p use iteratively reweighted least
 squares, with the residual and the line search on the dense matrix.  Its
 start solves the normal equations T^t T c = T^t x, summed from the nonzeros
 of T, by a Cholesky factorization with complete pivoting (LAPACK pstrf),
-which also picks a basis of T's columns; each weighted step solves the
+which also picks a basis of T's columns, and its residual must pass the
+same orthogonality gate as p = 2; squaring T's condition number, it
+resolves singular values down to about sqrt(n u) of the largest, n the
+number of columns and u the unit roundoff.  Each weighted step solves the
 weighted normal equations on those columns, summed the same way, by
 Cholesky: LAPACK potrf and potrs, called directly.  The IRLS iteration is
 damped so that the true p-objective never increases.  Every distance comes
@@ -65,7 +68,8 @@ _IMPROVEMENT_TOL = 1e-10
 # Relative duality gap at which IRLS stops; the nesting slack of
 # boundary_distance_curve is the same size.
 _GAP_TOL = 1e-9
-# The p = 2 orthogonality gate: max |T^t r| <= _GATE_TOL * scale, with
+# The orthogonality gate of a least-squares residual, at p = 2 and at the
+# IRLS start: max |T^t r| <= _GATE_TOL * scale, with
 # scale = (1 + ||x||_2)(1 + max |T|).  CGLS stops a thousand times inside it.
 _GATE_TOL = 1e-10
 _CG_TOL = 1e-13
@@ -127,12 +131,13 @@ def _normal_equations(nonzeros: Nonzeros, x: np.ndarray,
 
     Both are summed from the nonzeros of T_B with np.bincount; the matrix
     from every pair of nonzeros that share a row.  The pair arrays, built
-    here once, hold sum_i k_i^2 entries, k_i the number of nonzeros in row i
-    of T_B, so at most max_i k_i times its nnz; the catalog boundaries have
-    at most 8 nonzeros in a row, and up to radius 8 at most 6 nnz pairs (the
-    norm rows of cyclic:6).  A matrix, or three pair arrays of 8-byte
-    entries, over `lp_complex.DENSE_BYTE_CAP` bytes raises BallCapError
-    before either is allocated.
+    here once, hold sum_i k_i^2 entries each, k_i the number of nonzeros in
+    row i of T_B, so at most max_i k_i times its nnz; the catalog boundaries
+    have at most 8 nonzeros in a row, and up to radius 8 at most 6 nnz pairs
+    (the norm rows of cyclic:6).  Three of them are kept, but building them
+    takes more at once.  A matrix, or the arrays of that construction, over
+    `lp_complex.DENSE_BYTE_CAP` bytes raises BallCapError before either is
+    allocated.
     """
     m, n = nonzeros.shape
     size = columns.size
@@ -150,21 +155,28 @@ def _normal_equations(nonzeros: Nonzeros, x: np.ndarray,
             f"a dense {size}x{size} Gram matrix needs {gram_bytes} bytes, "
             f"over the cap of {cap} bytes")
     pairs = int(per_row @ per_row)
-    pair_bytes = 3 * pairs * item
-    if pair_bytes > cap:
+    # building the pairs holds at most five arrays of an 8-byte entry per
+    # pair, seven per nonzero, three per row and one per column at once
+    build_bytes = (5 * pairs + 7 * rows.size + 3 * m + n) * item
+    if build_bytes > cap:
         raise BallCapError(
-            f"{pairs} pairs of nonzeros in a row need {pair_bytes} bytes, "
-            f"over the cap of {cap} bytes")
+            f"building {pairs} pairs of {rows.size} nonzeros needs "
+            f"{build_bytes} bytes, over the cap of {cap} bytes")
     # each nonzero pairs with every nonzero of its row, a contiguous run
     repeats = per_row[rows]
-    first = np.repeat(np.arange(rows.size), repeats)
     run_start = np.cumsum(per_row) - per_row
-    offset = np.arange(first.size) - np.repeat(np.cumsum(repeats) - repeats,
-                                               repeats)
+    first = np.repeat(np.arange(rows.size), repeats)
+    second = np.arange(first.size)
+    second -= np.repeat(np.cumsum(repeats) - repeats - run_start[rows],
+                        repeats)
+    pair_index = cols[first]
+    pair_index *= size
+    pair_index += cols[second]
+    pair_products = values[first]
+    pair_products *= values[second]
+    del second
     pair_rows = rows[first]
-    second = run_start[pair_rows] + offset
-    pair_index = cols[first] * size + cols[second]
-    pair_products = values[first] * values[second]
+    del first
     rhs_terms = values * x[rows]
 
     def summed(weights: np.ndarray):
@@ -178,11 +190,32 @@ def _normal_equations(nonzeros: Nonzeros, x: np.ndarray,
 
 
 @cache
-def _pivoted_cholesky_drivers():
-    """LAPACK pstrf and potrs, looked up on the first IRLS start."""
+def _pivoted_cholesky_driver():
+    """LAPACK pstrf, looked up on the first IRLS start."""
     from scipy.linalg import get_lapack_funcs
 
-    return get_lapack_funcs(("pstrf", "potrs"), dtype=np.float64)
+    return get_lapack_funcs(("pstrf",), dtype=np.float64)[0]
+
+
+def _gate_scale(nonzeros: Nonzeros, x: np.ndarray) -> float:
+    """The scale of the orthogonality gate, (1 + ||x||_2)(1 + max |T|)."""
+    return ((1.0 + float(np.linalg.norm(x)))
+            * (1.0 + float(np.abs(nonzeros.values).max(initial=0.0))))
+
+
+def _gated_residual(nonzeros: Nonzeros, x: np.ndarray, c: np.ndarray,
+                    scale: float) -> np.ndarray:
+    """The least-squares residual r = x - T c, T given by its `nonzeros`,
+    checked orthogonal to the columns of T: max |T^t r| <= _GATE_TOL * scale,
+    with r and T^t r summed from the nonzeros.  A residual that misses the
+    gate raises InvariantViolation."""
+    residual = x - nonzeros.image(c)
+    gradient = np.max(np.abs(nonzeros.coimage(residual)))
+    if gradient > _GATE_TOL * scale:
+        raise InvariantViolation(
+            f"least-squares residual is not orthogonal to the column "
+            f"space: gradient {gradient:.3e}")
+    return residual
 
 
 def _least_squares_start(nonzeros: Nonzeros,
@@ -195,21 +228,30 @@ def _least_squares_start(nonzeros: Nonzeros,
     LAPACK pstrf, a Cholesky factorization with complete pivoting, factors
     T^t T at its default tolerance: it stops, and reports the rank reached,
     once the largest remaining pivot is at most n u max_j (T^t T)_jj, u the
-    unit roundoff.  The pivoted columns up to that rank are the basis;
-    T[:, basis] has full column rank and spans the column space of T to that
-    tolerance.  potrs solves T_B^t T_B c_B = T_B^t x on the leading
-    rank x rank block of the factor, and c is zero off the basis.  Returns c
-    and the sorted basis.  pstrf stopping short of n (info > 0) is the
-    rank-deficient case, not a failure; an illegal argument reported by
-    either driver raises ValueError.  _Problem has checked that the input is
-    finite.
+    unit roundoff.  A remaining pivot is the squared distance of a column
+    from the span of the columns kept before it, so a column is dropped once
+    that distance is at most about sqrt(n u) times the largest column norm,
+    and directions of T with singular values below about sqrt(n u) of the
+    largest are not resolved: the normal equations square T's condition
+    number.  The pivoted columns up to that rank are the basis, of full
+    column rank.  potrs solves T_B^t T_B c_B = T_B^t x on the leading
+    rank x rank block of the factor, and c is zero off the basis.  The
+    residual x - T c must then pass the p = 2 orthogonality gate
+    (_gated_residual), or InvariantViolation is raised: a basis that misses
+    a direction x leans on would leave a residual outside ker T^t, whose
+    dual bound is not a bound.  A lean below the gate passes it, and can
+    still move a p != 2 value and its bound by more than _GAP_TOL, as a
+    column of T scaled by 1e-10 does.  Returns c and the sorted basis.  pstrf
+    stopping short of n (info > 0) is the rank-deficient case, not a
+    failure; an illegal argument reported by either driver raises
+    ValueError.  _Problem has checked that the input is finite.
     """
     # On every catalog boundary of tests/test_vanishing.py's rank test the
-    # basis has exactly the rank of T.  The normal equations square the
-    # condition number of T_B, which on these integer operators stays small
-    # enough that the start residual is orthogonal to the columns of T to
-    # rounding: max |T^t r| <= 12.3 u ||x||_2 max |T| there.
-    pstrf, potrs = _pivoted_cholesky_drivers()
+    # basis has exactly the rank of T, and the start residual is orthogonal
+    # to the columns of T to rounding, max |T^t r| <= 12.3 u ||x||_2 max |T|,
+    # far inside the gate.
+    pstrf = _pivoted_cholesky_driver()
+    _, potrs = _cholesky_drivers()
     m, n = nonzeros.shape
     gram, rhs = _normal_equations(nonzeros, x, np.arange(n))(np.ones(m))
     # T^t T is symmetric: its transpose is the same matrix in the column
@@ -225,12 +267,14 @@ def _least_squares_start(nonzeros: Nonzeros,
         if info < 0:
             raise ValueError(f"LAPACK potrs: illegal value in argument {-info}")
         c[basis] = solution
+    _gated_residual(nonzeros, x, c, _gate_scale(nonzeros, x))
     return c, np.sort(basis)
 
 
 @cache
 def _cholesky_drivers():
-    """LAPACK potrf and potrs, looked up on the first weighted step."""
+    """LAPACK potrf and potrs, looked up on the first IRLS start or
+    weighted step."""
     from scipy.linalg import get_lapack_funcs
 
     return get_lapack_funcs(("potrf", "potrs"), dtype=np.float64)
@@ -353,9 +397,11 @@ def lp_distance(x: np.ndarray, T, p: float, *,
     They start from a least-squares solution by pivoted Cholesky on the
     normal equations summed from the nonzeros, whose pivots pick a basis of
     T's columns, and run damped IRLS, whose weighted steps are Cholesky
-    solves on that basis; a factorization that fails raises
-    InvariantViolation, and a Gram matrix over the dense byte cap raises
-    BallCapError.  Each weighted solve leaves T^t (w * (x - T candidate)) = 0,
+    solves on that basis; a start residual that misses the orthogonality
+    gate, as when x leans on a direction of T whose singular value is below
+    about sqrt(n u) of the largest, or a factorization that fails raises
+    InvariantViolation, and a Gram matrix over the dense byte cap, n x n at
+    the start, raises BallCapError.  Each weighted solve leaves T^t (w * (x - T candidate)) = 0,
     so y = w * (x - T candidate) is a point of ker T^t, as the least-squares
     residual is at the start, and gives the dual bound <y, x>/||y||_q.  The
     largest of 0 and these bounds is `lower`; the result is converged, and the
@@ -392,15 +438,9 @@ def lp_distance(x: np.ndarray, T, p: float, *,
                                   "least-squares" if p == 2.0 else "IRLS", True)
 
     if p == 2.0:
-        scale = ((1.0 + float(np.linalg.norm(x)))
-                 * (1.0 + float(np.abs(nonzeros.values).max(initial=0.0))))
+        scale = _gate_scale(nonzeros, x)
         c = _cgls(nonzeros, x, _CG_TOL * scale, _CG_STEP_FACTOR * min(nonzeros.shape))
-        residual = x - nonzeros.image(c)
-        gradient = np.max(np.abs(nonzeros.coimage(residual)))
-        if gradient > _GATE_TOL * scale:
-            raise InvariantViolation(
-                f"least-squares residual is not orthogonal to the column "
-                f"space: gradient {gradient:.3e}")
+        residual = _gated_residual(nonzeros, x, c, scale)
         value = lp_norm(residual, p)
         lower = max(0.0, _dual_bound(x, residual, 2.0))
         return MinimizationResult(value, min(lower, value), c, 1,

@@ -244,5 +244,5 @@ def test_scipy_is_imported_only_by_the_lapack_lookups():
     sites = [site for path in sorted(SOURCE.glob("*.py"))
              for site in _scipy_import_sites(
                  ast.parse(path.read_text(), str(path)), path.stem)]
-    assert sites == ["vanishing._pivoted_cholesky_drivers",
+    assert sites == ["vanishing._pivoted_cholesky_driver",
                      "vanishing._cholesky_drivers"]

@@ -413,6 +413,28 @@ def test_start_keeps_exactly_the_rank_of_the_operator(problem):
         64 * np.finfo(float).eps * np.linalg.norm(x) * np.abs(T).max()
 
 
+def test_start_that_drops_a_direction_x_leans_on_is_an_invariant_failure():
+    # T^t T = diag(1, 1e-16): pstrf's default tolerance, 2 u max diag, drops
+    # the second column, whose singular value 1e-8 lies below sqrt(n u) of
+    # the largest.  x is that column over 1e-8, at distance 0 from im T;
+    # the start residual is x itself, and its dual bound would certify 1.
+    T = np.array([[1.0, 0.0], [0.0, 1e-8], [0.0, 0.0]])
+    x = np.array([0.0, 1.0, 0.0])
+    assert vanishing._normal_equations(Nonzeros.of(T), x, np.arange(2))(
+        np.ones(3))[0][1, 1] == 1e-8 * 1e-8
+    for p in (1.5, 3.0):
+        with pytest.raises(InvariantViolation, match=(
+                "^least-squares residual is not orthogonal to the column "
+                "space: gradient 1.000e-08$")):
+            lp_distance(x, T, p)
+    # CGLS, which never forms T^t T, resolves it; a singular value 1e-6 is
+    # above the cutoff, and the start finds the distance 0 there too
+    assert lp_distance(x, T, 2.0).value == 0.0
+    T[1, 1] = 1e-6
+    result = lp_distance(x, T, 1.5)
+    assert (result.value, result.lower, result.converged) == (0.0, 0.0, True)
+
+
 def test_start_reads_only_the_nonzeros():
     res = resolution_from_name("fox:heisenberg")
     op = assemble_boundary(res, 1, 3)
@@ -445,17 +467,36 @@ def test_start_gram_over_the_dense_cap_stops_the_run(monkeypatch, tmp_path,
 
 
 def test_start_pairs_over_the_dense_cap_raise_before_allocating(monkeypatch):
-    # a dense 100 x 3 matrix has a 72-byte Gram matrix but 900 pairs of
-    # nonzeros that share a row, each held in three 8-byte arrays
+    # a dense 100 x 3 matrix has a 72-byte Gram matrix, but building its 900
+    # pairs of nonzeros that share a row holds five arrays of 900, seven of
+    # its 300 nonzeros, three of its 100 rows and one of its 3 columns
     T = np.random.default_rng(8).standard_normal((100, 3))
     problem = vanishing._Problem(np.ones(100), T)
-    monkeypatch.setattr(lp_complex, "DENSE_BYTE_CAP", 3 * 900 * 8 - 1)
+    need = (5 * 900 + 7 * 300 + 3 * 100 + 3) * 8
+    monkeypatch.setattr(lp_complex, "DENSE_BYTE_CAP", need - 1)
     with pytest.raises(BallCapError, match=(
-            "^900 pairs of nonzeros in a row need 21600 bytes, over the cap "
-            "of 21599 bytes$")):
+            f"^building 900 pairs of 300 nonzeros needs {need} bytes, over "
+            f"the cap of {need - 1} bytes$")):
         problem.start()
-    monkeypatch.setattr(lp_complex, "DENSE_BYTE_CAP", 3 * 900 * 8)
+    monkeypatch.setattr(lp_complex, "DENSE_BYTE_CAP", need)
     assert problem.start()[1].size == 3
+
+
+@pytest.mark.parametrize("shape", [(400, 40), (20000, 1), (4000, 4)])
+def test_building_the_pairs_stays_within_the_bytes_the_guard_counts(shape):
+    # the guard counts the peak of the construction, not the three pair
+    # arrays it keeps: a dense 400 x 40 matrix peaks at 0.99 of the count
+    m, n = shape
+    T = np.random.default_rng(9).standard_normal(shape)
+    nonzeros = Nonzeros.of(T)
+    counted = (5 * m * n * n + 7 * m * n + 3 * m + n) * 8
+    tracemalloc.start()
+    try:
+        vanishing._normal_equations(nonzeros, np.ones(m), np.arange(n))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= counted
 
 
 def test_start_over_the_real_cap_raises_before_allocating():
