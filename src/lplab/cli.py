@@ -461,6 +461,8 @@ def _run_distance_curve(cfg: dict, out_path: Path):
         raise ConfigError("field R: radii must be nondecreasing")
     p_values = _p_list(cfg)
     max_iter = _int_field(cfg, "max_iter", 500, low=1)
+    # the chain is fixed, so a seed changes no output; it is only checked
+    _int_field(cfg, "seed", 0)
     x_parts = _parse_ring_parts(cfg, "x", res.group, res.ranks[degree])
     # the same chain is embedded in the codomain ball at every radius, so it
     # must fit the one of the smallest, first radius
@@ -505,19 +507,9 @@ def _run_translation_decay(cfg: dict, out_path: Path):
         out_path, "translation index")
 
 
-def _refuse_ball_cap(cfg: dict):
-    """The finite experiments build their groups inside the computation,
-    where no ball cap reaches, so they refuse max_ball rather than ignore
-    it."""
-    if "max_ball" in cfg:
-        raise ConfigError(f"field max_ball: experiment {cfg['experiment']!r} "
-                          f"cannot cap the balls of the groups it builds")
-
-
 def _run_finite_homology(cfg: dict, out_path: Path):
     from .vanishing import finite_group_homology_ranks
 
-    _refuse_ball_cap(cfg)
     n = _int_field(cfg, "n", low=2)
     length = _int_field(cfg, "N", 3, low=1)
     p_values = _p_list(cfg)
@@ -531,7 +523,6 @@ def _run_finite_homology(cfg: dict, out_path: Path):
 def _run_finite_index(cfg: dict, out_path: Path):
     from .vanishing import finite_index_compare
 
-    _refuse_ball_cap(cfg)
     n = _int_field(cfg, "n", low=2)
     m = _int_field(cfg, "m", low=2)
     length = _int_field(cfg, "N", 3, low=1)
@@ -548,15 +539,27 @@ def _run_finite_index(cfg: dict, out_path: Path):
     write_csv(out_path, FINITE_INDEX_HEADER, rows)
 
 
+_HOMOTOPY_KEYS = ("group", "max_ball", "degree", "R", "count", "seed")
+
+# Each experiment's runner and the keys it reads besides experiment and
+# output; a config that gives it any other key is a config error.  The
+# finite experiments build their groups inside the computation, where no
+# ball cap reaches, so they take no max_ball.
 _RUNNERS = {
-    "verify-resolutions": _run_verify_resolutions,
-    "verify-homotopy": _run_verify_homotopy,
-    "class-sum-homotopy": _run_class_sum_homotopy,
-    "pairing-adjointness": _run_pairing_adjointness,
-    "distance-curve": _run_distance_curve,
-    "translation-decay": _run_translation_decay,
-    "finite-homology": _run_finite_homology,
-    "finite-index": _run_finite_index,
+    "verify-resolutions": (_run_verify_resolutions, ("max_ball",)),
+    "verify-homotopy": (_run_verify_homotopy, _HOMOTOPY_KEYS + ("h",)),
+    "class-sum-homotopy": (_run_class_sum_homotopy,
+                           _HOMOTOPY_KEYS + ("class", "cap")),
+    "pairing-adjointness": (_run_pairing_adjointness,
+                            ("resolution", "max_ball", "degree", "R")),
+    "distance-curve": (_run_distance_curve,
+                       ("resolution", "max_ball", "degree", "R", "p",
+                        "max_iter", "x", "seed")),
+    "translation-decay": (_run_translation_decay,
+                          ("group", "max_ball", "radius", "seed", "indices",
+                           "p", "x", "y")),
+    "finite-homology": (_run_finite_homology, ("n", "N", "p")),
+    "finite-index": (_run_finite_index, ("n", "m", "N", "p")),
 }
 
 
@@ -568,8 +571,13 @@ def run_config(path: str | Path) -> Path:
         raise ConfigError(
             f"field experiment: unknown experiment {experiment!r}; choose one "
             f"of {', '.join(_RUNNERS)}")
+    runner, keys = _RUNNERS[experiment]
+    for key in cfg:
+        if key not in ("experiment", "output", *keys):
+            raise ConfigError(f"field {key}: not read by experiment "
+                              f"{experiment!r}")
     out_path = Path(cfg.get("output", f"{experiment}.csv"))
-    _RUNNERS[experiment](cfg, out_path)
+    runner(cfg, out_path)
     return out_path
 
 

@@ -35,9 +35,11 @@ Cholesky: LAPACK potrf and potrs, called directly.  The IRLS iteration is
 damped so that the true p-objective never increases.  Every distance comes
 with a lower bound from the dual side, dist_p(x, im T) = max <y, x> over y
 in ker T^t with ||y||_q <= 1, and IRLS stops once that bound certifies the
-value to a relative gap of _GAP_TOL.  scipy is imported only inside the
-lookups of the LAPACK drivers of the IRLS start and weighted step, so a
-p = 2 solve and the finite-group ranks load numpy alone.
+value to a relative gap of _GAP_TOL.  scipy is imported only by the loader
+of those LAPACK drivers (_lapack_drivers), which loads scipy's compiled
+_flapack extension and not the scipy.linalg package, so a p != 2 solve
+loads numpy, top-level scipy and that extension, and a p = 2 solve and the
+finite-group ranks load numpy alone.
 """
 
 from __future__ import annotations
@@ -190,11 +192,37 @@ def _normal_equations(nonzeros: Nonzeros, x: np.ndarray,
 
 
 @cache
-def _pivoted_cholesky_driver():
-    """LAPACK pstrf, looked up on the first IRLS start."""
-    from scipy.linalg import get_lapack_funcs
+def _lapack_drivers():
+    """LAPACK dpstrf, dpotrf and dpotrs, loaded on the first IRLS start from
+    scipy's compiled extension scipy/linalg/_flapack.
 
-    return get_lapack_funcs(("pstrf",), dtype=np.float64)[0]
+    The extension is loaded from its file, after the top-level scipy package
+    (whose import sets up the shared libraries scipy ships), so neither
+    scipy.linalg's package nor any of its Python modules runs: they would
+    add some 310 modules and 27 MB to a process.  The drivers are the same
+    compiled routines scipy.linalg.lapack exports.  The extension registers
+    itself in sys.modules as it loads; it is removed again, so that a later
+    import of scipy.linalg runs that package's own imports.  A scipy without
+    the extension raises ImportError naming the folder searched.
+    """
+    import importlib.machinery
+    import importlib.util
+    import sys
+    from pathlib import Path
+
+    import scipy
+
+    folder = Path(scipy.__file__).parent / "linalg"
+    for suffix in importlib.machinery.EXTENSION_SUFFIXES:
+        path = folder / f"_flapack{suffix}"
+        if path.is_file():
+            spec = importlib.util.spec_from_file_location(
+                "scipy.linalg._flapack", path)
+            module = importlib.util.module_from_spec(spec)
+            spec.loader.exec_module(module)
+            sys.modules.pop(spec.name, None)
+            return module.dpstrf, module.dpotrf, module.dpotrs
+    raise ImportError(f"no LAPACK extension _flapack in {folder}")
 
 
 def _gate_scale(nonzeros: Nonzeros, x: np.ndarray) -> float:
@@ -250,8 +278,7 @@ def _least_squares_start(nonzeros: Nonzeros,
     # basis has exactly the rank of T, and the start residual is orthogonal
     # to the columns of T to rounding, max |T^t r| <= 12.3 u ||x||_2 max |T|,
     # far inside the gate.
-    pstrf = _pivoted_cholesky_driver()
-    _, potrs = _cholesky_drivers()
+    pstrf, _, potrs = _lapack_drivers()
     m, n = nonzeros.shape
     gram, rhs = _normal_equations(nonzeros, x, np.arange(n))(np.ones(m))
     # T^t T is symmetric: its transpose is the same matrix in the column
@@ -271,15 +298,6 @@ def _least_squares_start(nonzeros: Nonzeros,
     return c, np.sort(basis)
 
 
-@cache
-def _cholesky_drivers():
-    """LAPACK potrf and potrs, looked up on the first IRLS start or
-    weighted step."""
-    from scipy.linalg import get_lapack_funcs
-
-    return get_lapack_funcs(("potrf", "potrs"), dtype=np.float64)
-
-
 def _weighted_solver(nonzeros: Nonzeros, x: np.ndarray, basis: np.ndarray):
     """The weighted IRLS step: a function of weights w > 0 that returns the
     coefficients c, zero off basis, minimizing ||w^(1/2) (x - T c)||_2, T
@@ -295,7 +313,7 @@ def _weighted_solver(nonzeros: Nonzeros, x: np.ndarray, basis: np.ndarray):
     no second solver.  An illegal argument reported by either driver raises
     ValueError.
     """
-    potrf, potrs = _cholesky_drivers()
+    _, potrf, potrs = _lapack_drivers()
     n = nonzeros.shape[1]
     normal_equations = _normal_equations(nonzeros, x, basis)
 
@@ -304,7 +322,10 @@ def _weighted_solver(nonzeros: Nonzeros, x: np.ndarray, basis: np.ndarray):
         if basis.size == 0:  # potrs rejects an empty system
             return candidate
         gram, rhs = normal_equations(weights)
-        factor, info = potrf(gram, lower=False, overwrite_a=True, clean=False)
+        # gram is symmetric, so potrf factors its transpose, in the column
+        # order LAPACK reads, in place, as the start's pstrf does
+        factor, info = potrf(gram.T, lower=False, overwrite_a=True,
+                             clean=False)
         if info > 0:
             raise InvariantViolation(
                 f"IRLS weighted normal equations are not positive definite "

@@ -209,7 +209,7 @@ def test_criterion_8_determinism(tmp_path):
         dict(experiment="class-sum-homotopy", group="dihedral-inf", degree=1,
              R=3, count=2, seed=1, **{"class": "r"}),
         dict(experiment="pairing-adjointness", resolution="cyclic-inf",
-             degree=1, R=3, p="1.5,2,3", count=200, seed=1),
+             degree=1, R=3),
         dict(experiment="distance-curve", resolution="cyclic-inf", degree=0,
              p="1.5,2,3", R="1..8", seed=1),
         dict(experiment="translation-decay", group="dihedral-inf", radius=4,

@@ -170,7 +170,12 @@ def test_config_errors_name_their_field_once(tmp_path, capsys):
     ("max_ball", dict(experiment="verify-homotopy", group="Z^1", max_ball=0)),
     ("max_ball", dict(experiment="verify-homotopy", group="Z^1",
                       max_ball=-3)),
-    # the finite experiments build groups no cap reaches, so refuse one
+    # a key the experiment does not read is refused, the first one given;
+    # the finite experiments build groups no cap reaches, so take no max_ball
+    ("p", dict(experiment="pairing-adjointness", resolution="cyclic-inf",
+               p="abc", seed="xyz", count=-5)),
+    ("seed", dict(experiment="distance-curve", resolution="cyclic-inf",
+                  R="1..2", seed="xyz")),
     ("max_ball", dict(experiment="finite-homology", n=6, max_ball=1)),
     ("max_ball", dict(experiment="finite-index", n=4, m=2, max_ball=1)),
     ("max_iter", dict(experiment="distance-curve", resolution="cyclic-inf",
@@ -209,6 +214,11 @@ def test_unknown_key_rejected(tmp_path):
     path.write_text("experiment=finite-homology\nbogus=1\n", encoding="utf-8")
     with pytest.raises(ValueError, match="unknown key"):
         parse_config(path)
+
+
+def test_every_known_key_is_read_by_some_experiment():
+    read = {key for _, keys in cli._RUNNERS.values() for key in keys}
+    assert read | {"experiment", "output"} == set(cli._KNOWN_KEYS)
 
 
 def test_repeated_key_rejected(tmp_path, capsys):
@@ -360,7 +370,7 @@ def test_pairing_adjointness_assembles_once(tmp_path, monkeypatch):
 
     monkeypatch.setattr(lp_complex, "assemble_boundary", counting)
     cfg = write_config(tmp_path, "adj.cfg", experiment="pairing-adjointness",
-                       resolution="cyclic-inf", R=2, p="1.5,3", count=10,
+                       resolution="cyclic-inf", R=2,
                        output=tmp_path / "adj.csv")
     assert main(["run", str(cfg)]) == EXIT_OK
     assert calls == [2]
@@ -369,15 +379,14 @@ def test_pairing_adjointness_assembles_once(tmp_path, monkeypatch):
 def test_pairing_adjointness_run(tmp_path):
     out = tmp_path / "adj.csv"
     cfg = write_config(tmp_path, "adj.cfg", experiment="pairing-adjointness",
-                       resolution="lattice:2", degree=2, R=2, p="1.5,2,3",
-                       count=100, seed=1, output=out)
+                       resolution="lattice:2", degree=2, R=2, output=out)
     assert main(["run", str(cfg)]) == EXIT_OK
     lines = out.read_text().splitlines()
     assert lines[0] == ",".join(ADJOINTNESS_HEADER) == \
         "group,resolution,degree,R,nonzeros"
-    # one exact row; count, seed and p are accepted and unread.  Both
-    # entries of the boundary are t_j - 1, and each of their two terms meets
-    # each of the 13 elements of the radius-2 ball once: 2 * 2 * 13.
+    # one exact row.  Both entries of the boundary are t_j - 1, and each of
+    # their two terms meets each of the 13 elements of the radius-2 ball
+    # once: 2 * 2 * 13.
     assert lines[1:] == ["Z^2,lattice:2,2,2,52"]
 
 

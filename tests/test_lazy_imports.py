@@ -1,11 +1,12 @@
-"""The exact regime runs without numpy or scipy, and p = 2 and the
-finite-group ranks without scipy.
+"""The exact regime runs without numpy or scipy, p = 2 and the
+finite-group ranks without scipy, and p != 2 and `lab verify-all` without
+the scipy.linalg package.
 
 `lplab` resolves its float names lazily and the CLI and the check registry
-import the float modules inside the float runners and checks; the float
-modules import scipy inside the functions that call it.  These tests pin
-that in a fresh interpreter, and pin that every name the package exports
-still resolves.
+import the float modules inside the float runners and checks; scipy is
+imported only by the loader of the IRLS drivers, which loads scipy's
+compiled LAPACK extension alone.  These tests pin that in a fresh
+interpreter, and pin that every name the package exports still resolves.
 """
 
 import ast
@@ -92,6 +93,10 @@ def _probe(tmp_path: Path, steps) -> list:
     return json.loads(done.stdout.strip().splitlines()[-1])
 
 
+def _linalg_modules(loaded: list) -> list:
+    return [name for name in loaded if name.startswith("scipy.linalg")]
+
+
 def test_exact_runs_load_no_float_module(tmp_path):
     steps = [
         ("lab list", ["list"]),
@@ -119,7 +124,8 @@ def test_exact_runs_load_no_float_module(tmp_path):
         assert step_loaded == [], f"{step} loaded {step_loaded[:5]}"
     # the float run still loads what it needs and writes the golden curve
     assert label == "distance-curve" and code == 0
-    assert "numpy" in loaded and "scipy.linalg" in loaded
+    assert "numpy" in loaded and "scipy" in loaded
+    assert _linalg_modules(loaded) == []
     # the p = 2 solve runs on numpy's bincount; scipy.sparse.linalg alone
     # would add about 3.6 MB, 5% of lab verify-all's peak RSS
     assert [name for name in loaded if name.startswith("scipy.sparse")] == []
@@ -136,11 +142,20 @@ def test_irls_weighted_steps_load_no_sparse_module(tmp_path):
         resolution="lattice:2", degree=1, p="1.5", R="2..3", output=out)])]
     (_, _, _), (label, code, loaded) = _probe(tmp_path, steps)
     assert label == "distance-curve" and code == 0
-    assert "scipy.linalg" in loaded
+    assert "scipy" in loaded and _linalg_modules(loaded) == []
     assert [name for name in loaded if name.startswith("scipy.sparse")] == []
     iterations = [int(line.split(",")[8])
                   for line in out.read_text().splitlines()[1:]]
     assert len(iterations) == 2 and min(iterations) > 0
+
+
+def test_verify_all_loads_no_scipy_linalg_module(tmp_path):
+    # check_minimization runs p != 2 distances, so verify-all loads the
+    # IRLS drivers, and no more of scipy than their loader
+    (_, _, _), (label, code, loaded) = _probe(
+        tmp_path, [("verify-all", ["verify-all"])])
+    assert label == "verify-all" and code == 0
+    assert "scipy" in loaded and _linalg_modules(loaded) == []
 
 
 def test_least_squares_runs_load_no_scipy_module(tmp_path):
@@ -244,5 +259,4 @@ def test_scipy_is_imported_only_by_the_lapack_lookups():
     sites = [site for path in sorted(SOURCE.glob("*.py"))
              for site in _scipy_import_sites(
                  ast.parse(path.read_text(), str(path)), path.stem)]
-    assert sites == ["vanishing._pivoted_cholesky_driver",
-                     "vanishing._cholesky_drivers"]
+    assert sites == ["vanishing._lapack_drivers"]

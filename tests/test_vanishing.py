@@ -1,6 +1,7 @@
 """Minimization, decay curves, finite homology, and central families."""
 
 import csv
+import re
 import tracemalloc
 from decimal import Decimal, localcontext
 from fractions import Fraction
@@ -520,13 +521,13 @@ def test_start_over_the_real_cap_raises_before_allocating():
 
 def test_failed_cholesky_is_an_invariant_failure(monkeypatch, tmp_path,
                                                  capsys):
-    _, potrs = vanishing._cholesky_drivers()
+    pstrf, _, potrs = vanishing._lapack_drivers()
 
     def failing(gram, **kwargs):
         return gram, 2  # LAPACK's info: the 2nd leading minor fails
 
-    monkeypatch.setattr(vanishing, "_cholesky_drivers",
-                        lambda: (failing, potrs))
+    monkeypatch.setattr(vanishing, "_lapack_drivers",
+                        lambda: (pstrf, failing, potrs))
     message = ("IRLS weighted normal equations are not positive definite "
                "(2-th leading minor of the array is not positive definite)")
     # a start the dual bound certifies takes no weighted step and factors
@@ -546,6 +547,47 @@ def test_failed_cholesky_is_an_invariant_failure(monkeypatch, tmp_path,
     assert main(["run", str(config)]) == EXIT_INVARIANT
     assert capsys.readouterr().err == f"{config}: invariant failure: {message}\n"
     assert not out.exists()
+
+
+def test_loaded_drivers_match_scipy_linalg_lapack():
+    from scipy.linalg import lapack
+
+    pstrf, potrf, potrs = vanishing._lapack_drivers()
+    T = np.random.default_rng(3).standard_normal((30, 6))
+    spd = T.T @ T
+    # the sixth column is the first minus the second, so the Gram has rank 5
+    T[:, 5] = T[:, 0] - T[:, 1]
+    deficient = T.T @ T
+    rhs = np.arange(1.0, 7.0)
+    for gram in (spd, deficient):
+        for loaded, public in ((pstrf, lapack.dpstrf),
+                               (potrf, lapack.dpotrf)):
+            ours = loaded(gram.copy(), lower=False)
+            theirs = public(gram.copy(), lower=False)
+            assert len(ours) == len(theirs)
+            for a, b in zip(ours, theirs):
+                assert np.asarray(a).tobytes() == np.asarray(b).tobytes()
+        factor, _, rank, _ = pstrf(gram.copy(), lower=False)
+        ours = potrs(factor[:rank, :rank], rhs[:rank], lower=False)
+        theirs = lapack.dpotrs(factor[:rank, :rank], rhs[:rank], lower=False)
+        assert ours[0].tobytes() == theirs[0].tobytes() and ours[1] == theirs[1]
+    assert np.linalg.matrix_rank(deficient) == 5
+    assert pstrf(deficient.copy(), lower=False)[2] == 5
+
+
+def test_a_scipy_without_the_lapack_extension_raises(monkeypatch, tmp_path):
+    import scipy
+
+    folder = tmp_path / "scipy"
+    (folder / "linalg").mkdir(parents=True)
+    monkeypatch.setattr(scipy, "__file__", str(folder / "__init__.py"))
+    vanishing._lapack_drivers.cache_clear()
+    try:
+        with pytest.raises(ImportError, match=re.escape(
+                f"no LAPACK extension _flapack in {folder / 'linalg'}")):
+            vanishing._lapack_drivers()
+    finally:
+        vanishing._lapack_drivers.cache_clear()
 
 
 def test_dual_bound_brackets_the_value():
