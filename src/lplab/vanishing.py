@@ -197,7 +197,8 @@ def _lapack_drivers():
     scipy's compiled extension scipy/linalg/_flapack.
 
     The extension is loaded from its file, after the top-level scipy package
-    (whose import sets up the shared libraries scipy ships), so neither
+    (whose _distributor_init prepares any shared libraries a scipy build
+    ships), so neither
     scipy.linalg's package nor any of its Python modules runs: they would
     add some 310 modules and 27 MB to a process.  The drivers are the same
     compiled routines scipy.linalg.lapack exports.  The extension registers
