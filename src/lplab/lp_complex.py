@@ -26,15 +26,15 @@ places each entry term in every domain column at once.
 A `BoundaryOperator` stores its matrix as `Nonzeros`, one row-major
 (rows, cols, values) triple and the shape, the one representation the
 solvers read: `vanishing` checks a distance problem once, on these
-nonzeros, and its CGLS and weighted IRLS steps read nothing else of T.
-Only the least-squares start of IRLS and its line search need the dense
-`matrix`, built from the nonzeros on first read; it raises `BallCapError`
-instead when it would take more than `DENSE_BYTE_CAP` bytes, so an
-operator out of dense reach fails loudly where dense work is asked of it
-rather than exhausting memory.  Ball order is (layer, normal form), so the
-operator at a smaller radius is a per-copy prefix of the larger one's
-nonzeros: `BoundaryOperator.restricted` cuts it out of them, and a curve
-over growing radii assembles once, at its largest.
+nonzeros, and every solve, at every p, reads nothing else of T.  The
+dense `matrix` is built from the nonzeros on first read, for the callers
+that ask for it; it raises `BallCapError` instead when it would take more
+than `DENSE_BYTE_CAP` bytes, so an operator out of dense reach fails
+loudly where dense work is asked of it rather than exhausting memory.
+Ball order is (layer, normal form), so the operator at a smaller radius is
+a per-copy prefix of the larger one's nonzeros:
+`BoundaryOperator.restricted` cuts it out of them, and a curve over
+growing radii assembles once, at its largest.
 """
 
 from __future__ import annotations
@@ -54,9 +54,26 @@ def conjugate_exponent(p: float) -> float:
     return p / (p - 1.0)
 
 
+# The smallest normal double: a power sum below it has lost digits.
+_TINY = float(np.finfo(float).tiny)
+
+
 def lp_norm(values: np.ndarray, exponent: float) -> float:
-    """(sum of |value|^exponent)^(1/exponent)."""
-    return float((np.abs(values) ** exponent).sum() ** (1.0 / exponent))
+    """(sum of |value|^exponent)^(1/exponent).
+
+    A power sum that is not a finite normal double, one under- or
+    overflowed at a large exponent, is summed again over the values divided
+    by the largest magnitude m, and the norm is m times its root; a zero
+    vector has norm 0.
+    """
+    magnitudes = np.abs(values)
+    total, largest = (magnitudes ** exponent).sum(), 1.0
+    if not _TINY <= total < math.inf:
+        largest = magnitudes.max(initial=0.0)
+        if largest == 0.0:
+            return 0.0
+        total = ((magnitudes / largest) ** exponent).sum()
+    return float(largest * total ** (1.0 / exponent))
 
 
 class TruncatedSpace:

@@ -17,21 +17,23 @@ once, as a `_Problem`, at the API boundary: its shape, and finiteness on T's
 largest radius, and cuts every radius's operator out of those nonzeros
 (`BoundaryOperator.restricted`); it checks each radius once and solves every
 p on that one problem, and every p != 2 there shares the least-squares start
-and the weighted step the problem builds on first use.  The steps that sum
-over T, CGLS, the IRLS start and the weighted step, read only its
-`Nonzeros`.  At p = 2 the distance is the norm of x's projection on ker T^t,
-computed by conjugate gradients on the normal equations (CGLS) over the
-nonzeros of T, the `Nonzeros` a `BoundaryOperator` stores, so a p = 2 curve
-never forms a dense matrix.  Other p use iteratively reweighted least
-squares, with the residual and the line search on the dense matrix.  Its
-start solves the normal equations T^t T c = T^t x, summed from the nonzeros
-of T, by a Cholesky factorization with complete pivoting (LAPACK pstrf),
-which also picks a basis of T's columns, and its residual must pass the
-same orthogonality gate as p = 2; squaring T's condition number, it
-resolves singular values down to about sqrt(n u) of the largest, n the
-number of columns and u the unit roundoff.  Each weighted step solves the
-weighted normal equations on those columns, summed the same way, by
-Cholesky: LAPACK potrf and potrs, called directly.  The IRLS iteration is
+and the weighted step the problem builds on first use.  Every solve reads T
+only through its `Nonzeros`, the ones a `BoundaryOperator` stores: products
+with T and T^t, and the Gram matrices summed from them; no solve forms a
+dense matrix of T.  A curve with some p != 2 still builds each radius's
+dense matrix, which only the benchmark's tracer reads.  At p = 2 the
+distance is the norm of x's projection on ker T^t, computed by conjugate
+gradients on the normal equations (CGLS).  Other p use iteratively
+reweighted least squares, whose residuals, dual points and line search are
+products with the nonzeros too.  Its start solves the normal equations
+T^t T c = T^t x, summed from the nonzeros of T, by a Cholesky
+factorization with complete pivoting (LAPACK pstrf), which also picks a
+basis of T's columns, and its residual must pass the same orthogonality
+gate as p = 2; squaring T's condition number, it resolves singular values
+down to about sqrt(n u) of the largest, n the number of columns and u the
+unit roundoff.  Each weighted step solves the weighted normal equations on
+those columns, summed the same way, by Cholesky: LAPACK potrf and potrs,
+called directly.  The IRLS iteration is
 damped so that the true p-objective never increases.  Every distance comes
 with a lower bound from the dual side, dist_p(x, im T) = max <y, x> over y
 in ker T^t with ||y||_q <= 1, and IRLS stops once that bound certifies the
@@ -80,6 +82,8 @@ _CG_TOL = 1e-13
 # to at most 1.06 min(m, n) steps and on an ill-conditioned random 500 x 249
 # matrix to 3.3 min(m, n).  A solve that hits the cap fails the gate.
 _CG_STEP_FACTOR = 10
+# The relative singular-value threshold of the finite-group ranks.
+_RANK_THRESHOLD = 1e-8
 
 
 @dataclass
@@ -247,11 +251,12 @@ def _gated_residual(nonzeros: Nonzeros, x: np.ndarray, c: np.ndarray,
     return residual
 
 
-def _least_squares_start(nonzeros: Nonzeros,
-                         x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _least_squares_start(
+        nonzeros: Nonzeros,
+        x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Least-squares coefficients c for x ~ T c, T given by its `nonzeros`,
-    and the columns they use: the IRLS start, and the basis of its weighted
-    steps.
+    the columns they use and the residual x - T c: the IRLS start, the basis
+    of its weighted steps and its first dual point.
 
     T^t T and T^t x are summed from the nonzeros (_normal_equations), and
     LAPACK pstrf, a Cholesky factorization with complete pivoting, factors
@@ -270,10 +275,10 @@ def _least_squares_start(nonzeros: Nonzeros,
     a direction x leans on would leave a residual outside ker T^t, whose
     dual bound is not a bound.  A lean below the gate passes it, and can
     still move a p != 2 value and its bound by more than _GAP_TOL, as a
-    column of T scaled by 1e-10 does.  Returns c and the sorted basis.  pstrf
-    stopping short of n (info > 0) is the rank-deficient case, not a
-    failure; an illegal argument reported by either driver raises
-    ValueError.  _Problem has checked that the input is finite.
+    column of T scaled by 1e-10 does.  Returns c, the sorted basis and the
+    gated residual.  pstrf stopping short of n (info > 0) is the
+    rank-deficient case, not a failure; an illegal argument reported by
+    either driver raises ValueError.  _Problem has checked that the input is finite.
     """
     # On every catalog boundary of tests/test_vanishing.py's rank test the
     # basis has exactly the rank of T, and the start residual is orthogonal
@@ -295,8 +300,8 @@ def _least_squares_start(nonzeros: Nonzeros,
         if info < 0:
             raise ValueError(f"LAPACK potrs: illegal value in argument {-info}")
         c[basis] = solution
-    _gated_residual(nonzeros, x, c, _gate_scale(nonzeros, x))
-    return c, np.sort(basis)
+    residual = _gated_residual(nonzeros, x, c, _gate_scale(nonzeros, x))
+    return c, np.sort(basis), residual
 
 
 def _weighted_solver(nonzeros: Nonzeros, x: np.ndarray, basis: np.ndarray):
@@ -355,43 +360,35 @@ class _Problem:
     and T, a dense matrix or its `Nonzeros`, with one row per entry of x,
     both finite; anything else raises ValueError.  T is checked finite on
     `nonzeros`, its own when the caller holds them and otherwise read from
-    a dense T here, the only scan of it; every step that sums over T reads
-    them, the least-squares start included, so the start leaves the dense
-    matrix unbuilt.  The dense matrix, the start with its basis, and the
-    weighted step on that basis are built on first use, so every p solved
-    on one problem shares them.  `sources` are the x and T it was built
-    from, the only ones lp_distance accepts it with."""
+    a dense T here, the only scan of it and the only read of a dense T;
+    every step of the solve reads the nonzeros alone.  The start with its
+    basis and residual, and the weighted step on that basis, are built on
+    first use, so every p solved on one problem shares them.  `sources`
+    are the x and T it was built from, the only ones lp_distance accepts
+    it with."""
 
-    __slots__ = ("sources", "x", "nonzeros", "_dense", "_start", "_step")
+    __slots__ = ("sources", "x", "nonzeros", "_start", "_step")
 
     def __init__(self, x, T, nonzeros: Nonzeros | None = None):
         self.sources = (x, T)
         x = np.asarray(x, dtype=float).reshape(-1)
-        if isinstance(T, Nonzeros):
-            dense, nonzeros = None, T
-        else:
-            T = dense = np.asarray(T, dtype=float)
+        if not isinstance(T, Nonzeros):
+            T = np.asarray(T, dtype=float)
         if len(T.shape) != 2 or T.shape[0] != x.shape[0]:
             raise ValueError(
                 f"dimension mismatch: T is {T.shape}, x has length {x.shape[0]}")
         if not np.isfinite(x).all():
             raise ValueError("non-finite input: x holds NaN or inf")
         if nonzeros is None:
-            nonzeros = Nonzeros.of(dense)
+            nonzeros = T if isinstance(T, Nonzeros) else Nonzeros.of(T)
         if not np.isfinite(nonzeros.values).all():
             raise ValueError("non-finite input: T holds NaN or inf")
-        self.x, self.nonzeros, self._dense = x, nonzeros, dense
+        self.x, self.nonzeros = x, nonzeros
         self._start = self._step = None
 
-    def dense(self) -> np.ndarray:
-        """T as a dense matrix (`Nonzeros.dense`, under its byte cap)."""
-        if self._dense is None:
-            self._dense = self.nonzeros.dense()
-        return self._dense
-
-    def start(self) -> tuple[np.ndarray, np.ndarray]:
-        """The IRLS start and its basis, from _least_squares_start on the
-        nonzeros alone."""
+    def start(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The IRLS start, its basis and its residual, from
+        _least_squares_start on the nonzeros alone."""
         if self._start is None:
             self._start = _least_squares_start(self.nonzeros, self.x)
         return self._start
@@ -408,14 +405,14 @@ def lp_distance(x: np.ndarray, T, p: float, *,
     """Minimize the p-norm of x - T c over coefficient vectors c.
 
     T is a dense matrix or its `Nonzeros`, such as a `BoundaryOperator`'s.
+    Every p reads T only through its nonzeros, read from a dense T once,
+    and never forms a dense matrix of T.
     p = 2 solves by CGLS on the nonzeros of T and certifies optimality by
     residual orthogonality, max |T^t r| <= _GATE_TOL * scale, with the
     residual r = x - T c and T^t r both summed from the nonzeros; a solve
     that misses it raises InvariantViolation.  Its lower bound is
-    <r, x>/||r||_2, or 0 if that is negative.  Given nonzeros, p = 2 never
-    forms the dense matrix.
-    Other p > 1 evaluate residuals on the dense matrix, built from nonzeros
-    if need be (`Nonzeros.dense`, which refuses one over its byte cap).
+    <r, x>/||r||_2, or 0 if that is negative.
+    Other p > 1 evaluate every residual x - T c on the nonzeros.
     They start from a least-squares solution by pivoted Cholesky on the
     normal equations summed from the nonzeros, whose pivots pick a basis of
     T's columns, and run damped IRLS, whose weighted steps are Cholesky
@@ -423,15 +420,16 @@ def lp_distance(x: np.ndarray, T, p: float, *,
     gate, as when x leans on a direction of T whose singular value is below
     about sqrt(n u) of the largest, or a factorization that fails raises
     InvariantViolation, and a Gram matrix over the dense byte cap, n x n at
-    the start, raises BallCapError.  Each weighted solve leaves T^t (w * (x - T candidate)) = 0,
-    so y = w * (x - T candidate) is a point of ker T^t, as the least-squares
-    residual is at the start, and gives the dual bound <y, x>/||y||_q.  The
-    largest of 0 and these bounds is `lower`; the result is converged, and the
-    iteration stops, once value - lower <= _GAP_TOL * value.  Meanwhile the
-    smoothing parameter is quartered each step from _EPS_START down to
-    _EPS_FLOOR, and a step at the floor that gains less than
-    _IMPROVEMENT_TOL stops the iteration unconverged, as does the iteration
-    cap; the value and its bound are still reported.  The objective is
+    the start, raises BallCapError.  Each weighted solve leaves
+    T^t (w * (x - T candidate)) = 0, so y = w * (x - T candidate) is a
+    point of ker T^t, as the least-squares residual is at the start, and
+    gives the dual bound <y, x>/||y||_q.  The largest of 0 and these bounds
+    is `lower`; the result is converged, and the iteration stops, once
+    value - lower <= _GAP_TOL * value.  Meanwhile the smoothing parameter
+    is quartered each step from _EPS_START down to _EPS_FLOOR, and a step
+    at the floor that gains less than _IMPROVEMENT_TOL stops the iteration
+    unconverged, as does the iteration cap; the value and its bound are
+    still reported.  The objective is
     nonincreasing by construction: the line search accepts a trial only if
     it does not raise the objective, and keeps c otherwise.  A NaN or inf
     in x or T is rejected here, checked on the values of nonzeros, so the
@@ -442,12 +440,9 @@ def lp_distance(x: np.ndarray, T, p: float, *,
     that several p share it.  A problem built from other arrays raises
     ValueError.  The result is the same with or without it.
     """
-    if start is None:
-        problem = _Problem(x, T)
-    elif start.sources[0] is not x or start.sources[1] is not T:
+    problem = _Problem(x, T) if start is None else start
+    if problem.sources[0] is not x or problem.sources[1] is not T:
         raise ValueError("the IRLS start was built for another x or T")
-    else:
-        problem = start
     x, nonzeros = problem.x, problem.nonzeros
     if not 1.0 < p < float("inf"):
         raise ValueError(f"exponent p must lie in (1, inf), got {p}")
@@ -468,9 +463,7 @@ def lp_distance(x: np.ndarray, T, p: float, *,
         return MinimizationResult(value, min(lower, value), c, 1,
                                   "least-squares", True)
 
-    T = problem.dense()
-    c, _ = problem.start()
-    residual = x - T @ c
+    c, _, residual = problem.start()
     q = conjugate_exponent(p)
     objective = lp_norm(residual, p)
     # 0 is always a bound; the start's own can fall below it when x lies in
@@ -485,12 +478,13 @@ def lp_distance(x: np.ndarray, T, p: float, *,
         iterations += 1
         weights = (residual * residual + eps) ** ((p - 2.0) / 2.0)
         candidate = weighted_step(weights)
-        lower = max(lower, _dual_bound(x, weights * (x - T @ candidate), q))
+        lower = max(lower, _dual_bound(
+            x, weights * (x - nonzeros.image(candidate)), q))
         direction = candidate - c
         scale_factor = 1.0
         for _ in range(60):
             trial = c + scale_factor * direction
-            trial_residual = x - T @ trial
+            trial_residual = x - nonzeros.image(trial)
             trial_obj = lp_norm(trial_residual, p)
             if trial_obj <= objective:
                 step = objective - trial_obj
@@ -542,11 +536,12 @@ def boundary_distance_curve(res: Resolution, degree: int, x_parts,
     sets nest and the curve of each p must be nonincreasing; that is asserted.
     The boundary is assembled once, at the largest radius; each radius's
     operator is cut out of its nonzeros (`BoundaryOperator.restricted`)
-    and checked once, as one _Problem that every p solves: p = 2 on the
-    operator's nonzeros, so a curve of p = 2 alone never forms a dense
-    matrix, and the p != 2 solves on its dense matrix from the one
-    least-squares start they share.  The rows come out grouped by p, in the
-    order of p_values, each group in the order of radii.
+    and checked once, as one _Problem that every p solves on the operator's
+    nonzeros, the p != 2 solves from the one least-squares start they
+    share.  A curve with some p != 2 still builds each radius's dense
+    matrix and passes it as T, which the solves read only through that
+    problem's nonzeros.  The rows come out grouped by p, in the order of
+    p_values, each group in the order of radii.
     """
     i = degree + 1
     if not 1 <= i <= res.length:
@@ -562,8 +557,10 @@ def boundary_distance_curve(res: Resolution, degree: int, x_parts,
     for radius in radii:
         op = full.restricted(radius)
         x = vector_from_ring_parts(op.codomain, x_parts).coefficients
-        # the p != 2 solves need the dense matrix, and the benchmark's
-        # tracer reads it off their calls
+        # no solve reads op.matrix; only the benchmark's tracer does, off
+        # the T of each p != 2 call (perfbench/tracing.py _kkt_residual,
+        # pinned by tests/test_bench_hooks.py).  Passing op.nonzeros
+        # belongs with the tracer's change (ROADMAP item 8).
         T = op.matrix if irls else op.nonzeros
         problem = _Problem(x, T, op.nonzeros)
         for p, p_rows in zip(p_values, rows):
@@ -663,17 +660,17 @@ def translation_pairing_decay(y: Vector, x: Vector, sequence: CentralSequence,
                       tuple(rows))
 
 
-def _numerical_rank(matrix: np.ndarray, threshold: float) -> int:
+def _numerical_rank(matrix: np.ndarray) -> int:
+    """The number of singular values above _RANK_THRESHOLD of the largest."""
     if matrix.size == 0:
         return 0
     singular = np.linalg.svd(matrix, compute_uv=False)
     if singular[0] <= 0.0:
         return 0
-    return int(np.sum(singular > threshold * singular[0]))
+    return int(np.sum(singular > _RANK_THRESHOLD * singular[0]))
 
 
-def finite_group_homology_ranks(n: int, length: int, *,
-                                rank_threshold: float = 1e-8) -> tuple[int, ...]:
+def finite_group_homology_ranks(n: int, length: int) -> tuple[int, ...]:
     """Homology dimensions of a finite cyclic group through the given degree.
 
     The coefficient space is n-dimensional, so no truncation is involved and
@@ -688,12 +685,11 @@ def finite_group_homology_ranks(n: int, length: int, *,
     radius = n  # saturates the ball: the whole group
     matrices = [assemble_boundary(res, i, radius).matrix
                 for i in range(1, length + 2)]
-    dims = []
     size = matrices[0].shape[1]
-    dims.append(size - _numerical_rank(matrices[0], rank_threshold))
+    dims = [size - _numerical_rank(matrices[0])]
     for i in range(1, length + 1):
-        kernel_dim = size - _numerical_rank(matrices[i - 1], rank_threshold)
-        image_rank = _numerical_rank(matrices[i], rank_threshold)
+        kernel_dim = size - _numerical_rank(matrices[i - 1])
+        image_rank = _numerical_rank(matrices[i])
         dims.append(kernel_dim - image_rank)
     return tuple(dims)
 

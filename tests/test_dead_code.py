@@ -11,9 +11,18 @@ are not checked.  A private function's defaults must be passed inside
 ``src/lplab``; a public function's or constructor's may also be passed by
 the tests or the demos.  A constructor is reached through calls of its
 class by name.
+
+The file also holds the one count of the library's code lines, read with
+the stdlib ``tokenize`` module: a line counts when a token other than a
+comment lies on it, a line inside a multi-line string included, unless it
+belongs to a docstring, the string that opens a module, class or function
+body.  Run this file as a script to print the count per module and in
+total.
 """
 
 import ast
+import io
+import tokenize
 from collections import Counter
 from pathlib import Path
 
@@ -188,3 +197,49 @@ def test_no_setting_is_read_from_the_environment():
              if readers & {getattr(node, field, None)
                            for field in ("attr", "id", "name")}]
     assert not found, f"environment read in lplab: {found}"
+
+
+# tokens that hold no code: layout, and comments
+_NOT_CODE = {tokenize.COMMENT, tokenize.NL, tokenize.NEWLINE, tokenize.INDENT,
+             tokenize.DEDENT, tokenize.ENCODING, tokenize.ENDMARKER}
+
+
+def code_lines(text: str) -> int:
+    """The number of non-blank, non-comment, non-docstring lines of text."""
+    lines = set()
+    for token in tokenize.generate_tokens(io.StringIO(text).readline):
+        if token.type not in _NOT_CODE:
+            lines.update(range(token.start[0], token.end[0] + 1))
+    for node in ast.walk(ast.parse(text)):
+        if (isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef,
+                              ast.AsyncFunctionDef))
+                and ast.get_docstring(node, clean=False) is not None):
+            lines -= set(range(node.body[0].lineno, node.body[0].end_lineno + 1))
+    return len(lines)
+
+
+def test_code_lines_count_code_only():
+    # code on lines 5, 7, 8, 10 and 11: the docstrings, the blank lines and
+    # the comments do not count, both lines of the string in code do
+    snippet = "\n".join([
+        '"""Module docstring,',
+        'on two lines."""',
+        "",
+        "# a comment",
+        "def f(x):  # a trailing comment",
+        '    """Docstring."""',
+        '    text = """a string,',
+        'not a docstring"""',
+        "",
+        "    return (x +",
+        "            1)",
+    ])
+    assert code_lines(snippet) == 5
+
+
+if __name__ == "__main__":
+    counts = {path.name: code_lines(path.read_text(encoding="utf-8"))
+              for path in sorted(SOURCE.glob("*.py"))}
+    for name, count in counts.items():
+        print(f"{name:16} {count:5}")
+    print(f"{'total':16} {sum(counts.values()):5}")

@@ -19,6 +19,7 @@ from lplab.lp_complex import (
     embed,
     export_matrix_coordinate,
     export_vector_csv,
+    lp_norm,
     pairing,
     translate,
     translate_ring,
@@ -225,6 +226,10 @@ def test_norms():
     assert abs(vec.norm(3.0) - naive_p_norm(coords, 3.0)) < 1e-12
     assert abs(vec.norm(conjugate_exponent(3.0))
                - naive_p_norm(coords, 1.5)) < 1e-12
+    # |v|^p under- and overflows, and the norm is taken on v / max |v|
+    assert lp_norm(np.array([0.1, 0.05]), 400.0) == 0.1
+    with np.errstate(over="ignore"):
+        assert lp_norm(np.array([1e200, 1.0]), 2.0) == 1e200
 
 
 def test_vector_rejects_non_finite():
